@@ -299,22 +299,30 @@ def _load_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatase
     return ds_train, ds_test
 
 
-def _cached_extract(net, enc, ds, master_seed, indices, stream_base, dataset_id,
-                    cache_dir) -> FeatureCache:
-    digest = feature_digest(net, enc, dataset_id, master_seed, stream_base)
-    if cache_dir is not None:
-        path = Path(cache_dir) / f"{digest:016x}.rsnnfc"
-        if path.exists():
+def _extract_splits(cfg: ExperimentConfig, sizes, dist, lif, enc, splits,
+                    cache_dir) -> list[FeatureCache]:
+    """One feature cache per (dataset, indices, stream_base, split), read
+    from cache_dir if there. The weights are sampled only on a miss and are
+    freed on return, before the readout trains."""
+    net, caches = None, []
+    for ds, indices, stream_base, split in splits:
+        dataset_id = f"{cfg.dataset}/{split}"
+        digest = feature_digest(sizes, dist, cfg.seed, (lif,) * (len(sizes) - 1), enc,
+                                dataset_id, cfg.seed, stream_base, indices)
+        path = None if cache_dir is None else Path(cache_dir) / f"{digest:016x}.rsnnfc"
+        if path is not None and path.exists():
             cache = FeatureCache.load(path, expected_digest=digest)
             # The on-disk layout carries no class count; the dataset does.
             cache.num_classes = ds.num_classes
-            return cache
-    cache = extract_features(net, enc, ds, master_seed, indices=indices,
-                             stream_base=stream_base, dataset_id=dataset_id)
-    if cache_dir is not None:
-        Path(cache_dir).mkdir(parents=True, exist_ok=True)
-        cache.save(Path(cache_dir) / f"{digest:016x}.rsnnfc")
-    return cache
+        else:
+            net = net or init_weights(sizes, dist, cfg.seed, lif=lif)
+            cache = extract_features(net, enc, ds, cfg.seed, indices=indices,
+                                     stream_base=stream_base, dataset_id=dataset_id)
+            if path is not None:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                cache.save(path)
+        caches.append(cache)
+    return caches
 
 
 def run_experiment(cfg: ExperimentConfig, cache_dir=None) -> RunRecord:
@@ -336,28 +344,21 @@ def run_experiment(cfg: ExperimentConfig, cache_dir=None) -> RunRecord:
     train_sel = make_batches(ds_train, cfg.batch_size, cfg.train_batches, cfg.seed).order
     test_sel = make_batches(ds_test, cfg.batch_size, cfg.test_batches, cfg.seed).order
 
+    tcfg = TrainConfig(epochs=1, lr=cfg.adam.lr, beta1=cfg.adam.beta1,
+                       beta2=cfg.adam.beta2, eps=cfg.adam.eps, batch_size=cfg.batch_size,
+                       seed=cfg.seed, eval_every=1 if cfg.method == "ransnn" else SG_EVAL_EVERY)
     if cfg.method == "ransnn":
-        net = init_weights((n_in, *cfg.hidden_sizes), dist, cfg.seed, lif=lif)
         t0 = time.perf_counter()
-        cache_train = _cached_extract(net, enc, ds_train, cfg.seed, train_sel,
-                                      ENCODE_TRAIN_STREAM, f"{cfg.dataset}/train",
-                                      cache_dir)
-        cache_test = _cached_extract(net, enc, ds_test, cfg.seed, test_sel,
-                                     ENCODE_TEST_STREAM, f"{cfg.dataset}/test",
-                                     cache_dir)
+        cache_train, cache_test = _extract_splits(
+            cfg, (n_in, *cfg.hidden_sizes), dist, lif, enc,
+            [(ds_train, train_sel, ENCODE_TRAIN_STREAM, "train"),
+             (ds_test, test_sel, ENCODE_TEST_STREAM, "test")], cache_dir)
         feature_seconds = time.perf_counter() - t0
-        tcfg = TrainConfig(epochs=1, lr=cfg.adam.lr, beta1=cfg.adam.beta1,
-                           beta2=cfg.adam.beta2, eps=cfg.adam.eps,
-                           batch_size=cfg.batch_size, seed=cfg.seed)
         model, metrics = train_readout(cache_train, cache_test, tcfg)
         final_accuracy = evaluate(model, cache_test)
     else:
         sgm = init_sg_model(n_in, cfg.hidden_sizes[0], _DATASET_CLASSES[cfg.dataset],
                             cfg.seed, lif=lif, dist=dist)
-        tcfg = TrainConfig(epochs=1, lr=cfg.adam.lr, beta1=cfg.adam.beta1,
-                           beta2=cfg.adam.beta2, eps=cfg.adam.eps,
-                           batch_size=cfg.batch_size, seed=cfg.seed,
-                           eval_every=SG_EVAL_EVERY)
         feature_seconds = 0.0
         model, metrics = train_sg(sgm, ds_train, ds_test, enc, tcfg,
                                   train_indices=train_sel,

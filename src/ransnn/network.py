@@ -141,39 +141,62 @@ def lif_step(state: LifLayerState, params: LifParams,
     return spikes.astype(np.uint8), LifLayerState(u=u_post)
 
 
-def _run_layer(currents: np.ndarray, lif: LifParams) -> np.ndarray:
-    """LIF recursion over a (T, n) current matrix; potentials start at 0.
+def _buffer(scratch: dict, key, shape, dtype) -> np.ndarray:
+    """A prefix of the work array kept under key, regrown only when too small."""
+    size = int(np.prod(shape))
+    flat = scratch.get(key)
+    if flat is None or flat.size < size:
+        flat = scratch[key] = np.empty(size, dtype)
+    return flat[:size].reshape(shape)
 
-    Returns the (T, n) float64 spike raster. Elementwise only, so it matches
-    a per-step lif_step composition bit-for-bit.
+
+def simulate(bits: np.ndarray, weights, params, *, record: bool = False,
+             scratch: dict | None = None) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """The one LIF kernel: a (B, T, n_in) batch of 0/1 inputs through a
+    stack of layers, every potential starting at 0.
+
+    Per layer, one (B*T, n_in) @ W.T GEMM gives all input currents, then the
+    recursion runs in place over the steps for the whole batch. Returns one
+    (spikes, u_pre) pair per layer: the (B, T, n) uint8 raster and, with
+    record=True, the pre-reset potentials written over the currents (else
+    None). A scratch dict passed to successive calls keeps their work arrays,
+    which the returned arrays then share. No row depends on the rest of the
+    batch, so any grouping gives bit-identical spikes.
     """
-    beta, thr = lif.beta, lif.u_thr
-    out = np.empty_like(currents)
-    u = np.zeros(currents.shape[1])
-    for t in range(currents.shape[0]):
-        u = beta * u + currents[t]
-        spikes = u > thr
-        u = u - thr * spikes
-        out[t] = spikes
+    n_batch, steps, n_in = bits.shape
+    if n_in != weights[0].shape[1]:
+        raise ValueError(f"input has {n_in} neurons, layer 1 expects {weights[0].shape[1]}")
+    scratch = {} if scratch is None else scratch
+    s = bits.reshape(n_batch * steps, -1)
+    out = []
+    for i, (w, lif) in enumerate(zip(weights, params)):
+        x = _buffer(scratch, ("in", i), s.shape, np.float64)
+        x[...] = s
+        cur = _buffer(scratch, ("cur", i), (n_batch, steps, w.shape[0]), np.float64)
+        np.matmul(x, w.T, out=cur.reshape(x.shape[0], -1))
+        spikes = _buffer(scratch, ("spikes", i), cur.shape, np.uint8)
+        u = np.zeros((n_batch, cur.shape[2]))
+        for t in range(steps):
+            u *= lif.beta
+            u += cur[:, t]
+            fired = np.greater(u, lif.u_thr, out=spikes[:, t])
+            if record:
+                cur[:, t] = u
+            u -= lif.u_thr * fired
+        out.append((spikes, cur if record else None))
+        s = spikes.reshape(n_batch * steps, -1)
     return out
 
 
-def simulate_forward(net: NetworkTopology, train: SpikeTrain) -> SpikeTrain:
-    """Run an input spike train through the network and return the last
-    hidden layer's spike train.
-
-    All membrane potentials start at 0 for each input, and layer i at step t
-    consumes layer i-1's spikes from the same step, so a layer's full raster
-    can be computed before the next layer starts. Purely deterministic.
-    """
-    if train.neurons != net.layer_sizes[0]:
-        raise ValueError(
-            f"input train has {train.neurons} neurons, network expects {net.layer_sizes[0]}")
-    s = train.bits.astype(np.float64)
-    for w, lif in zip(net.weights, net.params):
-        currents = s @ w.T
-        s = _run_layer(currents, lif)
-    return SpikeTrain(bits=s.astype(np.uint8))
+def simulate_forward(net: NetworkTopology, train: SpikeTrain | np.ndarray, *,
+                     scratch: dict | None = None) -> SpikeTrain | np.ndarray:
+    """The last hidden layer's spikes for one sample's SpikeTrain (as a
+    SpikeTrain) or for a (B, T, n_in) bit array of B samples (as (B, T, n_L)
+    uint8 bits); scratch as in simulate."""
+    single = isinstance(train, SpikeTrain)
+    bits = train.bits[None] if single else train
+    spikes, _ = simulate(bits, net.weights, net.params, scratch=scratch)[-1]
+    return SpikeTrain(bits=spikes[0]) if single else spikes
 
 
 def accumulate_spikes(train: SpikeTrain) -> np.ndarray:

@@ -10,7 +10,9 @@ trained with Adam on mean cross-entropy.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,26 +21,29 @@ import numpy as np
 
 from .encoding import EncoderConfig, encode_sample
 from .idx import LabeledDataset
-from .network import NetworkTopology, accumulate_spikes, simulate_forward
+from .network import NetworkTopology, WeightDistribution, simulate_forward
 from .numerics import (AdamState, ENCODE_TRAIN_STREAM, PROB_FLOOR, Rng,
                        adam_step, softmax)
 
 CACHE_MAGIC = b"RSNNFC01"
+# Samples per simulate_forward call in extract_features (README: why 8).
+EXTRACT_CHUNK = 8
 
 
-def feature_digest(net: NetworkTopology, enc: EncoderConfig, dataset_id: str,
-                   master_seed: int, stream_base: int) -> int:
+def feature_digest(layer_sizes, dist: WeightDistribution, seed: int, params,
+                   enc: EncoderConfig, dataset_id: str, master_seed: int,
+                   stream_base: int, indices) -> int:
     """64-bit fingerprint of everything that determines a feature cache.
 
-    Two caches with equal digests were produced by the same network seed and
-    topology, distribution, LIF constants, encoder settings, dataset split,
-    and encoding streams, so reusing one in place of re-simulation is safe.
+    Equal digests mean equal network seed, sizes, weight distribution, LIF
+    params, encoder settings, dataset split, encoding streams and selected
+    indices, so a cache may stand in for re-simulation, without the weights.
     """
     parts = [
-        f"seed={net.seed}",
-        f"sizes={net.layer_sizes}",
-        f"dist={net.dist!r}",
-        "lif=" + ";".join(f"{p.beta!r},{p.u_thr!r}" for p in net.params),
+        f"seed={seed}",
+        f"sizes={tuple(int(n) for n in layer_sizes)}",
+        f"dist={dist!r}",
+        "lif=" + ";".join(f"{p.beta!r},{p.u_thr!r}" for p in params),
         f"T={enc.time_steps}",
         f"norm={enc.normalization}",
         f"dataset={dataset_id}",
@@ -46,6 +51,7 @@ def feature_digest(net: NetworkTopology, enc: EncoderConfig, dataset_id: str,
         f"stream_base={stream_base}",
     ]
     h = hashlib.blake2b("|".join(parts).encode(), digest_size=8)
+    h.update(np.asarray(indices, dtype="<i8").tobytes())
     return struct.unpack("<Q", h.digest())[0]
 
 
@@ -74,16 +80,24 @@ class FeatureCache:
     def save(self, path) -> None:
         """Write the flat binary layout: magic, four little-endian u64
         fields (num_samples, n_L, T, digest), u16 features row-major, then
-        u16 labels."""
+        u16 labels. The bytes go to a temporary file in the same directory
+        that then replaces path, so a crash never leaves a truncated cache."""
         n, f = self.features.shape
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() > 0xFFFF):
             raise ValueError("labels do not fit the u16 on-disk layout")
-        with open(path, "wb") as fh:
-            fh.write(CACHE_MAGIC)
-            fh.write(struct.pack("<QQQQ", n, f, self.time_steps,
-                                 self.source_config_digest))
-            fh.write(self.features.astype("<u2").tobytes())
-            fh.write(self.labels.astype("<u2").tobytes())
+        path = Path(path)
+        fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(CACHE_MAGIC)
+                fh.write(struct.pack("<QQQQ", n, f, self.time_steps,
+                                     self.source_config_digest))
+                fh.write(self.features.astype("<u2").tobytes())
+                fh.write(self.labels.astype("<u2").tobytes())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path, expected_digest: int | None = None) -> "FeatureCache":
@@ -115,9 +129,9 @@ def extract_features(net: NetworkTopology, enc: EncoderConfig,
     """Encode, simulate, and count spikes for each selected sample, once.
 
     Row k of the cache comes from dataset sample indices[k]. Each sample's
-    encoder stream is keyed by its own dataset index, so the result is
-    independent of selection order, batching, and scheduling: any grouping
-    of the same indices yields bit-identical rows.
+    encoder stream is keyed by its own dataset index and the kernel's rows do
+    not depend on their batch, so any grouping of the same indices yields
+    bit-identical rows; EXTRACT_CHUNK samples share one simulate_forward call.
     """
     if dataset.images.shape[1] != net.layer_sizes[0]:
         raise ValueError(
@@ -129,11 +143,17 @@ def extract_features(net: NetworkTopology, enc: EncoderConfig,
         indices = np.arange(len(dataset))
     indices = np.asarray(indices, dtype=np.int64)
     feats = np.zeros((len(indices), net.layer_sizes[-1]), dtype=np.uint16)
-    for k, idx in enumerate(indices):
-        rng = Rng(master_seed, stream_base + int(idx))
-        train = encode_sample(dataset.images[idx], enc, rng)
-        feats[k] = accumulate_spikes(simulate_forward(net, train))
-    digest = feature_digest(net, enc, dataset_id, master_seed, stream_base)
+    bits = np.empty((EXTRACT_CHUNK, enc.time_steps, net.layer_sizes[0]), dtype=np.uint8)
+    scratch: dict = {}
+    for start in range(0, len(indices), EXTRACT_CHUNK):
+        chunk = indices[start:start + EXTRACT_CHUNK]
+        for k, idx in enumerate(chunk):
+            rng = Rng(master_seed, stream_base + int(idx))
+            bits[k] = encode_sample(dataset.images[idx], enc, rng).bits
+        spikes = simulate_forward(net, bits[:len(chunk)], scratch=scratch)
+        spikes.sum(axis=1, dtype=np.uint16, out=feats[start:start + len(chunk)])
+    digest = feature_digest(net.layer_sizes, net.dist, net.seed, net.params, enc,
+                            dataset_id, master_seed, stream_base, indices)
     return FeatureCache(features=feats, labels=dataset.labels[indices].copy(),
                         time_steps=enc.time_steps, source_config_digest=digest,
                         num_classes=dataset.num_classes)

@@ -19,7 +19,8 @@ import numpy as np
 
 from .encoding import EncoderConfig, SpikeTrain, encode_sample
 from .idx import LabeledDataset
-from .network import LifParams, WeightDistribution, fan_in_uniform, sample_weights
+from .network import (LifParams, WeightDistribution, fan_in_uniform, sample_weights,
+                      simulate)
 from .numerics import (AdamState, ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM,
                        PROB_FLOOR, Rng, WEIGHT_STREAM, adam_step, softmax)
 from .readout import IterationMetrics, TrainConfig
@@ -104,36 +105,10 @@ class BpttTape:
     model_version: int
 
 
-def _run_layer_batch(currents: np.ndarray, lif: LifParams,
-                     want_u_pre: bool = True):
-    """Batched LIF recursion over (B, T, n) currents from zero potentials.
-
-    Returns (pre-reset potential history or None, spike bits). Elementwise
-    per neuron, so batching cannot change any sample's trajectory.
-    """
-    n_batch, steps, n = currents.shape
-    u = np.zeros((n_batch, n))
-    u_pre = np.empty_like(currents) if want_u_pre else None
-    bits = np.empty((n_batch, steps, n), dtype=np.uint8)
-    beta, thr = lif.beta, lif.u_thr
-    for t in range(steps):
-        u = beta * u + currents[:, t]
-        spikes = u > thr
-        if want_u_pre:
-            u_pre[:, t] = u
-        bits[:, t] = spikes
-        u = u - thr * spikes
-    return u_pre, bits
-
-
-def _forward_batch(model: SgModel, input_bits: np.ndarray) -> BpttTape:
-    n_batch, steps, n_in = input_bits.shape
-    s0 = input_bits.reshape(n_batch * steps, n_in).astype(np.float64)
-    c1 = (s0 @ model.w_hidden.T).reshape(n_batch, steps, model.n_hidden)
-    hidden_u_pre, hidden_bits = _run_layer_batch(c1, model.lif)
-    s1 = hidden_bits.reshape(n_batch * steps, model.n_hidden).astype(np.float64)
-    c2 = (s1 @ model.w_out.T).reshape(n_batch, steps, model.num_classes)
-    output_u_pre, output_bits = _run_layer_batch(c2, model.lif)
+def _record_tape(model: SgModel, input_bits: np.ndarray) -> BpttTape:
+    """Forward a (B, T, n_in) batch through both layers, keeping the tape."""
+    (hidden_bits, hidden_u_pre), (output_bits, output_u_pre) = simulate(
+        input_bits, (model.w_hidden, model.w_out), (model.lif,) * 2, record=True)
     return BpttTape(input_bits=input_bits, hidden_u_pre=hidden_u_pre,
                     hidden_bits=hidden_bits, output_u_pre=output_u_pre,
                     output_bits=output_bits, model_version=model.version)
@@ -143,13 +118,9 @@ def sg_forward(model: SgModel, train: SpikeTrain) -> tuple[np.ndarray, BpttTape]
     """Run one input train through both LIF layers.
 
     Returns the output layer's (T, C) pre-reset membrane trace (the quantity
-    the loss sees) and the tape for the reverse pass. The hidden dynamics are
-    identical to the fixed-network simulator's, bit for bit.
+    the loss sees) and the tape for the reverse pass.
     """
-    if train.neurons != model.n_in:
-        raise ValueError(
-            f"input train has {train.neurons} neurons, model expects {model.n_in}")
-    tape = _forward_batch(model, train.bits[None])
+    tape = _record_tape(model, train.bits[None])
     return tape.output_u_pre[0], tape
 
 
@@ -167,6 +138,18 @@ def sg_loss(trace, y_true) -> float:
             f"trace shape {trace.shape} incompatible with target shape {y.shape}")
     log_probs = np.log(np.maximum(softmax(trace), PROB_FLOOR))
     return float(-(log_probs @ y).sum())
+
+
+def _adjoint(drive: np.ndarray, g: np.ndarray, beta: float, thr: float,
+             detach_reset: bool) -> np.ndarray:
+    """lam(t) = dL/du_pre(t) over (B, T, n), accumulated backward through
+    leak and reset: lam(t) = drive(t) + beta * (1 - thr * g(t)) * lam(t+1),
+    without the reset factor when it is detached. Overwrites drive."""
+    carry = np.zeros_like(drive[:, 0])
+    for t in reversed(range(drive.shape[1])):
+        decay = beta if detach_reset else beta * (1.0 - thr * g[:, t])
+        carry = drive[:, t] = drive[:, t] + decay * carry
+    return drive
 
 
 def bptt_backward(model: SgModel, tape: BpttTape, y_true,
@@ -207,31 +190,14 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true,
     g_out = surrogate_grad(tape.output_u_pre - thr, sp)
     g_hid = surrogate_grad(tape.hidden_u_pre - thr, sp)
 
-    # lam(t) = dL/du_pre(t), accumulated backward through leak and reset.
-    lam_out = np.empty_like(d_direct)
-    carry = np.zeros((n_batch, n_cls))
-    for t in reversed(range(steps)):
-        if detach_reset:
-            cur = d_direct[:, t] + beta * carry
-        else:
-            cur = d_direct[:, t] + beta * (1.0 - thr * g_out[:, t]) * carry
-        lam_out[:, t] = cur
-        carry = cur
-
+    lam_out = _adjoint(d_direct, g_out, beta, thr, detach_reset)
     flat_hidden = tape.hidden_bits.reshape(n_batch * steps, -1).astype(np.float64)
     d_w_out = lam_out.reshape(n_batch * steps, n_cls).T @ flat_hidden
 
     d_spikes = (lam_out.reshape(n_batch * steps, n_cls) @ model.w_out)
     d_spikes = d_spikes.reshape(n_batch, steps, model.n_hidden)
-    lam_hid = np.empty_like(d_spikes)
-    carry = np.zeros((n_batch, model.n_hidden))
-    for t in reversed(range(steps)):
-        if detach_reset:
-            cur = g_hid[:, t] * d_spikes[:, t] + beta * carry
-        else:
-            cur = g_hid[:, t] * d_spikes[:, t] + beta * (1.0 - thr * g_hid[:, t]) * carry
-        lam_hid[:, t] = cur
-        carry = cur
+    d_spikes *= g_hid
+    lam_hid = _adjoint(d_spikes, g_hid, beta, thr, detach_reset)
 
     flat_input = tape.input_bits.reshape(n_batch * steps, -1).astype(np.float64)
     d_w_hidden = lam_hid.reshape(n_batch * steps, -1).T @ flat_input
@@ -247,18 +213,6 @@ def _encode_batch(ds: LabeledDataset, idxs, enc: EncoderConfig,
         rng = Rng(master_seed, stream_base + int(i))
         bits[k] = encode_sample(ds.images[i], enc, rng).bits
     return bits
-
-
-def _forward_spike_counts(model: SgModel, input_bits: np.ndarray) -> np.ndarray:
-    """Output-layer spike counts (B, C) without recording a tape."""
-    n_batch, steps, n_in = input_bits.shape
-    s0 = input_bits.reshape(n_batch * steps, n_in).astype(np.float64)
-    c1 = (s0 @ model.w_hidden.T).reshape(n_batch, steps, model.n_hidden)
-    _, hidden_bits = _run_layer_batch(c1, model.lif, want_u_pre=False)
-    s1 = hidden_bits.reshape(n_batch * steps, model.n_hidden).astype(np.float64)
-    c2 = (s1 @ model.w_out.T).reshape(n_batch, steps, model.num_classes)
-    _, output_bits = _run_layer_batch(c2, model.lif, want_u_pre=False)
-    return output_bits.sum(axis=1, dtype=np.int64)
 
 
 def _batch_loss(output_u_pre: np.ndarray, labels: np.ndarray) -> float:
@@ -280,11 +234,13 @@ def evaluate_sg(model: SgModel, ds: LabeledDataset, enc: EncoderConfig,
     indices = np.asarray(indices, dtype=np.int64)
     if len(indices) == 0:
         raise ValueError("cannot evaluate on an empty selection")
-    hits = 0
+    hits, scratch = 0, {}
     for start in range(0, len(indices), chunk):
         sel = indices[start:start + chunk]
         bits = _encode_batch(ds, sel, enc, master_seed, stream_base)
-        preds = _forward_spike_counts(model, bits).argmax(axis=1)
+        spikes, _ = simulate(bits, (model.w_hidden, model.w_out), (model.lif,) * 2,
+                             scratch=scratch)[-1]
+        preds = spikes.sum(axis=1, dtype=np.int64).argmax(axis=1)
         hits += int((preds == ds.labels[sel]).sum())
     return hits / len(indices)
 
@@ -333,7 +289,7 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
             labels = ds_train.labels[sel]
             t0 = time.perf_counter()
             bits = _encode_batch(ds_train, sel, enc, cfg.seed, ENCODE_TRAIN_STREAM)
-            tape = _forward_batch(model, bits)
+            tape = _record_tape(model, bits)
             y = np.zeros((len(sel), model.num_classes))
             y[np.arange(len(sel)), labels] = 1.0
             d_wh, d_wo = bptt_backward(model, tape, y, surrogate,

@@ -59,6 +59,35 @@ def linear_filter_membrane(weights: np.ndarray, beta: float,
     return out
 
 
+def reference_lif_stack(weights, params, input_bits: np.ndarray):
+    """A (B, T, n_in) batch through a stack of LIF layers the way the
+    simulator did it before it shared one kernel: a fresh float64 copy of the
+    inputs, one (B*T, n_in) @ W.T product per layer, and a recursion that
+    allocates new arrays at every step. With B = 1 this is also the old
+    per-sample path.
+
+    Returns one (spike bits (B, T, n) uint8, pre-reset potentials (B, T, n))
+    pair per layer.
+    """
+    n_batch, steps, _ = input_bits.shape
+    s = input_bits.reshape(n_batch * steps, -1).astype(np.float64)
+    out = []
+    for w, lif in zip(weights, params):
+        currents = (s @ w.T).reshape(n_batch, steps, -1)
+        u = np.zeros((n_batch, currents.shape[2]))
+        u_pre = np.empty_like(currents)
+        bits = np.empty(currents.shape, dtype=np.uint8)
+        for t in range(steps):
+            u = lif.beta * u + currents[:, t]
+            spikes = u > lif.u_thr
+            u_pre[:, t] = u
+            bits[:, t] = spikes
+            u = u - lif.u_thr * spikes
+        out.append((bits, u_pre))
+        s = bits.reshape(n_batch * steps, -1).astype(np.float64)
+    return out
+
+
 def _stable_softmax(z: np.ndarray) -> np.ndarray:
     e = np.exp(z - z.max())
     return e / e.sum()

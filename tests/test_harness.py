@@ -185,6 +185,32 @@ class TestRunExperiment:
         assert [m.loss for m in first.metrics] == [m.loss for m in second.metrics]
 
 
+    def test_cache_keyed_by_selection(self, use_data_dir, tmp_path):
+        # A 4-batch and then an 8-batch run share a cache_dir; each must
+        # equal its cold run instead of reusing the other's train features.
+        cache_dir = tmp_path / "caches"
+        for batches in (4, 8):
+            cfg = tiny_config(train_batches=batches)
+            warm, cold = run_experiment(cfg, cache_dir=cache_dir), run_experiment(cfg)
+            assert warm.metrics[-1].iteration == batches
+            assert _curve(warm) == _curve(cold)
+
+    def test_cache_hit_does_not_sample_weights(self, use_data_dir, tmp_path, monkeypatch):
+        cache_dir = tmp_path / "caches"
+        cold = run_experiment(tiny_config(), cache_dir=cache_dir)
+
+        def no_weights(*_args, **_kwargs):
+            raise AssertionError("weights sampled although every split hit the cache")
+
+        monkeypatch.setattr("ransnn.harness.init_weights", no_weights)
+        assert _curve(run_experiment(tiny_config(), cache_dir=cache_dir)) == _curve(cold)
+
+
+def _curve(record):
+    return record.final_accuracy, [(m.iteration, m.train_accuracy, m.test_accuracy, m.loss)
+                                   for m in record.metrics]
+
+
 class TestCompareMethods:
     def test_shared_seed_gives_identical_hidden_weights(self):
         dist = fan_in_uniform(144)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import central_difference_grad, relative_error
+from oracles import central_difference_grad, reference_lif_stack, relative_error
 from ransnn.encoding import EncoderConfig, encode_sample
 from ransnn.idx import LabeledDataset
-from ransnn.network import Uniform, accumulate_spikes, init_weights, simulate_forward
+from ransnn.network import (Uniform, accumulate_spikes, fan_in_uniform, init_weights,
+                            simulate_forward)
 from ransnn.numerics import ENCODE_TRAIN_STREAM, Rng, cross_entropy
 from ransnn.readout import (FeatureCache, ReadoutModel,
                             TrainConfig, evaluate, extract_features,
@@ -83,6 +84,50 @@ class TestExtractFeatures:
         with pytest.raises(ValueError):
             extract_features(net, enc, ds, master_seed=0)
 
+    def test_digest_covers_the_selected_indices(self):
+        ds, net, enc = self._setup(n_samples=9)
+        a = extract_features(net, enc, ds, master_seed=4, indices=np.arange(4))
+        again = extract_features(net, enc, ds, master_seed=4, indices=np.arange(4))
+        shifted = extract_features(net, enc, ds, master_seed=4, indices=np.arange(1, 5))
+        longer = extract_features(net, enc, ds, master_seed=4, indices=np.arange(5))
+        assert a.source_config_digest == again.source_config_digest
+        assert a.source_config_digest != shifted.source_config_digest
+        assert a.source_config_digest != longer.source_config_digest
+
+
+def mnist_shaped(n, pixels=784, density=0.19, seed=0) -> LabeledDataset:
+    """u8 images with about MNIST's fraction of nonzero pixels."""
+    rng = Rng(seed, 3)
+    on = rng.random((n, pixels)) < density
+    images = (on * rng.uniform(1, 256, n * pixels).reshape(n, pixels)).astype(np.uint8)
+    return LabeledDataset(images=images, labels=np.arange(n, dtype=np.int64) % 10,
+                          num_classes=10)
+
+
+class TestExtractionBatchInvariance:
+    """Chunked extraction must give every row the bits of simulating its
+    sample alone, whatever the selection length (the BLAS in use does not
+    promise that a GEMM row is independent of the other rows)."""
+
+    # Both layers of the two-layer net fire at rates near 0.3-0.4.
+    @pytest.mark.parametrize("sizes,dist", [((784, 300), fan_in_uniform(784)),
+                                            ((784, 120, 40), Uniform(-0.15, 0.16))])
+    def test_rows_equal_per_sample_simulation(self, sizes, dist):
+        ds = mnist_shaped(160)
+        net = init_weights(sizes, dist, seed=5)
+        enc = EncoderConfig(time_steps=25)
+        order = Rng(9, 0).permutation(len(ds))
+        for n in (1, 7, 9, 128):
+            sel = order[:n]
+            cache = extract_features(net, enc, ds, 21, indices=sel)
+            assert cache.features.any()
+            for k, idx in enumerate(sel):
+                train = encode_sample(ds.images[idx], enc, Rng(21, ENCODE_TRAIN_STREAM + int(idx)))
+                counts = accumulate_spikes(simulate_forward(net, train))
+                assert np.array_equal(cache.features[k], counts)
+                old_bits = reference_lif_stack(net.weights, net.params, train.bits[None])[-1][0]
+                assert np.array_equal(cache.features[k], old_bits[0].sum(axis=0))
+
 
 class TestFeatureCacheFile:
     def test_round_trip_bitwise(self, tmp_path):
@@ -124,6 +169,20 @@ class TestFeatureCacheFile:
         path.write_bytes(b"NOTACACHE" + b"\x00" * 64)
         with pytest.raises(ValueError):
             FeatureCache.load(path)
+
+    def test_failed_save_leaves_the_old_file_and_no_temporary(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.rsnnfc"
+        counts_cache(np.zeros((3, 4)), np.zeros(3)).save(path)
+        before = path.read_bytes()
+
+        def fail(*_args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("ransnn.readout.os.replace", fail)
+        with pytest.raises(OSError):
+            counts_cache(np.ones((3, 4)), np.zeros(3)).save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.rsnnfc"]
 
     def test_truncated_rejected(self, tmp_path):
         cache = counts_cache(np.zeros((3, 4)), np.zeros(3))

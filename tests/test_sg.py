@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 
-from oracles import relative_error, sg_forward_mode_grads
+from oracles import reference_lif_stack, relative_error, sg_forward_mode_grads
 from ransnn.encoding import EncoderConfig, SpikeTrain, poisson_encode
 from ransnn.network import LifParams, Uniform, init_weights, simulate_forward
 from ransnn.numerics import Rng, cross_entropy, softmax
 from ransnn.readout import TrainConfig
-from ransnn.sg import (SgModel, SurrogateParams, _forward_batch,
+from ransnn.sg import (SgModel, SurrogateParams, _record_tape,
                        bptt_backward, evaluate_sg, init_sg_model, sg_forward,
                        sg_loss, surrogate_grad, train_sg)
 
@@ -77,7 +77,7 @@ class TestSgForward:
         model = small_model(seed=6)
         train = random_train(8, 10, 4)
         _, tape = sg_forward(model, train)
-        again = _forward_batch(model, tape.input_bits)
+        again = _record_tape(model, tape.input_bits)
         assert np.array_equal(again.hidden_u_pre, tape.hidden_u_pre)
         assert np.array_equal(again.output_u_pre, tape.output_u_pre)
         assert np.array_equal(again.output_bits, tape.output_bits)
@@ -85,6 +85,18 @@ class TestSgForward:
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
             sg_forward(small_model(), SpikeTrain(bits=np.zeros((5, 7), dtype=np.uint8)))
+
+    def test_tape_matches_the_pre_kernel_forward_bitwise(self):
+        model = small_model(seed=11, n_in=20, n_hidden=30, num_classes=5)
+        bits = np.stack([random_train(40 + k, 12, 20).bits for k in range(6)])
+        tape = _record_tape(model, bits)
+        (hidden_bits, hidden_u_pre), (output_bits, output_u_pre) = reference_lif_stack(
+            (model.w_hidden, model.w_out), (model.lif,) * 2, bits)
+        assert hidden_bits.any() and output_bits.any()
+        assert np.array_equal(tape.hidden_u_pre, hidden_u_pre)
+        assert np.array_equal(tape.hidden_bits, hidden_bits)
+        assert np.array_equal(tape.output_u_pre, output_u_pre)
+        assert np.array_equal(tape.output_bits, output_bits)
 
 
 class TestSgLoss:
@@ -167,7 +179,7 @@ class TestBpttBackward:
         _, tape_single = sg_forward(model, train)
         d_wh_1, d_wo_1 = bptt_backward(model, tape_single, y, reduction="sum")
         doubled = np.repeat(train.bits[None], 2, axis=0)
-        tape_double = _forward_batch(model, doubled)
+        tape_double = _record_tape(model, doubled)
         d_wh_2, d_wo_2 = bptt_backward(model, tape_double, np.vstack([y, y]),
                                        reduction="sum")
         assert np.allclose(d_wh_2, 2.0 * d_wh_1, rtol=1e-12, atol=0)
@@ -179,7 +191,7 @@ class TestBpttBackward:
         y = np.zeros(3)
         y[2] = 1.0
         doubled = np.repeat(train.bits[None], 2, axis=0)
-        tape = _forward_batch(model, doubled)
+        tape = _record_tape(model, doubled)
         targets = np.vstack([y, y])
         d_sum = bptt_backward(model, tape, targets, reduction="sum")
         d_mean = bptt_backward(model, tape, targets, reduction="mean")
