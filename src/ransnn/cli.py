@@ -66,10 +66,13 @@ def _split_values(raw: str) -> list[str]:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     values = _split_values(args.values)
-    if args.param in ("hidden_size", "time_steps"):
-        values = [int(v) for v in values]
-    elif args.param == "beta":
-        values = [float(v) for v in values]
+    try:
+        if args.param in ("hidden_size", "time_steps"):
+            values = [int(v) for v in values]
+        elif args.param == "beta":
+            values = [float(v) for v in values]
+    except ValueError as exc:
+        raise ConfigError(f"--values for {args.param}: {exc}") from exc
     sweep = SweepSpec(parameter=args.param, values=tuple(values), repeats=args.repeats)
     records = run_sweep(cfg, sweep)
     for rec in records:
@@ -89,7 +92,8 @@ def cmd_compare(args) -> int:
     for rec in (cmp.ransnn, cmp.sg):
         print(f"{rec.method:<8} {rec.final_accuracy:>9.4f} "
               f"{rec.training_seconds:>10.3f} {rec.feature_extraction_seconds:>11.3f}")
-    print(f"training speedup: {cmp.speedup:.1f}x")
+    print(f"training speedup: {cmp.speedup:.1f}x "
+          f"(end to end, with feature extraction: {cmp.speedup_end_to_end:.1f}x)")
     if args.out:
         _emit([cmp.ransnn, cmp.sg], args.out)
     return 0
@@ -162,9 +166,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
 
 
 def main_entry() -> None:

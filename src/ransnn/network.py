@@ -160,8 +160,10 @@ def simulate(bits: np.ndarray, weights, params, *, record: bool = False,
     (spikes, u_pre) pair per layer: the (B, T, n) uint8 raster and, with
     record=True, the pre-reset potentials written over the currents (else
     None). A scratch dict passed to successive calls keeps their work arrays,
-    which the returned arrays then share. No row depends on the rest of the
-    batch, so any grouping gives bit-identical spikes.
+    which the returned arrays then share; the (B*T, n) float64 copy of layer
+    i's input stays readable at _buffer(scratch, ("in", i), ...) until the
+    next call. No row depends on the rest of the batch, so any grouping
+    gives bit-identical spikes.
     """
     n_batch, steps, n_in = bits.shape
     if n_in != weights[0].shape[1]:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .encoding import EncoderConfig, SpikeTrain, encode_sample
 from .idx import LabeledDataset
-from .network import (LifParams, WeightDistribution, fan_in_uniform, sample_weights,
-                      simulate)
+from .network import (LifParams, WeightDistribution, _buffer, fan_in_uniform,
+                      sample_weights, simulate)
 from .numerics import (AdamState, ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM,
                        PROB_FLOOR, Rng, WEIGHT_STREAM, adam_step, softmax)
 from .readout import IterationMetrics, TrainConfig
@@ -94,7 +94,11 @@ class BpttTape:
     """Everything the reverse pass needs, recorded per step during forward.
 
     Arrays are batched (B, T, ...); pre-reset potentials are stored because
-    both the surrogate derivative and the loss are functions of them.
+    both the surrogate derivative and the loss are functions of them. The
+    flat float64 copies of the two layers' input bits are the forward's own
+    GEMM operands, which the weight-gradient GEMMs reuse. A tape recorded
+    into a shared scratch dict holds views of its work arrays, valid until
+    the next simulate call with that dict.
     """
 
     input_bits: np.ndarray  # (B, T, n_in) uint8
@@ -102,16 +106,27 @@ class BpttTape:
     hidden_bits: np.ndarray  # (B, T, n_hidden) uint8
     output_u_pre: np.ndarray  # (B, T, C) float64
     output_bits: np.ndarray  # (B, T, C) uint8
+    flat_input: np.ndarray  # (B*T, n_in) float64
+    flat_hidden: np.ndarray  # (B*T, n_hidden) float64
     model_version: int
 
 
-def _record_tape(model: SgModel, input_bits: np.ndarray) -> BpttTape:
-    """Forward a (B, T, n_in) batch through both layers, keeping the tape."""
+def _record_tape(model: SgModel, input_bits: np.ndarray,
+                 scratch: dict | None = None) -> BpttTape:
+    """Forward a (B, T, n_in) batch through both layers, keeping the tape;
+    scratch as in simulate, and without one the tape owns its arrays."""
+    scratch = {} if scratch is None else scratch
     (hidden_bits, hidden_u_pre), (output_bits, output_u_pre) = simulate(
-        input_bits, (model.w_hidden, model.w_out), (model.lif,) * 2, record=True)
+        input_bits, (model.w_hidden, model.w_out), (model.lif,) * 2, record=True,
+        scratch=scratch)
+    rows = input_bits.shape[0] * input_bits.shape[1]
     return BpttTape(input_bits=input_bits, hidden_u_pre=hidden_u_pre,
                     hidden_bits=hidden_bits, output_u_pre=output_u_pre,
-                    output_bits=output_bits, model_version=model.version)
+                    output_bits=output_bits,
+                    flat_input=_buffer(scratch, ("in", 0), (rows, model.n_in), np.float64),
+                    flat_hidden=_buffer(scratch, ("in", 1), (rows, model.n_hidden),
+                                        np.float64),
+                    model_version=model.version)
 
 
 def sg_forward(model: SgModel, train: SpikeTrain) -> tuple[np.ndarray, BpttTape]:
@@ -140,22 +155,28 @@ def sg_loss(trace, y_true) -> float:
     return float(-(log_probs @ y).sum())
 
 
-def _adjoint(drive: np.ndarray, g: np.ndarray, beta: float, thr: float,
-             detach_reset: bool) -> np.ndarray:
+def _adjoint(drive: np.ndarray, u_pre: np.ndarray, beta: float, thr: float,
+             sp: SurrogateParams, detach_reset: bool, gate: bool = False) -> np.ndarray:
     """lam(t) = dL/du_pre(t) over (B, T, n), accumulated backward through
     leak and reset: lam(t) = drive(t) + beta * (1 - thr * g(t)) * lam(t+1),
-    without the reset factor when it is detached. Overwrites drive."""
+    without the reset factor when it is detached. g(t) is the surrogate at
+    u_pre(t) - thr, computed one step at a time; gate=True first multiplies
+    drive(t) by it. Overwrites drive."""
     carry = np.zeros_like(drive[:, 0])
     for t in reversed(range(drive.shape[1])):
-        decay = beta if detach_reset else beta * (1.0 - thr * g[:, t])
+        if gate or not detach_reset:
+            g = surrogate_grad(u_pre[:, t] - thr, sp)
+        if gate:
+            drive[:, t] *= g
+        decay = beta if detach_reset else beta * (1.0 - thr * g)
         carry = drive[:, t] = drive[:, t] + decay * carry
     return drive
 
 
 def bptt_backward(model: SgModel, tape: BpttTape, y_true,
                   sp: SurrogateParams = SurrogateParams(), *,
-                  reduction: str = "mean",
-                  detach_reset: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                  reduction: str = "mean", detach_reset: bool = False,
+                  out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Reverse-mode gradients of the summed per-step cross-entropy with
     respect to both weight matrices.
 
@@ -164,7 +185,11 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true,
     surrogate evaluated at that step's pre-reset potential; the beta*u
     recurrence carries gradient across steps. detach_reset=True stops the
     gradient at the reset term instead. reduction "mean" divides by the batch
-    size, "sum" does not.
+    size, "sum" does not. The tape is left as it was.
+
+    Both gradients are written into one flat float64 vector, the hidden
+    matrix's entries first, and returned as views of it; out supplies that
+    vector (a fresh one is allocated without it).
     """
     if tape.model_version != model.version:
         raise ValueError(
@@ -181,26 +206,28 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true,
     if y.shape != (n_batch, n_cls):
         raise ValueError(f"target shape {y.shape} does not match tape batch "
                          f"({n_batch}, {n_cls})")
+    n_wh = model.w_hidden.size
+    n_weights = n_wh + model.w_out.size
+    if out is not None and out.shape != (n_weights,):
+        raise ValueError(f"gradient vector of shape {out.shape} does not hold "
+                         f"{n_weights} weights")
 
     beta, thr = model.lif.beta, model.lif.u_thr
     probs = softmax(tape.output_u_pre)
     d_direct = probs - y[:, None, :]
     if reduction == "mean":
         d_direct /= n_batch
-    g_out = surrogate_grad(tape.output_u_pre - thr, sp)
-    g_hid = surrogate_grad(tape.hidden_u_pre - thr, sp)
+    lam_out = _adjoint(d_direct, tape.output_u_pre, beta, thr, sp, detach_reset)
+    lam_out = lam_out.reshape(n_batch * steps, n_cls)
+    d_spikes = (lam_out @ model.w_out).reshape(n_batch, steps, model.n_hidden)
+    lam_hid = _adjoint(d_spikes, tape.hidden_u_pre, beta, thr, sp, detach_reset,
+                       gate=True)
 
-    lam_out = _adjoint(d_direct, g_out, beta, thr, detach_reset)
-    flat_hidden = tape.hidden_bits.reshape(n_batch * steps, -1).astype(np.float64)
-    d_w_out = lam_out.reshape(n_batch * steps, n_cls).T @ flat_hidden
-
-    d_spikes = (lam_out.reshape(n_batch * steps, n_cls) @ model.w_out)
-    d_spikes = d_spikes.reshape(n_batch, steps, model.n_hidden)
-    d_spikes *= g_hid
-    lam_hid = _adjoint(d_spikes, g_hid, beta, thr, detach_reset)
-
-    flat_input = tape.input_bits.reshape(n_batch * steps, -1).astype(np.float64)
-    d_w_hidden = lam_hid.reshape(n_batch * steps, -1).T @ flat_input
+    out = np.empty(n_weights) if out is None else out
+    d_w_out = np.matmul(lam_out.T, tape.flat_hidden,
+                        out=out[n_wh:].reshape(model.w_out.shape))
+    d_w_hidden = np.matmul(lam_hid.reshape(n_batch * steps, -1).T, tape.flat_input,
+                           out=out[:n_wh].reshape(model.w_hidden.shape))
     return d_w_hidden, d_w_out
 
 
@@ -226,15 +253,17 @@ def _batch_loss(output_u_pre: np.ndarray, labels: np.ndarray) -> float:
 
 def evaluate_sg(model: SgModel, ds: LabeledDataset, enc: EncoderConfig,
                 master_seed: int, indices=None,
-                stream_base: int = ENCODE_TEST_STREAM, chunk: int = 128) -> float:
+                stream_base: int = ENCODE_TEST_STREAM, chunk: int = 128, *,
+                scratch: dict | None = None) -> float:
     """Accuracy with predictions by largest output spike count (ties to the
-    lowest class index)."""
+    lowest class index). scratch is as in simulate."""
     if indices is None:
         indices = np.arange(len(ds))
     indices = np.asarray(indices, dtype=np.int64)
     if len(indices) == 0:
         raise ValueError("cannot evaluate on an empty selection")
-    hits, scratch = 0, {}
+    scratch = {} if scratch is None else scratch
+    hits = 0
     for start in range(0, len(indices), chunk):
         sel = indices[start:start + chunk]
         bits = _encode_batch(ds, sel, enc, master_seed, stream_base)
@@ -258,6 +287,7 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
     iterations; metrics are recorded every eval_every iterations and at the
     end, with held-out accuracy measured on the full test selection. elapsed
     covers encoding, forward, backward, and the update, but not metrics.
+    Every forward and evaluation shares one set of work arrays.
     """
     if ds_train.images.shape[1] != model.n_in:
         raise ValueError(
@@ -278,6 +308,12 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
                             beta2=cfg.beta2, eps=cfg.eps)
     n_wh = model.w_hidden.size
     hidden_shape, out_shape = model.w_hidden.shape, model.w_out.shape
+    # The weights are views of theta from here on, so the initial arrays
+    # are not held through the first step.
+    model.w_hidden = theta[:n_wh].reshape(hidden_shape)
+    model.w_out = theta[n_wh:].reshape(out_shape)
+    scratch: dict = {}
+    grad = np.empty(theta.size)
 
     metrics: list[IterationMetrics] = []
     total_iters = cfg.epochs * batches_per_epoch
@@ -289,12 +325,11 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
             labels = ds_train.labels[sel]
             t0 = time.perf_counter()
             bits = _encode_batch(ds_train, sel, enc, cfg.seed, ENCODE_TRAIN_STREAM)
-            tape = _record_tape(model, bits)
+            tape = _record_tape(model, bits, scratch)
             y = np.zeros((len(sel), model.num_classes))
             y[np.arange(len(sel)), labels] = 1.0
-            d_wh, d_wo = bptt_backward(model, tape, y, surrogate,
-                                       reduction="mean", detach_reset=detach_reset)
-            grad = np.concatenate([d_wh.ravel(), d_wo.ravel()])
+            bptt_backward(model, tape, y, surrogate, reduction="mean",
+                          detach_reset=detach_reset, out=grad)
             theta, state = adam_step(theta, grad, state)
             model.w_hidden = theta[:n_wh].reshape(hidden_shape)
             model.w_out = theta[n_wh:].reshape(out_shape)
@@ -302,12 +337,17 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
             elapsed += time.perf_counter() - t0
 
             iteration += 1
-            if iteration % cfg.eval_every == 0 or iteration == total_iters:
+            evaluating = iteration % cfg.eval_every == 0 or iteration == total_iters
+            if evaluating:
                 loss = _batch_loss(tape.output_u_pre, labels) / enc.time_steps
                 counts = tape.output_bits.sum(axis=1, dtype=np.int64)
                 batch_acc = float((counts.argmax(axis=1) == labels).mean())
-                test_acc = evaluate_sg(model, ds_test, enc, cfg.seed,
-                                       test_indices)
+            # The tape is views of scratch, which the next forward and the
+            # held-out evaluation overwrite.
+            del tape, bits
+            if evaluating:
+                test_acc = evaluate_sg(model, ds_test, enc, cfg.seed, test_indices,
+                                       scratch=scratch)
                 metrics.append(IterationMetrics(
                     iteration=iteration, train_accuracy=batch_acc,
                     test_accuracy=test_acc, loss=loss, elapsed=elapsed))

@@ -157,3 +157,53 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     num = np.linalg.norm(a - b)
     den = max(np.linalg.norm(a), np.linalg.norm(b), 1e-300)
     return float(num / den)
+
+
+def _reference_adjoint(drive: np.ndarray, g: np.ndarray, beta: float, thr: float,
+                       detach_reset: bool) -> np.ndarray:
+    """lam(t) = dL/du_pre(t) over (B, T, n), accumulated backward through
+    leak and reset: lam(t) = drive(t) + beta * (1 - thr * g(t)) * lam(t+1),
+    without the reset factor when it is detached. Overwrites drive."""
+    carry = np.zeros_like(drive[:, 0])
+    for t in reversed(range(drive.shape[1])):
+        decay = beta if detach_reset else beta * (1.0 - thr * g[:, t])
+        carry = drive[:, t] = drive[:, t] + decay * carry
+    return drive
+
+
+def reference_bptt_backward(model, tape, y_true, sp=None, *, reduction: str = "mean",
+                            detach_reset: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The reverse pass as it was before the surrogate was streamed through
+    the adjoint: whole (B, T, n) surrogate arrays and fresh float64 copies of
+    the tape's input and hidden bits for the weight-gradient GEMMs. The
+    streamed pass does the same arithmetic, so the two must agree bit for
+    bit."""
+    from ransnn.numerics import softmax
+    from ransnn.sg import SurrogateParams, surrogate_grad
+
+    sp = SurrogateParams() if sp is None else sp
+    n_batch, steps, n_cls = tape.output_u_pre.shape
+    y = np.asarray(y_true, dtype=np.float64)
+    if y.ndim == 1:
+        y = y[None]
+
+    beta, thr = model.lif.beta, model.lif.u_thr
+    probs = softmax(tape.output_u_pre)
+    d_direct = probs - y[:, None, :]
+    if reduction == "mean":
+        d_direct /= n_batch
+    g_out = surrogate_grad(tape.output_u_pre - thr, sp)
+    g_hid = surrogate_grad(tape.hidden_u_pre - thr, sp)
+
+    lam_out = _reference_adjoint(d_direct, g_out, beta, thr, detach_reset)
+    flat_hidden = tape.hidden_bits.reshape(n_batch * steps, -1).astype(np.float64)
+    d_w_out = lam_out.reshape(n_batch * steps, n_cls).T @ flat_hidden
+
+    d_spikes = (lam_out.reshape(n_batch * steps, n_cls) @ model.w_out)
+    d_spikes = d_spikes.reshape(n_batch, steps, model.n_hidden)
+    d_spikes *= g_hid
+    lam_hid = _reference_adjoint(d_spikes, g_hid, beta, thr, detach_reset)
+
+    flat_input = tape.input_bits.reshape(n_batch * steps, -1).astype(np.float64)
+    d_w_hidden = lam_hid.reshape(n_batch * steps, -1).T @ flat_input
+    return d_w_hidden, d_w_out

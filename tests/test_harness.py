@@ -171,6 +171,13 @@ class TestRunExperiment:
         assert rec.metrics[-1].iteration == 6
         assert 0.0 <= rec.final_accuracy <= 1.0
 
+    def test_more_batches_than_a_split_holds_is_a_config_error(self, use_data_dir):
+        # The synthetic train split holds 192 samples: 12 batches of 16.
+        with pytest.raises(ConfigError):
+            run_experiment(tiny_config(train_batches=13))
+        with pytest.raises(ConfigError):
+            run_experiment(tiny_config(method="sg", test_batches=7))
+
     def test_missing_files_raise_file_not_found(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RANSNN_DATA_DIR", str(tmp_path))
         with pytest.raises(FileNotFoundError):
@@ -223,6 +230,14 @@ class TestCompareMethods:
         assert cmp.ransnn.method == "ransnn" and cmp.sg.method == "sg"
         assert cmp.speedup == pytest.approx(
             cmp.sg.training_seconds / cmp.ransnn.training_seconds)
+
+    def test_end_to_end_speedup_counts_feature_extraction(self, use_data_dir):
+        cmp = compare_methods(tiny_config())
+        readout_seconds = (cmp.ransnn.feature_extraction_seconds
+                           + cmp.ransnn.training_seconds)
+        assert cmp.speedup_end_to_end == pytest.approx(
+            cmp.sg.training_seconds / readout_seconds)
+        assert cmp.speedup_end_to_end < cmp.speedup
 
 
 class TestRunSweep:
@@ -358,6 +373,37 @@ class TestCli:
         cfg = self._write_config(tmp_path)
         assert main(["compare", "--config", cfg]) == 0
         assert "speedup" in capsys.readouterr().out
+
+    def test_compare_cli_prints_both_speedups(self, use_data_dir, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        assert main(["compare", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "training speedup" in out and "end to end" in out
+
+    def test_non_numeric_sweep_value_exit_code(self, use_data_dir, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        assert main(["sweep", "--config", cfg, "--param", "hidden_size",
+                     "--values", "10,wide", "--repeats", "1"]) == 1
+        assert "config error:" in capsys.readouterr().err
+
+    # More batches than the 192-sample train split holds; more steps than a
+    # u16 spike count holds.
+    @pytest.mark.parametrize("override", [{"train_batches": 13}, {"time_steps": 70000}])
+    def test_out_of_range_size_exit_code(self, use_data_dir, tmp_path, capsys, override):
+        cfg = self._write_config(tmp_path, **override)
+        assert main(["run", "--config", cfg]) == 1
+        assert "config error:" in capsys.readouterr().err
+
+    def test_program_bug_is_not_reported_as_config_error(self, use_data_dir, tmp_path,
+                                                         capsys, monkeypatch):
+        def broken(*_args, **_kwargs):
+            raise ValueError("a bug, not a configuration")
+
+        monkeypatch.setattr("ransnn.cli.run_experiment", broken)
+        cfg = self._write_config(tmp_path)
+        with pytest.raises(ValueError):
+            main(["run", "--config", cfg])
+        assert "config error:" not in capsys.readouterr().err
 
     def test_inspect_idx(self, use_data_dir, capsys):
         path = use_data_dir / "mnist" / "train-images-idx3-ubyte.gz"

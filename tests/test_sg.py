@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 
-from oracles import reference_lif_stack, relative_error, sg_forward_mode_grads
-from ransnn.encoding import EncoderConfig, SpikeTrain, poisson_encode
+from oracles import (reference_bptt_backward, reference_lif_stack, relative_error,
+                     sg_forward_mode_grads)
+from ransnn.encoding import EncoderConfig, SpikeTrain, encode_sample, poisson_encode
 from ransnn.network import LifParams, Uniform, init_weights, simulate_forward
-from ransnn.numerics import Rng, cross_entropy, softmax
+from ransnn.numerics import ENCODE_TEST_STREAM, Rng, cross_entropy, softmax
 from ransnn.readout import TrainConfig
 from ransnn.sg import (SgModel, SurrogateParams, _record_tape,
                        bptt_backward, evaluate_sg, init_sg_model, sg_forward,
@@ -211,6 +213,72 @@ class TestBpttBackward:
         with pytest.raises(ValueError):
             bptt_backward(model, tape, np.zeros(4))
 
+    @pytest.mark.parametrize("n_batch", [1, 6])
+    @pytest.mark.parametrize("detach_reset", [False, True])
+    @pytest.mark.parametrize("reduction", ["mean", "sum"])
+    @pytest.mark.parametrize("shared_scratch", [False, True])
+    def test_equals_the_whole_array_backward_bitwise(self, n_batch, detach_reset,
+                                                     reduction, shared_scratch):
+        # The streamed surrogate and the reused GEMM operands keep every
+        # operation of the whole-array pass, so the bits must not move. A
+        # shared scratch that first held a larger batch gives the tape
+        # prefix views of its work arrays.
+        model = small_model(seed=21, n_in=20, n_hidden=30, num_classes=5,
+                            lif=LifParams(beta=0.9, u_thr=1.3))
+        bits = np.stack([random_train(60 + k, 12, 20, rate=0.6).bits
+                         for k in range(n_batch)])
+        scratch = None
+        if shared_scratch:
+            scratch = {}
+            _record_tape(model, np.ones((n_batch + 3, 12, 20), dtype=np.uint8), scratch)
+        tape = _record_tape(model, bits, scratch)
+        assert tape.hidden_bits.any() and tape.output_bits.any()
+        y = np.eye(5)[np.arange(n_batch) % 5]
+        before = {name: getattr(tape, name).copy()
+                  for name in ("input_bits", "hidden_u_pre", "hidden_bits", "output_u_pre",
+                               "output_bits", "flat_input", "flat_hidden")}
+        # Training passes a reused gradient vector; it must be fully written.
+        out = np.full(model.w_hidden.size + model.w_out.size, np.nan) if shared_scratch else None
+        d_wh, d_wo = bptt_backward(model, tape, y, reduction=reduction,
+                                   detach_reset=detach_reset, out=out)
+        if out is not None:
+            assert np.shares_memory(d_wh, out) and np.shares_memory(d_wo, out)
+        for name, value in before.items():
+            assert np.array_equal(getattr(tape, name), value), name
+        ref_wh, ref_wo = reference_bptt_backward(model, tape, y, reduction=reduction,
+                                                 detach_reset=detach_reset)
+        assert np.array_equal(d_wh, ref_wh)
+        assert np.array_equal(d_wo, ref_wo)
+
+    def test_gradient_vector_size_validated(self):
+        model = small_model(seed=5)
+        _, tape = sg_forward(model, random_train(3, 5, 4))
+        with pytest.raises(ValueError):
+            bptt_backward(model, tape, np.array([1.0, 0.0, 0.0]),
+                          out=np.empty(model.w_hidden.size + model.w_out.size + 1))
+
+    def test_backward_adds_at_most_one_hidden_sized_array(self):
+        # Above the gradients it returns, the reverse pass may hold one
+        # (B, T, n_hidden) float64 array: the hidden adjoint. Whole surrogate
+        # arrays or fresh float64 copies of the tape's bits would exceed it.
+        n_batch, steps, n_in, n_hidden = 8, 10, 784, 500
+        model = init_sg_model(n_in, n_hidden, 10, seed=0)
+        bits = (Rng(3, 0).uniform(0, 1, n_batch * steps * n_in) < 0.2).astype(np.uint8)
+        tape = _record_tape(model, bits.reshape(n_batch, steps, n_in))
+        y = np.eye(10)[np.arange(n_batch)]
+        budget = 1.1 * (n_batch * steps * n_hidden * 8 + model.w_hidden.nbytes
+                        + model.w_out.nbytes)
+        tracemalloc.start()
+        try:
+            entry, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            grads = bptt_backward(model, tape, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grads[0].shape == model.w_hidden.shape
+        assert peak - entry < budget
+
 
 def _separable(samples_per_class, pixels, seed):
     """Two classes, disjoint bright pixel banks: strong input rates."""
@@ -290,3 +358,27 @@ class TestEvaluateSg:
                         lif=LifParams())
         acc = evaluate_sg(model, ds, EncoderConfig(time_steps=5), master_seed=0)
         assert acc == float((ds.labels == 0).mean())
+
+    def test_accuracy_independent_of_chunk_and_scratch(self):
+        ds = _separable(samples_per_class=20, pixels=16, seed=8)
+        model = init_sg_model(16, 12, 2, seed=4, lif=LifParams(beta=0.9, u_thr=1.0),
+                              dist=Uniform(-1.0, 1.0))
+        enc = EncoderConfig(time_steps=6)
+        indices = np.arange(3, 38)
+        # Reference: per-sample encodings through the pre-kernel forward.
+        bits = np.stack([encode_sample(ds.images[i], enc, Rng(9, ENCODE_TEST_STREAM + i)).bits
+                         for i in indices])
+        (_, _), (out_bits, _) = reference_lif_stack((model.w_hidden, model.w_out),
+                                                    (model.lif,) * 2, bits)
+        preds = out_bits.sum(axis=1, dtype=np.int64).argmax(axis=1)
+        expected = float((preds == ds.labels[indices]).mean())
+        assert preds.min() != preds.max() and 0.5 < expected < 1.0
+        for chunk in (1, 7, 128):
+            assert evaluate_sg(model, ds, enc, 9, indices, chunk=chunk) == expected
+        # A scratch already holding a larger tape's buffers is used through
+        # prefix views.
+        scratch = {}
+        _record_tape(model, np.ones((len(indices) + 5, 6, 16), dtype=np.uint8), scratch)
+        for chunk in (1, 7, 128):
+            assert evaluate_sg(model, ds, enc, 9, indices, chunk=chunk,
+                               scratch=scratch) == expected
