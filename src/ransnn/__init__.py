@@ -13,8 +13,8 @@ from .network import (LifLayerState, LifParams, NetworkTopology, Normal, Uniform
                       init_weights, lif_step, simulate_forward)
 from .numerics import AdamState, Rng, adam_step, cross_entropy, matvec, softmax
 from .readout import (FeatureCache, IterationMetrics, ReadoutModel, TrainConfig,
-                      evaluate, extract_features, readout_forward, readout_grad,
-                      train_readout)
+                      evaluate, extract_features, extract_features_at, readout_forward,
+                      readout_grad, train_readout)
 from .sg import (BpttTape, SgModel, SurrogateParams, bptt_backward, evaluate_sg,
                  init_sg_model, sg_forward, sg_loss, surrogate_grad, train_sg)
 

@@ -18,6 +18,10 @@ from .harness import (ConfigError, ExperimentConfig, SweepSpec,
 from .idx import DatasetError, IdxError, read_idx
 
 
+CACHE_DIR_HELP = ("directory of feature caches (*.rsnnfc) to read and fill; "
+                  "runs that share it skip simulating what is already there")
+
+
 def _load_config(args) -> ExperimentConfig:
     cfg = config_from_file(args.config) if args.config else ExperimentConfig()
     if getattr(args, "seed", None) is not None:
@@ -40,7 +44,7 @@ def _print_record(rec) -> None:
 
 
 def cmd_run(args) -> int:
-    rec = run_experiment(_load_config(args))
+    rec = run_experiment(_load_config(args), cache_dir=args.cache_dir)
     _print_record(rec)
     if args.out:
         _emit([rec], args.out)
@@ -74,7 +78,7 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--values for {args.param}: {exc}") from exc
     sweep = SweepSpec(parameter=args.param, values=tuple(values), repeats=args.repeats)
-    records = run_sweep(cfg, sweep)
+    records = run_sweep(cfg, sweep, cache_dir=args.cache_dir)
     for rec in records:
         _print_record(rec)
     print(f"sweep over {sweep.parameter} (repeats={sweep.repeats}):")
@@ -87,7 +91,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cmp = compare_methods(_load_config(args))
+    cmp = compare_methods(_load_config(args), cache_dir=args.cache_dir)
     print(f"{'method':<8} {'accuracy':>9} {'train_s':>10} {'features_s':>11}")
     for rec in (cmp.ransnn, cmp.sg):
         print(f"{rec.method:<8} {rec.final_accuracy:>9.4f} "
@@ -120,6 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", help="JSON config file")
     run_p.add_argument("--seed", type=int, help="override the config seed")
     run_p.add_argument("--out", help="metrics output path (.csv or .json)")
+    run_p.add_argument("--cache-dir", help=CACHE_DIR_HELP)
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="vary one parameter")
@@ -132,12 +137,14 @@ def build_parser() -> argparse.ArgumentParser:
                               "literals like U(-0.05,0.05) or N(0,0.05)")
     sweep_p.add_argument("--repeats", type=int, default=3)
     sweep_p.add_argument("--out", help="metrics output path (.csv or .json)")
+    sweep_p.add_argument("--cache-dir", help=CACHE_DIR_HELP)
     sweep_p.set_defaults(func=cmd_sweep)
 
     cmp_p = sub.add_parser("compare", help="run both methods on one config")
     cmp_p.add_argument("--config", help="JSON config file")
     cmp_p.add_argument("--seed", type=int, help="override the config seed")
     cmp_p.add_argument("--out", help="metrics output path (.csv or .json)")
+    cmp_p.add_argument("--cache-dir", help=CACHE_DIR_HELP)
     cmp_p.set_defaults(func=cmd_compare)
 
     idx_p = sub.add_parser("inspect-idx", help="dump an IDX file header")

@@ -9,11 +9,13 @@ the directory named by the RANSNN_DATA_DIR environment variable.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import os
 import re
+import tempfile
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -26,7 +28,8 @@ from .network import (LifParams, Normal, Uniform, WeightDistribution,
                       fan_in_uniform, init_weights)
 from .numerics import ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM
 from .readout import (FeatureCache, IterationMetrics, TrainConfig, evaluate,
-                      extract_features, feature_digest, train_readout)
+                      extract_features, extract_features_at, feature_digest,
+                      train_readout)
 from .sg import init_sg_model, train_sg
 
 DATASETS = ("mnist", "fmnist", "kmnist", "emnist")
@@ -301,30 +304,105 @@ def _load_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatase
     return ds_train, ds_test
 
 
-def _extract_splits(cfg: ExperimentConfig, sizes, dist, lif, enc, splits,
-                    cache_dir) -> list[FeatureCache]:
-    """One feature cache per (dataset, indices, stream_base, split), read
-    from cache_dir if there. The weights are sampled only on a miss and are
-    freed on return, before the readout trains."""
+@dataclass
+class _Split:
+    """One dataset split as a run reads it: the selected indices and the
+    encoder streams they are keyed from."""
+
+    dataset: LabeledDataset
+    indices: np.ndarray
+    stream_base: int
+    dataset_id: str
+
+
+@dataclass
+class _RunSetup:
+    """What a run fixes before either method starts: the resolved network
+    and encoder settings, and the train and test splits."""
+
+    sizes: tuple[int, ...]
+    dist: WeightDistribution
+    lif: LifParams
+    enc: EncoderConfig
+    train: _Split
+    test: _Split
+
+
+def _set_up(cfg: ExperimentConfig) -> _RunSetup:
+    """Load the data, resolve dist, LIF and encoder settings, and select
+    each split's batches, for a validated cfg."""
+    ds_train, ds_test = _load_datasets(cfg)
+    n_in = ds_train.images.shape[1]
+    try:
+        train_sel = make_batches(ds_train, cfg.batch_size, cfg.train_batches, cfg.seed).order
+        test_sel = make_batches(ds_test, cfg.batch_size, cfg.test_batches, cfg.seed).order
+    except ValueError as exc:  # more batches asked for than a split holds
+        raise ConfigError(str(exc)) from exc
+    return _RunSetup(
+        sizes=(n_in, *cfg.hidden_sizes),
+        dist=cfg.dist if cfg.dist is not None else fan_in_uniform(n_in),
+        lif=LifParams(beta=cfg.beta, u_thr=cfg.u_thr),
+        enc=EncoderConfig(time_steps=cfg.time_steps, normalization="divide_by_max"),
+        train=_Split(ds_train, train_sel, ENCODE_TRAIN_STREAM, f"{cfg.dataset}/train"),
+        test=_Split(ds_test, test_sel, ENCODE_TEST_STREAM, f"{cfg.dataset}/test"))
+
+
+def _split_digest(cfg: ExperimentConfig, run: _RunSetup, split: _Split,
+                  time_steps: int) -> int:
+    """The feature_digest of split's cache at time_steps."""
+    return feature_digest(run.sizes, run.dist, cfg.seed, (run.lif,) * (len(run.sizes) - 1),
+                          replace(run.enc, time_steps=time_steps), split.dataset_id,
+                          cfg.seed, split.stream_base, split.indices)
+
+
+def _cache_file(cache_dir, digest: int) -> Path:
+    return Path(cache_dir) / f"{digest:016x}.rsnnfc"
+
+
+def _extract_splits(cfg: ExperimentConfig, run: _RunSetup, cache_dir) -> list[FeatureCache]:
+    """The train and test feature caches, each read from cache_dir if there.
+    The weights are sampled only on a miss and are freed on return, before
+    the readout trains."""
     net, caches = None, []
-    for ds, indices, stream_base, split in splits:
-        dataset_id = f"{cfg.dataset}/{split}"
-        digest = feature_digest(sizes, dist, cfg.seed, (lif,) * (len(sizes) - 1), enc,
-                                dataset_id, cfg.seed, stream_base, indices)
-        path = None if cache_dir is None else Path(cache_dir) / f"{digest:016x}.rsnnfc"
+    for split in (run.train, run.test):
+        digest = _split_digest(cfg, run, split, cfg.time_steps)
+        path = None if cache_dir is None else _cache_file(cache_dir, digest)
         if path is not None and path.exists():
             cache = FeatureCache.load(path, expected_digest=digest)
             # The on-disk layout carries no class count; the dataset does.
-            cache.num_classes = ds.num_classes
+            cache.num_classes = split.dataset.num_classes
         else:
-            net = net or init_weights(sizes, dist, cfg.seed, lif=lif)
-            cache = extract_features(net, enc, ds, cfg.seed, indices=indices,
-                                     stream_base=stream_base, dataset_id=dataset_id)
+            net = net or init_weights(run.sizes, run.dist, cfg.seed, lif=run.lif)
+            cache = extract_features(net, run.enc, split.dataset, cfg.seed,
+                                     indices=split.indices, stream_base=split.stream_base,
+                                     dataset_id=split.dataset_id)
             if path is not None:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 cache.save(path)
         caches.append(cache)
     return caches
+
+
+def _fill_time_steps(cfg: ExperimentConfig, steps, cache_dir) -> None:
+    """Write to cache_dir the feature caches of cfg's runs at every window
+    length in steps, whatever cfg.time_steps is, from one simulation per
+    split at max(steps). Caches already on disk are skipped, the weights are
+    sampled only if one is missing, and each split's caches are saved and
+    dropped before the next split is simulated."""
+    run, net = _set_up(cfg), None
+    for split in (run.train, run.test):
+        paths = {t: _cache_file(cache_dir, _split_digest(cfg, run, split, t)) for t in steps}
+        missing = [t for t, path in paths.items() if not path.exists()]
+        if not missing:
+            continue
+        net = net or init_weights(run.sizes, run.dist, cfg.seed, lif=run.lif)
+        caches = extract_features_at(net, run.enc, split.dataset, cfg.seed, missing,
+                                     indices=split.indices, stream_base=split.stream_base,
+                                     dataset_id=split.dataset_id)
+        Path(cache_dir).mkdir(parents=True, exist_ok=True)
+        for t in missing:
+            caches[t].save(paths[t])
+        del caches
 
 
 def run_experiment(cfg: ExperimentConfig, cache_dir=None) -> RunRecord:
@@ -335,44 +413,29 @@ def run_experiment(cfg: ExperimentConfig, cache_dir=None) -> RunRecord:
     """
     cfg.validate()
     t_start = time.perf_counter()
-    ds_train, ds_test = _load_datasets(cfg)
-    n_in = ds_train.images.shape[1]
-    dist = cfg.dist if cfg.dist is not None else fan_in_uniform(n_in)
-    lif = LifParams(beta=cfg.beta, u_thr=cfg.u_thr)
-    enc = EncoderConfig(time_steps=cfg.time_steps, normalization="divide_by_max")
-    resolved = resolved_config_dict(cfg, dist)
-    run_id = config_digest(resolved)
-
-    try:
-        train_sel = make_batches(ds_train, cfg.batch_size, cfg.train_batches, cfg.seed).order
-        test_sel = make_batches(ds_test, cfg.batch_size, cfg.test_batches, cfg.seed).order
-    except ValueError as exc:  # more batches asked for than a split holds
-        raise ConfigError(str(exc)) from exc
-
+    run = _set_up(cfg)
+    resolved = resolved_config_dict(cfg, run.dist)
     tcfg = TrainConfig(epochs=1, lr=cfg.adam.lr, beta1=cfg.adam.beta1,
                        beta2=cfg.adam.beta2, eps=cfg.adam.eps, batch_size=cfg.batch_size,
                        seed=cfg.seed, eval_every=1 if cfg.method == "ransnn" else SG_EVAL_EVERY)
     if cfg.method == "ransnn":
         t0 = time.perf_counter()
-        cache_train, cache_test = _extract_splits(
-            cfg, (n_in, *cfg.hidden_sizes), dist, lif, enc,
-            [(ds_train, train_sel, ENCODE_TRAIN_STREAM, "train"),
-             (ds_test, test_sel, ENCODE_TEST_STREAM, "test")], cache_dir)
+        cache_train, cache_test = _extract_splits(cfg, run, cache_dir)
         feature_seconds = time.perf_counter() - t0
         model, metrics = train_readout(cache_train, cache_test, tcfg)
         final_accuracy = evaluate(model, cache_test)
     else:
-        sgm = init_sg_model(n_in, cfg.hidden_sizes[0], _DATASET_CLASSES[cfg.dataset],
-                            cfg.seed, lif=lif, dist=dist)
+        sgm = init_sg_model(run.sizes[0], cfg.hidden_sizes[0], _DATASET_CLASSES[cfg.dataset],
+                            cfg.seed, lif=run.lif, dist=run.dist)
         feature_seconds = 0.0
-        model, metrics = train_sg(sgm, ds_train, ds_test, enc, tcfg,
-                                  train_indices=train_sel,
-                                  test_indices=test_sel)
+        model, metrics = train_sg(sgm, run.train.dataset, run.test.dataset, run.enc, tcfg,
+                                  train_indices=run.train.indices,
+                                  test_indices=run.test.indices)
         final_accuracy = metrics[-1].test_accuracy
 
     training_seconds = metrics[-1].elapsed if metrics else 0.0
     total_seconds = time.perf_counter() - t_start
-    return RunRecord(run_id=run_id, dataset=cfg.dataset, method=cfg.method,
+    return RunRecord(run_id=config_digest(resolved), dataset=cfg.dataset, method=cfg.method,
                      final_accuracy=final_accuracy,
                      feature_extraction_seconds=feature_seconds,
                      training_seconds=training_seconds,
@@ -413,14 +476,33 @@ def apply_sweep_value(cfg: ExperimentConfig, parameter: str, value) -> Experimen
 
 def run_sweep(base: ExperimentConfig, sweep: SweepSpec, cache_dir=None) -> list[RunRecord]:
     """One run per (value, repeat), varying only the swept parameter and the
-    repeat's seed offset. Records are ordered value-major, repeat-minor."""
+    repeat's seed offset. Records are ordered value-major, repeat-minor.
+
+    Every run's config is validated before the first run starts. A
+    time_steps sweep of the readout method simulates each repeat's samples
+    once, at the largest value, and fills the feature cache (cache_dir, or a
+    temporary directory for the sweep) with the counts at every value; the
+    runs then read it. The fill's seconds count towards the feature
+    extraction and total seconds of the first record of its repeat."""
     base.validate()
-    records = []
-    for value in sweep.values:
-        for r in range(sweep.repeats):
-            cfg = apply_sweep_value(base, sweep.parameter, value)
-            cfg = replace(cfg, seed=base.seed + r)
-            records.append(run_experiment(cfg, cache_dir=cache_dir))
+    cfgs = [replace(apply_sweep_value(base, sweep.parameter, value), seed=base.seed + r)
+            for value in sweep.values for r in range(sweep.repeats)]
+    for cfg in cfgs:
+        cfg.validate()
+    if sweep.parameter != "time_steps" or base.method != "ransnn":
+        return [run_experiment(cfg, cache_dir=cache_dir) for cfg in cfgs]
+    steps = sorted({cfg.time_steps for cfg in cfgs})
+    with (tempfile.TemporaryDirectory(prefix="ransnn-sweep-") if cache_dir is None
+          else contextlib.nullcontext(cache_dir)) as fill_dir:
+        fill_seconds = []
+        for first in cfgs[:sweep.repeats]:
+            t0 = time.perf_counter()
+            _fill_time_steps(first, steps, fill_dir)
+            fill_seconds.append(time.perf_counter() - t0)
+        records = [run_experiment(cfg, cache_dir=fill_dir) for cfg in cfgs]
+    for rec, seconds in zip(records, fill_seconds):
+        rec.feature_extraction_seconds += seconds
+        rec.total_seconds += seconds
     return records
 
 

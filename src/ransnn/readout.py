@@ -14,7 +14,7 @@ import os
 import struct
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -92,8 +92,9 @@ class FeatureCache:
                 fh.write(CACHE_MAGIC)
                 fh.write(struct.pack("<QQQQ", n, f, self.time_steps,
                                      self.source_config_digest))
-                fh.write(self.features.astype("<u2").tobytes())
-                fh.write(self.labels.astype("<u2").tobytes())
+                # Buffer-protocol writes: no copy of a contiguous u16 matrix.
+                fh.write(np.ascontiguousarray(self.features, dtype="<u2"))
+                fh.write(np.ascontiguousarray(self.labels, dtype="<u2"))
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -101,62 +102,95 @@ class FeatureCache:
 
     @classmethod
     def load(cls, path, expected_digest: int | None = None) -> "FeatureCache":
-        raw = Path(path).read_bytes()
-        if raw[:8] != CACHE_MAGIC:
-            raise ValueError(f"{path}: not a feature cache (bad magic)")
-        n, f, t, digest = struct.unpack("<QQQQ", raw[8:40])
-        if expected_digest is not None and digest != expected_digest:
-            raise ValueError(
-                f"{path}: cache digest {digest:#x} does not match expected "
-                f"{expected_digest:#x}; it was built from a different configuration")
-        body = raw[40:]
-        need = 2 * n * f + 2 * n
-        if len(body) != need:
-            raise ValueError(f"{path}: truncated cache (have {len(body)} payload "
-                             f"bytes, need {need})")
-        feats = np.frombuffer(body[:2 * n * f], dtype="<u2").reshape(n, f)
-        labels = np.frombuffer(body[2 * n * f:], dtype="<u2").astype(np.int64)
+        """Read a cache written by save, straight into its final arrays."""
+        with open(path, "rb") as fh:
+            head = fh.read(40)
+            if head[:8] != CACHE_MAGIC:
+                raise ValueError(f"{path}: not a feature cache (bad magic)")
+            if len(head) != 40:
+                raise ValueError(f"{path}: truncated cache header")
+            n, f, t, digest = struct.unpack("<QQQQ", head[8:])
+            if expected_digest is not None and digest != expected_digest:
+                raise ValueError(
+                    f"{path}: cache digest {digest:#x} does not match expected "
+                    f"{expected_digest:#x}; it was built from a different configuration")
+            have = os.fstat(fh.fileno()).st_size - 40
+            need = 2 * n * f + 2 * n
+            if have != need:
+                raise ValueError(f"{path}: truncated cache or trailing bytes (have "
+                                 f"{have} payload bytes, need {need})")
+            feats = np.empty((n, f), dtype="<u2")
+            labels = np.empty(n, dtype="<u2")
+            fh.readinto(feats)
+            fh.readinto(labels)
+        labels = labels.astype(np.int64)
         num_classes = int(labels.max()) + 1 if n else 0
-        return cls(features=feats.astype(np.uint16), labels=labels,
-                   time_steps=int(t), source_config_digest=int(digest),
-                   num_classes=num_classes)
+        return cls(features=feats, labels=labels, time_steps=int(t),
+                   source_config_digest=int(digest), num_classes=num_classes)
+
+
+def extract_features_at(net: NetworkTopology, enc: EncoderConfig,
+                        dataset: LabeledDataset, master_seed: int, steps, *,
+                        indices=None, stream_base: int = ENCODE_TRAIN_STREAM,
+                        dataset_id: str = "") -> dict[int, FeatureCache]:
+    """Encode, simulate, and count spikes for each selected sample, once,
+    for several window lengths: one FeatureCache per t in steps.
+
+    The samples run once at T = max(steps), and the cache for t sums their
+    first t steps. A sample's encoding at t is the first t rows of its
+    encoding at T, and no step's spikes depend on a later one, so each cache
+    equals a direct extraction at t and carries the same digest (enc's own
+    time_steps is ignored).
+
+    Row k of a cache comes from dataset sample indices[k]. Each sample's
+    encoder stream is keyed by its own dataset index and the kernel's rows do
+    not depend on their batch, so any grouping of the same indices yields
+    bit-identical rows; EXTRACT_CHUNK samples share one simulate_forward call.
+    """
+    steps = sorted({int(t) for t in steps})
+    if not steps:
+        raise ValueError("steps must name at least one window length")
+    if dataset.images.shape[1] != net.layer_sizes[0]:
+        raise ValueError(
+            f"dataset samples have {dataset.images.shape[1]} pixels, network "
+            f"expects {net.layer_sizes[0]} inputs")
+    if steps[-1] > 0xFFFF:
+        raise ValueError("time_steps exceeds the u16 count range")
+    encs = {t: replace(enc, time_steps=t) for t in steps}
+    if indices is None:
+        indices = np.arange(len(dataset))
+    indices = np.asarray(indices, dtype=np.int64)
+    feats = {t: np.zeros((len(indices), net.layer_sizes[-1]), dtype=np.uint16)
+             for t in steps}
+    bits = np.empty((EXTRACT_CHUNK, steps[-1], net.layer_sizes[0]), dtype=np.uint8)
+    scratch: dict = {}
+    for start in range(0, len(indices), EXTRACT_CHUNK):
+        chunk = indices[start:start + EXTRACT_CHUNK]
+        for k, idx in enumerate(chunk):
+            rng = Rng(master_seed, stream_base + int(idx))
+            bits[k] = encode_sample(dataset.images[idx], encs[steps[-1]], rng).bits
+        spikes = simulate_forward(net, bits[:len(chunk)], scratch=scratch)
+        for t in steps:
+            spikes[:, :t].sum(axis=1, dtype=np.uint16, out=feats[t][start:start + len(chunk)])
+    labels = dataset.labels[indices]
+    return {t: FeatureCache(
+                features=feats[t], labels=labels, time_steps=t,
+                source_config_digest=feature_digest(
+                    net.layer_sizes, net.dist, net.seed, net.params, encs[t],
+                    dataset_id, master_seed, stream_base, indices),
+                num_classes=dataset.num_classes)
+            for t in steps}
 
 
 def extract_features(net: NetworkTopology, enc: EncoderConfig,
                      dataset: LabeledDataset, master_seed: int, *,
                      indices=None, stream_base: int = ENCODE_TRAIN_STREAM,
                      dataset_id: str = "") -> FeatureCache:
-    """Encode, simulate, and count spikes for each selected sample, once.
-
-    Row k of the cache comes from dataset sample indices[k]. Each sample's
-    encoder stream is keyed by its own dataset index and the kernel's rows do
-    not depend on their batch, so any grouping of the same indices yields
-    bit-identical rows; EXTRACT_CHUNK samples share one simulate_forward call.
-    """
-    if dataset.images.shape[1] != net.layer_sizes[0]:
-        raise ValueError(
-            f"dataset samples have {dataset.images.shape[1]} pixels, network "
-            f"expects {net.layer_sizes[0]} inputs")
-    if enc.time_steps > 0xFFFF:
-        raise ValueError("time_steps exceeds the u16 count range")
-    if indices is None:
-        indices = np.arange(len(dataset))
-    indices = np.asarray(indices, dtype=np.int64)
-    feats = np.zeros((len(indices), net.layer_sizes[-1]), dtype=np.uint16)
-    bits = np.empty((EXTRACT_CHUNK, enc.time_steps, net.layer_sizes[0]), dtype=np.uint8)
-    scratch: dict = {}
-    for start in range(0, len(indices), EXTRACT_CHUNK):
-        chunk = indices[start:start + EXTRACT_CHUNK]
-        for k, idx in enumerate(chunk):
-            rng = Rng(master_seed, stream_base + int(idx))
-            bits[k] = encode_sample(dataset.images[idx], enc, rng).bits
-        spikes = simulate_forward(net, bits[:len(chunk)], scratch=scratch)
-        spikes.sum(axis=1, dtype=np.uint16, out=feats[start:start + len(chunk)])
-    digest = feature_digest(net.layer_sizes, net.dist, net.seed, net.params, enc,
-                            dataset_id, master_seed, stream_base, indices)
-    return FeatureCache(features=feats, labels=dataset.labels[indices].copy(),
-                        time_steps=enc.time_steps, source_config_digest=digest,
-                        num_classes=dataset.num_classes)
+    """The FeatureCache of extract_features_at for the single window
+    enc.time_steps."""
+    return extract_features_at(net, enc, dataset, master_seed, (enc.time_steps,),
+                               indices=indices, stream_base=stream_base,
+                               dataset_id=dataset_id)[enc.time_steps]
 
 
 @dataclass

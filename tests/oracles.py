@@ -207,3 +207,16 @@ def reference_bptt_backward(model, tape, y_true, sp=None, *, reduction: str = "m
     flat_input = tape.input_bits.reshape(n_batch * steps, -1).astype(np.float64)
     d_w_hidden = lam_hid.reshape(n_batch * steps, -1).T @ flat_input
     return d_w_hidden, d_w_out
+
+
+def reference_cache_bytes(cache) -> bytes:
+    """The bytes the feature-cache writer produced before it wrote through
+    the buffer protocol: magic, the four little-endian u64 header fields,
+    then u16 copies of the features and the labels."""
+    import struct
+
+    n, f = cache.features.shape
+    return (b"RSNNFC01"
+            + struct.pack("<QQQQ", n, f, cache.time_steps, cache.source_config_digest)
+            + cache.features.astype("<u2").tobytes()
+            + cache.labels.astype("<u2").tobytes())

@@ -1,5 +1,8 @@
 import csv
 import json
+import tempfile
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -273,6 +276,102 @@ class TestRunSweep:
             assert row["mean_accuracy"] == pytest.approx(np.mean(accs))
             assert row["runs"] == 2
 
+    def test_time_steps_sweep_equals_per_value_runs(self, use_data_dir):
+        sweep = SweepSpec(parameter="time_steps", values=(4, 8), repeats=2)
+        records = run_sweep(tiny_config(), sweep)
+        expected = [run_experiment(replace(tiny_config(time_steps=t), seed=123 + r))
+                    for t in (4, 8) for r in range(2)]
+        assert [r.run_id for r in records] == [r.run_id for r in expected]
+        assert [r.config for r in records] == [r.config for r in expected]
+        assert [_curve(r) for r in records] == [_curve(r) for r in expected]
+
+    @staticmethod
+    def _count_simulations(monkeypatch):
+        import ransnn.readout
+
+        steps = []
+        real = ransnn.readout.simulate_forward
+
+        def counting(net, bits, **kwargs):
+            steps.append(bits.shape[1])
+            return real(net, bits, **kwargs)
+
+        monkeypatch.setattr(ransnn.readout, "simulate_forward", counting)
+        return steps
+
+    def test_time_steps_sweep_simulates_once_per_seed(self, use_data_dir, monkeypatch):
+        steps = self._count_simulations(monkeypatch)
+        run_experiment(tiny_config())
+        per_run = len(steps)
+        steps.clear()
+        run_sweep(tiny_config(), SweepSpec(parameter="time_steps", values=(4, 8, 6),
+                                           repeats=2))
+        assert steps == [8] * (2 * per_run)
+
+    def test_warm_sweep_does_not_simulate(self, use_data_dir, tmp_path, monkeypatch):
+        sweep = SweepSpec(parameter="time_steps", values=(4, 8), repeats=2)
+        cold = run_sweep(tiny_config(), sweep, cache_dir=tmp_path / "caches")
+        assert len(list((tmp_path / "caches").iterdir())) == 8
+        steps = self._count_simulations(monkeypatch)
+
+        def no_weights(*_args, **_kwargs):
+            raise AssertionError("weights sampled although every cache was on disk")
+
+        monkeypatch.setattr("ransnn.harness.init_weights", no_weights)
+        warm = run_sweep(tiny_config(), sweep, cache_dir=tmp_path / "caches")
+        assert steps == []
+        assert [_curve(r) for r in warm] == [_curve(r) for r in cold]
+
+    def test_fill_extracts_only_the_windows_not_on_disk(self, use_data_dir, tmp_path,
+                                                         monkeypatch):
+        run_experiment(tiny_config(time_steps=8), cache_dir=tmp_path)
+        steps = self._count_simulations(monkeypatch)
+        run_sweep(tiny_config(), SweepSpec(parameter="time_steps", values=(4, 8), repeats=1),
+                  cache_dir=tmp_path)
+        assert steps and set(steps) == {4}
+        assert len(list(tmp_path.iterdir())) == 4
+
+    def test_sweep_without_cache_dir_leaves_no_files(self, use_data_dir, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        run_sweep(tiny_config(), SweepSpec(parameter="time_steps", values=(4, 8), repeats=1))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fill_seconds_count_towards_the_first_record_of_each_seed(self, use_data_dir,
+                                                                      monkeypatch):
+        import ransnn.harness
+
+        real = ransnn.harness._fill_time_steps
+
+        def slow_fill(*args):
+            time.sleep(0.2)
+            real(*args)
+
+        monkeypatch.setattr(ransnn.harness, "_fill_time_steps", slow_fill)
+        records = run_sweep(tiny_config(), SweepSpec(parameter="time_steps", values=(4, 8),
+                                                     repeats=2))
+        for first in records[:2]:
+            assert first.feature_extraction_seconds >= 0.2
+            assert first.total_seconds >= (first.feature_extraction_seconds
+                                           + first.training_seconds)
+        for later in records[2:]:
+            assert later.feature_extraction_seconds < 0.2
+
+    @pytest.mark.parametrize("parameter,values", [("time_steps", (8, 0)),
+                                                  ("hidden_size", (10, 0)),
+                                                  ("beta", (0.5, 1.5))])
+    def test_every_swept_config_is_validated_before_the_first_run(
+            self, use_data_dir, monkeypatch, parameter, values):
+        def no_run(*_args, **_kwargs):
+            raise AssertionError("a run started before every config was validated")
+
+        for name in ("extract_features", "extract_features_at", "init_weights",
+                     "_load_datasets"):
+            monkeypatch.setattr(f"ransnn.harness.{name}", no_run)
+        with pytest.raises(ConfigError):
+            run_sweep(tiny_config(), SweepSpec(parameter=parameter, values=values,
+                                               repeats=2))
+
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
             SweepSpec(parameter="learning_rate", values=(1,))
@@ -404,6 +503,40 @@ class TestCli:
         with pytest.raises(ValueError):
             main(["run", "--config", cfg])
         assert "config error:" not in capsys.readouterr().err
+
+    def test_invalid_sweep_value_exits_1_before_any_run(self, use_data_dir, tmp_path,
+                                                        capsys, monkeypatch):
+        def no_run(*_args, **_kwargs):
+            raise AssertionError("a run started before every config was validated")
+
+        monkeypatch.setattr("ransnn.harness._load_datasets", no_run)
+        cfg = self._write_config(tmp_path)
+        assert main(["sweep", "--config", cfg, "--param", "time_steps",
+                     "--values", "25,0", "--repeats", "1"]) == 1
+        assert "config error:" in capsys.readouterr().err
+
+    def test_cache_dir_flag(self, use_data_dir, tmp_path, capsys, monkeypatch):
+        cfg = self._write_config(tmp_path)
+        caches = tmp_path / "caches"
+        assert main(["run", "--config", cfg, "--cache-dir", str(caches)]) == 0
+        assert len(list(caches.glob("*.rsnnfc"))) == 2
+        capsys.readouterr()
+        sweep = ["sweep", "--config", cfg, "--param", "time_steps", "--values", "4,8",
+                 "--repeats", "1", "--cache-dir", str(caches)]
+        assert main(sweep) == 0
+        assert len(list(caches.glob("*.rsnnfc"))) == 4
+        cold = capsys.readouterr().out
+
+        def no_simulation(*_args, **_kwargs):
+            raise AssertionError("simulated although the caches were on disk")
+
+        monkeypatch.setattr("ransnn.readout.simulate_forward", no_simulation)
+        assert main(sweep) == 0
+        warm = capsys.readouterr().out
+        accuracies = [line.split()[2] for line in cold.splitlines() if "accuracy=" in line]
+        assert accuracies == [line.split()[2] for line in warm.splitlines()
+                              if "accuracy=" in line]
+        assert main(["compare", "--config", cfg, "--cache-dir", str(caches)]) == 0
 
     def test_inspect_idx(self, use_data_dir, capsys):
         path = use_data_dir / "mnist" / "train-images-idx3-ubyte.gz"

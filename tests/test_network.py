@@ -9,7 +9,7 @@ from oracles import leak_decay_sequence, linear_filter_membrane
 from ransnn.encoding import SpikeTrain, poisson_encode
 from ransnn.network import (LifLayerState, LifParams, NetworkTopology, Normal,
                             Uniform, accumulate_spikes, fan_in_uniform,
-                            init_weights, lif_step, simulate_forward)
+                            init_weights, lif_step, simulate, simulate_forward)
 from ransnn.numerics import Rng
 
 
@@ -210,6 +210,29 @@ class TestSimulateForward:
         out = simulate_forward(net, train)
         assert out.bits.shape == (25, 6)
         assert np.isin(out.bits, (0, 1)).all()
+
+
+class TestSimulatePrefix:
+    """A run over the first t steps of an input has the spikes of the first
+    t steps of the run over all of it: what lets one simulation at the
+    longest window serve every shorter one. The potentials agree to
+    rounding only, since BLAS may pick another GEMM kernel for another
+    number of rows."""
+
+    # The two-layer net's layers both fire at rates near 0.3-0.4.
+    @pytest.mark.parametrize("sizes,dist", [((784, 2000), fan_in_uniform(784)),
+                                            ((64, 30, 12), Uniform(-0.3, 0.32))])
+    def test_prefix_equals_first_steps_of_the_full_run(self, sizes, dist):
+        net = init_weights(sizes, dist, seed=3)
+        bits = (Rng(4, 0).random((9, 25, sizes[0])) < 0.2).astype(np.uint8)
+        full = [(s.copy(), u.copy())
+                for s, u in simulate(bits, net.weights, net.params, record=True)]
+        assert all(s.any() and not s.all() for s, _ in full)
+        for t in (1, 7, 24):
+            prefix = simulate(bits[:, :t], net.weights, net.params, record=True)
+            for (s, u), (s_full, u_full) in zip(prefix, full):
+                assert np.array_equal(s, s_full[:, :t])
+                np.testing.assert_allclose(u, u_full[:, :t], rtol=0, atol=1e-12)
 
 
 class TestAccumulateSpikes:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import central_difference_grad, reference_lif_stack, relative_error
+from oracles import (central_difference_grad, reference_cache_bytes, reference_lif_stack,
+                     relative_error)
 from ransnn.encoding import EncoderConfig, encode_sample
 from ransnn.idx import LabeledDataset
 from ransnn.network import (Uniform, accumulate_spikes, fan_in_uniform, init_weights,
@@ -9,7 +10,7 @@ from ransnn.network import (Uniform, accumulate_spikes, fan_in_uniform, init_wei
 from ransnn.numerics import ENCODE_TRAIN_STREAM, Rng, cross_entropy
 from ransnn.readout import (FeatureCache, ReadoutModel,
                             TrainConfig, evaluate, extract_features,
-                            readout_forward, readout_grad, train_readout)
+                            extract_features_at, readout_forward, readout_grad, train_readout)
 
 
 def random_model(num_classes, num_features, seed=0, scale=0.5):
@@ -129,6 +130,37 @@ class TestExtractionBatchInvariance:
                 assert np.array_equal(cache.features[k], old_bits[0].sum(axis=0))
 
 
+class TestExtractFeaturesAt:
+    """One simulation at the longest window gives every shorter window's
+    cache, equal to a direct extraction at that window, digest included."""
+
+    @pytest.mark.parametrize("n", [1, 7, 9, 128])
+    def test_equals_direct_extraction_per_window(self, n):
+        ds = mnist_shaped(160)
+        net = init_weights((784, 300), fan_in_uniform(784), seed=5)
+        sel = Rng(9, 0).permutation(len(ds))[:n]
+        caches = extract_features_at(net, EncoderConfig(time_steps=3), ds, 21, (25, 1, 7),
+                                     indices=sel, stream_base=77, dataset_id="mnist/train")
+        assert sorted(caches) == [1, 7, 25]
+        for t, cache in caches.items():
+            direct = extract_features(net, EncoderConfig(time_steps=t), ds, 21, indices=sel,
+                                      stream_base=77, dataset_id="mnist/train")
+            assert cache.features.any()
+            assert cache.features.dtype == direct.features.dtype
+            assert np.array_equal(cache.features, direct.features)
+            assert np.array_equal(cache.labels, direct.labels)
+            assert cache.time_steps == direct.time_steps == t
+            assert cache.source_config_digest == direct.source_config_digest
+            assert cache.num_classes == direct.num_classes
+        assert len({c.source_config_digest for c in caches.values()}) == 3
+
+    def test_no_window_rejected(self):
+        ds = mnist_shaped(4)
+        net = init_weights((784, 10), fan_in_uniform(784), seed=5)
+        with pytest.raises(ValueError):
+            extract_features_at(net, EncoderConfig(), ds, 0, ())
+
+
 class TestFeatureCacheFile:
     def test_round_trip_bitwise(self, tmp_path):
         cache = counts_cache(Rng(1, 0).uniform(0, 25, 60).reshape(12, 5),
@@ -155,6 +187,29 @@ class TestFeatureCacheFile:
         assert np.array_equal(feats, [3, 1, 0, 25])
         labels = np.frombuffer(raw[48:], dtype="<u2")
         assert np.array_equal(labels, [1, 0])
+
+    @pytest.mark.parametrize("shape", [(0, 5), (1, 1), (12, 5), (33, 300)])
+    def test_file_bytes_equal_the_copying_writer(self, tmp_path, shape):
+        n, f = shape
+        cache = counts_cache(Rng(3, 0).uniform(0, 26, n * f).reshape(n, f),
+                             Rng(4, 0).uniform(0, 10, n).astype(np.int64))
+        cache.source_config_digest = 0xFEDCBA9876543210
+        path = tmp_path / "cache.rsnnfc"
+        cache.save(path)
+        assert path.read_bytes() == reference_cache_bytes(cache)
+        path.write_bytes(reference_cache_bytes(cache))
+        loaded = FeatureCache.load(path, expected_digest=0xFEDCBA9876543210)
+        assert loaded.features.dtype == np.uint16 and loaded.labels.dtype == np.int64
+        assert np.array_equal(loaded.features, cache.features)
+        assert np.array_equal(loaded.labels, cache.labels)
+        assert loaded.num_classes == (cache.num_classes if n else 0)
+
+    def test_non_contiguous_features_saved_by_value(self, tmp_path):
+        wide = counts_cache(Rng(5, 0).uniform(0, 26, 40).reshape(4, 10), np.arange(4))
+        cache = counts_cache(wide.features[:, ::2], wide.labels)
+        path = tmp_path / "cache.rsnnfc"
+        cache.save(path)
+        assert path.read_bytes() == reference_cache_bytes(cache)
 
     def test_digest_mismatch_rejected(self, tmp_path):
         cache = counts_cache(np.zeros((3, 4)), np.zeros(3))
@@ -189,6 +244,20 @@ class TestFeatureCacheFile:
         path = tmp_path / "cache.rsnnfc"
         cache.save(path)
         path.write_bytes(path.read_bytes()[:-2])
+        with pytest.raises(ValueError):
+            FeatureCache.load(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        cache = counts_cache(np.zeros((3, 4)), np.zeros(3))
+        path = tmp_path / "cache.rsnnfc"
+        cache.save(path)
+        path.write_bytes(path.read_bytes() + b"\x00\x00")
+        with pytest.raises(ValueError):
+            FeatureCache.load(path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "cache.rsnnfc"
+        path.write_bytes(b"RSNNFC01" + b"\x00" * 20)
         with pytest.raises(ValueError):
             FeatureCache.load(path)
 
