@@ -6,16 +6,15 @@ from .encoding import EncoderConfig, SpikeTrain, encode_sample, normalize_input,
 from .harness import (ConfigError, ExperimentConfig, MethodComparison, RunRecord,
                       SweepSpec, compare_methods, emit_metrics, run_experiment,
                       run_sweep, summarize_sweep)
-from .idx import (BatchIterator, DatasetError, IdxError, IdxTensor, LabeledDataset,
-                  load_dataset, make_batches, one_hot, parse_idx, read_idx, write_idx)
-from .network import (LifLayerState, LifParams, NetworkTopology, Normal, Uniform,
-                      WeightDistribution, accumulate_spikes, fan_in_uniform,
-                      init_weights, lif_step, simulate_forward)
-from .numerics import AdamState, Rng, adam_step, cross_entropy, matvec, softmax
+from .idx import (DatasetError, IdxError, IdxTensor, LabeledDataset, load_dataset,
+                  make_batches, parse_idx, read_idx, write_idx)
+from .network import (LifParams, NetworkTopology, Normal, Uniform, WeightDistribution,
+                      fan_in_uniform, init_weights, simulate_forward)
+from .numerics import AdamConfig, AdamState, Rng, adam_step, softmax
 from .readout import (FeatureCache, IterationMetrics, ReadoutModel, TrainConfig,
-                      evaluate, extract_features, extract_features_at, readout_forward,
-                      readout_grad, train_readout)
+                      evaluate, extract_features, extract_features_at, readout_loss_grad,
+                      train_readout)
 from .sg import (BpttTape, SgModel, SurrogateParams, bptt_backward, evaluate_sg,
-                 init_sg_model, sg_forward, sg_loss, surrogate_grad, train_sg)
+                 init_sg_model, surrogate_grad, train_sg)
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .harness import (ConfigError, ExperimentConfig, SweepSpec,
+from .harness import (SWEEP_PARAMETERS, ConfigError, ExperimentConfig, SweepSpec,
                       compare_methods, config_from_file, emit_metrics,
                       run_experiment, run_sweep, summarize_sweep)
 from .idx import DatasetError, IdxError, read_idx
@@ -130,8 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="vary one parameter")
     sweep_p.add_argument("--config", help="JSON config file")
     sweep_p.add_argument("--seed", type=int, help="override the config seed")
-    sweep_p.add_argument("--param", required=True,
-                         choices=("beta", "hidden_size", "time_steps", "dist_param"))
+    sweep_p.add_argument("--param", required=True, choices=SWEEP_PARAMETERS)
     sweep_p.add_argument("--values", required=True,
                          help="comma-separated values; dist_param takes "
                               "literals like U(-0.05,0.05) or N(0,0.05)")

@@ -44,14 +44,6 @@ class SpikeTrain:
 
     bits: np.ndarray
 
-    @property
-    def time_steps(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def neurons(self) -> int:
-        return self.bits.shape[1]
-
     @classmethod
     def from_bits(cls, bits) -> "SpikeTrain":
         arr = np.asarray(bits)

@@ -26,7 +26,7 @@ from .encoding import EncoderConfig
 from .idx import LabeledDataset, load_dataset, make_batches
 from .network import (LifParams, Normal, Uniform, WeightDistribution,
                       fan_in_uniform, init_weights)
-from .numerics import ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM
+from .numerics import AdamConfig, ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM
 from .readout import (FeatureCache, IterationMetrics, TrainConfig, evaluate,
                       extract_features, extract_features_at, feature_digest,
                       train_readout)
@@ -63,14 +63,6 @@ _DATASET_FILES = {
 
 class ConfigError(ValueError):
     """A configuration that cannot describe a runnable experiment."""
-
-
-@dataclass(frozen=True)
-class AdamConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -113,12 +105,11 @@ class ExperimentConfig:
             raise ConfigError(f"hidden_sizes must be nonempty positive ints, got {self.hidden_sizes}")
         if self.method == "sg" and len(self.hidden_sizes) != 1:
             raise ConfigError("the sg baseline supports exactly one hidden layer")
-        if not 0.0 <= self.beta < 1.0:
-            raise ConfigError(f"beta must lie in [0, 1), got {self.beta}")
-        if not self.u_thr > 0:
-            raise ConfigError(f"u_thr must be positive, got {self.u_thr}")
-        if self.time_steps < 1:
-            raise ConfigError(f"time_steps must be >= 1, got {self.time_steps}")
+        try:
+            LifParams(beta=self.beta, u_thr=self.u_thr)
+            EncoderConfig(time_steps=self.time_steps)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.time_steps > 0xFFFF:  # spike counts are stored as u16
             raise ConfigError(f"time_steps must be <= 65535, got {self.time_steps}")
         if self.train_batches < 1 or self.test_batches < 1:
@@ -334,8 +325,8 @@ def _set_up(cfg: ExperimentConfig) -> _RunSetup:
     ds_train, ds_test = _load_datasets(cfg)
     n_in = ds_train.images.shape[1]
     try:
-        train_sel = make_batches(ds_train, cfg.batch_size, cfg.train_batches, cfg.seed).order
-        test_sel = make_batches(ds_test, cfg.batch_size, cfg.test_batches, cfg.seed).order
+        train_sel = make_batches(ds_train, cfg.batch_size, cfg.train_batches, cfg.seed)
+        test_sel = make_batches(ds_test, cfg.batch_size, cfg.test_batches, cfg.seed)
     except ValueError as exc:  # more batches asked for than a split holds
         raise ConfigError(str(exc)) from exc
     return _RunSetup(
@@ -369,8 +360,6 @@ def _extract_splits(cfg: ExperimentConfig, run: _RunSetup, cache_dir) -> list[Fe
         path = None if cache_dir is None else _cache_file(cache_dir, digest)
         if path is not None and path.exists():
             cache = FeatureCache.load(path, expected_digest=digest)
-            # The on-disk layout carries no class count; the dataset does.
-            cache.num_classes = split.dataset.num_classes
         else:
             net = net or init_weights(run.sizes, run.dist, cfg.seed, lif=run.lif)
             cache = extract_features(net, run.enc, split.dataset, cfg.seed,
@@ -415,21 +404,22 @@ def run_experiment(cfg: ExperimentConfig, cache_dir=None) -> RunRecord:
     t_start = time.perf_counter()
     run = _set_up(cfg)
     resolved = resolved_config_dict(cfg, run.dist)
-    tcfg = TrainConfig(epochs=1, lr=cfg.adam.lr, beta1=cfg.adam.beta1,
-                       beta2=cfg.adam.beta2, eps=cfg.adam.eps, batch_size=cfg.batch_size,
-                       seed=cfg.seed, eval_every=1 if cfg.method == "ransnn" else SG_EVAL_EVERY)
+    tcfg = TrainConfig(epochs=1, adam=cfg.adam, batch_size=cfg.batch_size,
+                       eval_every=1 if cfg.method == "ransnn" else SG_EVAL_EVERY)
+    num_classes = run.train.dataset.num_classes
     if cfg.method == "ransnn":
         t0 = time.perf_counter()
         cache_train, cache_test = _extract_splits(cfg, run, cache_dir)
         feature_seconds = time.perf_counter() - t0
-        model, metrics = train_readout(cache_train, cache_test, tcfg)
+        model, metrics = train_readout(cache_train, cache_test, tcfg,
+                                       num_classes=num_classes)
         final_accuracy = evaluate(model, cache_test)
     else:
-        sgm = init_sg_model(run.sizes[0], cfg.hidden_sizes[0], _DATASET_CLASSES[cfg.dataset],
-                            cfg.seed, lif=run.lif, dist=run.dist)
+        sgm = init_sg_model(run.sizes[0], cfg.hidden_sizes[0], num_classes, cfg.seed,
+                            lif=run.lif, dist=run.dist)
         feature_seconds = 0.0
         model, metrics = train_sg(sgm, run.train.dataset, run.test.dataset, run.enc, tcfg,
-                                  train_indices=run.train.indices,
+                                  cfg.seed, train_indices=run.train.indices,
                                   test_indices=run.test.indices)
         final_accuracy = metrics[-1].test_accuracy
 

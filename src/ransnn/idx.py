@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import gzip
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -156,58 +156,23 @@ def load_dataset(image_path, label_path, num_classes: int) -> LabeledDataset:
     return LabeledDataset(images=flat, labels=lab, num_classes=int(num_classes))
 
 
-@dataclass
-class BatchIterator:
-    """Fixed-size batches over a seeded sample selection.
+def make_batches(ds: LabeledDataset, batch_size: int, num_batches: int,
+                 seed: int) -> np.ndarray:
+    """The dataset indices of num_batches full batches, taken from a seeded
+    shuffle of the dataset.
 
-    order holds the selected dataset indices (a prefix of a seeded
-    permutation); iterating yields one index array per batch. Every selected
-    sample appears in exactly one batch and any trailing partial batch was
-    dropped at construction.
-    """
-
-    batch_size: int
-    order: np.ndarray
-    num_batches: int = field(init=False)
-
-    def __post_init__(self):
-        self.num_batches = len(self.order) // self.batch_size
-
-    def __len__(self) -> int:
-        return self.num_batches
-
-    def __iter__(self):
-        for b in range(self.num_batches):
-            yield self.order[b * self.batch_size:(b + 1) * self.batch_size]
-
-
-def make_batches(ds: LabeledDataset, batch_size: int, num_batches: int | None,
-                 seed: int) -> BatchIterator:
-    """Select num_batches full batches from a seeded shuffle of the dataset.
-
-    The permutation is deterministic in the seed, so the same (dataset,
-    seed) always yields the same batch composition. num_batches=None takes
-    as many full batches as the dataset allows.
+    Batch b is entries [b * batch_size, (b + 1) * batch_size) of the
+    returned array. The permutation is deterministic in the seed, so the
+    same (dataset, seed) always yields the same batch composition.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    n = len(ds)
-    if num_batches is None:
-        num_batches = n // batch_size
     if num_batches < 0:
         raise ValueError(f"num_batches must be >= 0, got {num_batches}")
+    n = len(ds)
     needed = batch_size * num_batches
     if n < needed:
         raise ValueError(
             f"dataset has {n} samples but {num_batches} batches of "
             f"{batch_size} need {needed}")
-    perm = Rng(seed, SHUFFLE_STREAM).permutation(n)
-    return BatchIterator(batch_size=batch_size, order=perm[:needed])
-
-
-def one_hot(label: int, num_classes: int) -> np.ndarray:
-    if not 0 <= label < num_classes:
-        raise ValueError(f"label {label} out of range [0, {num_classes})")
-    vec = np.zeros(num_classes)
-    vec[label] = 1.0
-    return vec
+    return Rng(seed, SHUFFLE_STREAM).permutation(n)[:needed]

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import SpikeTrain
 from .numerics import Rng, WEIGHT_STREAM
 
 
@@ -35,13 +34,6 @@ class LifParams:
             raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
         if not self.u_thr > 0.0:
             raise ValueError(f"u_thr must be positive, got {self.u_thr}")
-
-
-@dataclass
-class LifLayerState:
-    """Mutable membrane potentials of one layer, one float64 per neuron."""
-
-    u: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -123,24 +115,6 @@ def init_weights(layer_sizes, dist: WeightDistribution, seed: int,
                            params=(lif,) * n_layers, dist=dist, seed=int(seed))
 
 
-def lif_step(state: LifLayerState, params: LifParams,
-             input_current) -> tuple[np.ndarray, LifLayerState]:
-    """Advance one layer by one step: leak + integrate, fire, subtract.
-
-    The spike decision uses the pre-reset potential of the current step, so
-    after the step every potential is <= u_thr and firing neurons keep their
-    overshoot above threshold.
-    """
-    current = np.asarray(input_current, dtype=np.float64)
-    if current.shape != state.u.shape:
-        raise ValueError(
-            f"input current shape {current.shape} does not match layer shape {state.u.shape}")
-    u_pre = params.beta * state.u + current
-    spikes = u_pre > params.u_thr
-    u_post = u_pre - params.u_thr * spikes
-    return spikes.astype(np.uint8), LifLayerState(u=u_post)
-
-
 def _buffer(scratch: dict, key, shape, dtype) -> np.ndarray:
     """A prefix of the work array kept under key, regrown only when too small."""
     size = int(np.prod(shape))
@@ -190,18 +164,9 @@ def simulate(bits: np.ndarray, weights, params, *, record: bool = False,
     return out
 
 
-def simulate_forward(net: NetworkTopology, train: SpikeTrain | np.ndarray, *,
-                     scratch: dict | None = None) -> SpikeTrain | np.ndarray:
-    """The last hidden layer's spikes for one sample's SpikeTrain (as a
-    SpikeTrain) or for a (B, T, n_in) bit array of B samples (as (B, T, n_L)
-    uint8 bits); scratch as in simulate."""
-    single = isinstance(train, SpikeTrain)
-    bits = train.bits[None] if single else train
+def simulate_forward(net: NetworkTopology, bits: np.ndarray, *,
+                     scratch: dict | None = None) -> np.ndarray:
+    """The last hidden layer's (B, T, n_L) uint8 spikes for a (B, T, n_in)
+    bit array of B samples; scratch as in simulate."""
     spikes, _ = simulate(bits, net.weights, net.params, scratch=scratch)[-1]
-    return SpikeTrain(bits=spikes[0]) if single else spikes
-
-
-def accumulate_spikes(train: SpikeTrain) -> np.ndarray:
-    """Total spikes per neuron over the window: an integer count vector in
-    [0, T]."""
-    return train.bits.sum(axis=0, dtype=np.int64)
+    return spikes

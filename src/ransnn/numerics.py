@@ -1,5 +1,5 @@
-"""Shared numeric substrate: seeded RNG streams, small dense linear algebra,
-softmax / cross-entropy, and the Adam optimizer.
+"""Shared numeric substrate: seeded RNG streams, softmax, and the Adam
+optimizer.
 
 Everything here is deterministic given its inputs. The generator is
 counter-based (Philox, keyed by ``(seed, stream_id)``), so any piece of the
@@ -83,23 +83,6 @@ class Rng:
         return self._gen.permutation(n)
 
 
-def matvec(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with a pinned summation order.
-
-    Accumulates strictly left to right over columns, which makes the result
-    bit-identical to a naive scalar triple loop. Batched hot paths elsewhere
-    use BLAS and agree with this only up to rounding.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if w.ndim != 2 or x.ndim != 1 or w.shape[1] != x.shape[0]:
-        raise ValueError(f"matvec shape mismatch: W is {w.shape}, x is {x.shape}")
-    acc = np.zeros(w.shape[0])
-    for j in range(w.shape[1]):
-        acc += w[:, j] * x[j]
-    return acc
-
-
 def softmax(z: np.ndarray) -> np.ndarray:
     """Numerically stable softmax along the last axis (max-subtraction)."""
     z = np.asarray(z, dtype=np.float64)
@@ -109,17 +92,14 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(y_true: np.ndarray, output: np.ndarray) -> float:
-    """-sum(y_true * log(output)) with probabilities clamped to >= 1e-12.
+@dataclass(frozen=True)
+class AdamConfig:
+    """Adam's step size, moment decay rates and denominator epsilon."""
 
-    ``y_true`` is a one-hot vector and ``output`` a probability vector of the
-    same length. Callers that work on batches average this over the batch.
-    """
-    y = np.asarray(y_true, dtype=np.float64)
-    p = np.asarray(output, dtype=np.float64)
-    if y.shape != p.shape:
-        raise ValueError(f"cross_entropy shape mismatch: {y.shape} vs {p.shape}")
-    return float(-(y * np.log(np.maximum(p, PROB_FLOOR))).sum())
+    lr: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
 
 
 @dataclass
@@ -129,16 +109,11 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    config: AdamConfig = AdamConfig()
 
     @classmethod
-    def zeros(cls, n: int, *, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(m=np.zeros(n), v=np.zeros(n), t=0, lr=lr, beta1=beta1,
-                   beta2=beta2, eps=eps)
+    def zeros(cls, n: int, config: AdamConfig = AdamConfig()) -> "AdamState":
+        return cls(m=np.zeros(n), v=np.zeros(n), t=0, config=config)
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray,
@@ -154,10 +129,11 @@ def adam_step(params: np.ndarray, grads: np.ndarray,
         raise ValueError(
             f"adam_step shape mismatch: params {params.shape}, grads "
             f"{grads.shape}, moments {state.m.shape}")
+    cfg = state.config
     t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grads
+    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grads * grads
+    m_hat = m / (1.0 - cfg.beta1 ** t)
+    v_hat = v / (1.0 - cfg.beta2 ** t)
+    new_params = params - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
     return new_params, dataclasses.replace(state, m=m, v=v, t=t)

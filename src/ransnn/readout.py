@@ -22,7 +22,7 @@ import numpy as np
 from .encoding import EncoderConfig, encode_sample
 from .idx import LabeledDataset
 from .network import NetworkTopology, WeightDistribution, simulate_forward
-from .numerics import (AdamState, ENCODE_TRAIN_STREAM, PROB_FLOOR, Rng,
+from .numerics import (AdamConfig, AdamState, ENCODE_TRAIN_STREAM, PROB_FLOOR, Rng,
                        adam_step, softmax)
 
 CACHE_MAGIC = b"RSNNFC01"
@@ -68,7 +68,6 @@ class FeatureCache:
     labels: np.ndarray
     time_steps: int
     source_config_digest: int
-    num_classes: int
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -123,10 +122,8 @@ class FeatureCache:
             labels = np.empty(n, dtype="<u2")
             fh.readinto(feats)
             fh.readinto(labels)
-        labels = labels.astype(np.int64)
-        num_classes = int(labels.max()) + 1 if n else 0
-        return cls(features=feats, labels=labels, time_steps=int(t),
-                   source_config_digest=int(digest), num_classes=num_classes)
+        return cls(features=feats, labels=labels.astype(np.int64), time_steps=int(t),
+                   source_config_digest=int(digest))
 
 
 def extract_features_at(net: NetworkTopology, enc: EncoderConfig,
@@ -177,8 +174,7 @@ def extract_features_at(net: NetworkTopology, enc: EncoderConfig,
                 features=feats[t], labels=labels, time_steps=t,
                 source_config_digest=feature_digest(
                     net.layer_sizes, net.dist, net.seed, net.params, encs[t],
-                    dataset_id, master_seed, stream_base, indices),
-                num_classes=dataset.num_classes)
+                    dataset_id, master_seed, stream_base, indices))
             for t in steps}
 
 
@@ -201,10 +197,6 @@ class ReadoutModel:
     bias: np.ndarray  # (num_classes,)
 
     @property
-    def num_classes(self) -> int:
-        return self.weights.shape[0]
-
-    @property
     def num_features(self) -> int:
         return self.weights.shape[1]
 
@@ -218,12 +210,8 @@ class TrainConfig:
     """
 
     epochs: int = 1
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    adam: AdamConfig = AdamConfig()
     batch_size: int = 128
-    seed: int = 0
     use_bias: bool = True
     eval_every: int = 1
 
@@ -252,47 +240,48 @@ class IterationMetrics:
     elapsed: float
 
 
-def readout_forward(model: ReadoutModel, features) -> np.ndarray:
-    """Class probabilities for one spike-count vector."""
-    f = np.asarray(features, dtype=np.float64)
-    if f.shape != (model.num_features,):
-        raise ValueError(
-            f"feature vector shape {f.shape} does not match model width "
-            f"{model.num_features}")
-    return softmax(model.weights @ f + model.bias)
+def readout_loss_grad(model: ReadoutModel, x: np.ndarray,
+                      labels: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(loss, probs, grad) for a batch: the mean clamped cross-entropy of the
+    softmax of x @ weights.T + bias against labels, those (B, C)
+    probabilities, and the loss's analytic gradient.
 
-
-def readout_grad(model: ReadoutModel, features, y_true) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic softmax cross-entropy gradients for one sample.
-
-    Returns (d_weights, d_bias); d_logits is softmax - y_true, the weight
-    gradient is its outer product with the features.
+    x is (B, n_features) float64. d_logits is (softmax - one-hot) / B; grad
+    is one flat vector holding the weight gradient d_logits.T @ x row-major,
+    then the bias gradient, d_logits' column sums.
     """
-    f = np.asarray(features, dtype=np.float64)
-    y = np.asarray(y_true, dtype=np.float64)
-    if y.shape != (model.num_classes,):
-        raise ValueError(
-            f"target shape {y.shape} does not match class count {model.num_classes}")
-    d_logits = readout_forward(model, f) - y
-    return np.outer(d_logits, f), d_logits
+    probs = softmax(x @ model.weights.T + model.bias)
+    rows = np.arange(len(labels))
+    loss = float(-np.log(np.maximum(probs[rows, labels], PROB_FLOOR)).mean())
+    d_logits = probs.copy()
+    d_logits[rows, labels] -= 1.0
+    d_logits /= len(labels)
+    n_w = model.weights.size
+    grad = np.empty(n_w + len(model.bias))
+    np.matmul(d_logits.T, x, out=grad[:n_w].reshape(model.weights.shape))
+    grad[n_w:] = d_logits.sum(axis=0)
+    return loss, probs, grad
 
 
-def _batch_loss_probs(weights, bias, x, labels):
-    """(mean clamped cross-entropy, softmax probabilities) for one batch."""
-    probs = softmax(x @ weights.T + bias)
-    picked = probs[np.arange(len(labels)), labels]
-    loss = float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
-    return loss, probs
+def _readout_view(theta: np.ndarray, num_classes: int, n_feat: int,
+                  use_bias: bool) -> ReadoutModel:
+    """The readout whose weights (row-major) and, with use_bias, bias are
+    views of the flat parameter vector theta."""
+    n_w = num_classes * n_feat
+    return ReadoutModel(weights=theta[:n_w].reshape(num_classes, n_feat),
+                        bias=theta[n_w:] if use_bias else np.zeros(num_classes))
 
 
 def train_readout(cache_train: FeatureCache, cache_test: FeatureCache,
-                  cfg: TrainConfig) -> tuple[ReadoutModel, list[IterationMetrics]]:
+                  cfg: TrainConfig, *,
+                  num_classes: int) -> tuple[ReadoutModel, list[IterationMetrics]]:
     """Train the linear readout on cached features with Adam.
 
     Batches are consecutive blocks of the training cache, visited in order
     (one Adam step per batch, any trailing partial block dropped); the whole
-    procedure is a pure function of (caches, cfg). The elapsed field times
-    only the forward/backward/update work, not metric evaluation.
+    procedure is a pure function of (caches, cfg, num_classes). Every label
+    must lie below num_classes. The elapsed field times only the
+    forward/backward/update work, not metric evaluation.
     """
     if len(cache_train) == 0 or len(cache_test) == 0:
         raise ValueError("training requires non-empty train and test caches")
@@ -300,9 +289,8 @@ def train_readout(cache_train: FeatureCache, cache_test: FeatureCache,
         raise ValueError(
             f"feature width mismatch: train {cache_train.num_features} vs "
             f"test {cache_test.num_features}")
-    num_classes = max(cache_train.num_classes, cache_test.num_classes,
-                      int(cache_train.labels.max()) + 1,
-                      int(cache_test.labels.max()) + 1)
+    if max(cache_train.labels.max(), cache_test.labels.max()) >= num_classes:
+        raise ValueError(f"a cache holds a label outside [0, {num_classes})")
     n_feat = cache_train.num_features
     batches_per_epoch = len(cache_train) // cfg.batch_size
     if batches_per_epoch == 0:
@@ -311,8 +299,7 @@ def train_readout(cache_train: FeatureCache, cache_test: FeatureCache,
 
     n_w = num_classes * n_feat
     theta = np.zeros(n_w + (num_classes if cfg.use_bias else 0))
-    state = AdamState.zeros(theta.size, lr=cfg.lr, beta1=cfg.beta1,
-                            beta2=cfg.beta2, eps=cfg.eps)
+    state = AdamState.zeros(theta.size, cfg.adam)
     x_test = cache_test.features.astype(np.float64)
     y_test = cache_test.labels
 
@@ -326,36 +313,25 @@ def train_readout(cache_train: FeatureCache, cache_test: FeatureCache,
             t0 = time.perf_counter()
             xb = cache_train.features[rows].astype(np.float64)
             yb = cache_train.labels[rows]
-            weights = theta[:n_w].reshape(num_classes, n_feat)
-            bias = theta[n_w:] if cfg.use_bias else np.zeros(num_classes)
-            loss, probs = _batch_loss_probs(weights, bias, xb, yb)
-            d_logits = probs.copy()
-            d_logits[np.arange(len(yb)), yb] -= 1.0
-            d_logits /= len(yb)
-            grad = np.empty_like(theta)
-            grad[:n_w] = (d_logits.T @ xb).ravel()
-            if cfg.use_bias:
-                grad[n_w:] = d_logits.sum(axis=0)
-            theta, state = adam_step(theta, grad, state)
+            model = _readout_view(theta, num_classes, n_feat, cfg.use_bias)
+            loss, probs, grad = readout_loss_grad(model, xb, yb)
+            theta, state = adam_step(theta, grad if cfg.use_bias else grad[:n_w], state)
             elapsed += time.perf_counter() - t0
 
             iteration += 1
             if iteration % cfg.eval_every == 0 or iteration == total_iters:
                 batch_acc = float((probs.argmax(axis=1) == yb).mean())
-                weights = theta[:n_w].reshape(num_classes, n_feat)
-                bias = theta[n_w:] if cfg.use_bias else np.zeros(num_classes)
-                test_acc = _accuracy(weights, bias, x_test, y_test)
+                test_acc = _accuracy(_readout_view(theta, num_classes, n_feat, cfg.use_bias),
+                                     x_test, y_test)
                 metrics.append(IterationMetrics(
                     iteration=iteration, train_accuracy=batch_acc,
                     test_accuracy=test_acc, loss=loss, elapsed=elapsed))
 
-    weights = theta[:n_w].reshape(num_classes, n_feat).copy()
-    bias = theta[n_w:].copy() if cfg.use_bias else np.zeros(num_classes)
-    return ReadoutModel(weights=weights, bias=bias), metrics
+    return _readout_view(theta, num_classes, n_feat, cfg.use_bias), metrics
 
 
-def _accuracy(weights, bias, x, labels) -> float:
-    preds = (x @ weights.T + bias).argmax(axis=1)
+def _accuracy(model: ReadoutModel, x, labels) -> float:
+    preds = (x @ model.weights.T + model.bias).argmax(axis=1)
     return float((preds == labels).mean())
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import EncoderConfig, SpikeTrain, encode_sample
+from .encoding import EncoderConfig, encode_sample
 from .idx import LabeledDataset
 from .network import (LifParams, WeightDistribution, _buffer, fan_in_uniform,
                       sample_weights, simulate)
@@ -129,32 +129,6 @@ def _record_tape(model: SgModel, input_bits: np.ndarray,
                     model_version=model.version)
 
 
-def sg_forward(model: SgModel, train: SpikeTrain) -> tuple[np.ndarray, BpttTape]:
-    """Run one input train through both LIF layers.
-
-    Returns the output layer's (T, C) pre-reset membrane trace (the quantity
-    the loss sees) and the tape for the reverse pass.
-    """
-    tape = _record_tape(model, train.bits[None])
-    return tape.output_u_pre[0], tape
-
-
-def sg_loss(trace, y_true) -> float:
-    """Per-step softmax cross-entropy against the target, summed over steps.
-
-    The returned value is the training loss; reporting conventions divide it
-    by the number of steps. With a single step this is plain softmax
-    cross-entropy on one membrane vector.
-    """
-    trace = np.asarray(trace, dtype=np.float64)
-    y = np.asarray(y_true, dtype=np.float64)
-    if trace.ndim != 2 or y.ndim != 1 or trace.shape[1] != y.shape[0]:
-        raise ValueError(
-            f"trace shape {trace.shape} incompatible with target shape {y.shape}")
-    log_probs = np.log(np.maximum(softmax(trace), PROB_FLOOR))
-    return float(-(log_probs @ y).sum())
-
-
 def _adjoint(drive: np.ndarray, u_pre: np.ndarray, beta: float, thr: float,
              sp: SurrogateParams, detach_reset: bool, gate: bool = False) -> np.ndarray:
     """lam(t) = dL/du_pre(t) over (B, T, n), accumulated backward through
@@ -177,8 +151,8 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true,
                   sp: SurrogateParams = SurrogateParams(), *,
                   reduction: str = "mean", detach_reset: bool = False,
                   out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse-mode gradients of the summed per-step cross-entropy with
-    respect to both weight matrices.
+    """Reverse-mode gradients of the summed per-step cross-entropy against
+    the (B, C) one-hot targets y_true with respect to both weight matrices.
 
     Wherever a spike enters the recursion -- as the next layer's input and in
     the subtractive reset term -- its local derivative is the arctan
@@ -199,10 +173,6 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true,
         raise ValueError(f"reduction must be 'mean' or 'sum', got {reduction!r}")
     n_batch, steps, n_cls = tape.output_u_pre.shape
     y = np.asarray(y_true, dtype=np.float64)
-    if y.ndim == 1:
-        if n_batch != 1:
-            raise ValueError("1-D target given for a batched tape")
-        y = y[None]
     if y.shape != (n_batch, n_cls):
         raise ValueError(f"target shape {y.shape} does not match tape batch "
                          f"({n_batch}, {n_cls})")
@@ -275,18 +245,19 @@ def evaluate_sg(model: SgModel, ds: LabeledDataset, enc: EncoderConfig,
 
 
 def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
-             enc: EncoderConfig, cfg: TrainConfig, *,
+             enc: EncoderConfig, cfg: TrainConfig, master_seed: int, *,
              train_indices=None, test_indices=None,
              surrogate: SurrogateParams = SurrogateParams(),
              detach_reset: bool = False) -> tuple[SgModel, list[IterationMetrics]]:
     """Train both weight matrices by BPTT with the arctan surrogate.
 
-    Every batch is encoded on the fly from the same per-sample streams the
-    readout path uses, so both methods see identical spike trains. One Adam
-    step per batch over epochs * (len(train_indices) // batch_size)
-    iterations; metrics are recorded every eval_every iterations and at the
-    end, with held-out accuracy measured on the full test selection. elapsed
-    covers encoding, forward, backward, and the update, but not metrics.
+    Every batch is encoded on the fly from the same per-sample streams of
+    master_seed the readout path uses, so both methods see identical spike
+    trains. One Adam step per batch over epochs * (len(train_indices) //
+    batch_size) iterations; metrics are recorded every eval_every iterations
+    and at the end, with held-out accuracy measured on the full test
+    selection. elapsed covers encoding, forward, backward, and the update,
+    but not metrics.
     Every forward and evaluation shares one set of work arrays.
     """
     if ds_train.images.shape[1] != model.n_in:
@@ -304,8 +275,7 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
             f"batch_size {cfg.batch_size} exceeds the {len(train_indices)}-sample selection")
 
     theta = np.concatenate([model.w_hidden.ravel(), model.w_out.ravel()])
-    state = AdamState.zeros(theta.size, lr=cfg.lr, beta1=cfg.beta1,
-                            beta2=cfg.beta2, eps=cfg.eps)
+    state = AdamState.zeros(theta.size, cfg.adam)
     n_wh = model.w_hidden.size
     hidden_shape, out_shape = model.w_hidden.shape, model.w_out.shape
     # The weights are views of theta from here on, so the initial arrays
@@ -324,7 +294,7 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
             sel = train_indices[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             labels = ds_train.labels[sel]
             t0 = time.perf_counter()
-            bits = _encode_batch(ds_train, sel, enc, cfg.seed, ENCODE_TRAIN_STREAM)
+            bits = _encode_batch(ds_train, sel, enc, master_seed, ENCODE_TRAIN_STREAM)
             tape = _record_tape(model, bits, scratch)
             y = np.zeros((len(sel), model.num_classes))
             y[np.arange(len(sel)), labels] = 1.0
@@ -346,7 +316,7 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
             # held-out evaluation overwrite.
             del tape, bits
             if evaluating:
-                test_acc = evaluate_sg(model, ds_test, enc, cfg.seed, test_indices,
+                test_acc = evaluate_sg(model, ds_test, enc, master_seed, test_indices,
                                        scratch=scratch)
                 metrics.append(IterationMetrics(
                     iteration=iteration, train_accuracy=batch_acc,

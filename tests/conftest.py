@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ransnn.idx import IdxTensor, LabeledDataset, write_idx
+from ransnn.network import simulate
 from ransnn.numerics import Rng
 
 
@@ -40,6 +41,20 @@ def write_dataset_idx(ds: LabeledDataset, side: int, dir_path, prefix: str,
     write_idx(images, img_path, gz=gz)
     write_idx(labels, lab_path, gz=gz)
     return img_path, lab_path
+
+
+def drive_layer(currents, lif) -> tuple[np.ndarray, np.ndarray]:
+    """One LIF layer through network.simulate with chosen (T, n) input
+    currents, exactly: input t fires only at step t and column t of the
+    weights holds currents[t], so step t adds currents[t] and nothing else.
+    Every potential starts at 0, so a first current u0 <= u_thr sets a
+    starting potential. Returns the (T, n) spikes and pre-reset potentials;
+    the post-reset potential of step t shows in step t + 1, whose u_pre is
+    beta * u_post(t) + currents[t + 1]."""
+    currents = np.asarray(currents, dtype=np.float64)
+    bits = np.eye(len(currents), dtype=np.uint8)[None]
+    [(spikes, u_pre)] = simulate(bits, (currents.T.copy(),), (lif,), record=True)
+    return spikes[0], u_pre[0]
 
 
 @pytest.fixture

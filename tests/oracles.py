@@ -8,16 +8,14 @@ from __future__ import annotations
 import numpy as np
 
 
-def naive_matvec(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Scalar triple loop, accumulating left to right over columns."""
-    rows, cols = w.shape
-    out = np.zeros(rows)
-    for i in range(rows):
-        acc = 0.0
-        for j in range(cols):
-            acc += w[i, j] * x[j]
-        out[i] = acc
-    return out
+def cross_entropy(y_true, output) -> float:
+    """-sum(y_true * log(output)) for a one-hot y_true and a probability
+    vector of the same length, with probabilities clamped to >= 1e-12."""
+    y = np.asarray(y_true, dtype=np.float64)
+    p = np.asarray(output, dtype=np.float64)
+    if y.shape != p.shape:
+        raise ValueError(f"cross_entropy shape mismatch: {y.shape} vs {p.shape}")
+    return float(-(y * np.log(np.maximum(p, 1e-12))).sum())
 
 
 def central_difference_grad(loss_fn, theta: np.ndarray, step: float = 1e-5) -> np.ndarray:

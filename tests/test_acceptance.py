@@ -16,8 +16,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import blob_dataset, write_dataset_idx
-from oracles import (central_difference_grad, leak_decay_sequence,
+from conftest import blob_dataset, drive_layer, write_dataset_idx
+from oracles import (central_difference_grad, cross_entropy, leak_decay_sequence,
                      linear_filter_membrane, relative_error,
                      sg_forward_mode_grads)
 from ransnn.cli import main as cli_main
@@ -26,11 +26,10 @@ from ransnn.harness import (ExperimentConfig, SweepSpec, compare_methods,
                             config_from_dict, resolve_dataset_paths,
                             run_experiment, run_sweep, summarize_sweep)
 from ransnn.idx import load_dataset, parse_idx
-from ransnn.network import (LifLayerState, LifParams, Uniform, accumulate_spikes,
-                            init_weights, lif_step, simulate_forward)
-from ransnn.numerics import Rng, cross_entropy
-from ransnn.readout import ReadoutModel, extract_features, readout_forward, readout_grad
-from ransnn.sg import bptt_backward, init_sg_model, sg_forward
+from ransnn.network import LifParams, Uniform, init_weights, simulate, simulate_forward
+from ransnn.numerics import Rng, softmax
+from ransnn.readout import ReadoutModel, extract_features, readout_loss_grad
+from ransnn.sg import _record_tape, bptt_backward, init_sg_model
 
 ACCEPT_SEED = 1234
 
@@ -176,19 +175,16 @@ class TestCriterion08GradientCorrectness:
             label = int(rng.uniform(0, num_classes, 1)[0])
             y = np.zeros(num_classes)
             y[label] = 1.0
-            d_w, d_b = readout_grad(model, features, y)
+            _, _, analytic = readout_loss_grad(model, features[None], np.array([label]))
 
             def loss_fn(theta):
-                m = ReadoutModel(
-                    weights=theta[:num_classes * num_features].reshape(
-                        num_classes, num_features),
-                    bias=theta[num_classes * num_features:])
-                return cross_entropy(y, readout_forward(m, features))
+                w = theta[:num_classes * num_features].reshape(num_classes, num_features)
+                b = theta[num_classes * num_features:]
+                return cross_entropy(y, softmax(w @ features + b))
 
             theta0 = np.concatenate([model.weights.ravel(), model.bias])
             numeric = central_difference_grad(loss_fn, theta0, step=1e-5)
-            worst = max(worst,
-                        relative_error(np.concatenate([d_w.ravel(), d_b]), numeric))
+            worst = max(worst, relative_error(analytic, numeric))
         ok = worst < 1e-6
         report("8a", "readout analytic grad vs central differences", ok,
                f"worst relative error {worst:.2e} over 100 instances")
@@ -203,8 +199,8 @@ class TestCriterion08GradientCorrectness:
             train = poisson_encode(np.full(4, 0.6), 5, Rng(5000 + trial, 5))
             y = np.zeros(3)
             y[trial % 3] = 1.0
-            _, tape = sg_forward(model, train)
-            d_wh, d_wo = bptt_backward(model, tape, y, reduction="sum")
+            tape = _record_tape(model, train.bits[None])
+            d_wh, d_wo = bptt_backward(model, tape, y[None], reduction="sum")
             ref_wh, ref_wo = sg_forward_mode_grads(model.w_hidden, model.w_out,
                                                    lif.beta, lif.u_thr,
                                                    train.bits, y)
@@ -224,7 +220,7 @@ class TestCriterion09DynamicsInvariants:
             steps = 5 + seed
             net = init_weights([12, 9], Uniform(-1.0, 1.0), seed=seed)
             train = poisson_encode(rng.uniform(0, 1, 12), steps, Rng(seed, 1))
-            counts = accumulate_spikes(simulate_forward(net, train))
+            counts = simulate_forward(net, train.bits[None])[0].sum(axis=0)
             ok &= bool(np.all(counts >= 0) and np.all(counts <= steps))
         report("9a", "spike counts within [0, T]", ok)
         assert ok
@@ -232,18 +228,18 @@ class TestCriterion09DynamicsInvariants:
     def test_reset_by_subtraction_bounds_post_state(self):
         # Drive bounded by u_thr per step keeps u_pre <= 2*u_thr, so one
         # subtraction always lands at or below threshold; firing neurons
-        # shed exactly u_thr.
+        # shed exactly u_thr. Step t's post-reset state shows in step t+1.
         params = LifParams(beta=0.95, u_thr=1.0)
-        state = LifLayerState(u=np.zeros(32))
         rng = Rng(7, 0)
+        currents = np.vstack([rng.uniform(-2.0, params.u_thr, 200 * 32).reshape(200, 32),
+                              np.zeros(32)])
+        spikes, u_pre = drive_layer(currents, params)
         ok = True
-        for _ in range(200):
-            current = rng.uniform(-2.0, params.u_thr, 32)
-            u_pre = params.beta * state.u + current
-            spikes, state = lif_step(state, params, current)
-            fired = spikes == 1
-            ok &= bool(np.all(state.u <= params.u_thr))
-            ok &= bool(np.array_equal(state.u[fired], (u_pre - params.u_thr)[fired]))
+        for t in range(200):
+            fired = spikes[t] == 1
+            u_post = np.where(fired, u_pre[t] - params.u_thr, u_pre[t])
+            ok &= bool(np.all(u_post <= params.u_thr))
+            ok &= bool(np.array_equal(u_pre[t + 1], params.beta * u_post + currents[t + 1]))
         report("9b", "reset-by-subtraction post-state <= u_thr", ok)
         assert ok
 
@@ -251,11 +247,10 @@ class TestCriterion09DynamicsInvariants:
         params = LifParams(beta=0.95, u_thr=1.0)
         u0 = Rng(11, 0).uniform(0.0, 0.9, 16)
         expected = leak_decay_sequence(u0, params.beta, steps=60)
-        state = LifLayerState(u=u0.copy())
+        _, u_pre = drive_layer(np.vstack([u0, np.zeros((60, 16))]), params)
         ok = True
         for k in range(60):
-            _, state = lif_step(state, params, np.zeros(16))
-            ok &= bool(np.array_equal(state.u, expected[k]))
+            ok &= bool(np.array_equal(u_pre[k + 1], expected[k]))
         report("9c", "pure leak decay u(k) = beta^k u(0) exact", ok)
         assert ok
 
@@ -266,12 +261,10 @@ class TestCriterion09DynamicsInvariants:
             net = init_weights([6, 8], Uniform(-0.05, 0.05), seed=seed, lif=lif)
             train = poisson_encode(Rng(seed, 2).uniform(0, 1, 6), 12, Rng(seed, 3))
             expected = linear_filter_membrane(net.weights[0], lif.beta, train.bits)
-            state = LifLayerState(u=np.zeros(8))
-            for t in range(12):
-                current = train.bits[t].astype(np.float64) @ net.weights[0].T
-                spikes, state = lif_step(state, lif, current)
-                assert not spikes.any()
-                worst = max(worst, float(np.max(np.abs(state.u - expected[t]))))
+            [(spikes, u_pre)] = simulate(train.bits[None], net.weights, net.params,
+                                         record=True)
+            assert not spikes.any()
+            worst = max(worst, float(np.max(np.abs(u_pre[0] - expected))))
         ok = worst <= 1e-12
         report("9d", "sub-threshold linearity vs convolution oracle", ok,
                f"worst deviation {worst:.2e}")

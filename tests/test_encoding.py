@@ -74,7 +74,7 @@ class TestPoissonEncode:
 
     def test_shape(self):
         train = poisson_encode(np.full(7, 0.3), 13, Rng(0, 0))
-        assert train.time_steps == 13 and train.neurons == 7
+        assert train.bits.shape == (13, 7)
         assert train.bits.dtype == np.uint8
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])

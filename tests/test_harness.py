@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import tempfile
 import time
 from dataclasses import replace
@@ -9,12 +10,13 @@ import pytest
 
 from conftest import blob_dataset, write_dataset_idx
 from ransnn.cli import _split_values, main
+from ransnn.encoding import EncoderConfig
 from ransnn.harness import (ConfigError, ExperimentConfig, SweepSpec,
                             apply_sweep_value, compare_methods, config_digest,
                             config_from_dict, config_from_file, emit_metrics,
                             parse_dist, record_to_dict, resolved_config_dict,
                             run_experiment, run_sweep, summarize_sweep)
-from ransnn.network import Normal, Uniform, fan_in_uniform, init_weights
+from ransnn.network import LifParams, Normal, Uniform, fan_in_uniform, init_weights
 from ransnn.sg import init_sg_model
 
 TINY = {
@@ -80,6 +82,16 @@ class TestConfig:
         cfg = tiny_config(method="sg", hidden_sizes=[16, 16])
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    @pytest.mark.parametrize("field,value,owner", [("beta", 1.0, LifParams),
+                                                   ("u_thr", 0.0, LifParams),
+                                                   ("time_steps", 0, EncoderConfig)])
+    def test_neuron_and_encoder_values_rejected_with_their_dataclass_message(
+            self, field, value, owner):
+        with pytest.raises(ValueError) as built:
+            owner(**{field: value})
+        with pytest.raises(ConfigError, match=re.escape(str(built.value))):
+            tiny_config(**{field: value}).validate()
 
     def test_bad_enum_values(self):
         with pytest.raises(ConfigError):
@@ -447,6 +459,8 @@ class TestCli:
     def test_unknown_field_exit_code(self, use_data_dir, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**TINY, "nonsense": 1}))
+        assert main(["run", "--config", str(path)]) == 1
+        path.write_text(json.dumps({**TINY, "adam": {"lr": 0.01, "momentum": 0.9}}))
         assert main(["run", "--config", str(path)]) == 1
 
     def test_malformed_json_exit_code(self, use_data_dir, tmp_path):

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import drive_layer
 from oracles import leak_decay_sequence, linear_filter_membrane
-from ransnn.encoding import SpikeTrain, poisson_encode
-from ransnn.network import (LifLayerState, LifParams, NetworkTopology, Normal,
-                            Uniform, accumulate_spikes, fan_in_uniform,
-                            init_weights, lif_step, simulate, simulate_forward)
-from ransnn.numerics import Rng
+from ransnn.encoding import EncoderConfig, encode_sample, poisson_encode
+from ransnn.idx import LabeledDataset
+from ransnn.network import (LifParams, NetworkTopology, Normal, Uniform,
+                            fan_in_uniform, init_weights, simulate, simulate_forward)
+from ransnn.numerics import ENCODE_TRAIN_STREAM, Rng
+from ransnn.readout import extract_features, extract_features_at
 
 
 class TestLifParams:
@@ -75,75 +77,73 @@ class TestInitWeights:
 
 
 class TestLifStep:
+    """One LIF step as the simulation kernel takes it, driven by chosen
+    currents (conftest.drive_layer)."""
+
     def test_spike_and_subtractive_reset(self):
-        state = LifLayerState(u=np.array([0.5]))
-        spikes, new_state = lif_step(state, LifParams(beta=0.95, u_thr=1.0),
-                                     np.array([0.6]))
+        lif = LifParams(beta=0.95, u_thr=1.0)
+        spikes, u_pre = drive_layer([[0.5], [0.6], [0.0]], lif)
         # 0.95 * 0.5 + 0.6 = 1.075 > 1 -> spike, then 1.075 - 1 = 0.075
-        assert spikes[0] == 1
-        assert new_state.u[0] == pytest.approx(0.075, abs=1e-12)
+        assert spikes[:, 0].tolist() == [0, 1, 0]
+        assert u_pre[1, 0] == 0.95 * 0.5 + 0.6
+        assert u_pre[1, 0] - 1.0 == pytest.approx(0.075, abs=1e-12)
+        assert u_pre[2, 0] == 0.95 * (u_pre[1, 0] - 1.0)
 
     def test_rest_state_stays_at_rest(self):
-        state = LifLayerState(u=np.zeros(3))
-        spikes, new_state = lif_step(state, LifParams(), np.zeros(3))
-        assert np.array_equal(spikes, np.zeros(3, dtype=np.uint8))
-        assert np.array_equal(new_state.u, np.zeros(3))
+        spikes, u_pre = drive_layer(np.zeros((4, 3)), LifParams())
+        assert np.array_equal(spikes, np.zeros((4, 3), dtype=np.uint8))
+        assert np.array_equal(u_pre, np.zeros((4, 3)))
 
     def test_subthreshold_no_spike(self):
-        state = LifLayerState(u=np.array([0.9]))
-        spikes, new_state = lif_step(state, LifParams(beta=0.95, u_thr=1.0),
-                                     np.array([0.05]))
-        assert spikes[0] == 0
-        assert new_state.u[0] == pytest.approx(0.905, abs=1e-12)
+        lif = LifParams(beta=0.95, u_thr=1.0)
+        spikes, u_pre = drive_layer([[0.9], [0.05], [0.0]], lif)
+        assert not spikes.any()
+        assert u_pre[1, 0] == pytest.approx(0.905, abs=1e-12)
+        assert u_pre[2, 0] == 0.95 * u_pre[1, 0]
 
     def test_threshold_is_strict(self):
-        # u_pre exactly at threshold: no spike.
-        state = LifLayerState(u=np.zeros(1))
-        spikes, new_state = lif_step(state, LifParams(beta=0.5, u_thr=1.0),
-                                     np.array([1.0]))
-        assert spikes[0] == 0
-        assert new_state.u[0] == 1.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            lif_step(LifLayerState(u=np.zeros(3)), LifParams(), np.zeros(4))
+        # u_pre exactly at threshold: no spike, and no reset.
+        spikes, u_pre = drive_layer([[1.0], [0.0]], LifParams(beta=0.5, u_thr=1.0))
+        assert spikes[0, 0] == 0
+        assert u_pre[0, 0] == 1.0
+        assert u_pre[1, 0] == 0.5
 
     @given(st.integers(0, 2**31), st.floats(0.0, 0.99), st.floats(0.1, 3.0))
     @settings(max_examples=80, deadline=None)
     def test_reset_soundness(self, seed, beta, u_thr):
         # With per-step drive bounded by u_thr the pre-reset potential can
         # never exceed 2 * u_thr, so one subtraction always lands at or
-        # below threshold.
+        # below threshold. The first current sets the starting potentials
+        # and the last, zero, one reads the fifth step's post-reset state.
         params = LifParams(beta=beta, u_thr=u_thr)
         rng = Rng(seed, 0)
-        state = LifLayerState(u=rng.uniform(-1.0, min(u_thr, 1.0), 16))
-        for _ in range(5):
-            current = rng.uniform(-3.0 * u_thr, u_thr, 16)
-            u_pre = params.beta * state.u + current
-            spikes, state = lif_step(state, params, current)
-            assert np.all(state.u <= params.u_thr)
-            fired = spikes == 1
-            assert np.array_equal(state.u[fired], (u_pre - params.u_thr)[fired])
-            assert np.array_equal(state.u[~fired], u_pre[~fired])
+        currents = np.vstack([rng.uniform(-1.0, min(u_thr, 1.0), 16),
+                              rng.uniform(-3.0 * u_thr, u_thr, 5 * 16).reshape(5, 16),
+                              np.zeros(16)])
+        spikes, u_pre = drive_layer(currents, params)
+        assert not spikes[0].any()
+        for t in range(1, 6):
+            fired = spikes[t] == 1
+            assert np.array_equal(fired, u_pre[t] > params.u_thr)
+            u_post = np.where(fired, u_pre[t] - params.u_thr, u_pre[t])
+            assert np.all(u_post <= params.u_thr)
+            assert np.array_equal(u_pre[t + 1], params.beta * u_post + currents[t + 1])
 
     def test_overdrive_subtracts_exactly_once(self):
         # A step that overshoots past 2 * u_thr still sheds exactly one
         # threshold's worth of potential: the reset is a single subtraction.
-        state = LifLayerState(u=np.zeros(1))
-        spikes, new_state = lif_step(state, LifParams(beta=0.9, u_thr=1.0),
-                                     np.array([3.5]))
-        assert spikes[0] == 1
-        assert new_state.u[0] == 2.5
+        spikes, u_pre = drive_layer([[3.5], [0.0]], LifParams(beta=0.9, u_thr=1.0))
+        assert spikes[0, 0] == 1
+        assert u_pre[1, 0] == 0.9 * 2.5
 
     def test_pure_leak_decay_exact(self):
         params = LifParams(beta=0.95, u_thr=1.0)
         u0 = Rng(4, 0).uniform(0.0, 0.9, 8)
         expected = leak_decay_sequence(u0, params.beta, steps=40)
-        state = LifLayerState(u=u0.copy())
+        spikes, u_pre = drive_layer(np.vstack([u0, np.zeros((40, 8))]), params)
+        assert not spikes.any()
         for k in range(40):
-            spikes, state = lif_step(state, params, np.zeros(8))
-            assert not spikes.any()
-            assert np.array_equal(state.u, expected[k])
+            assert np.array_equal(u_pre[k + 1], expected[k])
 
 
 class TestSimulateForward:
@@ -152,37 +152,37 @@ class TestSimulateForward:
 
     def test_silence_propagates(self):
         net = self._net([10, 20, 5], 0.5)
-        silent = SpikeTrain(bits=np.zeros((25, 10), dtype=np.uint8))
-        out = simulate_forward(net, silent)
-        assert out.bits.sum() == 0
-        assert out.bits.shape == (25, 5)
+        out = simulate_forward(net, np.zeros((1, 25, 10), dtype=np.uint8))
+        assert out.sum() == 0
+        assert out.shape == (1, 25, 5)
 
     def test_strong_identity_drive_fires_every_step(self):
         lif = LifParams(beta=0.95, u_thr=1.0)
         w = (2.0 * lif.u_thr * np.eye(4))
         net = NetworkTopology(layer_sizes=(4, 4), weights=(w,), params=(lif,),
                               dist=Uniform(-1, 1), seed=0)
-        always_on = SpikeTrain(bits=np.ones((10, 4), dtype=np.uint8))
-        out = simulate_forward(net, always_on)
-        assert np.all(out.bits == 1)
+        out = simulate_forward(net, np.ones((1, 10, 4), dtype=np.uint8))
+        assert np.all(out == 1)
 
     def test_deterministic(self):
         net = self._net([12, 30], 0.4, seed=5)
         train = poisson_encode(Rng(1, 0).uniform(0, 1, 12), 20, Rng(2, 0))
-        a = simulate_forward(net, train)
-        b = simulate_forward(net, train)
-        assert np.array_equal(a.bits, b.bits)
+        a = simulate_forward(net, train.bits[None])
+        b = simulate_forward(net, train.bits[None])
+        assert np.array_equal(a, b)
 
     def test_matches_stepwise_lif_composition_bitwise(self):
         net = self._net([9, 14], 0.6, seed=8)
+        lif = net.params[0]
         train = poisson_encode(Rng(3, 0).uniform(0, 1, 9), 15, Rng(4, 0))
-        out = simulate_forward(net, train)
-        state = LifLayerState(u=np.zeros(14))
+        out = simulate_forward(net, train.bits[None])[0]
+        u = np.zeros(14)
         w = net.weights[0]
         for t in range(15):
-            current = train.bits[t].astype(np.float64) @ w.T
-            spikes, state = lif_step(state, net.params[0], current)
-            assert np.array_equal(out.bits[t], spikes)
+            u = lif.beta * u + train.bits[t].astype(np.float64) @ w.T
+            spikes = u > lif.u_thr
+            assert np.array_equal(out[t], spikes)
+            u = u - lif.u_thr * spikes
 
     def test_subthreshold_linearity_matches_convolution_oracle(self):
         # Inputs scaled so nothing ever crosses threshold: the membrane must
@@ -191,25 +191,21 @@ class TestSimulateForward:
         net = self._net([6, 8], 0.05, seed=13, lif=lif)
         train = poisson_encode(Rng(5, 0).uniform(0, 1, 6), 12, Rng(6, 0))
         expected = linear_filter_membrane(net.weights[0], lif.beta, train.bits)
-
-        state = LifLayerState(u=np.zeros(8))
-        for t in range(12):
-            current = train.bits[t].astype(np.float64) @ net.weights[0].T
-            spikes, state = lif_step(state, lif, current)
-            assert not spikes.any()
-            assert np.max(np.abs(state.u - expected[t])) <= 1e-12
+        [(spikes, u_pre)] = simulate(train.bits[None], net.weights, net.params, record=True)
+        assert not spikes.any()
+        assert np.max(np.abs(u_pre[0] - expected)) <= 1e-12
 
     def test_input_width_mismatch(self):
         net = self._net([10, 5], 0.3)
         with pytest.raises(ValueError):
-            simulate_forward(net, SpikeTrain(bits=np.zeros((5, 11), dtype=np.uint8)))
+            simulate_forward(net, np.zeros((1, 5, 11), dtype=np.uint8))
 
     def test_two_layer_network_runs(self):
         net = self._net([10, 16, 6], 0.8, seed=2)
         train = poisson_encode(Rng(7, 0).uniform(0.4, 1.0, 10), 25, Rng(8, 0))
-        out = simulate_forward(net, train)
-        assert out.bits.shape == (25, 6)
-        assert np.isin(out.bits, (0, 1)).all()
+        out = simulate_forward(net, train.bits[None])
+        assert out.shape == (1, 25, 6)
+        assert np.isin(out, (0, 1)).all()
 
 
 class TestSimulatePrefix:
@@ -236,24 +232,54 @@ class TestSimulatePrefix:
 
 
 class TestAccumulateSpikes:
+    """Spike counts as feature extraction accumulates them: per hidden
+    neuron, the number of steps of the window in which it fired."""
+
+    @staticmethod
+    def _dataset(images):
+        images = np.asarray(images, dtype=np.uint8)
+        return LabeledDataset(images=images, labels=np.zeros(len(images), dtype=np.int64),
+                              num_classes=1)
+
+    @staticmethod
+    def _identity_net(n, gain):
+        lif = LifParams(beta=0.95, u_thr=1.0)
+        return NetworkTopology(layer_sizes=(n, n), weights=(gain * np.eye(n),),
+                               params=(lif,), dist=Uniform(-1, 1), seed=0)
+
     def test_all_zero(self):
-        counts = accumulate_spikes(SpikeTrain(bits=np.zeros((25, 4), dtype=np.uint8)))
-        assert np.array_equal(counts, np.zeros(4, dtype=np.int64))
+        # A zero pixel never fires, so nothing downstream does.
+        ds = self._dataset(np.zeros((3, 4)))
+        cache = extract_features(self._identity_net(4, 2.0), EncoderConfig(time_steps=25),
+                                 ds, master_seed=0)
+        assert np.array_equal(cache.features, np.zeros((3, 4), dtype=np.uint16))
 
     def test_saturated(self):
-        counts = accumulate_spikes(SpikeTrain(bits=np.ones((25, 4), dtype=np.uint8)))
-        assert np.array_equal(counts, np.full(4, 25))
+        # A pixel at the image's maximum fires every step, and a drive of
+        # 2 * u_thr fires its neuron every step.
+        ds = self._dataset(np.full((3, 4), 255))
+        cache = extract_features(self._identity_net(4, 2.0), EncoderConfig(time_steps=25),
+                                 ds, master_seed=0)
+        assert np.array_equal(cache.features, np.full((3, 4), 25))
 
     def test_direct_summation(self):
-        bits = np.zeros((10, 8), dtype=np.uint8)
-        bits[[0, 3, 7], 5] = 1
-        assert accumulate_spikes(SpikeTrain(bits=bits))[5] == 3
+        # The count over the first t steps grows by exactly the spike the
+        # neuron emitted at step t.
+        ds = self._dataset(Rng(3, 0).uniform(0, 256, 2 * 8).reshape(2, 8))
+        net = init_weights([8, 6], Uniform(-1.0, 1.0), seed=4)
+        caches = extract_features_at(net, EncoderConfig(), ds, 5, range(1, 11))
+        for k in range(len(ds)):
+            bits = encode_sample(ds.images[k], EncoderConfig(time_steps=10),
+                                 Rng(5, ENCODE_TRAIN_STREAM + k)).bits
+            raster = simulate_forward(net, bits[None])[0]
+            assert raster.any() and not raster.all()
+            counts = np.stack([caches[t].features[k] for t in range(1, 11)]).astype(int)
+            assert np.array_equal(np.diff(counts, axis=0, prepend=0), raster)
 
     @given(st.integers(1, 40), st.integers(1, 30), st.integers(0, 2**31))
     @settings(max_examples=60, deadline=None)
     def test_counts_bounded_by_window(self, steps, neurons, seed):
-        p = Rng(seed, 0).uniform(0, 1, neurons)
+        ds = self._dataset(Rng(seed, 0).uniform(0, 256, 2 * neurons).reshape(2, neurons))
         net = init_weights([neurons, 10], Uniform(-1.0, 1.0), seed=seed)
-        train = poisson_encode(p, steps, Rng(seed, 1))
-        counts = accumulate_spikes(simulate_forward(net, train))
+        counts = extract_features(net, EncoderConfig(time_steps=steps), ds, seed).features
         assert np.all(counts >= 0) and np.all(counts <= steps)

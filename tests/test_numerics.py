@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import naive_matvec
-from ransnn.numerics import AdamState, Rng, adam_step, cross_entropy, matvec, softmax
+from oracles import cross_entropy
+from ransnn.numerics import AdamConfig, AdamState, Rng, adam_step, softmax
 
 
 class TestRng:
@@ -65,33 +65,6 @@ class TestRng:
         assert np.array_equal(a, b)
 
 
-class TestMatvec:
-    def test_identity(self):
-        x = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(matvec(np.eye(3), x), x)
-
-    def test_zero_matrix_annihilates(self):
-        assert np.array_equal(matvec(np.zeros((2, 3)), np.array([4.0, 5.0, 6.0])),
-                              np.zeros(2))
-
-    def test_hand_arithmetic(self):
-        w = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matvec(w, np.array([1.0, 1.0])), np.array([3.0, 7.0]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            matvec(np.zeros((2, 3)), np.zeros(4))
-
-    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
-                                                   min_side=1, max_side=8),
-                      elements=st.floats(-1e3, 1e3)),
-           st.integers(0, 2**31))
-    @settings(max_examples=60, deadline=None)
-    def test_bitwise_matches_naive_scalar_loop(self, w, seed):
-        x = Rng(seed, 0).uniform(-10.0, 10.0, w.shape[1])
-        assert np.array_equal(matvec(w, x), naive_matvec(w, x))
-
-
 class TestSoftmax:
     def test_symmetry(self):
         assert np.array_equal(softmax(np.array([0.0, 0.0])), np.array([0.5, 0.5]))
@@ -123,6 +96,8 @@ class TestSoftmax:
 
 
 class TestCrossEntropy:
+    """The oracle the readout and SG loss tests compare against."""
+
     def test_perfect_prediction_is_zero(self):
         y = np.zeros(5)
         y[2] = 1.0
@@ -163,7 +138,7 @@ class TestAdam:
         # -lr * g / (|g| + eps).
         params = np.array([1.0, -2.0])
         grads = np.array([0.5, 0.5])
-        state = AdamState.zeros(2, lr=1e-3)
+        state = AdamState.zeros(2, AdamConfig(lr=1e-3))
         new_params, new_state = adam_step(params, grads, state)
         expected = params - 1e-3 * 0.5 / (0.5 + 1e-8)
         assert np.allclose(new_params, expected, rtol=1e-12)
@@ -171,12 +146,14 @@ class TestAdam:
 
     def test_first_step_magnitude_close_to_lr(self):
         params = np.zeros(1)
-        new_params, _ = adam_step(params, np.array([0.5]), AdamState.zeros(1, lr=1e-3))
+        new_params, _ = adam_step(params, np.array([0.5]),
+                                  AdamState.zeros(1, AdamConfig(lr=1e-3)))
         assert new_params[0] == pytest.approx(-1e-3, rel=1e-6)
 
     def test_sign_following_negative_gradient(self):
         params = np.zeros(1)
-        new_params, _ = adam_step(params, np.array([-0.01]), AdamState.zeros(1, lr=1e-3))
+        new_params, _ = adam_step(params, np.array([-0.01]),
+                                  AdamState.zeros(1, AdamConfig(lr=1e-3)))
         assert new_params[0] == pytest.approx(1e-3, rel=1e-6)
 
     def test_zero_gradient_fresh_state_is_noop(self):

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import (central_difference_grad, reference_cache_bytes, reference_lif_stack,
-                     relative_error)
+from oracles import (central_difference_grad, cross_entropy, reference_cache_bytes,
+                     reference_lif_stack, relative_error)
 from ransnn.encoding import EncoderConfig, encode_sample
 from ransnn.idx import LabeledDataset
-from ransnn.network import (Uniform, accumulate_spikes, fan_in_uniform, init_weights,
-                            simulate_forward)
-from ransnn.numerics import ENCODE_TRAIN_STREAM, Rng, cross_entropy
-from ransnn.readout import (FeatureCache, ReadoutModel,
-                            TrainConfig, evaluate, extract_features,
-                            extract_features_at, readout_forward, readout_grad, train_readout)
+from ransnn.network import Uniform, fan_in_uniform, init_weights, simulate_forward
+from ransnn.numerics import ENCODE_TRAIN_STREAM, Rng, softmax
+from ransnn.readout import (FeatureCache, ReadoutModel, TrainConfig, evaluate,
+                            extract_features, extract_features_at, readout_loss_grad,
+                            train_readout)
 
 
 def random_model(num_classes, num_features, seed=0, scale=0.5):
@@ -21,13 +20,10 @@ def random_model(num_classes, num_features, seed=0, scale=0.5):
         bias=rng.normal(0, scale, num_classes))
 
 
-def counts_cache(features, labels, time_steps=25, num_classes=None):
-    features = np.asarray(features, dtype=np.uint16)
-    labels = np.asarray(labels, dtype=np.int64)
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1 if labels.size else 0
-    return FeatureCache(features=features, labels=labels, time_steps=time_steps,
-                        source_config_digest=0, num_classes=num_classes)
+def counts_cache(features, labels, time_steps=25):
+    return FeatureCache(features=np.asarray(features, dtype=np.uint16),
+                        labels=np.asarray(labels, dtype=np.int64), time_steps=time_steps,
+                        source_config_digest=0)
 
 
 class TestExtractFeatures:
@@ -65,7 +61,7 @@ class TestExtractFeatures:
         for k in range(len(ds)):
             rng = Rng(11, ENCODE_TRAIN_STREAM + k)
             train = encode_sample(ds.images[k], enc, rng)
-            counts = accumulate_spikes(simulate_forward(net, train))
+            counts = simulate_forward(net, train.bits[None])[0].sum(axis=0)
             assert np.array_equal(cache.features[k], counts.astype(np.uint16))
 
     def test_independent_of_grouping_and_order(self):
@@ -124,7 +120,7 @@ class TestExtractionBatchInvariance:
             assert cache.features.any()
             for k, idx in enumerate(sel):
                 train = encode_sample(ds.images[idx], enc, Rng(21, ENCODE_TRAIN_STREAM + int(idx)))
-                counts = accumulate_spikes(simulate_forward(net, train))
+                counts = simulate_forward(net, train.bits[None])[0].sum(axis=0)
                 assert np.array_equal(cache.features[k], counts)
                 old_bits = reference_lif_stack(net.weights, net.params, train.bits[None])[-1][0]
                 assert np.array_equal(cache.features[k], old_bits[0].sum(axis=0))
@@ -151,7 +147,6 @@ class TestExtractFeaturesAt:
             assert np.array_equal(cache.labels, direct.labels)
             assert cache.time_steps == direct.time_steps == t
             assert cache.source_config_digest == direct.source_config_digest
-            assert cache.num_classes == direct.num_classes
         assert len({c.source_config_digest for c in caches.values()}) == 3
 
     def test_no_window_rejected(self):
@@ -202,7 +197,6 @@ class TestFeatureCacheFile:
         assert loaded.features.dtype == np.uint16 and loaded.labels.dtype == np.int64
         assert np.array_equal(loaded.features, cache.features)
         assert np.array_equal(loaded.labels, cache.labels)
-        assert loaded.num_classes == (cache.num_classes if n else 0)
 
     def test_non_contiguous_features_saved_by_value(self, tmp_path):
         wide = counts_cache(Rng(5, 0).uniform(0, 26, 40).reshape(4, 10), np.arange(4))
@@ -262,10 +256,16 @@ class TestFeatureCacheFile:
             FeatureCache.load(path)
 
 
+def loss_grad(model, features, label):
+    """readout_loss_grad for the single spike-count vector features."""
+    x = np.asarray(features, dtype=np.float64)[None]
+    return readout_loss_grad(model, x, np.array([label]))
+
+
 class TestReadoutForward:
     def test_zero_model_is_uniform(self):
         model = ReadoutModel(weights=np.zeros((4, 6)), bias=np.zeros(4))
-        probs = readout_forward(model, np.arange(6))
+        _, probs, _ = loss_grad(model, np.arange(6), 0)
         assert np.allclose(probs, 0.25, atol=1e-15)
 
     def test_always_firing_neuron_drives_its_class(self):
@@ -274,19 +274,20 @@ class TestReadoutForward:
         model = ReadoutModel(weights=weights, bias=np.zeros(5))
         counts = np.zeros(8)
         counts[2] = 25.0
-        probs = readout_forward(model, counts)
+        _, probs, _ = loss_grad(model, counts, 0)
         assert probs.argmax() == 3
 
     def test_probabilities_sum_to_one(self):
         model = random_model(7, 11, seed=5)
-        for seed in range(10):
-            counts = Rng(seed, 0).uniform(0, 25, 11)
-            assert abs(readout_forward(model, counts).sum() - 1.0) <= 1e-12
+        counts = Rng(0, 0).uniform(0, 25, 10 * 11).reshape(10, 11)
+        _, probs, _ = readout_loss_grad(model, counts, np.arange(10) % 7)
+        assert probs.shape == (10, 7)
+        assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-12)
 
     def test_shape_mismatch(self):
         model = random_model(3, 4)
         with pytest.raises(ValueError):
-            readout_forward(model, np.zeros(5))
+            loss_grad(model, np.zeros(5), 0)
 
 
 class TestReadoutGrad:
@@ -296,17 +297,19 @@ class TestReadoutGrad:
         weights[1, 0] = 100.0
         model = ReadoutModel(weights=weights, bias=np.zeros(3))
         features = np.array([10.0, 0.0, 0.0, 0.0])
-        y = np.array([0.0, 1.0, 0.0])
-        d_w, d_b = readout_grad(model, features, y)
-        assert np.max(np.abs(d_w)) < 1e-12
-        assert np.max(np.abs(d_b)) < 1e-12
+        loss, _, grad = loss_grad(model, features, 1)
+        assert loss < 1e-12
+        assert grad.shape == (3 * 4 + 3,)
+        assert np.max(np.abs(grad)) < 1e-12
 
     def test_zero_features_leave_weight_gradient_zero(self):
         model = random_model(4, 5, seed=2)
         y = np.array([0.0, 0.0, 1.0, 0.0])
-        d_w, d_b = readout_grad(model, np.zeros(5), y)
-        assert np.array_equal(d_w, np.zeros((4, 5)))
-        expected = readout_forward(model, np.zeros(5)) - y
+        _, probs, grad = loss_grad(model, np.zeros(5), 2)
+        d_w, d_b = grad[:4 * 5], grad[4 * 5:]
+        assert np.array_equal(d_w, np.zeros(4 * 5))
+        expected = softmax(model.bias) - y
+        assert np.allclose(probs[0], softmax(model.bias), rtol=1e-15)
         assert np.allclose(d_b, expected, rtol=1e-15)
 
     def test_matches_central_finite_differences(self):
@@ -314,28 +317,30 @@ class TestReadoutGrad:
         # step 1e-5 must agree with the analytic gradient to < 1e-6. Weight
         # scale keeps logits a few units wide: saturated softmax would make
         # the (clamped) loss numerically flat and starve the differences.
+        # The batches hold one to three rows, so the mean over rows counts.
         num_classes, num_features = 4, 6
         for trial in range(100):
             rng = Rng(trial, 3)
             model = random_model(num_classes, num_features, seed=trial + 1000,
                                  scale=0.05)
-            features = rng.uniform(0.0, 25.0, num_features)
-            label = int(rng.uniform(0, num_classes, 1)[0])
-            y = np.zeros(num_classes)
-            y[label] = 1.0
-            d_w, d_b = readout_grad(model, features, y)
-            analytic = np.concatenate([d_w.ravel(), d_b])
+            rows = 1 + trial % 3
+            x = rng.uniform(0.0, 25.0, rows * num_features).reshape(rows, num_features)
+            labels = rng.uniform(0, num_classes, rows).astype(np.int64)
+            y = np.eye(num_classes)[labels]
+            _, _, analytic = readout_loss_grad(model, x, labels)
 
             def loss_fn(theta):
                 w = theta[:num_classes * num_features].reshape(num_classes,
                                                                num_features)
                 b = theta[num_classes * num_features:]
-                probs = readout_forward(ReadoutModel(weights=w, bias=b), features)
-                return cross_entropy(y, probs)
+                return np.mean([cross_entropy(y[r], softmax(w @ x[r] + b))
+                                for r in range(rows)])
 
             theta0 = np.concatenate([model.weights.ravel(), model.bias])
             numeric = central_difference_grad(loss_fn, theta0, step=1e-5)
             assert relative_error(analytic, numeric) < 1e-6
+            assert readout_loss_grad(model, x, labels)[0] == pytest.approx(
+                loss_fn(theta0), rel=1e-12)
 
 
 def separable_caches(samples_per_class=320, active=5, features=16, time_steps=25):
@@ -356,13 +361,14 @@ class TestTrainReadout:
     def test_separable_task_reaches_full_train_accuracy_quickly(self):
         train, test = separable_caches()
         cfg = TrainConfig(epochs=5, batch_size=64)  # 10 iterations per epoch
-        _, metrics = train_readout(train, test, cfg)
+        _, metrics = train_readout(train, test, cfg, num_classes=2)
         early = [m for m in metrics if m.iteration <= 50]
         assert max(m.train_accuracy for m in early) == 1.0
 
     def test_loss_decreases_on_separable_task(self):
         train, test = separable_caches()
-        _, metrics = train_readout(train, test, TrainConfig(epochs=5, batch_size=64))
+        _, metrics = train_readout(train, test, TrainConfig(epochs=5, batch_size=64),
+                                   num_classes=2)
         by_iter = {m.iteration: m.loss for m in metrics}
         assert by_iter[50] < by_iter[1]
 
@@ -373,9 +379,9 @@ class TestTrainReadout:
         x_test = rng.uniform(0, 25, n_test * width).reshape(n_test, width)
         y_train = (rng.uniform(0, classes, n_train)).astype(np.int64)
         y_test = (rng.uniform(0, classes, n_test)).astype(np.int64)
-        train = counts_cache(x_train, y_train, num_classes=classes)
-        test = counts_cache(x_test, y_test, num_classes=classes)
-        _, metrics = train_readout(train, test, TrainConfig())
+        train = counts_cache(x_train, y_train)
+        test = counts_cache(x_test, y_test)
+        _, metrics = train_readout(train, test, TrainConfig(), num_classes=classes)
         assert all(0.06 <= m.test_accuracy <= 0.14 for m in metrics)
 
     def test_zero_epochs_rejected(self):
@@ -383,18 +389,28 @@ class TestTrainReadout:
             TrainConfig(epochs=0)
 
     def test_empty_cache_rejected(self):
-        empty = counts_cache(np.zeros((0, 4)), np.zeros(0), num_classes=2)
-        filled = counts_cache(np.zeros((8, 4)), np.zeros(8), num_classes=2)
+        empty = counts_cache(np.zeros((0, 4)), np.zeros(0))
+        filled = counts_cache(np.zeros((8, 4)), np.zeros(8))
         with pytest.raises(ValueError):
-            train_readout(empty, filled, TrainConfig(batch_size=2))
+            train_readout(empty, filled, TrainConfig(batch_size=2), num_classes=2)
         with pytest.raises(ValueError):
-            train_readout(filled, empty, TrainConfig(batch_size=2))
+            train_readout(filled, empty, TrainConfig(batch_size=2), num_classes=2)
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_label_outside_num_classes_rejected(self, split):
+        train, test = separable_caches(samples_per_class=16)
+        bad = train if split == "train" else test
+        bad.labels[3] = 2
+        with pytest.raises(ValueError, match="outside"):
+            train_readout(train, test, TrainConfig(batch_size=8), num_classes=2)
+        bad.labels[3] = 1
+        train_readout(train, test, TrainConfig(batch_size=8), num_classes=2)
 
     def test_deterministic_bit_for_bit(self):
         train, test = separable_caches(samples_per_class=64)
         cfg = TrainConfig(epochs=2, batch_size=32)
-        model_a, metrics_a = train_readout(train, test, cfg)
-        model_b, metrics_b = train_readout(train, test, cfg)
+        model_a, metrics_a = train_readout(train, test, cfg, num_classes=2)
+        model_b, metrics_b = train_readout(train, test, cfg, num_classes=2)
         assert np.array_equal(model_a.weights, model_b.weights)
         assert np.array_equal(model_a.bias, model_b.bias)
         for ma, mb in zip(metrics_a, metrics_b):
@@ -404,7 +420,8 @@ class TestTrainReadout:
 
     def test_metrics_recorded_every_iteration_by_default(self):
         train, test = separable_caches(samples_per_class=64)
-        _, metrics = train_readout(train, test, TrainConfig(epochs=1, batch_size=32))
+        _, metrics = train_readout(train, test, TrainConfig(epochs=1, batch_size=32),
+                                   num_classes=2)
         assert [m.iteration for m in metrics] == list(range(1, 5))
         elapsed = [m.elapsed for m in metrics]
         assert all(b >= a for a, b in zip(elapsed, elapsed[1:]))
@@ -412,14 +429,16 @@ class TestTrainReadout:
     def test_eval_every_strides_and_includes_final(self):
         train, test = separable_caches(samples_per_class=64)
         _, metrics = train_readout(train, test,
-                                   TrainConfig(epochs=3, batch_size=32, eval_every=5))
+                                   TrainConfig(epochs=3, batch_size=32, eval_every=5),
+                                   num_classes=2)
         assert [m.iteration for m in metrics] == [5, 10, 12]
 
     def test_bias_switch(self):
         train, test = separable_caches(samples_per_class=64)
         model, _ = train_readout(train, test,
-                                 TrainConfig(epochs=1, batch_size=32, use_bias=False))
-        assert np.array_equal(model.bias, np.zeros(model.num_classes))
+                                 TrainConfig(epochs=1, batch_size=32, use_bias=False),
+                                 num_classes=2)
+        assert np.array_equal(model.bias, np.zeros(2))
 
 
 class TestEvaluate:
@@ -427,15 +446,14 @@ class TestEvaluate:
         weights = np.zeros((3, 4))
         weights[0, :] = 1.0
         model = ReadoutModel(weights=weights, bias=np.zeros(3))
-        cache = counts_cache(np.ones((20, 4)) * 5, np.zeros(20), num_classes=3)
+        cache = counts_cache(np.ones((20, 4)) * 5, np.zeros(20))
         assert evaluate(model, cache) == 1.0
 
     def test_random_model_on_uniform_labels_is_near_chance(self):
         classes, width, n = 10, 30, 6400
         rng = Rng(21, 0)
         cache = counts_cache(rng.uniform(0, 25, n * width).reshape(n, width),
-                             rng.uniform(0, classes, n).astype(np.int64),
-                             num_classes=classes)
+                             rng.uniform(0, classes, n).astype(np.int64))
         model = random_model(classes, width, seed=77)
         acc = evaluate(model, cache)
         band = 3.0 * np.sqrt(0.1 * 0.9 / n)
@@ -444,13 +462,12 @@ class TestEvaluate:
     def test_empty_cache_rejected(self):
         model = random_model(3, 4)
         with pytest.raises(ValueError):
-            evaluate(model, counts_cache(np.zeros((0, 4)), np.zeros(0), num_classes=3))
+            evaluate(model, counts_cache(np.zeros((0, 4)), np.zeros(0)))
 
     def test_chunking_does_not_change_result(self):
         rng = Rng(31, 0)
         cache = counts_cache(rng.uniform(0, 25, 1000 * 8).reshape(1000, 8),
-                             rng.uniform(0, 5, 1000).astype(np.int64),
-                             num_classes=5)
+                             rng.uniform(0, 5, 1000).astype(np.int64))
         model = random_model(5, 8, seed=3)
         assert evaluate(model, cache, chunk=64) == evaluate(model, cache, chunk=100000)
 
@@ -463,8 +480,8 @@ class TestEvaluate:
         labels = rng.uniform(0, 6, 500).astype(np.int64)
         model = random_model(6, 12, seed=8)
         scaled_model = ReadoutModel(weights=model.weights / scale, bias=model.bias)
-        base = counts_cache(feats, labels, num_classes=6)
-        scaled = counts_cache(feats * scale, labels, num_classes=6)
+        base = counts_cache(feats, labels)
+        scaled = counts_cache(feats * scale, labels)
         assert evaluate(model, base) == evaluate(scaled_model, scaled)
 
     def test_argmax_invariant_under_non_dyadic_scaling(self):
@@ -472,7 +489,7 @@ class TestEvaluate:
         feats = rng.uniform(0, 25, 200 * 9).reshape(200, 9)
         model = random_model(5, 9, seed=13)
         scaled_model = ReadoutModel(weights=model.weights / 3.0, bias=model.bias)
-        for row in feats:
-            a = readout_forward(model, row).argmax()
-            b = readout_forward(scaled_model, row * 3.0).argmax()
-            assert a == b
+        labels = np.zeros(len(feats), dtype=np.int64)
+        _, probs, _ = readout_loss_grad(model, feats, labels)
+        _, scaled_probs, _ = readout_loss_grad(scaled_model, feats * 3.0, labels)
+        assert np.array_equal(probs.argmax(axis=1), scaled_probs.argmax(axis=1))

@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 
-from oracles import (reference_bptt_backward, reference_lif_stack, relative_error,
-                     sg_forward_mode_grads)
+from oracles import (cross_entropy, reference_bptt_backward, reference_lif_stack,
+                     relative_error, sg_forward_mode_grads)
 from ransnn.encoding import EncoderConfig, SpikeTrain, encode_sample, poisson_encode
 from ransnn.network import LifParams, Uniform, init_weights, simulate_forward
-from ransnn.numerics import ENCODE_TEST_STREAM, Rng, cross_entropy, softmax
+from ransnn.numerics import ENCODE_TEST_STREAM, AdamConfig, Rng, softmax
 from ransnn.readout import TrainConfig
-from ransnn.sg import (SgModel, SurrogateParams, _record_tape,
-                       bptt_backward, evaluate_sg, init_sg_model, sg_forward,
-                       sg_loss, surrogate_grad, train_sg)
+from ransnn.sg import (SgModel, SurrogateParams, _batch_loss, _record_tape,
+                       bptt_backward, evaluate_sg, init_sg_model, surrogate_grad, train_sg)
 
 
 class TestSurrogateGrad:
@@ -50,11 +49,21 @@ def random_train(seed, steps, neurons, rate=0.5) -> SpikeTrain:
     return poisson_encode(np.full(neurons, rate), steps, Rng(seed, 5))
 
 
+def one_sample_tape(model, train: SpikeTrain):
+    """The tape of one sample's forward: _record_tape at B = 1."""
+    return _record_tape(model, train.bits[None])
+
+
+def one_hot(label, num_classes):
+    """The (1, num_classes) target row of one sample."""
+    return np.eye(num_classes)[[label]]
+
+
 class TestSgForward:
     def test_zero_input_gives_zero_trace(self):
         model = small_model()
-        trace, tape = sg_forward(model, SpikeTrain(bits=np.zeros((8, 4), dtype=np.uint8)))
-        assert np.array_equal(trace, np.zeros((8, 3)))
+        tape = one_sample_tape(model, SpikeTrain(bits=np.zeros((8, 4), dtype=np.uint8)))
+        assert np.array_equal(tape.output_u_pre, np.zeros((1, 8, 3)))
         assert tape.hidden_bits.sum() == 0 and tape.output_bits.sum() == 0
 
     def test_hidden_spikes_match_fixed_network_simulator_bitwise(self):
@@ -63,22 +72,22 @@ class TestSgForward:
         model = init_sg_model(4, 6, 3, seed=3, lif=lif, dist=Uniform(-0.9, 0.9))
         assert np.array_equal(model.w_hidden, net.weights[0])
         train = random_train(9, steps=20, neurons=4, rate=0.7)
-        _, tape = sg_forward(model, train)
-        reference = simulate_forward(net, train)
-        assert np.array_equal(tape.hidden_bits[0], reference.bits)
+        tape = one_sample_tape(model, train)
+        reference = simulate_forward(net, train.bits[None])
+        assert np.array_equal(tape.hidden_bits, reference)
 
     def test_deterministic(self):
         model = small_model(seed=2)
         train = random_train(4, 12, 4)
-        trace_a, tape_a = sg_forward(model, train)
-        trace_b, tape_b = sg_forward(model, train)
-        assert np.array_equal(trace_a, trace_b)
+        tape_a = one_sample_tape(model, train)
+        tape_b = one_sample_tape(model, train)
+        assert np.array_equal(tape_a.output_u_pre, tape_b.output_u_pre)
         assert np.array_equal(tape_a.output_bits, tape_b.output_bits)
 
     def test_replaying_the_tape_reproduces_it(self):
         model = small_model(seed=6)
         train = random_train(8, 10, 4)
-        _, tape = sg_forward(model, train)
+        tape = one_sample_tape(model, train)
         again = _record_tape(model, tape.input_bits)
         assert np.array_equal(again.hidden_u_pre, tape.hidden_u_pre)
         assert np.array_equal(again.output_u_pre, tape.output_u_pre)
@@ -86,7 +95,7 @@ class TestSgForward:
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
-            sg_forward(small_model(), SpikeTrain(bits=np.zeros((5, 7), dtype=np.uint8)))
+            one_sample_tape(small_model(), SpikeTrain(bits=np.zeros((5, 7), dtype=np.uint8)))
 
     def test_tape_matches_the_pre_kernel_forward_bitwise(self):
         model = small_model(seed=11, n_in=20, n_hidden=30, num_classes=5)
@@ -102,32 +111,29 @@ class TestSgForward:
 
 
 class TestSgLoss:
+    """The training loss of one sample: _batch_loss at B = 1, which sums the
+    per-step cross-entropy over the steps."""
+
     def test_zero_trace_uniform_softmax(self):
         steps, classes = 25, 10
-        y = np.zeros(classes)
-        y[4] = 1.0
-        total = sg_loss(np.zeros((steps, classes)), y)
+        total = _batch_loss(np.zeros((1, steps, classes)), np.array([4]))
         assert total == pytest.approx(steps * math.log(classes), rel=1e-12)
         assert total / steps == pytest.approx(math.log(classes), rel=1e-12)
 
     def test_confident_correct_potential_drives_loss_to_zero(self):
-        trace = np.zeros((6, 4))
-        trace[:, 2] = 100.0
-        y = np.zeros(4)
-        y[2] = 1.0
-        assert sg_loss(trace, y) <= 1e-12
+        trace = np.zeros((1, 6, 4))
+        trace[0, :, 2] = 100.0
+        assert _batch_loss(trace, np.array([2])) <= 1e-12
 
     def test_single_step_reduces_to_cross_entropy(self):
         rng = Rng(5, 0)
-        trace = rng.normal(0, 2, 5).reshape(1, 5)
-        y = np.zeros(5)
-        y[3] = 1.0
-        expected = cross_entropy(y, softmax(trace[0]))
-        assert sg_loss(trace, y) == pytest.approx(expected, rel=1e-12)
+        trace = rng.normal(0, 2, 5).reshape(1, 1, 5)
+        expected = cross_entropy(one_hot(3, 5)[0], softmax(trace[0, 0]))
+        assert _batch_loss(trace, np.array([3])) == pytest.approx(expected, rel=1e-12)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            sg_loss(np.zeros((4, 3)), np.zeros(5))
+            _batch_loss(np.zeros((1, 4, 3)), np.array([0, 1]))
 
 
 class TestBpttBackward:
@@ -139,13 +145,12 @@ class TestBpttBackward:
         for trial in range(50):
             model = small_model(seed=trial, lif=lif)
             train = random_train(1000 + trial, steps=5, neurons=4, rate=0.6)
-            y = np.zeros(3)
-            y[trial % 3] = 1.0
-            _, tape = sg_forward(model, train)
+            y = one_hot(trial % 3, 3)
+            tape = one_sample_tape(model, train)
             d_wh, d_wo = bptt_backward(model, tape, y, reduction="sum")
             ref_wh, ref_wo = sg_forward_mode_grads(
                 model.w_hidden, model.w_out, lif.beta, lif.u_thr,
-                train.bits, y)
+                train.bits, y[0])
             assert relative_error(d_wh, ref_wh) < 1e-10
             assert relative_error(d_wo, ref_wo) < 1e-10
 
@@ -154,31 +159,28 @@ class TestBpttBackward:
         for trial in range(10):
             model = small_model(seed=200 + trial, lif=lif)
             train = random_train(300 + trial, steps=5, neurons=4, rate=0.6)
-            y = np.zeros(3)
-            y[trial % 3] = 1.0
-            _, tape = sg_forward(model, train)
+            y = one_hot(trial % 3, 3)
+            tape = one_sample_tape(model, train)
             d_wh, d_wo = bptt_backward(model, tape, y, reduction="sum",
                                        detach_reset=True)
             ref_wh, ref_wo = sg_forward_mode_grads(
                 model.w_hidden, model.w_out, lif.beta, lif.u_thr,
-                train.bits, y, detach_reset=True)
+                train.bits, y[0], detach_reset=True)
             assert relative_error(d_wh, ref_wh) < 1e-10
             assert relative_error(d_wo, ref_wo) < 1e-10
 
     def test_zero_input_gives_zero_weight_gradients(self):
         model = small_model(seed=1)
-        _, tape = sg_forward(model, SpikeTrain(bits=np.zeros((6, 4), dtype=np.uint8)))
-        y = np.array([1.0, 0.0, 0.0])
-        d_wh, d_wo = bptt_backward(model, tape, y)
+        tape = one_sample_tape(model, SpikeTrain(bits=np.zeros((6, 4), dtype=np.uint8)))
+        d_wh, d_wo = bptt_backward(model, tape, one_hot(0, 3))
         assert np.array_equal(d_wh, np.zeros_like(model.w_hidden))
         assert np.array_equal(d_wo, np.zeros_like(model.w_out))
 
     def test_summing_the_loss_twice_doubles_every_gradient(self):
         model = small_model(seed=4)
         train = random_train(77, steps=6, neurons=4, rate=0.7)
-        y = np.zeros(3)
-        y[1] = 1.0
-        _, tape_single = sg_forward(model, train)
+        y = one_hot(1, 3)
+        tape_single = one_sample_tape(model, train)
         d_wh_1, d_wo_1 = bptt_backward(model, tape_single, y, reduction="sum")
         doubled = np.repeat(train.bits[None], 2, axis=0)
         tape_double = _record_tape(model, doubled)
@@ -190,8 +192,7 @@ class TestBpttBackward:
     def test_mean_reduction_divides_by_batch(self):
         model = small_model(seed=4)
         train = random_train(78, steps=6, neurons=4, rate=0.7)
-        y = np.zeros(3)
-        y[2] = 1.0
+        y = one_hot(2, 3)
         doubled = np.repeat(train.bits[None], 2, axis=0)
         tape = _record_tape(model, doubled)
         targets = np.vstack([y, y])
@@ -202,16 +203,18 @@ class TestBpttBackward:
 
     def test_stale_tape_rejected(self):
         model = small_model(seed=5)
-        _, tape = sg_forward(model, random_train(3, 5, 4))
+        tape = one_sample_tape(model, random_train(3, 5, 4))
         model.version += 1
-        with pytest.raises(ValueError):
-            bptt_backward(model, tape, np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="stale"):
+            bptt_backward(model, tape, one_hot(0, 3))
 
     def test_target_shape_validated(self):
         model = small_model(seed=5)
-        _, tape = sg_forward(model, random_train(3, 5, 4))
+        tape = one_sample_tape(model, random_train(3, 5, 4))
         with pytest.raises(ValueError):
-            bptt_backward(model, tape, np.zeros(4))
+            bptt_backward(model, tape, np.zeros((1, 4)))
+        with pytest.raises(ValueError):
+            bptt_backward(model, tape, np.zeros(3))
 
     @pytest.mark.parametrize("n_batch", [1, 6])
     @pytest.mark.parametrize("detach_reset", [False, True])
@@ -252,9 +255,9 @@ class TestBpttBackward:
 
     def test_gradient_vector_size_validated(self):
         model = small_model(seed=5)
-        _, tape = sg_forward(model, random_train(3, 5, 4))
+        tape = one_sample_tape(model, random_train(3, 5, 4))
         with pytest.raises(ValueError):
-            bptt_backward(model, tape, np.array([1.0, 0.0, 0.0]),
+            bptt_backward(model, tape, one_hot(0, 3),
                           out=np.empty(model.w_hidden.size + model.w_out.size + 1))
 
     def test_backward_adds_at_most_one_hidden_sized_array(self):
@@ -305,18 +308,18 @@ class TestTrainSg:
         ds = _separable(samples_per_class=512, pixels=24, seed=12)
         test_ds = _separable(samples_per_class=64, pixels=24, seed=13)
         model = init_sg_model(24, 40, 2, seed=0, lif=LifParams(beta=0.95, u_thr=1.0))
-        cfg = TrainConfig(epochs=7, lr=0.01, batch_size=32, seed=99, eval_every=8)
+        cfg = TrainConfig(epochs=7, adam=AdamConfig(lr=0.01), batch_size=32, eval_every=8)
         model, metrics = train_sg(model, ds, test_ds,
-                                  EncoderConfig(time_steps=10), cfg)
+                                  EncoderConfig(time_steps=10), cfg, master_seed=99)
         early = [m for m in metrics if m.iteration <= 200]
         assert max(m.train_accuracy for m in early) >= 0.95
 
     def test_deterministic_metric_traces(self):
         ds = _separable(samples_per_class=64, pixels=16, seed=3)
         test_ds = _separable(samples_per_class=16, pixels=16, seed=4)
-        cfg = TrainConfig(epochs=1, lr=0.01, batch_size=16, seed=5)
+        cfg = TrainConfig(epochs=1, adam=AdamConfig(lr=0.01), batch_size=16)
         run = lambda: train_sg(init_sg_model(16, 12, 2, seed=7), ds, test_ds,
-                               EncoderConfig(time_steps=8), cfg)
+                               EncoderConfig(time_steps=8), cfg, master_seed=5)
         model_a, metrics_a = run()
         model_b, metrics_b = run()
         assert np.array_equal(model_a.w_hidden, model_b.w_hidden)
@@ -329,7 +332,7 @@ class TestTrainSg:
         with pytest.raises(ValueError):
             train_sg(init_sg_model(16, 8, 2, seed=0), ds, ds,
                      EncoderConfig(time_steps=5),
-                     TrainConfig(batch_size=512, seed=0))
+                     TrainConfig(batch_size=512), master_seed=0)
 
     def test_loss_reported_per_step(self):
         # With an untouched zero-ish output drive the first recorded loss
@@ -337,8 +340,8 @@ class TestTrainSg:
         ds = _separable(samples_per_class=32, pixels=16, seed=6)
         model = init_sg_model(16, 12, 2, seed=1,
                               dist=Uniform(-1e-6, 1e-6))
-        cfg = TrainConfig(epochs=1, lr=1e-4, batch_size=16, seed=2)
-        _, metrics = train_sg(model, ds, ds, EncoderConfig(time_steps=6), cfg)
+        cfg = TrainConfig(epochs=1, adam=AdamConfig(lr=1e-4), batch_size=16)
+        _, metrics = train_sg(model, ds, ds, EncoderConfig(time_steps=6), cfg, master_seed=2)
         assert metrics[0].loss == pytest.approx(math.log(2), rel=1e-6)
 
 
