@@ -2,7 +2,7 @@
 trained spike-count readout, plus a surrogate-gradient BPTT baseline and a
 benchmark harness."""
 
-from .encoding import EncoderConfig, SpikeTrain, encode_sample, normalize_input, poisson_encode
+from .encoding import encode_sample, normalize_input, poisson_encode
 from .harness import (ConfigError, ExperimentConfig, MethodComparison, RunRecord,
                       SweepSpec, compare_methods, emit_metrics, run_experiment,
                       run_sweep, summarize_sweep)
@@ -10,11 +10,12 @@ from .idx import (DatasetError, IdxError, IdxTensor, LabeledDataset, load_datase
                   make_batches, parse_idx, read_idx, write_idx)
 from .network import (LifParams, NetworkTopology, Normal, Uniform, WeightDistribution,
                       fan_in_uniform, init_weights, simulate_forward)
-from .numerics import AdamConfig, AdamState, Rng, adam_step, softmax
+from .numerics import (ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM, AdamConfig, AdamState, Rng,
+                       adam_step, softmax)
 from .readout import (FeatureCache, IterationMetrics, ReadoutModel, TrainConfig,
                       evaluate, extract_features, extract_features_at, readout_loss_grad,
                       train_readout)
-from .sg import (BpttTape, SgModel, SurrogateParams, bptt_backward, evaluate_sg,
-                 init_sg_model, surrogate_grad, train_sg)
+from .sg import (BpttTape, SgModel, bptt_backward, evaluate_sg, init_sg_model,
+                 surrogate_grad, train_sg)
 
 __version__ = "0.1.0"

@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoding import EncoderConfig
 from .idx import LabeledDataset, load_dataset, make_batches
 from .network import (LifParams, Normal, Uniform, WeightDistribution,
                       fan_in_uniform, init_weights)
@@ -107,11 +106,10 @@ class ExperimentConfig:
             raise ConfigError("the sg baseline supports exactly one hidden layer")
         try:
             LifParams(beta=self.beta, u_thr=self.u_thr)
-            EncoderConfig(time_steps=self.time_steps)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.time_steps > 0xFFFF:  # spike counts are stored as u16
-            raise ConfigError(f"time_steps must be <= 65535, got {self.time_steps}")
+        if not 1 <= self.time_steps <= 0xFFFF:  # spike counts are stored as u16
+            raise ConfigError(f"time_steps must lie in [1, 65535], got {self.time_steps}")
         if self.train_batches < 1 or self.test_batches < 1:
             raise ConfigError("train_batches and test_batches must be >= 1")
         if self.batch_size < 1:
@@ -144,9 +142,9 @@ def parse_dist(value) -> WeightDistribution | None:
         kind = value.get("kind")
         try:
             if kind == "uniform":
-                return Uniform(float(value["low"]), float(value["high"]))
+                return Uniform(*(_number(f"dist.{k}", value[k], False) for k in ("low", "high")))
             if kind == "normal":
-                return Normal(float(value["mean"]), float(value["std"]))
+                return Normal(*(_number(f"dist.{k}", value[k], False) for k in ("mean", "std")))
         except KeyError as exc:
             raise ConfigError(f"distribution object missing field {exc}") from exc
         except ValueError as exc:
@@ -164,18 +162,37 @@ def dist_to_json(dist: WeightDistribution | None):
 
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+_INT_FIELDS = ("time_steps", "train_batches", "test_batches", "batch_size", "seed")
+_FLOAT_FIELDS = ("beta", "u_thr")
+
+
+def _number(name: str, value, integral: bool):
+    """A JSON number as an int (which it must be equal to, if integral) or
+    as a float; anything else, booleans included, is a ConfigError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (integral and not float(value).is_integer())):
+        raise ConfigError(f"{name} must be {'an integer' if integral else 'a number'}, "
+                          f"got {value!r}")
+    return int(value) if integral else float(value)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from a flat mapping whose keys are exactly the
-    ExperimentConfig field names; unknown keys are rejected."""
+    ExperimentConfig field names; unknown keys and mistyped values are
+    rejected. A null seed leaves it unset."""
     unknown = set(data) - _CONFIG_FIELDS
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     kwargs = dict(data)
     try:
         if "hidden_sizes" in kwargs:
-            kwargs["hidden_sizes"] = tuple(int(h) for h in kwargs["hidden_sizes"])
+            sizes = kwargs["hidden_sizes"]
+            if not isinstance(sizes, (list, tuple)):
+                raise ConfigError(f"hidden_sizes must be a list of integers, got {sizes!r}")
+            kwargs["hidden_sizes"] = tuple(_number("hidden_sizes", h, True) for h in sizes)
+        for name in _INT_FIELDS + _FLOAT_FIELDS:
+            if name in kwargs and (name != "seed" or kwargs[name] is not None):
+                kwargs[name] = _number(name, kwargs[name], name in _INT_FIELDS)
         if "dist" in kwargs:
             kwargs["dist"] = parse_dist(kwargs["dist"])
         if "adam" in kwargs and kwargs["adam"] is not None:
@@ -183,15 +200,16 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             bad = set(adam) - {f.name for f in dataclasses.fields(AdamConfig)}
             if bad:
                 raise ConfigError(f"unknown adam fields: {sorted(bad)}")
-            kwargs["adam"] = AdamConfig(**{k: float(v) for k, v in adam.items()})
+            kwargs["adam"] = AdamConfig(**{k: _number(f"adam.{k}", v, False)
+                                           for k, v in adam.items()})
         if "paths" in kwargs and kwargs["paths"] is not None:
             paths = kwargs["paths"]
             bad = set(paths) - {f.name for f in dataclasses.fields(DataPaths)}
             if bad:
                 raise ConfigError(f"unknown paths fields: {sorted(bad)}")
+            if not all(v is None or isinstance(v, str) for v in paths.values()):
+                raise ConfigError(f"paths must be strings or null, got {paths!r}")
             kwargs["paths"] = DataPaths(**paths)
-        if kwargs.get("seed") is not None:
-            kwargs["seed"] = int(kwargs["seed"])
         return ExperimentConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
@@ -309,19 +327,18 @@ class _Split:
 @dataclass
 class _RunSetup:
     """What a run fixes before either method starts: the resolved network
-    and encoder settings, and the train and test splits."""
+    settings, and the train and test splits."""
 
     sizes: tuple[int, ...]
     dist: WeightDistribution
     lif: LifParams
-    enc: EncoderConfig
     train: _Split
     test: _Split
 
 
 def _set_up(cfg: ExperimentConfig) -> _RunSetup:
-    """Load the data, resolve dist, LIF and encoder settings, and select
-    each split's batches, for a validated cfg."""
+    """Load the data, resolve dist and LIF settings, and select each
+    split's batches, for a validated cfg."""
     ds_train, ds_test = _load_datasets(cfg)
     n_in = ds_train.images.shape[1]
     try:
@@ -333,7 +350,6 @@ def _set_up(cfg: ExperimentConfig) -> _RunSetup:
         sizes=(n_in, *cfg.hidden_sizes),
         dist=cfg.dist if cfg.dist is not None else fan_in_uniform(n_in),
         lif=LifParams(beta=cfg.beta, u_thr=cfg.u_thr),
-        enc=EncoderConfig(time_steps=cfg.time_steps, normalization="divide_by_max"),
         train=_Split(ds_train, train_sel, ENCODE_TRAIN_STREAM, f"{cfg.dataset}/train"),
         test=_Split(ds_test, test_sel, ENCODE_TEST_STREAM, f"{cfg.dataset}/test"))
 
@@ -342,8 +358,8 @@ def _split_digest(cfg: ExperimentConfig, run: _RunSetup, split: _Split,
                   time_steps: int) -> int:
     """The feature_digest of split's cache at time_steps."""
     return feature_digest(run.sizes, run.dist, cfg.seed, (run.lif,) * (len(run.sizes) - 1),
-                          replace(run.enc, time_steps=time_steps), split.dataset_id,
-                          cfg.seed, split.stream_base, split.indices)
+                          time_steps, split.dataset_id, cfg.seed, split.stream_base,
+                          split.indices)
 
 
 def _cache_file(cache_dir, digest: int) -> Path:
@@ -362,7 +378,7 @@ def _extract_splits(cfg: ExperimentConfig, run: _RunSetup, cache_dir) -> list[Fe
             cache = FeatureCache.load(path, expected_digest=digest)
         else:
             net = net or init_weights(run.sizes, run.dist, cfg.seed, lif=run.lif)
-            cache = extract_features(net, run.enc, split.dataset, cfg.seed,
+            cache = extract_features(net, cfg.time_steps, split.dataset, cfg.seed,
                                      indices=split.indices, stream_base=split.stream_base,
                                      dataset_id=split.dataset_id)
             if path is not None:
@@ -385,7 +401,7 @@ def _fill_time_steps(cfg: ExperimentConfig, steps, cache_dir) -> None:
         if not missing:
             continue
         net = net or init_weights(run.sizes, run.dist, cfg.seed, lif=run.lif)
-        caches = extract_features_at(net, run.enc, split.dataset, cfg.seed, missing,
+        caches = extract_features_at(net, split.dataset, cfg.seed, missing,
                                      indices=split.indices, stream_base=split.stream_base,
                                      dataset_id=split.dataset_id)
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
@@ -404,7 +420,7 @@ def run_experiment(cfg: ExperimentConfig, cache_dir=None) -> RunRecord:
     t_start = time.perf_counter()
     run = _set_up(cfg)
     resolved = resolved_config_dict(cfg, run.dist)
-    tcfg = TrainConfig(epochs=1, adam=cfg.adam, batch_size=cfg.batch_size,
+    tcfg = TrainConfig(adam=cfg.adam, batch_size=cfg.batch_size,
                        eval_every=1 if cfg.method == "ransnn" else SG_EVAL_EVERY)
     num_classes = run.train.dataset.num_classes
     if cfg.method == "ransnn":
@@ -416,10 +432,11 @@ def run_experiment(cfg: ExperimentConfig, cache_dir=None) -> RunRecord:
         final_accuracy = evaluate(model, cache_test)
     else:
         sgm = init_sg_model(run.sizes[0], cfg.hidden_sizes[0], num_classes, cfg.seed,
-                            lif=run.lif, dist=run.dist)
+                            run.dist, lif=run.lif)
         feature_seconds = 0.0
-        model, metrics = train_sg(sgm, run.train.dataset, run.test.dataset, run.enc, tcfg,
-                                  cfg.seed, train_indices=run.train.indices,
+        model, metrics = train_sg(sgm, run.train.dataset, run.test.dataset,
+                                  cfg.time_steps, tcfg, cfg.seed,
+                                  train_indices=run.train.indices,
                                   test_indices=run.test.indices)
         final_accuracy = metrics[-1].test_accuracy
 

@@ -61,14 +61,10 @@ class IdxTensor:
         return header + self.data.astype(np.uint8).tobytes()
 
 
-def parse_idx(data: bytes, gz: bool | None = None) -> IdxTensor:
-    """Decode IDX bytes into a tensor.
-
-    gz=None sniffs the gzip prefix; True/False force the interpretation.
-    """
-    if gz is None:
-        gz = data[:2] == _GZIP_MAGIC
-    if gz:
+def parse_idx(data: bytes) -> IdxTensor:
+    """Decode IDX bytes, gzipped or not (told apart by the gzip prefix),
+    into a tensor."""
+    if data[:2] == _GZIP_MAGIC:
         try:
             data = gzip.decompress(data)
         except (OSError, EOFError) as exc:

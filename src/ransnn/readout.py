@@ -14,38 +14,41 @@ import os
 import struct
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .encoding import EncoderConfig, encode_sample
+from .encoding import encode_sample
 from .idx import LabeledDataset
 from .network import NetworkTopology, WeightDistribution, simulate_forward
-from .numerics import (AdamConfig, AdamState, ENCODE_TRAIN_STREAM, PROB_FLOOR, Rng,
-                       adam_step, softmax)
+from .numerics import AdamConfig, AdamState, PROB_FLOOR, Rng, adam_step, softmax
 
 CACHE_MAGIC = b"RSNNFC01"
 # Samples per simulate_forward call in extract_features (README: why 8).
 EXTRACT_CHUNK = 8
+# Cache rows per readout product in evaluate.
+EVAL_CHUNK = 4096
 
 
 def feature_digest(layer_sizes, dist: WeightDistribution, seed: int, params,
-                   enc: EncoderConfig, dataset_id: str, master_seed: int,
+                   time_steps: int, dataset_id: str, master_seed: int,
                    stream_base: int, indices) -> int:
     """64-bit fingerprint of everything that determines a feature cache.
 
     Equal digests mean equal network seed, sizes, weight distribution, LIF
-    params, encoder settings, dataset split, encoding streams and selected
+    params, window length, dataset split, encoding streams and selected
     indices, so a cache may stand in for re-simulation, without the weights.
+    The "norm" part names the one input normalization, so caches written
+    when it was a setting keep their digests.
     """
     parts = [
         f"seed={seed}",
         f"sizes={tuple(int(n) for n in layer_sizes)}",
         f"dist={dist!r}",
         "lif=" + ";".join(f"{p.beta!r},{p.u_thr!r}" for p in params),
-        f"T={enc.time_steps}",
-        f"norm={enc.normalization}",
+        f"T={time_steps}",
+        "norm=divide_by_max",
         f"dataset={dataset_id}",
         f"master_seed={master_seed}",
         f"stream_base={stream_base}",
@@ -126,23 +129,22 @@ class FeatureCache:
                    source_config_digest=int(digest))
 
 
-def extract_features_at(net: NetworkTopology, enc: EncoderConfig,
-                        dataset: LabeledDataset, master_seed: int, steps, *,
-                        indices=None, stream_base: int = ENCODE_TRAIN_STREAM,
-                        dataset_id: str = "") -> dict[int, FeatureCache]:
+def extract_features_at(net: NetworkTopology, dataset: LabeledDataset,
+                        master_seed: int, steps, *, indices, stream_base: int,
+                        dataset_id: str) -> dict[int, FeatureCache]:
     """Encode, simulate, and count spikes for each selected sample, once,
     for several window lengths: one FeatureCache per t in steps.
 
     The samples run once at T = max(steps), and the cache for t sums their
     first t steps. A sample's encoding at t is the first t rows of its
     encoding at T, and no step's spikes depend on a later one, so each cache
-    equals a direct extraction at t and carries the same digest (enc's own
-    time_steps is ignored).
+    equals a direct extraction at t and carries the same digest.
 
-    Row k of a cache comes from dataset sample indices[k]. Each sample's
-    encoder stream is keyed by its own dataset index and the kernel's rows do
-    not depend on their batch, so any grouping of the same indices yields
-    bit-identical rows; EXTRACT_CHUNK samples share one simulate_forward call.
+    Row k of a cache comes from dataset sample indices[k], encoded from
+    stream stream_base + indices[k] of master_seed; dataset_id names the
+    split in the digest. Any grouping of the same indices yields
+    bit-identical rows, since the kernel's rows do not depend on their
+    batch; EXTRACT_CHUNK samples share one simulate_forward call.
     """
     steps = sorted({int(t) for t in steps})
     if not steps:
@@ -151,11 +153,8 @@ def extract_features_at(net: NetworkTopology, enc: EncoderConfig,
         raise ValueError(
             f"dataset samples have {dataset.images.shape[1]} pixels, network "
             f"expects {net.layer_sizes[0]} inputs")
-    if steps[-1] > 0xFFFF:
-        raise ValueError("time_steps exceeds the u16 count range")
-    encs = {t: replace(enc, time_steps=t) for t in steps}
-    if indices is None:
-        indices = np.arange(len(dataset))
+    if steps[0] < 1 or steps[-1] > 0xFFFF:
+        raise ValueError(f"window lengths must lie in [1, 65535] (u16 counts), got {steps}")
     indices = np.asarray(indices, dtype=np.int64)
     feats = {t: np.zeros((len(indices), net.layer_sizes[-1]), dtype=np.uint16)
              for t in steps}
@@ -165,7 +164,7 @@ def extract_features_at(net: NetworkTopology, enc: EncoderConfig,
         chunk = indices[start:start + EXTRACT_CHUNK]
         for k, idx in enumerate(chunk):
             rng = Rng(master_seed, stream_base + int(idx))
-            bits[k] = encode_sample(dataset.images[idx], encs[steps[-1]], rng).bits
+            bits[k] = encode_sample(dataset.images[idx], steps[-1], rng)
         spikes = simulate_forward(net, bits[:len(chunk)], scratch=scratch)
         for t in steps:
             spikes[:, :t].sum(axis=1, dtype=np.uint16, out=feats[t][start:start + len(chunk)])
@@ -173,25 +172,24 @@ def extract_features_at(net: NetworkTopology, enc: EncoderConfig,
     return {t: FeatureCache(
                 features=feats[t], labels=labels, time_steps=t,
                 source_config_digest=feature_digest(
-                    net.layer_sizes, net.dist, net.seed, net.params, encs[t],
+                    net.layer_sizes, net.dist, net.seed, net.params, t,
                     dataset_id, master_seed, stream_base, indices))
             for t in steps}
 
 
-def extract_features(net: NetworkTopology, enc: EncoderConfig,
-                     dataset: LabeledDataset, master_seed: int, *,
-                     indices=None, stream_base: int = ENCODE_TRAIN_STREAM,
-                     dataset_id: str = "") -> FeatureCache:
+def extract_features(net: NetworkTopology, time_steps: int, dataset: LabeledDataset,
+                     master_seed: int, *, indices, stream_base: int,
+                     dataset_id: str) -> FeatureCache:
     """The FeatureCache of extract_features_at for the single window
-    enc.time_steps."""
-    return extract_features_at(net, enc, dataset, master_seed, (enc.time_steps,),
-                               indices=indices, stream_base=stream_base,
-                               dataset_id=dataset_id)[enc.time_steps]
+    time_steps."""
+    return extract_features_at(net, dataset, master_seed, (time_steps,), indices=indices,
+                               stream_base=stream_base,
+                               dataset_id=dataset_id)[time_steps]
 
 
 @dataclass
 class ReadoutModel:
-    """Linear map from spike counts to class logits, plus optional bias."""
+    """Linear map from spike counts to class logits, plus a bias."""
 
     weights: np.ndarray  # (num_classes, n_features)
     bias: np.ndarray  # (num_classes,)
@@ -206,18 +204,14 @@ class TrainConfig:
     """Adam settings and batch structure for readout (and baseline) training.
 
     eval_every controls how often full held-out accuracy is measured; 1
-    records it at every iteration. use_bias switches the readout's bias term.
+    records it at every iteration.
     """
 
-    epochs: int = 1
     adam: AdamConfig = AdamConfig()
     batch_size: int = 128
-    use_bias: bool = True
     eval_every: int = 1
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.eval_every < 1:
@@ -263,13 +257,11 @@ def readout_loss_grad(model: ReadoutModel, x: np.ndarray,
     return loss, probs, grad
 
 
-def _readout_view(theta: np.ndarray, num_classes: int, n_feat: int,
-                  use_bias: bool) -> ReadoutModel:
-    """The readout whose weights (row-major) and, with use_bias, bias are
-    views of the flat parameter vector theta."""
+def _readout_view(theta: np.ndarray, num_classes: int, n_feat: int) -> ReadoutModel:
+    """The readout whose weights (row-major), then bias, are views of the
+    flat parameter vector theta."""
     n_w = num_classes * n_feat
-    return ReadoutModel(weights=theta[:n_w].reshape(num_classes, n_feat),
-                        bias=theta[n_w:] if use_bias else np.zeros(num_classes))
+    return ReadoutModel(weights=theta[:n_w].reshape(num_classes, n_feat), bias=theta[n_w:])
 
 
 def train_readout(cache_train: FeatureCache, cache_test: FeatureCache,
@@ -292,42 +284,36 @@ def train_readout(cache_train: FeatureCache, cache_test: FeatureCache,
     if max(cache_train.labels.max(), cache_test.labels.max()) >= num_classes:
         raise ValueError(f"a cache holds a label outside [0, {num_classes})")
     n_feat = cache_train.num_features
-    batches_per_epoch = len(cache_train) // cfg.batch_size
-    if batches_per_epoch == 0:
+    total_iters = len(cache_train) // cfg.batch_size
+    if total_iters == 0:
         raise ValueError(
             f"batch_size {cfg.batch_size} exceeds the {len(cache_train)}-sample cache")
 
-    n_w = num_classes * n_feat
-    theta = np.zeros(n_w + (num_classes if cfg.use_bias else 0))
+    theta = np.zeros((n_feat + 1) * num_classes)
     state = AdamState.zeros(theta.size, cfg.adam)
     x_test = cache_test.features.astype(np.float64)
     y_test = cache_test.labels
 
     metrics: list[IterationMetrics] = []
-    total_iters = cfg.epochs * batches_per_epoch
-    iteration = 0
     elapsed = 0.0
-    for _epoch in range(cfg.epochs):
-        for b in range(batches_per_epoch):
-            rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
-            t0 = time.perf_counter()
-            xb = cache_train.features[rows].astype(np.float64)
-            yb = cache_train.labels[rows]
-            model = _readout_view(theta, num_classes, n_feat, cfg.use_bias)
-            loss, probs, grad = readout_loss_grad(model, xb, yb)
-            theta, state = adam_step(theta, grad if cfg.use_bias else grad[:n_w], state)
-            elapsed += time.perf_counter() - t0
+    for iteration in range(1, total_iters + 1):
+        rows = slice((iteration - 1) * cfg.batch_size, iteration * cfg.batch_size)
+        t0 = time.perf_counter()
+        xb = cache_train.features[rows].astype(np.float64)
+        yb = cache_train.labels[rows]
+        model = _readout_view(theta, num_classes, n_feat)
+        loss, probs, grad = readout_loss_grad(model, xb, yb)
+        theta, state = adam_step(theta, grad, state)
+        elapsed += time.perf_counter() - t0
 
-            iteration += 1
-            if iteration % cfg.eval_every == 0 or iteration == total_iters:
-                batch_acc = float((probs.argmax(axis=1) == yb).mean())
-                test_acc = _accuracy(_readout_view(theta, num_classes, n_feat, cfg.use_bias),
-                                     x_test, y_test)
-                metrics.append(IterationMetrics(
-                    iteration=iteration, train_accuracy=batch_acc,
-                    test_accuracy=test_acc, loss=loss, elapsed=elapsed))
+        if iteration % cfg.eval_every == 0 or iteration == total_iters:
+            batch_acc = float((probs.argmax(axis=1) == yb).mean())
+            test_acc = _accuracy(_readout_view(theta, num_classes, n_feat), x_test, y_test)
+            metrics.append(IterationMetrics(
+                iteration=iteration, train_accuracy=batch_acc,
+                test_accuracy=test_acc, loss=loss, elapsed=elapsed))
 
-    return _readout_view(theta, num_classes, n_feat, cfg.use_bias), metrics
+    return _readout_view(theta, num_classes, n_feat), metrics
 
 
 def _accuracy(model: ReadoutModel, x, labels) -> float:
@@ -335,7 +321,7 @@ def _accuracy(model: ReadoutModel, x, labels) -> float:
     return float((preds == labels).mean())
 
 
-def evaluate(model: ReadoutModel, cache: FeatureCache, chunk: int = 4096) -> float:
+def evaluate(model: ReadoutModel, cache: FeatureCache) -> float:
     """Fraction of cache samples whose argmax class matches the label.
 
     Ties resolve to the lowest class index (argmax takes the first maximum).
@@ -347,8 +333,8 @@ def evaluate(model: ReadoutModel, cache: FeatureCache, chunk: int = 4096) -> flo
             f"cache width {cache.num_features} does not match model width "
             f"{model.num_features}")
     hits = 0
-    for start in range(0, len(cache), chunk):
-        x = cache.features[start:start + chunk].astype(np.float64)
+    for start in range(0, len(cache), EVAL_CHUNK):
+        x = cache.features[start:start + EVAL_CHUNK].astype(np.float64)
         preds = (x @ model.weights.T + model.bias).argmax(axis=1)
-        hits += int((preds == cache.labels[start:start + chunk]).sum())
+        hits += int((preds == cache.labels[start:start + EVAL_CHUNK]).sum())
     return hits / len(cache)

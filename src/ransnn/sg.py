@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import EncoderConfig, encode_sample
+from .encoding import encode_sample
 from .idx import LabeledDataset
 from .network import (LifParams, WeightDistribution, _buffer, fan_in_uniform,
                       sample_weights, simulate)
@@ -26,21 +26,15 @@ from .numerics import (AdamState, ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM,
 from .readout import IterationMetrics, TrainConfig
 
 
-@dataclass(frozen=True)
-class SurrogateParams:
-    """Arctan surrogate: the spike derivative is 1 / (1 + (slope*pi*x)^2),
-    peaking at 1 when the pre-reset potential sits exactly at threshold."""
-
-    slope: float = 1.0
-
-    def __post_init__(self):
-        if not self.slope > 0:
-            raise ValueError(f"surrogate slope must be positive, got {self.slope}")
+# Held-out samples per simulate call in evaluate_sg.
+EVAL_CHUNK = 128
 
 
-def surrogate_grad(x, sp: SurrogateParams = SurrogateParams()):
-    """Surrogate derivative of the spike step at x = u_pre - u_thr."""
-    z = sp.slope * np.pi * np.asarray(x, dtype=np.float64)
+def surrogate_grad(x):
+    """Arctan surrogate derivative of the spike step at x = u_pre - u_thr:
+    1 / (1 + (pi*x)^2), peaking at 1 when the pre-reset potential sits
+    exactly at threshold."""
+    z = np.pi * np.asarray(x, dtype=np.float64)
     return 1.0 / (1.0 + z * z)
 
 
@@ -72,17 +66,14 @@ class SgModel:
 
 
 def init_sg_model(n_in: int, n_hidden: int, num_classes: int, seed: int,
-                  lif: LifParams = LifParams(),
-                  dist: WeightDistribution | None = None) -> SgModel:
+                  dist: WeightDistribution, lif: LifParams = LifParams()) -> SgModel:
     """Initial weights for the baseline.
 
-    The hidden matrix draws from the same stream and distribution as a fixed
-    random network built from the same seed, so both methods start from
+    The hidden matrix draws from dist on the same stream as a fixed random
+    network built from the same seed, so both methods start from
     bit-identical hidden weights; the output matrix uses the fan-in rule
     U(-sqrt(6/n_hidden), sqrt(6/n_hidden)) on the next stream.
     """
-    if dist is None:
-        dist = fan_in_uniform(n_in)
     w_hidden = sample_weights(dist, Rng(seed, WEIGHT_STREAM + 0), n_hidden, n_in)
     w_out = sample_weights(fan_in_uniform(n_hidden), Rng(seed, WEIGHT_STREAM + 1),
                            num_classes, n_hidden)
@@ -130,36 +121,31 @@ def _record_tape(model: SgModel, input_bits: np.ndarray,
 
 
 def _adjoint(drive: np.ndarray, u_pre: np.ndarray, beta: float, thr: float,
-             sp: SurrogateParams, detach_reset: bool, gate: bool = False) -> np.ndarray:
+             gate: bool = False) -> np.ndarray:
     """lam(t) = dL/du_pre(t) over (B, T, n), accumulated backward through
-    leak and reset: lam(t) = drive(t) + beta * (1 - thr * g(t)) * lam(t+1),
-    without the reset factor when it is detached. g(t) is the surrogate at
-    u_pre(t) - thr, computed one step at a time; gate=True first multiplies
-    drive(t) by it. Overwrites drive."""
+    leak and reset: lam(t) = drive(t) + beta * (1 - thr * g(t)) * lam(t+1).
+    g(t) is the surrogate at u_pre(t) - thr, computed one step at a time;
+    gate=True first multiplies drive(t) by it. Overwrites drive."""
     carry = np.zeros_like(drive[:, 0])
     for t in reversed(range(drive.shape[1])):
-        if gate or not detach_reset:
-            g = surrogate_grad(u_pre[:, t] - thr, sp)
+        g = surrogate_grad(u_pre[:, t] - thr)
         if gate:
             drive[:, t] *= g
-        decay = beta if detach_reset else beta * (1.0 - thr * g)
+        decay = beta * (1.0 - thr * g)
         carry = drive[:, t] = drive[:, t] + decay * carry
     return drive
 
 
-def bptt_backward(model: SgModel, tape: BpttTape, y_true,
-                  sp: SurrogateParams = SurrogateParams(), *,
-                  reduction: str = "mean", detach_reset: bool = False,
+def bptt_backward(model: SgModel, tape: BpttTape, y_true, *,
                   out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse-mode gradients of the summed per-step cross-entropy against
-    the (B, C) one-hot targets y_true with respect to both weight matrices.
+    """Reverse-mode gradients of the batch mean of the summed per-step
+    cross-entropy against the (B, C) one-hot targets y_true with respect to
+    both weight matrices.
 
     Wherever a spike enters the recursion -- as the next layer's input and in
     the subtractive reset term -- its local derivative is the arctan
     surrogate evaluated at that step's pre-reset potential; the beta*u
-    recurrence carries gradient across steps. detach_reset=True stops the
-    gradient at the reset term instead. reduction "mean" divides by the batch
-    size, "sum" does not. The tape is left as it was.
+    recurrence carries gradient across steps. The tape is left as it was.
 
     Both gradients are written into one flat float64 vector, the hidden
     matrix's entries first, and returned as views of it; out supplies that
@@ -169,8 +155,6 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true,
         raise ValueError(
             f"stale tape: recorded under model version {tape.model_version}, "
             f"model is now at {model.version}")
-    if reduction not in ("mean", "sum"):
-        raise ValueError(f"reduction must be 'mean' or 'sum', got {reduction!r}")
     n_batch, steps, n_cls = tape.output_u_pre.shape
     y = np.asarray(y_true, dtype=np.float64)
     if y.shape != (n_batch, n_cls):
@@ -185,13 +169,11 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true,
     beta, thr = model.lif.beta, model.lif.u_thr
     probs = softmax(tape.output_u_pre)
     d_direct = probs - y[:, None, :]
-    if reduction == "mean":
-        d_direct /= n_batch
-    lam_out = _adjoint(d_direct, tape.output_u_pre, beta, thr, sp, detach_reset)
+    d_direct /= n_batch
+    lam_out = _adjoint(d_direct, tape.output_u_pre, beta, thr)
     lam_out = lam_out.reshape(n_batch * steps, n_cls)
     d_spikes = (lam_out @ model.w_out).reshape(n_batch, steps, model.n_hidden)
-    lam_hid = _adjoint(d_spikes, tape.hidden_u_pre, beta, thr, sp, detach_reset,
-                       gate=True)
+    lam_hid = _adjoint(d_spikes, tape.hidden_u_pre, beta, thr, gate=True)
 
     out = np.empty(n_weights) if out is None else out
     d_w_out = np.matmul(lam_out.T, tape.flat_hidden,
@@ -201,14 +183,14 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true,
     return d_w_hidden, d_w_out
 
 
-def _encode_batch(ds: LabeledDataset, idxs, enc: EncoderConfig,
+def _encode_batch(ds: LabeledDataset, idxs, time_steps: int,
                   master_seed: int, stream_base: int) -> np.ndarray:
     """Stack per-sample encodings; streams are keyed by dataset index, so
     the realization of each sample never depends on its batch."""
-    bits = np.empty((len(idxs), enc.time_steps, ds.images.shape[1]), dtype=np.uint8)
+    bits = np.empty((len(idxs), time_steps, ds.images.shape[1]), dtype=np.uint8)
     for k, i in enumerate(idxs):
         rng = Rng(master_seed, stream_base + int(i))
-        bits[k] = encode_sample(ds.images[i], enc, rng).bits
+        bits[k] = encode_sample(ds.images[i], time_steps, rng)
     return bits
 
 
@@ -221,22 +203,20 @@ def _batch_loss(output_u_pre: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).sum(axis=1).mean())
 
 
-def evaluate_sg(model: SgModel, ds: LabeledDataset, enc: EncoderConfig,
-                master_seed: int, indices=None,
-                stream_base: int = ENCODE_TEST_STREAM, chunk: int = 128, *,
+def evaluate_sg(model: SgModel, ds: LabeledDataset, time_steps: int,
+                master_seed: int, indices, stream_base: int, *,
                 scratch: dict | None = None) -> float:
-    """Accuracy with predictions by largest output spike count (ties to the
-    lowest class index). scratch is as in simulate."""
-    if indices is None:
-        indices = np.arange(len(ds))
+    """Accuracy on the selected samples, each encoded from stream
+    stream_base + its index, with predictions by largest output spike count
+    (ties to the lowest class index). scratch is as in simulate."""
     indices = np.asarray(indices, dtype=np.int64)
     if len(indices) == 0:
         raise ValueError("cannot evaluate on an empty selection")
     scratch = {} if scratch is None else scratch
     hits = 0
-    for start in range(0, len(indices), chunk):
-        sel = indices[start:start + chunk]
-        bits = _encode_batch(ds, sel, enc, master_seed, stream_base)
+    for start in range(0, len(indices), EVAL_CHUNK):
+        sel = indices[start:start + EVAL_CHUNK]
+        bits = _encode_batch(ds, sel, time_steps, master_seed, stream_base)
         spikes, _ = simulate(bits, (model.w_hidden, model.w_out), (model.lif,) * 2,
                              scratch=scratch)[-1]
         preds = spikes.sum(axis=1, dtype=np.int64).argmax(axis=1)
@@ -245,32 +225,26 @@ def evaluate_sg(model: SgModel, ds: LabeledDataset, enc: EncoderConfig,
 
 
 def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
-             enc: EncoderConfig, cfg: TrainConfig, master_seed: int, *,
-             train_indices=None, test_indices=None,
-             surrogate: SurrogateParams = SurrogateParams(),
-             detach_reset: bool = False) -> tuple[SgModel, list[IterationMetrics]]:
+             time_steps: int, cfg: TrainConfig, master_seed: int, *,
+             train_indices, test_indices) -> tuple[SgModel, list[IterationMetrics]]:
     """Train both weight matrices by BPTT with the arctan surrogate.
 
     Every batch is encoded on the fly from the same per-sample streams of
     master_seed the readout path uses, so both methods see identical spike
-    trains. One Adam step per batch over epochs * (len(train_indices) //
-    batch_size) iterations; metrics are recorded every eval_every iterations
-    and at the end, with held-out accuracy measured on the full test
-    selection. elapsed covers encoding, forward, backward, and the update,
-    but not metrics.
+    trains. One Adam step per consecutive batch of train_indices (any
+    trailing partial batch dropped); metrics are recorded every eval_every
+    iterations and at the end, with held-out accuracy measured on the whole
+    test selection. elapsed covers encoding, forward, backward, and the
+    update, but not metrics.
     Every forward and evaluation shares one set of work arrays.
     """
     if ds_train.images.shape[1] != model.n_in:
         raise ValueError(
             f"dataset samples have {ds_train.images.shape[1]} pixels, model "
             f"expects {model.n_in}")
-    if train_indices is None:
-        train_indices = np.arange(len(ds_train))
-    if test_indices is None:
-        test_indices = np.arange(len(ds_test))
     train_indices = np.asarray(train_indices, dtype=np.int64)
-    batches_per_epoch = len(train_indices) // cfg.batch_size
-    if batches_per_epoch == 0:
+    total_iters = len(train_indices) // cfg.batch_size
+    if total_iters == 0:
         raise ValueError(
             f"batch_size {cfg.batch_size} exceeds the {len(train_indices)}-sample selection")
 
@@ -286,39 +260,34 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
     grad = np.empty(theta.size)
 
     metrics: list[IterationMetrics] = []
-    total_iters = cfg.epochs * batches_per_epoch
-    iteration = 0
     elapsed = 0.0
-    for _epoch in range(cfg.epochs):
-        for b in range(batches_per_epoch):
-            sel = train_indices[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            labels = ds_train.labels[sel]
-            t0 = time.perf_counter()
-            bits = _encode_batch(ds_train, sel, enc, master_seed, ENCODE_TRAIN_STREAM)
-            tape = _record_tape(model, bits, scratch)
-            y = np.zeros((len(sel), model.num_classes))
-            y[np.arange(len(sel)), labels] = 1.0
-            bptt_backward(model, tape, y, surrogate, reduction="mean",
-                          detach_reset=detach_reset, out=grad)
-            theta, state = adam_step(theta, grad, state)
-            model.w_hidden = theta[:n_wh].reshape(hidden_shape)
-            model.w_out = theta[n_wh:].reshape(out_shape)
-            model.version += 1
-            elapsed += time.perf_counter() - t0
+    for iteration in range(1, total_iters + 1):
+        sel = train_indices[(iteration - 1) * cfg.batch_size:iteration * cfg.batch_size]
+        labels = ds_train.labels[sel]
+        t0 = time.perf_counter()
+        bits = _encode_batch(ds_train, sel, time_steps, master_seed, ENCODE_TRAIN_STREAM)
+        tape = _record_tape(model, bits, scratch)
+        y = np.zeros((len(sel), model.num_classes))
+        y[np.arange(len(sel)), labels] = 1.0
+        bptt_backward(model, tape, y, out=grad)
+        theta, state = adam_step(theta, grad, state)
+        model.w_hidden = theta[:n_wh].reshape(hidden_shape)
+        model.w_out = theta[n_wh:].reshape(out_shape)
+        model.version += 1
+        elapsed += time.perf_counter() - t0
 
-            iteration += 1
-            evaluating = iteration % cfg.eval_every == 0 or iteration == total_iters
-            if evaluating:
-                loss = _batch_loss(tape.output_u_pre, labels) / enc.time_steps
-                counts = tape.output_bits.sum(axis=1, dtype=np.int64)
-                batch_acc = float((counts.argmax(axis=1) == labels).mean())
-            # The tape is views of scratch, which the next forward and the
-            # held-out evaluation overwrite.
-            del tape, bits
-            if evaluating:
-                test_acc = evaluate_sg(model, ds_test, enc, master_seed, test_indices,
-                                       scratch=scratch)
-                metrics.append(IterationMetrics(
-                    iteration=iteration, train_accuracy=batch_acc,
-                    test_accuracy=test_acc, loss=loss, elapsed=elapsed))
+        evaluating = iteration % cfg.eval_every == 0 or iteration == total_iters
+        if evaluating:
+            loss = _batch_loss(tape.output_u_pre, labels) / time_steps
+            counts = tape.output_bits.sum(axis=1, dtype=np.int64)
+            batch_acc = float((counts.argmax(axis=1) == labels).mean())
+        # The tape is views of scratch, which the next forward and the
+        # held-out evaluation overwrite.
+        del tape, bits
+        if evaluating:
+            test_acc = evaluate_sg(model, ds_test, time_steps, master_seed, test_indices,
+                                   ENCODE_TEST_STREAM, scratch=scratch)
+            metrics.append(IterationMetrics(
+                iteration=iteration, train_accuracy=batch_acc,
+                test_accuracy=test_acc, loss=loss, elapsed=elapsed))
     return model, metrics

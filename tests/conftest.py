@@ -3,7 +3,8 @@ import pytest
 
 from ransnn.idx import IdxTensor, LabeledDataset, write_idx
 from ransnn.network import simulate
-from ransnn.numerics import Rng
+from ransnn.numerics import ENCODE_TRAIN_STREAM, Rng
+from ransnn.readout import extract_features
 
 
 def blob_dataset(num_classes: int, samples_per_class: int, side: int = 12,
@@ -55,6 +56,14 @@ def drive_layer(currents, lif) -> tuple[np.ndarray, np.ndarray]:
     bits = np.eye(len(currents), dtype=np.uint8)[None]
     [(spikes, u_pre)] = simulate(bits, (currents.T.copy(),), (lif,), record=True)
     return spikes[0], u_pre[0]
+
+
+def extract(net, time_steps, ds, master_seed, indices=None):
+    """extract_features on the train streams, over the whole dataset unless
+    indices selects samples."""
+    indices = np.arange(len(ds)) if indices is None else indices
+    return extract_features(net, time_steps, ds, master_seed, indices=indices,
+                            stream_base=ENCODE_TRAIN_STREAM, dataset_id="mnist/train")
 
 
 @pytest.fixture

@@ -169,7 +169,7 @@ def _reference_adjoint(drive: np.ndarray, g: np.ndarray, beta: float, thr: float
     return drive
 
 
-def reference_bptt_backward(model, tape, y_true, sp=None, *, reduction: str = "mean",
+def reference_bptt_backward(model, tape, y_true, *, reduction: str = "mean",
                             detach_reset: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The reverse pass as it was before the surrogate was streamed through
     the adjoint: whole (B, T, n) surrogate arrays and fresh float64 copies of
@@ -177,9 +177,8 @@ def reference_bptt_backward(model, tape, y_true, sp=None, *, reduction: str = "m
     streamed pass does the same arithmetic, so the two must agree bit for
     bit."""
     from ransnn.numerics import softmax
-    from ransnn.sg import SurrogateParams, surrogate_grad
+    from ransnn.sg import surrogate_grad
 
-    sp = SurrogateParams() if sp is None else sp
     n_batch, steps, n_cls = tape.output_u_pre.shape
     y = np.asarray(y_true, dtype=np.float64)
     if y.ndim == 1:
@@ -190,8 +189,8 @@ def reference_bptt_backward(model, tape, y_true, sp=None, *, reduction: str = "m
     d_direct = probs - y[:, None, :]
     if reduction == "mean":
         d_direct /= n_batch
-    g_out = surrogate_grad(tape.output_u_pre - thr, sp)
-    g_hid = surrogate_grad(tape.hidden_u_pre - thr, sp)
+    g_out = surrogate_grad(tape.output_u_pre - thr)
+    g_hid = surrogate_grad(tape.hidden_u_pre - thr)
 
     lam_out = _reference_adjoint(d_direct, g_out, beta, thr, detach_reset)
     flat_hidden = tape.hidden_bits.reshape(n_batch * steps, -1).astype(np.float64)

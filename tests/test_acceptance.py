@@ -16,19 +16,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import blob_dataset, drive_layer, write_dataset_idx
+from conftest import blob_dataset, drive_layer, extract, write_dataset_idx
 from oracles import (central_difference_grad, cross_entropy, leak_decay_sequence,
                      linear_filter_membrane, relative_error,
                      sg_forward_mode_grads)
 from ransnn.cli import main as cli_main
-from ransnn.encoding import EncoderConfig, poisson_encode
+from ransnn.encoding import poisson_encode
 from ransnn.harness import (ExperimentConfig, SweepSpec, compare_methods,
                             config_from_dict, resolve_dataset_paths,
                             run_experiment, run_sweep, summarize_sweep)
 from ransnn.idx import load_dataset, parse_idx
 from ransnn.network import LifParams, Uniform, init_weights, simulate, simulate_forward
 from ransnn.numerics import Rng, softmax
-from ransnn.readout import ReadoutModel, extract_features, readout_loss_grad
+from ransnn.readout import ReadoutModel, readout_loss_grad
 from ransnn.sg import _record_tape, bptt_backward, init_sg_model
 
 ACCEPT_SEED = 1234
@@ -199,11 +199,11 @@ class TestCriterion08GradientCorrectness:
             train = poisson_encode(np.full(4, 0.6), 5, Rng(5000 + trial, 5))
             y = np.zeros(3)
             y[trial % 3] = 1.0
-            tape = _record_tape(model, train.bits[None])
-            d_wh, d_wo = bptt_backward(model, tape, y[None], reduction="sum")
+            tape = _record_tape(model, train[None])
+            d_wh, d_wo = bptt_backward(model, tape, y[None])  # B = 1: the mean is the sum
             ref_wh, ref_wo = sg_forward_mode_grads(model.w_hidden, model.w_out,
                                                    lif.beta, lif.u_thr,
-                                                   train.bits, y)
+                                                   train, y)
             worst = max(worst, relative_error(d_wh, ref_wh),
                         relative_error(d_wo, ref_wo))
         ok = worst < 1e-10
@@ -220,7 +220,7 @@ class TestCriterion09DynamicsInvariants:
             steps = 5 + seed
             net = init_weights([12, 9], Uniform(-1.0, 1.0), seed=seed)
             train = poisson_encode(rng.uniform(0, 1, 12), steps, Rng(seed, 1))
-            counts = simulate_forward(net, train.bits[None])[0].sum(axis=0)
+            counts = simulate_forward(net, train[None])[0].sum(axis=0)
             ok &= bool(np.all(counts >= 0) and np.all(counts <= steps))
         report("9a", "spike counts within [0, T]", ok)
         assert ok
@@ -260,8 +260,8 @@ class TestCriterion09DynamicsInvariants:
             lif = LifParams(beta=0.9, u_thr=1e9)
             net = init_weights([6, 8], Uniform(-0.05, 0.05), seed=seed, lif=lif)
             train = poisson_encode(Rng(seed, 2).uniform(0, 1, 6), 12, Rng(seed, 3))
-            expected = linear_filter_membrane(net.weights[0], lif.beta, train.bits)
-            [(spikes, u_pre)] = simulate(train.bits[None], net.weights, net.params,
+            expected = linear_filter_membrane(net.weights[0], lif.beta, train)
+            [(spikes, u_pre)] = simulate(train[None], net.weights, net.params,
                                          record=True)
             assert not spikes.any()
             worst = max(worst, float(np.max(np.abs(u_pre[0] - expected))))
@@ -295,10 +295,8 @@ class TestCriterion09DynamicsInvariants:
               and len(rec_a.metrics) == len(rec_b.metrics))
 
         net = init_weights([144, 24], Uniform(-0.2, 0.2), seed=3)
-        enc = EncoderConfig(time_steps=6)
-        whole = extract_features(net, enc, train, master_seed=9)
-        parts = [extract_features(net, enc, train, master_seed=9,
-                                  indices=np.arange(i, len(train), 3))
+        whole = extract(net, 6, train, master_seed=9)
+        parts = [extract(net, 6, train, master_seed=9, indices=np.arange(i, len(train), 3))
                  for i in range(3)]
         for i, part in enumerate(parts):
             ok &= bool(np.array_equal(part.features,
@@ -314,15 +312,15 @@ class TestCriterion10EncoderStatistics:
         details = []
         for p in (0.1, 0.5, 0.9):
             train = poisson_encode(np.full(500, p), steps, Rng(29, int(p * 10)))
-            rates = train.bits.mean(axis=0)
+            rates = train.mean(axis=0)
             band = 3.0 * math.sqrt(p * (1 - p) / steps)
             frac = float(np.mean(np.abs(rates - p) <= band))
             details.append(f"p={p}: {frac:.3f} in band")
             ok &= frac >= 0.99
         zeros = poisson_encode(np.zeros(100), steps, Rng(30, 0))
         ones = poisson_encode(np.ones(100), steps, Rng(31, 0))
-        ok &= bool(zeros.bits.sum() == 0)
-        ok &= bool(np.all(ones.bits == 1))
+        ok &= bool(zeros.sum() == 0)
+        ok &= bool(np.all(ones == 1))
         report("10", "encoder rate statistics", ok, "; ".join(details))
         assert ok
 

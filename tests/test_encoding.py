@@ -5,66 +5,51 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ransnn.encoding import (EncoderConfig, SpikeTrain, encode_sample,
-                             normalize_input, poisson_encode)
+from ransnn.encoding import encode_sample, normalize_input, poisson_encode
 from ransnn.numerics import Rng
 
 
 class TestNormalizeInput:
     def test_eight_bit_pixels_divide_by_max(self):
         x = np.array([0.0, 128.0, 255.0])
-        assert np.array_equal(normalize_input(x, "divide_by_max"),
-                              np.array([0.0, 128.0 / 255.0, 1.0]))
+        assert np.array_equal(normalize_input(x), np.array([0.0, 128.0 / 255.0, 1.0]))
 
     def test_all_zero_maps_to_all_zero(self):
-        for mode in ("divide_by_max", "min_max", "none"):
-            assert np.array_equal(normalize_input(np.zeros(5), mode), np.zeros(5))
+        assert np.array_equal(normalize_input(np.zeros(5)), np.zeros(5))
 
     def test_outputs_in_unit_interval(self):
         rng = Rng(3, 0)
-        x = rng.uniform(0, 255, 784)
-        for mode in ("divide_by_max", "min_max"):
-            out = normalize_input(x, mode)
-            assert out.min() >= 0.0 and out.max() <= 1.0
+        out = normalize_input(rng.uniform(0, 255, 784))
+        assert out.min() >= 0.0 and out.max() == 1.0
 
-    def test_min_max_shifts_negative_input(self):
-        out = normalize_input(np.array([-2.0, 0.0, 2.0]), "min_max")
-        assert np.array_equal(out, np.array([0.0, 0.5, 1.0]))
-
-    def test_none_validates_range(self):
-        assert np.array_equal(normalize_input(np.array([0.0, 0.5, 1.0]), "none"),
-                              np.array([0.0, 0.5, 1.0]))
+    def test_negative_input_rejected(self):
         with pytest.raises(ValueError):
-            normalize_input(np.array([1.5]), "none")
+            normalize_input(np.array([-2.0, 0.0, 2.0]))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             normalize_input(np.array([np.nan, 1.0]))
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_input(np.ones(3), "z_score")
-
 
 class TestPoissonEncode:
     def test_zero_intensity_never_fires(self):
-        train = poisson_encode(np.zeros(20), 100, Rng(1, 0))
-        assert train.bits.sum() == 0
+        bits = poisson_encode(np.zeros(20), 100, Rng(1, 0))
+        assert bits.sum() == 0
 
     def test_unit_intensity_always_fires(self):
-        train = poisson_encode(np.ones(20), 100, Rng(1, 0))
-        assert np.all(train.bits == 1)
+        bits = poisson_encode(np.ones(20), 100, Rng(1, 0))
+        assert np.all(bits == 1)
 
     def test_half_intensity_count_in_binomial_band(self):
-        train = poisson_encode(np.array([0.5]), 10_000, Rng(42, 0))
-        count = int(train.bits.sum())
+        bits = poisson_encode(np.array([0.5]), 10_000, Rng(42, 0))
+        count = int(bits.sum())
         assert 4850 <= count <= 5150
 
     def test_deterministic_given_stream(self):
         p = Rng(6, 0).uniform(0, 1, 30)
         a = poisson_encode(p, 50, Rng(9, 123))
         b = poisson_encode(p, 50, Rng(9, 123))
-        assert np.array_equal(a.bits, b.bits)
+        assert np.array_equal(a, b)
 
     def test_out_of_range_intensity_rejected(self):
         with pytest.raises(ValueError):
@@ -72,61 +57,47 @@ class TestPoissonEncode:
         with pytest.raises(ValueError):
             poisson_encode(np.array([-0.1]), 10, Rng(0, 0))
 
+    def test_window_validated(self):
+        with pytest.raises(ValueError):
+            poisson_encode(np.full(3, 0.5), 0, Rng(0, 0))
+
     def test_shape(self):
-        train = poisson_encode(np.full(7, 0.3), 13, Rng(0, 0))
-        assert train.bits.shape == (13, 7)
-        assert train.bits.dtype == np.uint8
+        bits = poisson_encode(np.full(7, 0.3), 13, Rng(0, 0))
+        assert bits.shape == (13, 7)
+        assert bits.dtype == np.uint8
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_empirical_rate_within_three_sigma_for_most_neurons(self, p):
         # 1000 independent neurons at the same intensity over T=10^4 steps:
         # at least 99% of them must land inside the binomial 3-sigma band.
         steps = 10_000
-        train = poisson_encode(np.full(1000, p), steps, Rng(17, 0))
-        rates = train.bits.mean(axis=0)
+        bits = poisson_encode(np.full(1000, p), steps, Rng(17, 0))
+        rates = bits.mean(axis=0)
         band = 3.0 * math.sqrt(p * (1 - p) / steps)
         frac_ok = np.mean(np.abs(rates - p) <= band)
         assert frac_ok >= 0.99
 
     def test_lag_one_autocorrelation_near_zero(self):
         steps = 10_000
-        bits = poisson_encode(np.array([0.5]), steps, Rng(23, 0)).bits[:, 0].astype(float)
+        bits = poisson_encode(np.array([0.5]), steps, Rng(23, 0))[:, 0].astype(float)
         x = bits - bits.mean()
         corr = (x[:-1] * x[1:]).sum() / (x * x).sum()
         assert abs(corr) <= 3.0 / math.sqrt(steps)
 
 
 class TestSpikeTrain:
-    def test_from_bits_validates(self):
-        SpikeTrain.from_bits(np.array([[0, 1], [1, 0]]))
-        with pytest.raises(ValueError):
-            SpikeTrain.from_bits(np.array([[0, 2]]))
-        with pytest.raises(ValueError):
-            SpikeTrain.from_bits(np.zeros(4))
+    """The (T, N) uint8 raster poisson_encode returns."""
 
     @given(st.integers(1, 30), st.integers(1, 40), st.integers(0, 2**31))
     @settings(max_examples=40, deadline=None)
     def test_entries_always_binary(self, steps, neurons, seed):
         p = Rng(seed, 1).uniform(0, 1, neurons)
-        train = poisson_encode(p, steps, Rng(seed, 2))
-        assert np.isin(train.bits, (0, 1)).all()
+        bits = poisson_encode(p, steps, Rng(seed, 2))
+        assert np.isin(bits, (0, 1)).all()
 
 
-class TestEncoderConfig:
-    def test_defaults(self):
-        cfg = EncoderConfig()
-        assert cfg.time_steps == 25 and cfg.normalization == "divide_by_max"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EncoderConfig(time_steps=0)
-        with pytest.raises(ValueError):
-            EncoderConfig(normalization="nope")
-
+class TestEncodeSample:
     def test_encode_sample_composes(self):
         x = Rng(4, 0).uniform(0, 255, 64)
-        cfg = EncoderConfig(time_steps=10)
-        direct = poisson_encode(normalize_input(x, cfg.normalization),
-                                cfg.time_steps, Rng(5, 77))
-        composed = encode_sample(x, cfg, Rng(5, 77))
-        assert np.array_equal(direct.bits, composed.bits)
+        direct = poisson_encode(normalize_input(x), 10, Rng(5, 77))
+        assert np.array_equal(direct, encode_sample(x, 10, Rng(5, 77)))

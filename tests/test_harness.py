@@ -10,13 +10,13 @@ import pytest
 
 from conftest import blob_dataset, write_dataset_idx
 from ransnn.cli import _split_values, main
-from ransnn.encoding import EncoderConfig
 from ransnn.harness import (ConfigError, ExperimentConfig, SweepSpec,
                             apply_sweep_value, compare_methods, config_digest,
                             config_from_dict, config_from_file, emit_metrics,
                             parse_dist, record_to_dict, resolved_config_dict,
                             run_experiment, run_sweep, summarize_sweep)
 from ransnn.network import LifParams, Normal, Uniform, fan_in_uniform, init_weights
+from ransnn.readout import FeatureCache
 from ransnn.sg import init_sg_model
 
 TINY = {
@@ -84,14 +84,30 @@ class TestConfig:
             cfg.validate()
 
     @pytest.mark.parametrize("field,value,owner", [("beta", 1.0, LifParams),
-                                                   ("u_thr", 0.0, LifParams),
-                                                   ("time_steps", 0, EncoderConfig)])
+                                                   ("u_thr", 0.0, LifParams)])
     def test_neuron_and_encoder_values_rejected_with_their_dataclass_message(
             self, field, value, owner):
         with pytest.raises(ValueError) as built:
             owner(**{field: value})
         with pytest.raises(ConfigError, match=re.escape(str(built.value))):
             tiny_config(**{field: value}).validate()
+
+    @pytest.mark.parametrize("steps", [0, 65536])
+    def test_time_steps_outside_the_u16_count_range_rejected(self, steps):
+        with pytest.raises(ConfigError, match="time_steps"):
+            tiny_config(time_steps=steps).validate()
+
+    @pytest.mark.parametrize("sizes", ["12", 12])
+    def test_hidden_sizes_must_be_a_list(self, sizes):
+        # A string of digits would otherwise read as one layer per digit.
+        with pytest.raises(ConfigError, match="list of integers"):
+            config_from_dict({"hidden_sizes": sizes})
+
+    def test_numbers_are_coerced_to_their_field_types(self):
+        cfg = tiny_config(time_steps=8.0, hidden_sizes=[30.0], beta=1, adam={"lr": 1})
+        assert cfg == tiny_config(beta=1.0, adam={"lr": 1.0})
+        assert type(cfg.time_steps) is int and type(cfg.hidden_sizes[0]) is int
+        assert type(cfg.beta) is float and type(cfg.adam.lr) is float
 
     def test_bad_enum_values(self):
         with pytest.raises(ConfigError):
@@ -131,6 +147,14 @@ class TestConfigDigest:
     def _digest(self, cfg):
         dist = cfg.dist if cfg.dist is not None else fan_in_uniform(144)
         return config_digest(resolved_config_dict(cfg, dist))
+
+    @pytest.mark.parametrize("method,run_id", [("ransnn", "0c37b989746a1b08"),
+                                               ("sg", "90d9186318fc3a6a")])
+    def test_default_run_ids_are_pinned(self, method, run_id):
+        # The run_ids of the default MNIST config at seed 1234, recorded
+        # before the config parser checked field types.
+        cfg = config_from_dict({"seed": 1234, "method": method})
+        assert config_digest(resolved_config_dict(cfg, fan_in_uniform(784))) == run_id
 
     def test_identical_configs_share_digest(self):
         assert self._digest(tiny_config()) == self._digest(tiny_config())
@@ -231,6 +255,41 @@ class TestRunExperiment:
 def _curve(record):
     return record.final_accuracy, [(m.iteration, m.train_accuracy, m.test_accuracy, m.loss)
                                    for m in record.metrics]
+
+
+class TestLibraryExample:
+    def test_readme_composition_reproduces_the_run(self, use_data_dir, tmp_path):
+        # The README's library example, at TINY's settings on the synthetic
+        # data, builds the run's own caches: the test split is encoded from
+        # the test streams, as in a run.
+        from ransnn import (ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM, LifParams,
+                            TrainConfig, evaluate, extract_features, fan_in_uniform,
+                            init_weights, load_dataset, make_batches, train_readout)
+
+        mnist = use_data_dir / "mnist"
+        train = load_dataset(mnist / "train-images-idx3-ubyte.gz",
+                             mnist / "train-labels-idx1-ubyte.gz", num_classes=10)
+        test = load_dataset(mnist / "t10k-images-idx3-ubyte",
+                            mnist / "t10k-labels-idx1-ubyte", num_classes=10)
+        net = init_weights([144, 30], fan_in_uniform(144), seed=123,
+                           lif=LifParams(beta=0.95, u_thr=1.0))
+        sel_train = make_batches(train, 16, 6, seed=123)
+        sel_test = make_batches(test, 16, 2, seed=123)
+        cache_train = extract_features(net, 8, train, 123, indices=sel_train,
+                                       stream_base=ENCODE_TRAIN_STREAM,
+                                       dataset_id="mnist/train")
+        cache_test = extract_features(net, 8, test, 123, indices=sel_test,
+                                      stream_base=ENCODE_TEST_STREAM, dataset_id="mnist/test")
+        model, curve = train_readout(cache_train, cache_test, TrainConfig(batch_size=16),
+                                     num_classes=10)
+
+        record = run_experiment(tiny_config(), cache_dir=tmp_path)
+        for cache in (cache_train, cache_test):
+            ran = FeatureCache.load(tmp_path / f"{cache.source_config_digest:016x}.rsnnfc")
+            assert np.array_equal(ran.features, cache.features)
+        assert (evaluate(model, cache_test), [(m.iteration, m.train_accuracy,
+                                               m.test_accuracy, m.loss) for m in curve]) \
+            == _curve(record)
 
 
 class TestCompareMethods:
@@ -462,6 +521,18 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 1
         path.write_text(json.dumps({**TINY, "adam": {"lr": 0.01, "momentum": 0.9}}))
         assert main(["run", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("override", [{"hidden_sizes": "12"}, {"hidden_sizes": 12},
+                                          {"time_steps": "25"}, {"beta": "0.9"},
+                                          {"train_batches": 2.5}, {"seed": True},
+                                          {"batch_size": None}, {"adam": {"lr": "0.01"}},
+                                          {"dist": {"kind": "uniform", "low": "-0.1",
+                                                    "high": True}},
+                                          {"paths": {"train_images": 5}}])
+    def test_mistyped_field_exit_code(self, use_data_dir, tmp_path, capsys, override):
+        cfg = self._write_config(tmp_path, **override)
+        assert main(["run", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_malformed_json_exit_code(self, use_data_dir, tmp_path):
         path = tmp_path / "cfg.json"

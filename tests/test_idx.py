@@ -70,12 +70,10 @@ class TestParseIdx:
         assert np.array_equal(parse_idx(gzip.compress(raw)).data,
                               parse_idx(raw).data)
 
-    def test_gz_flag_forced(self):
-        raw = idx_bytes((2,), b"ab")
-        tensor = parse_idx(gzip.compress(raw), gz=True)
-        assert tensor.dims == (2,)
-        with pytest.raises(IdxFormatError):
-            parse_idx(b"not gzip at all", gz=True)
+    def test_corrupt_gzip_rejected(self):
+        zipped = gzip.compress(idx_bytes((2,), b"ab"))
+        with pytest.raises(IdxFormatError, match="gzip"):
+            parse_idx(zipped[:-6])
 
     @given(st.lists(st.integers(0, 6), min_size=1, max_size=3), st.integers(0, 2**31))
     @settings(max_examples=60, deadline=None)

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import drive_layer
+from conftest import drive_layer, extract
 from oracles import leak_decay_sequence, linear_filter_membrane
-from ransnn.encoding import EncoderConfig, encode_sample, poisson_encode
+from ransnn.encoding import encode_sample, poisson_encode
 from ransnn.idx import LabeledDataset
 from ransnn.network import (LifParams, NetworkTopology, Normal, Uniform,
                             fan_in_uniform, init_weights, simulate, simulate_forward)
 from ransnn.numerics import ENCODE_TRAIN_STREAM, Rng
-from ransnn.readout import extract_features, extract_features_at
+from ransnn.readout import extract_features_at
 
 
 class TestLifParams:
@@ -167,19 +167,19 @@ class TestSimulateForward:
     def test_deterministic(self):
         net = self._net([12, 30], 0.4, seed=5)
         train = poisson_encode(Rng(1, 0).uniform(0, 1, 12), 20, Rng(2, 0))
-        a = simulate_forward(net, train.bits[None])
-        b = simulate_forward(net, train.bits[None])
+        a = simulate_forward(net, train[None])
+        b = simulate_forward(net, train[None])
         assert np.array_equal(a, b)
 
     def test_matches_stepwise_lif_composition_bitwise(self):
         net = self._net([9, 14], 0.6, seed=8)
         lif = net.params[0]
         train = poisson_encode(Rng(3, 0).uniform(0, 1, 9), 15, Rng(4, 0))
-        out = simulate_forward(net, train.bits[None])[0]
+        out = simulate_forward(net, train[None])[0]
         u = np.zeros(14)
         w = net.weights[0]
         for t in range(15):
-            u = lif.beta * u + train.bits[t].astype(np.float64) @ w.T
+            u = lif.beta * u + train[t].astype(np.float64) @ w.T
             spikes = u > lif.u_thr
             assert np.array_equal(out[t], spikes)
             u = u - lif.u_thr * spikes
@@ -190,8 +190,8 @@ class TestSimulateForward:
         lif = LifParams(beta=0.9, u_thr=1e6)
         net = self._net([6, 8], 0.05, seed=13, lif=lif)
         train = poisson_encode(Rng(5, 0).uniform(0, 1, 6), 12, Rng(6, 0))
-        expected = linear_filter_membrane(net.weights[0], lif.beta, train.bits)
-        [(spikes, u_pre)] = simulate(train.bits[None], net.weights, net.params, record=True)
+        expected = linear_filter_membrane(net.weights[0], lif.beta, train)
+        [(spikes, u_pre)] = simulate(train[None], net.weights, net.params, record=True)
         assert not spikes.any()
         assert np.max(np.abs(u_pre[0] - expected)) <= 1e-12
 
@@ -203,7 +203,7 @@ class TestSimulateForward:
     def test_two_layer_network_runs(self):
         net = self._net([10, 16, 6], 0.8, seed=2)
         train = poisson_encode(Rng(7, 0).uniform(0.4, 1.0, 10), 25, Rng(8, 0))
-        out = simulate_forward(net, train.bits[None])
+        out = simulate_forward(net, train[None])
         assert out.shape == (1, 25, 6)
         assert np.isin(out, (0, 1)).all()
 
@@ -250,16 +250,14 @@ class TestAccumulateSpikes:
     def test_all_zero(self):
         # A zero pixel never fires, so nothing downstream does.
         ds = self._dataset(np.zeros((3, 4)))
-        cache = extract_features(self._identity_net(4, 2.0), EncoderConfig(time_steps=25),
-                                 ds, master_seed=0)
+        cache = extract(self._identity_net(4, 2.0), 25, ds, master_seed=0)
         assert np.array_equal(cache.features, np.zeros((3, 4), dtype=np.uint16))
 
     def test_saturated(self):
         # A pixel at the image's maximum fires every step, and a drive of
         # 2 * u_thr fires its neuron every step.
         ds = self._dataset(np.full((3, 4), 255))
-        cache = extract_features(self._identity_net(4, 2.0), EncoderConfig(time_steps=25),
-                                 ds, master_seed=0)
+        cache = extract(self._identity_net(4, 2.0), 25, ds, master_seed=0)
         assert np.array_equal(cache.features, np.full((3, 4), 25))
 
     def test_direct_summation(self):
@@ -267,10 +265,10 @@ class TestAccumulateSpikes:
         # neuron emitted at step t.
         ds = self._dataset(Rng(3, 0).uniform(0, 256, 2 * 8).reshape(2, 8))
         net = init_weights([8, 6], Uniform(-1.0, 1.0), seed=4)
-        caches = extract_features_at(net, EncoderConfig(), ds, 5, range(1, 11))
+        caches = extract_features_at(net, ds, 5, range(1, 11), indices=np.arange(len(ds)),
+                                     stream_base=ENCODE_TRAIN_STREAM, dataset_id="mnist/train")
         for k in range(len(ds)):
-            bits = encode_sample(ds.images[k], EncoderConfig(time_steps=10),
-                                 Rng(5, ENCODE_TRAIN_STREAM + k)).bits
+            bits = encode_sample(ds.images[k], 10, Rng(5, ENCODE_TRAIN_STREAM + k))
             raster = simulate_forward(net, bits[None])[0]
             assert raster.any() and not raster.all()
             counts = np.stack([caches[t].features[k] for t in range(1, 11)]).astype(int)
@@ -281,5 +279,5 @@ class TestAccumulateSpikes:
     def test_counts_bounded_by_window(self, steps, neurons, seed):
         ds = self._dataset(Rng(seed, 0).uniform(0, 256, 2 * neurons).reshape(2, neurons))
         net = init_weights([neurons, 10], Uniform(-1.0, 1.0), seed=seed)
-        counts = extract_features(net, EncoderConfig(time_steps=steps), ds, seed).features
+        counts = extract(net, steps, ds, seed).features
         assert np.all(counts >= 0) and np.all(counts <= steps)

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from conftest import extract
 from oracles import (central_difference_grad, cross_entropy, reference_cache_bytes,
                      reference_lif_stack, relative_error)
-from ransnn.encoding import EncoderConfig, encode_sample
+from ransnn.encoding import encode_sample
 from ransnn.idx import LabeledDataset
-from ransnn.network import Uniform, fan_in_uniform, init_weights, simulate_forward
-from ransnn.numerics import ENCODE_TRAIN_STREAM, Rng, softmax
+from ransnn.network import (LifParams, Normal, Uniform, fan_in_uniform, init_weights,
+                            simulate_forward)
+from ransnn.numerics import ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM, Rng, softmax
 from ransnn.readout import (FeatureCache, ReadoutModel, TrainConfig, evaluate,
-                            extract_features, extract_features_at, readout_loss_grad,
-                            train_readout)
+                            extract_features, extract_features_at, feature_digest,
+                            readout_loss_grad, train_readout)
 
 
 def random_model(num_classes, num_features, seed=0, scale=0.5):
@@ -34,59 +36,59 @@ class TestExtractFeatures:
                             labels=np.arange(n_samples, dtype=np.int64) % 3,
                             num_classes=3)
         net = init_weights([pixels, hidden], Uniform(-0.6, 0.6), seed=seed)
-        return ds, net, EncoderConfig(time_steps=25)
+        return ds, net, 25
 
     def test_all_zero_dataset_gives_zero_features(self):
         ds = LabeledDataset(images=np.zeros((5, 16), dtype=np.uint8),
                             labels=np.zeros(5, dtype=np.int64), num_classes=1)
         net = init_weights([16, 8], Uniform(-1, 1), seed=0)
-        cache = extract_features(net, EncoderConfig(time_steps=25), ds, master_seed=1)
+        cache = extract(net, 25, ds, master_seed=1)
         assert np.array_equal(cache.features, np.zeros((5, 8), dtype=np.uint16))
 
     def test_deterministic(self):
-        ds, net, enc = self._setup()
-        a = extract_features(net, enc, ds, master_seed=11)
-        b = extract_features(net, enc, ds, master_seed=11)
+        ds, net, steps = self._setup()
+        a = extract(net, steps, ds, master_seed=11)
+        b = extract(net, steps, ds, master_seed=11)
         assert np.array_equal(a.features, b.features)
         assert a.source_config_digest == b.source_config_digest
 
     def test_counts_bounded_by_window(self):
-        ds, net, enc = self._setup()
-        cache = extract_features(net, enc, ds, master_seed=11)
-        assert cache.features.min() >= 0 and cache.features.max() <= enc.time_steps
+        ds, net, steps = self._setup()
+        cache = extract(net, steps, ds, master_seed=11)
+        assert cache.features.min() >= 0 and cache.features.max() <= steps
 
     def test_rows_match_public_op_composition(self):
-        ds, net, enc = self._setup()
-        cache = extract_features(net, enc, ds, master_seed=11)
+        ds, net, steps = self._setup()
+        cache = extract(net, steps, ds, master_seed=11)
         for k in range(len(ds)):
             rng = Rng(11, ENCODE_TRAIN_STREAM + k)
-            train = encode_sample(ds.images[k], enc, rng)
-            counts = simulate_forward(net, train.bits[None])[0].sum(axis=0)
+            train = encode_sample(ds.images[k], steps, rng)
+            counts = simulate_forward(net, train[None])[0].sum(axis=0)
             assert np.array_equal(cache.features[k], counts.astype(np.uint16))
 
     def test_independent_of_grouping_and_order(self):
-        ds, net, enc = self._setup(n_samples=9)
-        full = extract_features(net, enc, ds, master_seed=4)
-        first = extract_features(net, enc, ds, master_seed=4, indices=np.arange(5))
-        rest = extract_features(net, enc, ds, master_seed=4, indices=np.arange(5, 9))
+        ds, net, steps = self._setup(n_samples=9)
+        full = extract(net, steps, ds, master_seed=4)
+        first = extract(net, steps, ds, master_seed=4, indices=np.arange(5))
+        rest = extract(net, steps, ds, master_seed=4, indices=np.arange(5, 9))
         assert np.array_equal(np.vstack([first.features, rest.features]), full.features)
         shuffled = np.array([7, 2, 5, 0])
-        part = extract_features(net, enc, ds, master_seed=4, indices=shuffled)
+        part = extract(net, steps, ds, master_seed=4, indices=shuffled)
         assert np.array_equal(part.features, full.features[shuffled])
         assert np.array_equal(part.labels, full.labels[shuffled])
 
     def test_width_mismatch_rejected(self):
-        ds, _, enc = self._setup(pixels=16)
+        ds, _, steps = self._setup(pixels=16)
         net = init_weights([20, 8], Uniform(-1, 1), seed=0)
         with pytest.raises(ValueError):
-            extract_features(net, enc, ds, master_seed=0)
+            extract(net, steps, ds, master_seed=0)
 
     def test_digest_covers_the_selected_indices(self):
-        ds, net, enc = self._setup(n_samples=9)
-        a = extract_features(net, enc, ds, master_seed=4, indices=np.arange(4))
-        again = extract_features(net, enc, ds, master_seed=4, indices=np.arange(4))
-        shifted = extract_features(net, enc, ds, master_seed=4, indices=np.arange(1, 5))
-        longer = extract_features(net, enc, ds, master_seed=4, indices=np.arange(5))
+        ds, net, steps = self._setup(n_samples=9)
+        a = extract(net, steps, ds, master_seed=4, indices=np.arange(4))
+        again = extract(net, steps, ds, master_seed=4, indices=np.arange(4))
+        shifted = extract(net, steps, ds, master_seed=4, indices=np.arange(1, 5))
+        longer = extract(net, steps, ds, master_seed=4, indices=np.arange(5))
         assert a.source_config_digest == again.source_config_digest
         assert a.source_config_digest != shifted.source_config_digest
         assert a.source_config_digest != longer.source_config_digest
@@ -112,17 +114,16 @@ class TestExtractionBatchInvariance:
     def test_rows_equal_per_sample_simulation(self, sizes, dist):
         ds = mnist_shaped(160)
         net = init_weights(sizes, dist, seed=5)
-        enc = EncoderConfig(time_steps=25)
         order = Rng(9, 0).permutation(len(ds))
         for n in (1, 7, 9, 128):
             sel = order[:n]
-            cache = extract_features(net, enc, ds, 21, indices=sel)
+            cache = extract(net, 25, ds, 21, indices=sel)
             assert cache.features.any()
             for k, idx in enumerate(sel):
-                train = encode_sample(ds.images[idx], enc, Rng(21, ENCODE_TRAIN_STREAM + int(idx)))
-                counts = simulate_forward(net, train.bits[None])[0].sum(axis=0)
+                train = encode_sample(ds.images[idx], 25, Rng(21, ENCODE_TRAIN_STREAM + int(idx)))
+                counts = simulate_forward(net, train[None])[0].sum(axis=0)
                 assert np.array_equal(cache.features[k], counts)
-                old_bits = reference_lif_stack(net.weights, net.params, train.bits[None])[-1][0]
+                old_bits = reference_lif_stack(net.weights, net.params, train[None])[-1][0]
                 assert np.array_equal(cache.features[k], old_bits[0].sum(axis=0))
 
 
@@ -135,12 +136,12 @@ class TestExtractFeaturesAt:
         ds = mnist_shaped(160)
         net = init_weights((784, 300), fan_in_uniform(784), seed=5)
         sel = Rng(9, 0).permutation(len(ds))[:n]
-        caches = extract_features_at(net, EncoderConfig(time_steps=3), ds, 21, (25, 1, 7),
-                                     indices=sel, stream_base=77, dataset_id="mnist/train")
+        caches = extract_features_at(net, ds, 21, (25, 1, 7), indices=sel, stream_base=77,
+                                     dataset_id="mnist/train")
         assert sorted(caches) == [1, 7, 25]
         for t, cache in caches.items():
-            direct = extract_features(net, EncoderConfig(time_steps=t), ds, 21, indices=sel,
-                                      stream_base=77, dataset_id="mnist/train")
+            direct = extract_features(net, t, ds, 21, indices=sel, stream_base=77,
+                                      dataset_id="mnist/train")
             assert cache.features.any()
             assert cache.features.dtype == direct.features.dtype
             assert np.array_equal(cache.features, direct.features)
@@ -150,10 +151,35 @@ class TestExtractFeaturesAt:
         assert len({c.source_config_digest for c in caches.values()}) == 3
 
     def test_no_window_rejected(self):
+        self._extract_at((), match="at least one")
+
+    @pytest.mark.parametrize("steps", [(0, 5), (70000,)])
+    def test_window_outside_the_count_range_rejected(self, steps):
+        self._extract_at(steps, match="65535")
+
+    @staticmethod
+    def _extract_at(steps, match):
         ds = mnist_shaped(4)
         net = init_weights((784, 10), fan_in_uniform(784), seed=5)
-        with pytest.raises(ValueError):
-            extract_features_at(net, EncoderConfig(), ds, 0, ())
+        with pytest.raises(ValueError, match=match):
+            extract_features_at(net, ds, 0, steps, indices=np.arange(4),
+                                stream_base=ENCODE_TRAIN_STREAM, dataset_id="mnist/train")
+
+
+class TestFeatureDigest:
+    """Digests of caches written by earlier versions stay valid: these are
+    the values recorded when the window length was part of an encoder
+    config with a normalization setting."""
+
+    def test_default_train_split_digest_is_pinned(self):
+        assert feature_digest((784, 2000), fan_in_uniform(784), 1234, (LifParams(),), 25,
+                              "mnist/train", 1234, ENCODE_TRAIN_STREAM,
+                              np.arange(8)) == 0x3cfd9a753413360d
+
+    def test_two_layer_test_split_digest_is_pinned(self):
+        assert feature_digest((784, 300, 100), Normal(0.0, 0.05), 7,
+                              (LifParams(0.9, 1.0),) * 2, 10, "fmnist/test", 7,
+                              ENCODE_TEST_STREAM, [5, 3, 9]) == 0xb660f656c418190e
 
 
 class TestFeatureCacheFile:
@@ -359,16 +385,15 @@ def separable_caches(samples_per_class=320, active=5, features=16, time_steps=25
 
 class TestTrainReadout:
     def test_separable_task_reaches_full_train_accuracy_quickly(self):
-        train, test = separable_caches()
-        cfg = TrainConfig(epochs=5, batch_size=64)  # 10 iterations per epoch
+        train, test = separable_caches(samples_per_class=1600)
+        cfg = TrainConfig(batch_size=64)  # 50 iterations
         _, metrics = train_readout(train, test, cfg, num_classes=2)
         early = [m for m in metrics if m.iteration <= 50]
         assert max(m.train_accuracy for m in early) == 1.0
 
     def test_loss_decreases_on_separable_task(self):
-        train, test = separable_caches()
-        _, metrics = train_readout(train, test, TrainConfig(epochs=5, batch_size=64),
-                                   num_classes=2)
+        train, test = separable_caches(samples_per_class=1600)
+        _, metrics = train_readout(train, test, TrainConfig(batch_size=64), num_classes=2)
         by_iter = {m.iteration: m.loss for m in metrics}
         assert by_iter[50] < by_iter[1]
 
@@ -383,10 +408,6 @@ class TestTrainReadout:
         test = counts_cache(x_test, y_test)
         _, metrics = train_readout(train, test, TrainConfig(), num_classes=classes)
         assert all(0.06 <= m.test_accuracy <= 0.14 for m in metrics)
-
-    def test_zero_epochs_rejected(self):
-        with pytest.raises(ValueError):
-            TrainConfig(epochs=0)
 
     def test_empty_cache_rejected(self):
         empty = counts_cache(np.zeros((0, 4)), np.zeros(0))
@@ -407,8 +428,8 @@ class TestTrainReadout:
         train_readout(train, test, TrainConfig(batch_size=8), num_classes=2)
 
     def test_deterministic_bit_for_bit(self):
-        train, test = separable_caches(samples_per_class=64)
-        cfg = TrainConfig(epochs=2, batch_size=32)
+        train, test = separable_caches(samples_per_class=128)
+        cfg = TrainConfig(batch_size=32)
         model_a, metrics_a = train_readout(train, test, cfg, num_classes=2)
         model_b, metrics_b = train_readout(train, test, cfg, num_classes=2)
         assert np.array_equal(model_a.weights, model_b.weights)
@@ -420,25 +441,16 @@ class TestTrainReadout:
 
     def test_metrics_recorded_every_iteration_by_default(self):
         train, test = separable_caches(samples_per_class=64)
-        _, metrics = train_readout(train, test, TrainConfig(epochs=1, batch_size=32),
-                                   num_classes=2)
+        _, metrics = train_readout(train, test, TrainConfig(batch_size=32), num_classes=2)
         assert [m.iteration for m in metrics] == list(range(1, 5))
         elapsed = [m.elapsed for m in metrics]
         assert all(b >= a for a, b in zip(elapsed, elapsed[1:]))
 
     def test_eval_every_strides_and_includes_final(self):
-        train, test = separable_caches(samples_per_class=64)
-        _, metrics = train_readout(train, test,
-                                   TrainConfig(epochs=3, batch_size=32, eval_every=5),
+        train, test = separable_caches(samples_per_class=192)  # 12 iterations
+        _, metrics = train_readout(train, test, TrainConfig(batch_size=32, eval_every=5),
                                    num_classes=2)
         assert [m.iteration for m in metrics] == [5, 10, 12]
-
-    def test_bias_switch(self):
-        train, test = separable_caches(samples_per_class=64)
-        model, _ = train_readout(train, test,
-                                 TrainConfig(epochs=1, batch_size=32, use_bias=False),
-                                 num_classes=2)
-        assert np.array_equal(model.bias, np.zeros(2))
 
 
 class TestEvaluate:
@@ -464,12 +476,16 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(model, counts_cache(np.zeros((0, 4)), np.zeros(0)))
 
-    def test_chunking_does_not_change_result(self):
+    def test_chunking_does_not_change_result(self, monkeypatch):
         rng = Rng(31, 0)
         cache = counts_cache(rng.uniform(0, 25, 1000 * 8).reshape(1000, 8),
                              rng.uniform(0, 5, 1000).astype(np.int64))
         model = random_model(5, 8, seed=3)
-        assert evaluate(model, cache, chunk=64) == evaluate(model, cache, chunk=100000)
+        accuracies = set()
+        for chunk in (64, 100000):
+            monkeypatch.setattr("ransnn.readout.EVAL_CHUNK", chunk)
+            accuracies.add(evaluate(model, cache))
+        assert len(accuracies) == 1
 
     @pytest.mark.parametrize("scale", [2, 4, 8])
     def test_argmax_invariant_under_reciprocal_scaling(self, scale):

@@ -7,12 +7,12 @@ import pytest
 
 from oracles import (cross_entropy, reference_bptt_backward, reference_lif_stack,
                      relative_error, sg_forward_mode_grads)
-from ransnn.encoding import EncoderConfig, SpikeTrain, encode_sample, poisson_encode
-from ransnn.network import LifParams, Uniform, init_weights, simulate_forward
+from ransnn.encoding import encode_sample, poisson_encode
+from ransnn.network import LifParams, Uniform, fan_in_uniform, init_weights, simulate_forward
 from ransnn.numerics import ENCODE_TEST_STREAM, AdamConfig, Rng, softmax
 from ransnn.readout import TrainConfig
-from ransnn.sg import (SgModel, SurrogateParams, _batch_loss, _record_tape,
-                       bptt_backward, evaluate_sg, init_sg_model, surrogate_grad, train_sg)
+from ransnn.sg import (SgModel, _batch_loss, _record_tape, bptt_backward, evaluate_sg,
+                       init_sg_model, surrogate_grad, train_sg)
 
 
 class TestSurrogateGrad:
@@ -29,15 +29,6 @@ class TestSurrogateGrad:
         assert surrogate_grad(1e6) < 1e-10
         assert surrogate_grad(-1e6) < 1e-10
 
-    def test_slope_narrows_the_bump(self):
-        wide = surrogate_grad(0.5, SurrogateParams(slope=0.5))
-        narrow = surrogate_grad(0.5, SurrogateParams(slope=4.0))
-        assert narrow < wide
-
-    def test_slope_validated(self):
-        with pytest.raises(ValueError):
-            SurrogateParams(slope=0.0)
-
 
 def small_model(seed=0, n_in=4, n_hidden=6, num_classes=3,
                 lif=LifParams(beta=0.9, u_thr=1.0)) -> SgModel:
@@ -45,13 +36,13 @@ def small_model(seed=0, n_in=4, n_hidden=6, num_classes=3,
                          dist=Uniform(-0.9, 0.9))
 
 
-def random_train(seed, steps, neurons, rate=0.5) -> SpikeTrain:
+def random_train(seed, steps, neurons, rate=0.5) -> np.ndarray:
     return poisson_encode(np.full(neurons, rate), steps, Rng(seed, 5))
 
 
-def one_sample_tape(model, train: SpikeTrain):
-    """The tape of one sample's forward: _record_tape at B = 1."""
-    return _record_tape(model, train.bits[None])
+def one_sample_tape(model, bits):
+    """The tape of one sample's (T, n_in) forward: _record_tape at B = 1."""
+    return _record_tape(model, bits[None])
 
 
 def one_hot(label, num_classes):
@@ -62,7 +53,7 @@ def one_hot(label, num_classes):
 class TestSgForward:
     def test_zero_input_gives_zero_trace(self):
         model = small_model()
-        tape = one_sample_tape(model, SpikeTrain(bits=np.zeros((8, 4), dtype=np.uint8)))
+        tape = one_sample_tape(model, np.zeros((8, 4), dtype=np.uint8))
         assert np.array_equal(tape.output_u_pre, np.zeros((1, 8, 3)))
         assert tape.hidden_bits.sum() == 0 and tape.output_bits.sum() == 0
 
@@ -73,7 +64,7 @@ class TestSgForward:
         assert np.array_equal(model.w_hidden, net.weights[0])
         train = random_train(9, steps=20, neurons=4, rate=0.7)
         tape = one_sample_tape(model, train)
-        reference = simulate_forward(net, train.bits[None])
+        reference = simulate_forward(net, train[None])
         assert np.array_equal(tape.hidden_bits, reference)
 
     def test_deterministic(self):
@@ -95,11 +86,11 @@ class TestSgForward:
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
-            one_sample_tape(small_model(), SpikeTrain(bits=np.zeros((5, 7), dtype=np.uint8)))
+            one_sample_tape(small_model(), np.zeros((5, 7), dtype=np.uint8))
 
     def test_tape_matches_the_pre_kernel_forward_bitwise(self):
         model = small_model(seed=11, n_in=20, n_hidden=30, num_classes=5)
-        bits = np.stack([random_train(40 + k, 12, 20).bits for k in range(6)])
+        bits = np.stack([random_train(40 + k, 12, 20) for k in range(6)])
         tape = _record_tape(model, bits)
         (hidden_bits, hidden_u_pre), (output_bits, output_u_pre) = reference_lif_stack(
             (model.w_hidden, model.w_out), (model.lif,) * 2, bits)
@@ -141,63 +132,49 @@ class TestBpttBackward:
         # The decisive check: reverse-mode BPTT and an independent
         # forward-mode differentiator compute the same surrogate-substituted
         # chain-rule product, so they must agree to near machine precision.
+        # At B = 1 the batch mean divides by 1, exactly.
         lif = LifParams(beta=0.9, u_thr=1.0)
         for trial in range(50):
             model = small_model(seed=trial, lif=lif)
             train = random_train(1000 + trial, steps=5, neurons=4, rate=0.6)
             y = one_hot(trial % 3, 3)
             tape = one_sample_tape(model, train)
-            d_wh, d_wo = bptt_backward(model, tape, y, reduction="sum")
+            d_wh, d_wo = bptt_backward(model, tape, y)
             ref_wh, ref_wo = sg_forward_mode_grads(
-                model.w_hidden, model.w_out, lif.beta, lif.u_thr,
-                train.bits, y[0])
-            assert relative_error(d_wh, ref_wh) < 1e-10
-            assert relative_error(d_wo, ref_wo) < 1e-10
-
-    def test_matches_oracle_with_detached_reset(self):
-        lif = LifParams(beta=0.9, u_thr=1.0)
-        for trial in range(10):
-            model = small_model(seed=200 + trial, lif=lif)
-            train = random_train(300 + trial, steps=5, neurons=4, rate=0.6)
-            y = one_hot(trial % 3, 3)
-            tape = one_sample_tape(model, train)
-            d_wh, d_wo = bptt_backward(model, tape, y, reduction="sum",
-                                       detach_reset=True)
-            ref_wh, ref_wo = sg_forward_mode_grads(
-                model.w_hidden, model.w_out, lif.beta, lif.u_thr,
-                train.bits, y[0], detach_reset=True)
+                model.w_hidden, model.w_out, lif.beta, lif.u_thr, train, y[0])
             assert relative_error(d_wh, ref_wh) < 1e-10
             assert relative_error(d_wo, ref_wo) < 1e-10
 
     def test_zero_input_gives_zero_weight_gradients(self):
         model = small_model(seed=1)
-        tape = one_sample_tape(model, SpikeTrain(bits=np.zeros((6, 4), dtype=np.uint8)))
+        tape = one_sample_tape(model, np.zeros((6, 4), dtype=np.uint8))
         d_wh, d_wo = bptt_backward(model, tape, one_hot(0, 3))
         assert np.array_equal(d_wh, np.zeros_like(model.w_hidden))
         assert np.array_equal(d_wo, np.zeros_like(model.w_out))
 
     def test_summing_the_loss_twice_doubles_every_gradient(self):
+        # The gradient of the summed loss is B times the batch mean's, which
+        # for B = 2 is exact.
         model = small_model(seed=4)
         train = random_train(77, steps=6, neurons=4, rate=0.7)
         y = one_hot(1, 3)
         tape_single = one_sample_tape(model, train)
-        d_wh_1, d_wo_1 = bptt_backward(model, tape_single, y, reduction="sum")
-        doubled = np.repeat(train.bits[None], 2, axis=0)
+        d_wh_1, d_wo_1 = bptt_backward(model, tape_single, y)
+        doubled = np.repeat(train[None], 2, axis=0)
         tape_double = _record_tape(model, doubled)
-        d_wh_2, d_wo_2 = bptt_backward(model, tape_double, np.vstack([y, y]),
-                                       reduction="sum")
-        assert np.allclose(d_wh_2, 2.0 * d_wh_1, rtol=1e-12, atol=0)
-        assert np.allclose(d_wo_2, 2.0 * d_wo_1, rtol=1e-12, atol=0)
+        summed = [2.0 * d for d in bptt_backward(model, tape_double, np.vstack([y, y]))]
+        assert np.allclose(summed[0], 2.0 * d_wh_1, rtol=1e-12, atol=0)
+        assert np.allclose(summed[1], 2.0 * d_wo_1, rtol=1e-12, atol=0)
 
     def test_mean_reduction_divides_by_batch(self):
         model = small_model(seed=4)
         train = random_train(78, steps=6, neurons=4, rate=0.7)
         y = one_hot(2, 3)
-        doubled = np.repeat(train.bits[None], 2, axis=0)
+        doubled = np.repeat(train[None], 2, axis=0)
         tape = _record_tape(model, doubled)
         targets = np.vstack([y, y])
-        d_sum = bptt_backward(model, tape, targets, reduction="sum")
-        d_mean = bptt_backward(model, tape, targets, reduction="mean")
+        d_sum = reference_bptt_backward(model, tape, targets, reduction="sum")
+        d_mean = bptt_backward(model, tape, targets)
         assert np.allclose(d_mean[0], d_sum[0] / 2.0, rtol=1e-15)
         assert np.allclose(d_mean[1], d_sum[1] / 2.0, rtol=1e-15)
 
@@ -217,18 +194,18 @@ class TestBpttBackward:
             bptt_backward(model, tape, np.zeros(3))
 
     @pytest.mark.parametrize("n_batch", [1, 6])
-    @pytest.mark.parametrize("detach_reset", [False, True])
-    @pytest.mark.parametrize("reduction", ["mean", "sum"])
-    @pytest.mark.parametrize("shared_scratch", [False, True])
-    def test_equals_the_whole_array_backward_bitwise(self, n_batch, detach_reset,
-                                                     reduction, shared_scratch):
+    # The ids name the one configuration bptt_backward runs: the loss is the
+    # mean over the batch and the reset is not detached.
+    @pytest.mark.parametrize("shared_scratch", [pytest.param(False, id="False-mean-False"),
+                                                pytest.param(True, id="True-mean-False")])
+    def test_equals_the_whole_array_backward_bitwise(self, n_batch, shared_scratch):
         # The streamed surrogate and the reused GEMM operands keep every
         # operation of the whole-array pass, so the bits must not move. A
         # shared scratch that first held a larger batch gives the tape
         # prefix views of its work arrays.
         model = small_model(seed=21, n_in=20, n_hidden=30, num_classes=5,
                             lif=LifParams(beta=0.9, u_thr=1.3))
-        bits = np.stack([random_train(60 + k, 12, 20, rate=0.6).bits
+        bits = np.stack([random_train(60 + k, 12, 20, rate=0.6)
                          for k in range(n_batch)])
         scratch = None
         if shared_scratch:
@@ -242,14 +219,12 @@ class TestBpttBackward:
                                "output_bits", "flat_input", "flat_hidden")}
         # Training passes a reused gradient vector; it must be fully written.
         out = np.full(model.w_hidden.size + model.w_out.size, np.nan) if shared_scratch else None
-        d_wh, d_wo = bptt_backward(model, tape, y, reduction=reduction,
-                                   detach_reset=detach_reset, out=out)
+        d_wh, d_wo = bptt_backward(model, tape, y, out=out)
         if out is not None:
             assert np.shares_memory(d_wh, out) and np.shares_memory(d_wo, out)
         for name, value in before.items():
             assert np.array_equal(getattr(tape, name), value), name
-        ref_wh, ref_wo = reference_bptt_backward(model, tape, y, reduction=reduction,
-                                                 detach_reset=detach_reset)
+        ref_wh, ref_wo = reference_bptt_backward(model, tape, y)
         assert np.array_equal(d_wh, ref_wh)
         assert np.array_equal(d_wo, ref_wo)
 
@@ -265,7 +240,7 @@ class TestBpttBackward:
         # (B, T, n_hidden) float64 array: the hidden adjoint. Whole surrogate
         # arrays or fresh float64 copies of the tape's bits would exceed it.
         n_batch, steps, n_in, n_hidden = 8, 10, 784, 500
-        model = init_sg_model(n_in, n_hidden, 10, seed=0)
+        model = init_sg_model(n_in, n_hidden, 10, seed=0, dist=fan_in_uniform(n_in))
         bits = (Rng(3, 0).uniform(0, 1, n_batch * steps * n_in) < 0.2).astype(np.uint8)
         tape = _record_tape(model, bits.reshape(n_batch, steps, n_in))
         y = np.eye(10)[np.arange(n_batch)]
@@ -303,23 +278,29 @@ def _separable(samples_per_class, pixels, seed):
                           num_classes=2)
 
 
+def train_whole(model, ds, test_ds, time_steps, cfg, master_seed):
+    """train_sg over every sample of both datasets."""
+    return train_sg(model, ds, test_ds, time_steps, cfg, master_seed,
+                    train_indices=np.arange(len(ds)), test_indices=np.arange(len(test_ds)))
+
+
 class TestTrainSg:
     def test_separable_task_converges(self):
-        ds = _separable(samples_per_class=512, pixels=24, seed=12)
+        ds = _separable(samples_per_class=3200, pixels=24, seed=12)  # 200 batches
         test_ds = _separable(samples_per_class=64, pixels=24, seed=13)
-        model = init_sg_model(24, 40, 2, seed=0, lif=LifParams(beta=0.95, u_thr=1.0))
-        cfg = TrainConfig(epochs=7, adam=AdamConfig(lr=0.01), batch_size=32, eval_every=8)
-        model, metrics = train_sg(model, ds, test_ds,
-                                  EncoderConfig(time_steps=10), cfg, master_seed=99)
+        model = init_sg_model(24, 40, 2, seed=0, dist=fan_in_uniform(24),
+                              lif=LifParams(beta=0.95, u_thr=1.0))
+        cfg = TrainConfig(adam=AdamConfig(lr=0.01), batch_size=32, eval_every=8)
+        model, metrics = train_whole(model, ds, test_ds, 10, cfg, master_seed=99)
         early = [m for m in metrics if m.iteration <= 200]
         assert max(m.train_accuracy for m in early) >= 0.95
 
     def test_deterministic_metric_traces(self):
         ds = _separable(samples_per_class=64, pixels=16, seed=3)
         test_ds = _separable(samples_per_class=16, pixels=16, seed=4)
-        cfg = TrainConfig(epochs=1, adam=AdamConfig(lr=0.01), batch_size=16)
-        run = lambda: train_sg(init_sg_model(16, 12, 2, seed=7), ds, test_ds,
-                               EncoderConfig(time_steps=8), cfg, master_seed=5)
+        cfg = TrainConfig(adam=AdamConfig(lr=0.01), batch_size=16)
+        run = lambda: train_whole(init_sg_model(16, 12, 2, seed=7, dist=fan_in_uniform(16)),
+                                  ds, test_ds, 8, cfg, master_seed=5)
         model_a, metrics_a = run()
         model_b, metrics_b = run()
         assert np.array_equal(model_a.w_hidden, model_b.w_hidden)
@@ -330,9 +311,8 @@ class TestTrainSg:
     def test_batch_size_larger_than_selection_rejected(self):
         ds = _separable(samples_per_class=4, pixels=16, seed=3)
         with pytest.raises(ValueError):
-            train_sg(init_sg_model(16, 8, 2, seed=0), ds, ds,
-                     EncoderConfig(time_steps=5),
-                     TrainConfig(batch_size=512), master_seed=0)
+            train_whole(init_sg_model(16, 8, 2, seed=0, dist=fan_in_uniform(16)), ds, ds, 5,
+                        TrainConfig(batch_size=512), master_seed=0)
 
     def test_loss_reported_per_step(self):
         # With an untouched zero-ish output drive the first recorded loss
@@ -340,8 +320,8 @@ class TestTrainSg:
         ds = _separable(samples_per_class=32, pixels=16, seed=6)
         model = init_sg_model(16, 12, 2, seed=1,
                               dist=Uniform(-1e-6, 1e-6))
-        cfg = TrainConfig(epochs=1, adam=AdamConfig(lr=1e-4), batch_size=16)
-        _, metrics = train_sg(model, ds, ds, EncoderConfig(time_steps=6), cfg, master_seed=2)
+        cfg = TrainConfig(adam=AdamConfig(lr=1e-4), batch_size=16)
+        _, metrics = train_whole(model, ds, ds, 6, cfg, master_seed=2)
         assert metrics[0].loss == pytest.approx(math.log(2), rel=1e-6)
 
 
@@ -349,9 +329,8 @@ class TestEvaluateSg:
     def test_empty_selection_rejected(self):
         ds = _separable(samples_per_class=4, pixels=16, seed=3)
         with pytest.raises(ValueError):
-            evaluate_sg(small_model(n_in=16, n_hidden=8, num_classes=2), ds,
-                        EncoderConfig(time_steps=5), master_seed=0,
-                        indices=np.array([], dtype=np.int64))
+            evaluate_sg(small_model(n_in=16, n_hidden=8, num_classes=2), ds, 5, 0,
+                        np.array([], dtype=np.int64), ENCODE_TEST_STREAM)
 
     def test_prediction_counts_tie_goes_to_lowest_class(self):
         # Zero weights: no output neuron ever fires, every count ties at 0,
@@ -359,17 +338,16 @@ class TestEvaluateSg:
         ds = _separable(samples_per_class=8, pixels=16, seed=3)
         model = SgModel(w_hidden=np.zeros((8, 16)), w_out=np.zeros((2, 8)),
                         lif=LifParams())
-        acc = evaluate_sg(model, ds, EncoderConfig(time_steps=5), master_seed=0)
+        acc = evaluate_sg(model, ds, 5, 0, np.arange(len(ds)), ENCODE_TEST_STREAM)
         assert acc == float((ds.labels == 0).mean())
 
-    def test_accuracy_independent_of_chunk_and_scratch(self):
+    def test_accuracy_independent_of_chunk_and_scratch(self, monkeypatch):
         ds = _separable(samples_per_class=20, pixels=16, seed=8)
         model = init_sg_model(16, 12, 2, seed=4, lif=LifParams(beta=0.9, u_thr=1.0),
                               dist=Uniform(-1.0, 1.0))
-        enc = EncoderConfig(time_steps=6)
         indices = np.arange(3, 38)
         # Reference: per-sample encodings through the pre-kernel forward.
-        bits = np.stack([encode_sample(ds.images[i], enc, Rng(9, ENCODE_TEST_STREAM + i)).bits
+        bits = np.stack([encode_sample(ds.images[i], 6, Rng(9, ENCODE_TEST_STREAM + i))
                          for i in indices])
         (_, _), (out_bits, _) = reference_lif_stack((model.w_hidden, model.w_out),
                                                     (model.lif,) * 2, bits)
@@ -377,11 +355,13 @@ class TestEvaluateSg:
         expected = float((preds == ds.labels[indices]).mean())
         assert preds.min() != preds.max() and 0.5 < expected < 1.0
         for chunk in (1, 7, 128):
-            assert evaluate_sg(model, ds, enc, 9, indices, chunk=chunk) == expected
+            monkeypatch.setattr("ransnn.sg.EVAL_CHUNK", chunk)
+            assert evaluate_sg(model, ds, 6, 9, indices, ENCODE_TEST_STREAM) == expected
         # A scratch already holding a larger tape's buffers is used through
         # prefix views.
         scratch = {}
         _record_tape(model, np.ones((len(indices) + 5, 6, 16), dtype=np.uint8), scratch)
         for chunk in (1, 7, 128):
-            assert evaluate_sg(model, ds, enc, 9, indices, chunk=chunk,
+            monkeypatch.setattr("ransnn.sg.EVAL_CHUNK", chunk)
+            assert evaluate_sg(model, ds, 6, 9, indices, ENCODE_TEST_STREAM,
                                scratch=scratch) == expected
