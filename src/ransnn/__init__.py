@@ -7,7 +7,7 @@ from .harness import (ConfigError, ExperimentConfig, MethodComparison, RunRecord
                       SweepSpec, compare_methods, emit_metrics, run_experiment,
                       run_sweep, summarize_sweep)
 from .idx import (DatasetError, IdxError, IdxTensor, LabeledDataset, load_dataset,
-                  make_batches, parse_idx, read_idx, write_idx)
+                  make_batches, parse_idx, read_idx)
 from .network import (LifParams, NetworkTopology, Normal, Uniform, WeightDistribution,
                       fan_in_uniform, init_weights, simulate_forward)
 from .numerics import (ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM, AdamConfig, AdamState, Rng,

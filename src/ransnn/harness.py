@@ -13,6 +13,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import numbers
 import os
 import re
 import tempfile
@@ -96,6 +97,25 @@ class ExperimentConfig:
     paths: DataPaths = DataPaths()
 
     def validate(self) -> None:
+        """Raise ConfigError unless the config describes a runnable
+        experiment. Field types are checked first, so a config built in
+        Python with a mistyped value fails here like a JSON one."""
+        for name in _INT_FIELDS + _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if name != "seed" or value is not None:
+                _check_number(name, value, name in _INT_FIELDS)
+        if not isinstance(self.hidden_sizes, (tuple, list)):
+            raise ConfigError(
+                f"hidden_sizes must be a list of integers, got {self.hidden_sizes!r}")
+        for h in self.hidden_sizes:
+            _check_number("hidden_sizes", h, True)
+        for name, kinds, what in (
+                ("dist", (Uniform, Normal, type(None)), "Uniform, Normal or None"),
+                ("adam", AdamConfig, "an AdamConfig"), ("paths", DataPaths, "a DataPaths")):
+            if not isinstance(getattr(self, name), kinds):
+                raise ConfigError(f"{name} must be {what}, got {getattr(self, name)!r}")
+        for f in dataclasses.fields(AdamConfig):
+            _check_number(f"adam.{f.name}", getattr(self.adam, f.name), False)
         if self.dataset not in DATASETS:
             raise ConfigError(f"unknown dataset {self.dataset!r}, expected one of {DATASETS}")
         if self.method not in METHODS:
@@ -166,13 +186,21 @@ _INT_FIELDS = ("time_steps", "train_batches", "test_batches", "batch_size", "see
 _FLOAT_FIELDS = ("beta", "u_thr")
 
 
+def _check_number(name: str, value, integral: bool) -> None:
+    """A ConfigError unless value is an integer (if integral) or a real
+    number; booleans are neither."""
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if integral else numbers.Real):
+        raise ConfigError(f"{name} must be {'an integer' if integral else 'a number'}, "
+                          f"got {value!r}")
+
+
 def _number(name: str, value, integral: bool):
     """A JSON number as an int (which it must be equal to, if integral) or
     as a float; anything else, booleans included, is a ConfigError."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or (integral and not float(value).is_integer())):
-        raise ConfigError(f"{name} must be {'an integer' if integral else 'a number'}, "
-                          f"got {value!r}")
+    _check_number(name, value, False)
+    if integral and not float(value).is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value) if integral else float(value)
 
 
@@ -388,15 +416,19 @@ def _extract_splits(cfg: ExperimentConfig, run: _RunSetup, cache_dir) -> list[Fe
     return caches
 
 
-def _fill_time_steps(cfg: ExperimentConfig, steps, cache_dir) -> None:
+def _fill_time_steps(cfg: ExperimentConfig, steps, cache_dir) -> dict[int, list[Path]]:
     """Write to cache_dir the feature caches of cfg's runs at every window
     length in steps, whatever cfg.time_steps is, from one simulation per
     split at max(steps). Caches already on disk are skipped, the weights are
     sampled only if one is missing, and each split's caches are saved and
-    dropped before the next split is simulated."""
+    dropped before the next split is simulated. Returns the train and test
+    cache files of each window length."""
     run, net = _set_up(cfg), None
+    files: dict[int, list[Path]] = {t: [] for t in steps}
     for split in (run.train, run.test):
         paths = {t: _cache_file(cache_dir, _split_digest(cfg, run, split, t)) for t in steps}
+        for t, path in paths.items():
+            files[t].append(path)
         missing = [t for t, path in paths.items() if not path.exists()]
         if not missing:
             continue
@@ -408,6 +440,7 @@ def _fill_time_steps(cfg: ExperimentConfig, steps, cache_dir) -> None:
         for t in missing:
             caches[t].save(paths[t])
         del caches
+    return files
 
 
 def run_experiment(cfg: ExperimentConfig, cache_dir=None) -> RunRecord:
@@ -486,10 +519,12 @@ def run_sweep(base: ExperimentConfig, sweep: SweepSpec, cache_dir=None) -> list[
     repeat's seed offset. Records are ordered value-major, repeat-minor.
 
     Every run's config is validated before the first run starts. A
-    time_steps sweep of the readout method simulates each repeat's samples
-    once, at the largest value, and fills the feature cache (cache_dir, or a
-    temporary directory for the sweep) with the counts at every value; the
-    runs then read it. The fill's seconds count towards the feature
+    time_steps sweep of the readout method runs repeat by repeat: it
+    simulates each repeat's samples once, at the largest value, and fills
+    the feature cache (cache_dir, or a temporary directory for the sweep)
+    with the counts at every value; the repeat's runs then read it. In a
+    temporary directory a run's two cache files are deleted as soon as no
+    later run reads them. The fill's seconds count towards the feature
     extraction and total seconds of the first record of its repeat."""
     base.validate()
     cfgs = [replace(apply_sweep_value(base, sweep.parameter, value), seed=base.seed + r)
@@ -499,17 +534,22 @@ def run_sweep(base: ExperimentConfig, sweep: SweepSpec, cache_dir=None) -> list[
     if sweep.parameter != "time_steps" or base.method != "ransnn":
         return [run_experiment(cfg, cache_dir=cache_dir) for cfg in cfgs]
     steps = sorted({cfg.time_steps for cfg in cfgs})
+    records: list[RunRecord] = [None] * len(cfgs)
     with (tempfile.TemporaryDirectory(prefix="ransnn-sweep-") if cache_dir is None
           else contextlib.nullcontext(cache_dir)) as fill_dir:
-        fill_seconds = []
-        for first in cfgs[:sweep.repeats]:
+        for r in range(sweep.repeats):
             t0 = time.perf_counter()
-            _fill_time_steps(first, steps, fill_dir)
-            fill_seconds.append(time.perf_counter() - t0)
-        records = [run_experiment(cfg, cache_dir=fill_dir) for cfg in cfgs]
-    for rec, seconds in zip(records, fill_seconds):
-        rec.feature_extraction_seconds += seconds
-        rec.total_seconds += seconds
+            files = _fill_time_steps(cfgs[r], steps, fill_dir)
+            fill_seconds = time.perf_counter() - t0
+            mine = [cfgs[i].time_steps for i in range(r, len(cfgs), sweep.repeats)]
+            for k, t in enumerate(mine):
+                i = r + k * sweep.repeats
+                records[i] = run_experiment(cfgs[i], cache_dir=fill_dir)
+                if cache_dir is None and t not in mine[k + 1:]:
+                    for path in files[t]:
+                        path.unlink()
+            records[r].feature_extraction_seconds += fill_seconds
+            records[r].total_seconds += fill_seconds
     return records
 
 

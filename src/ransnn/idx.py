@@ -54,12 +54,6 @@ class IdxTensor:
     dims: tuple[int, ...]
     data: np.ndarray  # shaped to dims, uint8
 
-    def to_bytes(self) -> bytes:
-        """Re-serialize to the exact IDX byte layout."""
-        header = struct.pack(">BBBB", 0, 0, self.dtype_code, len(self.dims))
-        header += b"".join(struct.pack(">I", d) for d in self.dims)
-        return header + self.data.astype(np.uint8).tobytes()
-
 
 def parse_idx(data: bytes) -> IdxTensor:
     """Decode IDX bytes, gzipped or not (told apart by the gzip prefix),
@@ -103,11 +97,6 @@ def parse_idx(data: bytes) -> IdxTensor:
 def read_idx(path) -> IdxTensor:
     """Read an IDX file from disk, unwrapping gzip automatically."""
     return parse_idx(Path(path).read_bytes())
-
-
-def write_idx(tensor: IdxTensor, path, gz: bool = False) -> None:
-    raw = tensor.to_bytes()
-    Path(path).write_bytes(gzip.compress(raw) if gz else raw)
 
 
 @dataclass

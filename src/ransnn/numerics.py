@@ -28,6 +28,9 @@ SHUFFLE_STREAM = 3 << 32  # batch-selection permutations
 # wrong prediction yields a large finite loss instead of -inf.
 PROB_FLOOR = 1e-12
 
+# Entries per block of adam_step: its one work array holds this many.
+ADAM_BLOCK = 1 << 15
+
 
 class Rng:
     """Deterministic random stream addressed by ``(seed, stream_id)``.
@@ -122,6 +125,13 @@ def adam_step(params: np.ndarray, grads: np.ndarray,
 
     Returns the updated parameters and a new state with ``t`` incremented;
     the inputs are not mutated.
+
+    The update runs over blocks of ADAM_BLOCK entries, writing straight into
+    the three new arrays with one block-sized work array, so it allocates
+    little beyond its outputs. Each entry goes through the operations of
+    the textbook expression, with the same operands in the same order:
+    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, and
+    params - lr*(m/c1) / (sqrt(v/c2) + eps) with c = 1 - b**t.
     """
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
@@ -131,9 +141,21 @@ def adam_step(params: np.ndarray, grads: np.ndarray,
             f"{grads.shape}, moments {state.m.shape}")
     cfg = state.config
     t = state.t + 1
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grads
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grads * grads
-    m_hat = m / (1.0 - cfg.beta1 ** t)
-    v_hat = v / (1.0 - cfg.beta2 ** t)
-    new_params = params - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    c1, c2 = 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t
+    m, v, new_params = (np.empty(params.shape) for _ in range(3))
+    work = np.empty(min(params.size, ADAM_BLOCK))
+    flat = [a.reshape(-1) for a in (params, grads, state.m, state.v, m, v, new_params)]
+    for lo in range(0, params.size, ADAM_BLOCK):
+        p0, g, m0, v0, m1, v1, p1 = (a[lo:lo + ADAM_BLOCK] for a in flat)
+        w = work[:len(g)]
+        np.multiply(cfg.beta1, m0, out=m1)
+        np.add(m1, np.multiply(1.0 - cfg.beta1, g, out=w), out=m1)
+        np.multiply(cfg.beta2, v0, out=v1)
+        np.multiply(np.multiply(1.0 - cfg.beta2, g, out=w), g, out=w)
+        np.add(v1, w, out=v1)
+        np.divide(v1, c2, out=w)
+        np.add(np.sqrt(w, out=w), cfg.eps, out=w)
+        np.divide(m1, c1, out=p1)
+        np.divide(np.multiply(cfg.lr, p1, out=p1), w, out=p1)
+        np.subtract(p0, p1, out=p1)
     return new_params, dataclasses.replace(state, m=m, v=v, t=t)

@@ -30,12 +30,15 @@ from .readout import IterationMetrics, TrainConfig
 EVAL_CHUNK = 128
 
 
-def surrogate_grad(x):
+def surrogate_grad(x, out: np.ndarray | None = None):
     """Arctan surrogate derivative of the spike step at x = u_pre - u_thr:
     1 / (1 + (pi*x)^2), peaking at 1 when the pre-reset potential sits
-    exactly at threshold."""
-    z = np.pi * np.asarray(x, dtype=np.float64)
-    return 1.0 / (1.0 + z * z)
+    exactly at threshold. out, if given, receives every intermediate and
+    the result (it may be x itself)."""
+    z = np.multiply(np.pi, np.asarray(x, dtype=np.float64), out=out)
+    z = np.multiply(z, z, out=out)
+    z = np.add(1.0, z, out=out)
+    return np.divide(1.0, z, out=out)
 
 
 @dataclass
@@ -125,14 +128,23 @@ def _adjoint(drive: np.ndarray, u_pre: np.ndarray, beta: float, thr: float,
     """lam(t) = dL/du_pre(t) over (B, T, n), accumulated backward through
     leak and reset: lam(t) = drive(t) + beta * (1 - thr * g(t)) * lam(t+1).
     g(t) is the surrogate at u_pre(t) - thr, computed one step at a time;
-    gate=True first multiplies drive(t) by it. Overwrites drive."""
-    carry = np.zeros_like(drive[:, 0])
+    gate=True first multiplies drive(t) by it. Overwrites drive.
+
+    g and the decay live in two (B, n) work arrays for the whole call, and
+    every operation keeps the operands and order of the expression above,
+    so the bits are those of a fresh array per operation. lam(T) is 0."""
+    g = np.empty_like(drive[:, 0])
+    decay = np.empty_like(g)
+    carry = 0.0
     for t in reversed(range(drive.shape[1])):
-        g = surrogate_grad(u_pre[:, t] - thr)
+        surrogate_grad(np.subtract(u_pre[:, t], thr, out=g), out=g)
         if gate:
             drive[:, t] *= g
-        decay = beta * (1.0 - thr * g)
-        carry = drive[:, t] = drive[:, t] + decay * carry
+        np.multiply(thr, g, out=decay)
+        np.subtract(1.0, decay, out=decay)
+        np.multiply(beta, decay, out=decay)
+        np.multiply(decay, carry, out=decay)
+        carry = np.add(drive[:, t], decay, out=drive[:, t])
     return drive
 
 

@@ -1,7 +1,11 @@
+import gzip
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ransnn.idx import IdxTensor, LabeledDataset, write_idx
+from ransnn.idx import IdxTensor, LabeledDataset
 from ransnn.network import simulate
 from ransnn.numerics import ENCODE_TRAIN_STREAM, Rng
 from ransnn.readout import extract_features
@@ -26,6 +30,24 @@ def blob_dataset(num_classes: int, samples_per_class: int, side: int = 12,
     images = np.stack(images)[order]
     labels = np.asarray(labels, dtype=np.int64)[order]
     return LabeledDataset(images=images, labels=labels, num_classes=num_classes)
+
+
+def idx_bytes(dims, payload: bytes, dtype_code: int = 0x08) -> bytes:
+    """The IDX header for dims and dtype_code, followed by payload."""
+    header = struct.pack(">BBBB", 0, 0, dtype_code, len(dims))
+    header += b"".join(struct.pack(">I", d) for d in dims)
+    return header + payload
+
+
+def idx_tensor_bytes(tensor: IdxTensor) -> bytes:
+    """Serialize a tensor to the exact IDX byte layout."""
+    return idx_bytes(tensor.dims, tensor.data.astype(np.uint8).tobytes(), tensor.dtype_code)
+
+
+def write_idx(tensor: IdxTensor, path, gz: bool = False) -> None:
+    """Write a tensor as an IDX file, gzipped if gz."""
+    raw = idx_tensor_bytes(tensor)
+    Path(path).write_bytes(gzip.compress(raw) if gz else raw)
 
 
 def write_dataset_idx(ds: LabeledDataset, side: int, dir_path, prefix: str,

@@ -206,6 +206,21 @@ def reference_bptt_backward(model, tape, y_true, *, reduction: str = "mean",
     return d_w_hidden, d_w_out
 
 
+def reference_adam_step(params, grads, state):
+    """adam_step as whole-array expressions, one fresh array per operation:
+    the textbook form whose bits the blocked update must reproduce."""
+    import dataclasses
+
+    cfg = state.config
+    t = state.t + 1
+    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grads
+    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grads * grads
+    m_hat = m / (1.0 - cfg.beta1 ** t)
+    v_hat = v / (1.0 - cfg.beta2 ** t)
+    new_params = params - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    return new_params, dataclasses.replace(state, m=m, v=v, t=t)
+
+
 def reference_cache_bytes(cache) -> bytes:
     """The bytes the feature-cache writer produced before it wrote through
     the buffer protocol: magic, the four little-endian u64 header fields,

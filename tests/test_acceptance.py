@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import blob_dataset, drive_layer, extract, write_dataset_idx
+from conftest import blob_dataset, drive_layer, extract, idx_tensor_bytes, write_dataset_idx
 from oracles import (central_difference_grad, cross_entropy, leak_decay_sequence,
                      linear_filter_membrane, relative_error,
                      sg_forward_mode_grads)
@@ -337,7 +337,7 @@ class TestCriterion11ParserCorrectness:
             raw = struct.pack(">BBBB", 0, 0, 0x08, ndim)
             raw += b"".join(struct.pack(">I", d) for d in dims)
             raw += payload.tobytes()
-            ok &= parse_idx(raw).to_bytes() == raw
+            ok &= idx_tensor_bytes(parse_idx(raw)) == raw
         report("11a", "IDX round-trip bit-exact", ok)
         assert ok
 

@@ -4,6 +4,7 @@ import re
 import tempfile
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +103,16 @@ class TestConfig:
         # A string of digits would otherwise read as one layer per digit.
         with pytest.raises(ConfigError, match="list of integers"):
             config_from_dict({"hidden_sizes": sizes})
+
+    @pytest.mark.parametrize("field,value", [("time_steps", "25"), ("beta", "0.9"),
+                                             ("hidden_sizes", ("a",)),
+                                             ("batch_size", None), ("dist", "U(-1,1)"),
+                                             ("adam", {"lr": 0.1}),
+                                             ("paths", {"train_images": "x"})])
+    def test_mistyped_field_of_a_python_config_is_a_config_error(self, field, value):
+        cfg = replace(ExperimentConfig(seed=1), **{field: value})
+        with pytest.raises(ConfigError, match=field):
+            cfg.validate()
 
     def test_numbers_are_coerced_to_their_field_types(self):
         cfg = tiny_config(time_steps=8.0, hidden_sizes=[30.0], beta=1, adam={"lr": 1})
@@ -408,6 +419,35 @@ class TestRunSweep:
         run_sweep(tiny_config(), SweepSpec(parameter="time_steps", values=(4, 8), repeats=1))
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("values", [(4, 8), (8, 4, 8)])
+    def test_temporary_fill_holds_only_the_caches_later_runs_read(
+            self, use_data_dir, monkeypatch, values):
+        import ransnn.harness
+
+        real_run, real_load = ransnn.harness.run_experiment, FeatureCache.load
+        held, read = [], []
+
+        def listing_run(cfg, cache_dir=None):
+            held.append({path.name for path in Path(cache_dir).iterdir()})
+            read.append(set())
+            return real_run(cfg, cache_dir=cache_dir)
+
+        def recording_load(path, **kwargs):
+            read[-1].add(Path(path).name)
+            return real_load(path, **kwargs)
+
+        def no_extract(*_args, **_kwargs):
+            raise AssertionError("a run found its cache deleted")
+
+        monkeypatch.setattr(ransnn.harness, "run_experiment", listing_run)
+        monkeypatch.setattr(FeatureCache, "load", recording_load)
+        monkeypatch.setattr(ransnn.harness, "extract_features", no_extract)
+        run_sweep(tiny_config(), SweepSpec(parameter="time_steps", values=values, repeats=2))
+        assert len(read) == 2 * len(values)
+        for i, now in enumerate(read):
+            assert len(now) == 2
+            assert now <= held[i] <= set().union(*read[i:])
+
     def test_fill_seconds_count_towards_the_first_record_of_each_seed(self, use_data_dir,
                                                                       monkeypatch):
         import ransnn.harness
@@ -416,7 +456,7 @@ class TestRunSweep:
 
         def slow_fill(*args):
             time.sleep(0.2)
-            real(*args)
+            return real(*args)
 
         monkeypatch.setattr(ransnn.harness, "_fill_time_steps", slow_fill)
         records = run_sweep(tiny_config(), SweepSpec(parameter="time_steps", values=(4, 8),

@@ -1,22 +1,15 @@
 import gzip
-import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import write_dataset_idx
+from conftest import idx_bytes, idx_tensor_bytes, write_dataset_idx, write_idx
 from ransnn.idx import (DatasetError, IdxFormatError,
                         IdxLengthError, IdxTensor, IdxUnsupportedDtypeError,
                         LabeledDataset, load_dataset, make_batches,
-                        parse_idx, read_idx, write_idx)
-
-
-def idx_bytes(dims, payload, dtype_code=0x08):
-    header = struct.pack(">BBBB", 0, 0, dtype_code, len(dims))
-    header += b"".join(struct.pack(">I", d) for d in dims)
-    return header + payload
+                        parse_idx, read_idx)
 
 
 class TestParseIdx:
@@ -82,8 +75,8 @@ class TestParseIdx:
         payload = np.random.default_rng(seed).integers(0, 256, count, dtype=np.uint8)
         raw = idx_bytes(tuple(dims), payload.tobytes())
         tensor = parse_idx(raw)
-        assert tensor.to_bytes() == raw
-        again = parse_idx(tensor.to_bytes())
+        assert idx_tensor_bytes(tensor) == raw
+        again = parse_idx(idx_tensor_bytes(tensor))
         assert again.dims == tensor.dims
         assert np.array_equal(again.data, tensor.data)
 

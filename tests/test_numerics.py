@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import cross_entropy
-from ransnn.numerics import AdamConfig, AdamState, Rng, adam_step, softmax
+from oracles import cross_entropy, reference_adam_step
+from ransnn.numerics import ADAM_BLOCK, AdamConfig, AdamState, Rng, adam_step, softmax
 
 
 class TestRng:
@@ -182,3 +183,49 @@ class TestAdam:
         assert np.array_equal(params, np.ones(2))
         assert state.t == 0
         assert np.array_equal(state.m, np.zeros(2))
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64).tobytes()
+
+
+class TestAdamBlocks:
+    """The blocked update against the whole-array oracle, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, ADAM_BLOCK - 1, ADAM_BLOCK, ADAM_BLOCK + 1,
+                                   3 * ADAM_BLOCK + 7])
+    @pytest.mark.parametrize("grads", ["random", "zero", "negative"])
+    def test_thirty_steps_equal_the_oracle_bitwise(self, n, grads):
+        rng = Rng(21, n)
+        params = rng.normal(0.0, 0.5, n)
+        state = AdamState.zeros(n, AdamConfig(lr=3e-3))
+        ref_params, ref_state = params.copy(), state
+        for _ in range(30):
+            if grads == "random":
+                g = rng.normal(0.0, 2.0, n)
+            elif grads == "zero":
+                g = np.zeros(n)
+            else:
+                g = -np.abs(rng.normal(0.0, 1e-3, n))
+            params, state = adam_step(params, g, state)
+            ref_params, ref_state = reference_adam_step(ref_params, g, ref_state)
+            assert _bits(params) == _bits(ref_params)
+            assert _bits(state.m) == _bits(ref_state.m)
+            assert _bits(state.v) == _bits(ref_state.v)
+        assert state.t == ref_state.t == 30
+
+    def test_peak_is_outputs_plus_one_block(self):
+        n = 200_000
+        rng = Rng(22, 0)
+        params, grads = rng.normal(0.0, 1.0, n), rng.normal(0.0, 1.0, n)
+        state = AdamState.zeros(n)
+        adam_step(params, grads, state)  # first-call set-up outside the trace
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            result = adam_step(params, grads, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del result
+        assert peak - entry <= 1.05 * 8 * (3 * n + ADAM_BLOCK)
