@@ -12,8 +12,8 @@ from .network import (LifParams, NetworkTopology, Normal, Uniform, WeightDistrib
                       fan_in_uniform, init_weights, simulate_forward)
 from .numerics import (ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM, AdamConfig, AdamState, Rng,
                        adam_step, softmax)
-from .readout import (FeatureCache, IterationMetrics, ReadoutModel, TrainConfig,
-                      evaluate, extract_features, extract_features_at, readout_loss_grad,
+from .readout import (FeatureCache, IterationMetrics, ReadoutModel, evaluate,
+                      extract_features, extract_features_at, readout_loss_grad,
                       train_readout)
 from .sg import (BpttTape, SgModel, bptt_backward, evaluate_sg, init_sg_model,
                  surrogate_grad, train_sg)

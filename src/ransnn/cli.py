@@ -18,13 +18,9 @@ from .harness import (SWEEP_PARAMETERS, ConfigError, ExperimentConfig, SweepSpec
 from .idx import DatasetError, IdxError, read_idx
 
 
-CACHE_DIR_HELP = ("directory of feature caches (*.rsnnfc) to read and fill; "
-                  "runs that share it skip simulating what is already there")
-
-
 def _load_config(args) -> ExperimentConfig:
     cfg = config_from_file(args.config) if args.config else ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
 
@@ -68,17 +64,9 @@ def _split_values(raw: str) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    values = _split_values(args.values)
-    try:
-        if args.param in ("hidden_size", "time_steps"):
-            values = [int(v) for v in values]
-        elif args.param == "beta":
-            values = [float(v) for v in values]
-    except ValueError as exc:
-        raise ConfigError(f"--values for {args.param}: {exc}") from exc
-    sweep = SweepSpec(parameter=args.param, values=tuple(values), repeats=args.repeats)
-    records = run_sweep(cfg, sweep, cache_dir=args.cache_dir)
+    sweep = SweepSpec(parameter=args.param, values=tuple(_split_values(args.values)),
+                      repeats=args.repeats)
+    records = run_sweep(_load_config(args), sweep, cache_dir=args.cache_dir)
     for rec in records:
         _print_record(rec)
     print(f"sweep over {sweep.parameter} (repeats={sweep.repeats}):")
@@ -119,31 +107,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Benchmark runner for the random-hidden-layer spiking "
                     "classifier and its surrogate-gradient baseline.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # The flags every experiment subcommand shares.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file")
+    common.add_argument("--seed", type=int, help="override the config seed")
+    common.add_argument("--out", help="metrics output path (.csv or .json)")
+    common.add_argument("--cache-dir",
+                        help="directory of feature caches (*.rsnnfc) to read and fill; "
+                             "runs that share it skip simulating what is already there")
 
-    run_p = sub.add_parser("run", help="run one experiment")
-    run_p.add_argument("--config", help="JSON config file")
-    run_p.add_argument("--seed", type=int, help="override the config seed")
-    run_p.add_argument("--out", help="metrics output path (.csv or .json)")
-    run_p.add_argument("--cache-dir", help=CACHE_DIR_HELP)
+    run_p = sub.add_parser("run", parents=[common], help="run one experiment")
     run_p.set_defaults(func=cmd_run)
 
-    sweep_p = sub.add_parser("sweep", help="vary one parameter")
-    sweep_p.add_argument("--config", help="JSON config file")
-    sweep_p.add_argument("--seed", type=int, help="override the config seed")
+    sweep_p = sub.add_parser("sweep", parents=[common], help="vary one parameter")
     sweep_p.add_argument("--param", required=True, choices=SWEEP_PARAMETERS)
     sweep_p.add_argument("--values", required=True,
                          help="comma-separated values; dist_param takes "
                               "literals like U(-0.05,0.05) or N(0,0.05)")
     sweep_p.add_argument("--repeats", type=int, default=3)
-    sweep_p.add_argument("--out", help="metrics output path (.csv or .json)")
-    sweep_p.add_argument("--cache-dir", help=CACHE_DIR_HELP)
     sweep_p.set_defaults(func=cmd_sweep)
 
-    cmp_p = sub.add_parser("compare", help="run both methods on one config")
-    cmp_p.add_argument("--config", help="JSON config file")
-    cmp_p.add_argument("--seed", type=int, help="override the config seed")
-    cmp_p.add_argument("--out", help="metrics output path (.csv or .json)")
-    cmp_p.add_argument("--cache-dir", help=CACHE_DIR_HELP)
+    cmp_p = sub.add_parser("compare", parents=[common],
+                           help="run both methods on one config")
     cmp_p.set_defaults(func=cmd_compare)
 
     idx_p = sub.add_parser("inspect-idx", help="dump an IDX file header")
@@ -163,10 +148,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (IdxError, DatasetError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
+    except (IdxError, DatasetError, json.JSONDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -27,38 +27,33 @@ from .idx import LabeledDataset, load_dataset, make_batches
 from .network import (LifParams, Normal, Uniform, WeightDistribution,
                       fan_in_uniform, init_weights)
 from .numerics import AdamConfig, ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM
-from .readout import (FeatureCache, IterationMetrics, TrainConfig, evaluate,
-                      extract_features, extract_features_at, feature_digest,
-                      train_readout)
+from .readout import (FeatureCache, IterationMetrics, evaluate, extract_features,
+                      extract_features_at, feature_digest, train_readout)
 from .sg import init_sg_model, train_sg
 
-DATASETS = ("mnist", "fmnist", "kmnist", "emnist")
 METHODS = ("ransnn", "sg")
 SWEEP_PARAMETERS = ("beta", "hidden_size", "time_steps", "dist_param")
 DATA_DIR_ENV = "RANSNN_DATA_DIR"
 
-# Full held-out evaluation for the baseline means re-simulating the whole
-# test selection, so its curves are sampled rather than per-iteration.
-SG_EVAL_EVERY = 50
-
-_DATASET_CLASSES = {"mnist": 10, "fmnist": 10, "kmnist": 10, "emnist": 62}
 _MNIST_STYLE_FILES = {
     "train_images": "train-images-idx3-ubyte",
     "train_labels": "train-labels-idx1-ubyte",
     "test_images": "t10k-images-idx3-ubyte",
     "test_labels": "t10k-labels-idx1-ubyte",
 }
-_DATASET_FILES = {
-    "mnist": _MNIST_STYLE_FILES,
-    "fmnist": _MNIST_STYLE_FILES,
-    "kmnist": _MNIST_STYLE_FILES,
-    "emnist": {
+# Each dataset's class count and the standard names of its four IDX files.
+_DATASETS = {
+    "mnist": (10, _MNIST_STYLE_FILES),
+    "fmnist": (10, _MNIST_STYLE_FILES),
+    "kmnist": (10, _MNIST_STYLE_FILES),
+    "emnist": (62, {
         "train_images": "emnist-byclass-train-images-idx3-ubyte",
         "train_labels": "emnist-byclass-train-labels-idx1-ubyte",
         "test_images": "emnist-byclass-test-images-idx3-ubyte",
         "test_labels": "emnist-byclass-test-labels-idx1-ubyte",
-    },
+    }),
 }
+DATASETS = tuple(_DATASETS)
 
 
 class ConfigError(ValueError):
@@ -290,7 +285,7 @@ def resolve_dataset_paths(cfg: ExperimentConfig) -> dict[str, Path]:
     """
     base = data_dir()
     out: dict[str, Path] = {}
-    for role, default_name in _DATASET_FILES[cfg.dataset].items():
+    for role, default_name in _DATASETS[cfg.dataset][1].items():
         explicit = getattr(cfg.paths, role)
         if explicit is not None:
             p = Path(explicit)
@@ -335,7 +330,7 @@ class RunRecord:
 
 def _load_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
     paths = resolve_dataset_paths(cfg)
-    num_classes = _DATASET_CLASSES[cfg.dataset]
+    num_classes = _DATASETS[cfg.dataset][0]
     ds_train = load_dataset(paths["train_images"], paths["train_labels"], num_classes)
     ds_test = load_dataset(paths["test_images"], paths["test_labels"], num_classes)
     return ds_train, ds_test
@@ -385,9 +380,8 @@ def _set_up(cfg: ExperimentConfig) -> _RunSetup:
 def _split_digest(cfg: ExperimentConfig, run: _RunSetup, split: _Split,
                   time_steps: int) -> int:
     """The feature_digest of split's cache at time_steps."""
-    return feature_digest(run.sizes, run.dist, cfg.seed, (run.lif,) * (len(run.sizes) - 1),
-                          time_steps, split.dataset_id, cfg.seed, split.stream_base,
-                          split.indices)
+    return feature_digest(run.sizes, run.dist, cfg.seed, run.lif, time_steps,
+                          split.dataset_id, cfg.seed, split.stream_base, split.indices)
 
 
 def _cache_file(cache_dir, digest: int) -> Path:
@@ -453,22 +447,21 @@ def run_experiment(cfg: ExperimentConfig, cache_dir=None) -> RunRecord:
     t_start = time.perf_counter()
     run = _set_up(cfg)
     resolved = resolved_config_dict(cfg, run.dist)
-    tcfg = TrainConfig(adam=cfg.adam, batch_size=cfg.batch_size,
-                       eval_every=1 if cfg.method == "ransnn" else SG_EVAL_EVERY)
     num_classes = run.train.dataset.num_classes
     if cfg.method == "ransnn":
         t0 = time.perf_counter()
         cache_train, cache_test = _extract_splits(cfg, run, cache_dir)
         feature_seconds = time.perf_counter() - t0
-        model, metrics = train_readout(cache_train, cache_test, tcfg,
-                                       num_classes=num_classes)
+        model, metrics = train_readout(cache_train, cache_test, adam=cfg.adam,
+                                       batch_size=cfg.batch_size, num_classes=num_classes)
         final_accuracy = evaluate(model, cache_test)
     else:
         sgm = init_sg_model(run.sizes[0], cfg.hidden_sizes[0], num_classes, cfg.seed,
                             run.dist, lif=run.lif)
         feature_seconds = 0.0
         model, metrics = train_sg(sgm, run.train.dataset, run.test.dataset,
-                                  cfg.time_steps, tcfg, cfg.seed,
+                                  cfg.time_steps, cfg.seed, adam=cfg.adam,
+                                  batch_size=cfg.batch_size,
                                   train_indices=run.train.indices,
                                   test_indices=run.test.indices)
         final_accuracy = metrics[-1].test_accuracy
@@ -502,16 +495,30 @@ class SweepSpec:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
 
 
+_SWEEP_TYPES = {"beta": float, "hidden_size": int, "time_steps": int}
+
+
 def apply_sweep_value(cfg: ExperimentConfig, parameter: str, value) -> ExperimentConfig:
-    if parameter == "beta":
-        return replace(cfg, beta=float(value))
-    if parameter == "hidden_size":
-        return replace(cfg, hidden_sizes=(int(value),))
-    if parameter == "time_steps":
-        return replace(cfg, time_steps=int(value))
+    """cfg with the swept parameter set to value. A string, as the CLI
+    passes it, is parsed first (a distribution literal for dist_param); a
+    number must then pass the config file's rule for its field, so 2.5 is
+    no hidden size. Every failure is a ConfigError."""
     if parameter == "dist_param":
         return replace(cfg, dist=parse_dist(value))
-    raise ConfigError(f"unknown sweep parameter {parameter!r}")
+    if parameter not in _SWEEP_TYPES:
+        raise ConfigError(f"unknown sweep parameter {parameter!r}")
+    kind = _SWEEP_TYPES[parameter]
+    if isinstance(value, str):
+        try:
+            value = kind(value)
+        except ValueError as exc:
+            raise ConfigError(f"sweep value for {parameter}: {exc}") from exc
+    value = _number(parameter, value, kind is int)
+    if parameter == "beta":
+        return replace(cfg, beta=value)
+    if parameter == "hidden_size":
+        return replace(cfg, hidden_sizes=(value,))
+    return replace(cfg, time_steps=value)
 
 
 def run_sweep(base: ExperimentConfig, sweep: SweepSpec, cache_dir=None) -> list[RunRecord]:

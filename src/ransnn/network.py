@@ -81,13 +81,13 @@ class NetworkTopology:
     """Layer sizes plus the fixed random weights connecting them.
 
     weights[i] has shape (layer_sizes[i+1], layer_sizes[i]) and is read-only:
-    the hidden representation never changes after construction. params holds
-    one LifParams per layer of neurons.
+    the hidden representation never changes after construction. Every layer
+    of neurons shares the one lif.
     """
 
     layer_sizes: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
-    params: tuple[LifParams, ...]
+    lif: LifParams
     dist: WeightDistribution
     seed: int
 
@@ -110,9 +110,8 @@ def init_weights(layer_sizes, dist: WeightDistribution, seed: int,
         w = sample_weights(dist, Rng(seed, WEIGHT_STREAM + i), sizes[i + 1], sizes[i])
         w.setflags(write=False)
         weights.append(w)
-    n_layers = len(sizes) - 1
-    return NetworkTopology(layer_sizes=sizes, weights=tuple(weights),
-                           params=(lif,) * n_layers, dist=dist, seed=int(seed))
+    return NetworkTopology(layer_sizes=sizes, weights=tuple(weights), lif=lif,
+                           dist=dist, seed=int(seed))
 
 
 def _buffer(scratch: dict, key, shape, dtype) -> np.ndarray:
@@ -124,10 +123,11 @@ def _buffer(scratch: dict, key, shape, dtype) -> np.ndarray:
     return flat[:size].reshape(shape)
 
 
-def simulate(bits: np.ndarray, weights, params, *, record: bool = False,
+def simulate(bits: np.ndarray, weights, lif: LifParams, *, record: bool = False,
              scratch: dict | None = None) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """The one LIF kernel: a (B, T, n_in) batch of 0/1 inputs through a
-    stack of layers, every potential starting at 0.
+    stack of layers sharing the neuron constants lif, every potential
+    starting at 0.
 
     Per layer, one (B*T, n_in) @ W.T GEMM gives all input currents, then the
     recursion runs in place over the steps for the whole batch. Returns one
@@ -145,7 +145,7 @@ def simulate(bits: np.ndarray, weights, params, *, record: bool = False,
     scratch = {} if scratch is None else scratch
     s = bits.reshape(n_batch * steps, -1)
     out = []
-    for i, (w, lif) in enumerate(zip(weights, params)):
+    for i, w in enumerate(weights):
         x = _buffer(scratch, ("in", i), s.shape, np.float64)
         x[...] = s
         cur = _buffer(scratch, ("cur", i), (n_batch, steps, w.shape[0]), np.float64)
@@ -168,5 +168,5 @@ def simulate_forward(net: NetworkTopology, bits: np.ndarray, *,
                      scratch: dict | None = None) -> np.ndarray:
     """The last hidden layer's (B, T, n_L) uint8 spikes for a (B, T, n_in)
     bit array of B samples; scratch as in simulate."""
-    spikes, _ = simulate(bits, net.weights, net.params, scratch=scratch)[-1]
+    spikes, _ = simulate(bits, net.weights, net.lif, scratch=scratch)[-1]
     return spikes

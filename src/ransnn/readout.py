@@ -21,7 +21,7 @@ import numpy as np
 
 from .encoding import encode_sample
 from .idx import LabeledDataset
-from .network import NetworkTopology, WeightDistribution, simulate_forward
+from .network import LifParams, NetworkTopology, WeightDistribution, simulate_forward
 from .numerics import AdamConfig, AdamState, PROB_FLOOR, Rng, adam_step, softmax
 
 CACHE_MAGIC = b"RSNNFC01"
@@ -31,22 +31,23 @@ EXTRACT_CHUNK = 8
 EVAL_CHUNK = 4096
 
 
-def feature_digest(layer_sizes, dist: WeightDistribution, seed: int, params,
+def feature_digest(layer_sizes, dist: WeightDistribution, seed: int, lif: LifParams,
                    time_steps: int, dataset_id: str, master_seed: int,
                    stream_base: int, indices) -> int:
     """64-bit fingerprint of everything that determines a feature cache.
 
     Equal digests mean equal network seed, sizes, weight distribution, LIF
-    params, window length, dataset split, encoding streams and selected
+    constants, window length, dataset split, encoding streams and selected
     indices, so a cache may stand in for re-simulation, without the weights.
-    The "norm" part names the one input normalization, so caches written
-    when it was a setting keep their digests.
+    The "norm" part names the one input normalization, and the "lif" part
+    repeats lif once per weight matrix, so caches written when these were
+    settings (or per layer) keep their digests.
     """
     parts = [
         f"seed={seed}",
         f"sizes={tuple(int(n) for n in layer_sizes)}",
         f"dist={dist!r}",
-        "lif=" + ";".join(f"{p.beta!r},{p.u_thr!r}" for p in params),
+        "lif=" + ";".join([f"{lif.beta!r},{lif.u_thr!r}"] * (len(layer_sizes) - 1)),
         f"T={time_steps}",
         "norm=divide_by_max",
         f"dataset={dataset_id}",
@@ -172,7 +173,7 @@ def extract_features_at(net: NetworkTopology, dataset: LabeledDataset,
     return {t: FeatureCache(
                 features=feats[t], labels=labels, time_steps=t,
                 source_config_digest=feature_digest(
-                    net.layer_sizes, net.dist, net.seed, net.params, t,
+                    net.layer_sizes, net.dist, net.seed, net.lif, t,
                     dataset_id, master_seed, stream_base, indices))
             for t in steps}
 
@@ -197,25 +198,6 @@ class ReadoutModel:
     @property
     def num_features(self) -> int:
         return self.weights.shape[1]
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Adam settings and batch structure for readout (and baseline) training.
-
-    eval_every controls how often full held-out accuracy is measured; 1
-    records it at every iteration.
-    """
-
-    adam: AdamConfig = AdamConfig()
-    batch_size: int = 128
-    eval_every: int = 1
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.eval_every < 1:
-            raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
 
 
 @dataclass(frozen=True)
@@ -264,16 +246,18 @@ def _readout_view(theta: np.ndarray, num_classes: int, n_feat: int) -> ReadoutMo
     return ReadoutModel(weights=theta[:n_w].reshape(num_classes, n_feat), bias=theta[n_w:])
 
 
-def train_readout(cache_train: FeatureCache, cache_test: FeatureCache,
-                  cfg: TrainConfig, *,
+def train_readout(cache_train: FeatureCache, cache_test: FeatureCache, *,
+                  adam: AdamConfig, batch_size: int,
                   num_classes: int) -> tuple[ReadoutModel, list[IterationMetrics]]:
     """Train the linear readout on cached features with Adam.
 
-    Batches are consecutive blocks of the training cache, visited in order
-    (one Adam step per batch, any trailing partial block dropped); the whole
-    procedure is a pure function of (caches, cfg, num_classes). Every label
-    must lie below num_classes. The elapsed field times only the
-    forward/backward/update work, not metric evaluation.
+    Batches are consecutive blocks of batch_size rows of the training cache,
+    visited in order (one Adam step per batch, any trailing partial block
+    dropped); the whole procedure is a pure function of its arguments. Every
+    label must lie below num_classes. A metrics point, with held-out
+    accuracy on the whole test cache, is recorded after every step; its
+    elapsed field times only the forward/backward/update work, not metric
+    evaluation.
     """
     if len(cache_train) == 0 or len(cache_test) == 0:
         raise ValueError("training requires non-empty train and test caches")
@@ -283,21 +267,21 @@ def train_readout(cache_train: FeatureCache, cache_test: FeatureCache,
             f"test {cache_test.num_features}")
     if max(cache_train.labels.max(), cache_test.labels.max()) >= num_classes:
         raise ValueError(f"a cache holds a label outside [0, {num_classes})")
-    n_feat = cache_train.num_features
-    total_iters = len(cache_train) // cfg.batch_size
-    if total_iters == 0:
+    if not 1 <= batch_size <= len(cache_train):
         raise ValueError(
-            f"batch_size {cfg.batch_size} exceeds the {len(cache_train)}-sample cache")
+            f"batch_size must lie in [1, {len(cache_train)}] (the cache), got {batch_size}")
+    n_feat = cache_train.num_features
+    total_iters = len(cache_train) // batch_size
 
     theta = np.zeros((n_feat + 1) * num_classes)
-    state = AdamState.zeros(theta.size, cfg.adam)
+    state = AdamState.zeros(theta.size, adam)
     x_test = cache_test.features.astype(np.float64)
     y_test = cache_test.labels
 
     metrics: list[IterationMetrics] = []
     elapsed = 0.0
     for iteration in range(1, total_iters + 1):
-        rows = slice((iteration - 1) * cfg.batch_size, iteration * cfg.batch_size)
+        rows = slice((iteration - 1) * batch_size, iteration * batch_size)
         t0 = time.perf_counter()
         xb = cache_train.features[rows].astype(np.float64)
         yb = cache_train.labels[rows]
@@ -306,12 +290,11 @@ def train_readout(cache_train: FeatureCache, cache_test: FeatureCache,
         theta, state = adam_step(theta, grad, state)
         elapsed += time.perf_counter() - t0
 
-        if iteration % cfg.eval_every == 0 or iteration == total_iters:
-            batch_acc = float((probs.argmax(axis=1) == yb).mean())
-            test_acc = _accuracy(_readout_view(theta, num_classes, n_feat), x_test, y_test)
-            metrics.append(IterationMetrics(
-                iteration=iteration, train_accuracy=batch_acc,
-                test_accuracy=test_acc, loss=loss, elapsed=elapsed))
+        batch_acc = float((probs.argmax(axis=1) == yb).mean())
+        test_acc = _accuracy(_readout_view(theta, num_classes, n_feat), x_test, y_test)
+        metrics.append(IterationMetrics(
+            iteration=iteration, train_accuracy=batch_acc,
+            test_accuracy=test_acc, loss=loss, elapsed=elapsed))
 
     return _readout_view(theta, num_classes, n_feat), metrics
 

@@ -21,13 +21,17 @@ from .encoding import encode_sample
 from .idx import LabeledDataset
 from .network import (LifParams, WeightDistribution, _buffer, fan_in_uniform,
                       sample_weights, simulate)
-from .numerics import (AdamState, ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM,
+from .numerics import (AdamConfig, AdamState, ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM,
                        PROB_FLOOR, Rng, WEIGHT_STREAM, adam_step, softmax)
-from .readout import IterationMetrics, TrainConfig
+from .readout import IterationMetrics
 
 
 # Held-out samples per simulate call in evaluate_sg.
 EVAL_CHUNK = 128
+# Full held-out evaluation for the baseline means re-simulating the whole
+# test selection, so train_sg samples its curve every EVAL_EVERY iterations
+# (and at the last) rather than at every one.
+EVAL_EVERY = 50
 
 
 def surrogate_grad(x, out: np.ndarray | None = None):
@@ -111,8 +115,7 @@ def _record_tape(model: SgModel, input_bits: np.ndarray,
     scratch as in simulate, and without one the tape owns its arrays."""
     scratch = {} if scratch is None else scratch
     (hidden_bits, hidden_u_pre), (output_bits, output_u_pre) = simulate(
-        input_bits, (model.w_hidden, model.w_out), (model.lif,) * 2, record=True,
-        scratch=scratch)
+        input_bits, (model.w_hidden, model.w_out), model.lif, record=True, scratch=scratch)
     rows = input_bits.shape[0] * input_bits.shape[1]
     return BpttTape(input_bits=input_bits, hidden_u_pre=hidden_u_pre,
                     hidden_bits=hidden_bits, output_u_pre=output_u_pre,
@@ -229,7 +232,7 @@ def evaluate_sg(model: SgModel, ds: LabeledDataset, time_steps: int,
     for start in range(0, len(indices), EVAL_CHUNK):
         sel = indices[start:start + EVAL_CHUNK]
         bits = _encode_batch(ds, sel, time_steps, master_seed, stream_base)
-        spikes, _ = simulate(bits, (model.w_hidden, model.w_out), (model.lif,) * 2,
+        spikes, _ = simulate(bits, (model.w_hidden, model.w_out), model.lif,
                              scratch=scratch)[-1]
         preds = spikes.sum(axis=1, dtype=np.int64).argmax(axis=1)
         hits += int((preds == ds.labels[sel]).sum())
@@ -237,17 +240,17 @@ def evaluate_sg(model: SgModel, ds: LabeledDataset, time_steps: int,
 
 
 def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
-             time_steps: int, cfg: TrainConfig, master_seed: int, *,
+             time_steps: int, master_seed: int, *, adam: AdamConfig, batch_size: int,
              train_indices, test_indices) -> tuple[SgModel, list[IterationMetrics]]:
     """Train both weight matrices by BPTT with the arctan surrogate.
 
     Every batch is encoded on the fly from the same per-sample streams of
     master_seed the readout path uses, so both methods see identical spike
-    trains. One Adam step per consecutive batch of train_indices (any
-    trailing partial batch dropped); metrics are recorded every eval_every
-    iterations and at the end, with held-out accuracy measured on the whole
-    test selection. elapsed covers encoding, forward, backward, and the
-    update, but not metrics.
+    trains. One Adam step per consecutive batch of batch_size train_indices
+    (any trailing partial batch dropped); metrics are recorded every
+    EVAL_EVERY iterations and at the end, with held-out accuracy measured
+    on the whole test selection. elapsed covers encoding, forward, backward,
+    and the update, but not metrics.
     Every forward and evaluation shares one set of work arrays.
     """
     if ds_train.images.shape[1] != model.n_in:
@@ -255,13 +258,13 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
             f"dataset samples have {ds_train.images.shape[1]} pixels, model "
             f"expects {model.n_in}")
     train_indices = np.asarray(train_indices, dtype=np.int64)
-    total_iters = len(train_indices) // cfg.batch_size
-    if total_iters == 0:
-        raise ValueError(
-            f"batch_size {cfg.batch_size} exceeds the {len(train_indices)}-sample selection")
+    if not 1 <= batch_size <= len(train_indices):
+        raise ValueError(f"batch_size must lie in [1, {len(train_indices)}] (the selection), "
+                         f"got {batch_size}")
+    total_iters = len(train_indices) // batch_size
 
     theta = np.concatenate([model.w_hidden.ravel(), model.w_out.ravel()])
-    state = AdamState.zeros(theta.size, cfg.adam)
+    state = AdamState.zeros(theta.size, adam)
     n_wh = model.w_hidden.size
     hidden_shape, out_shape = model.w_hidden.shape, model.w_out.shape
     # The weights are views of theta from here on, so the initial arrays
@@ -274,7 +277,7 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
     metrics: list[IterationMetrics] = []
     elapsed = 0.0
     for iteration in range(1, total_iters + 1):
-        sel = train_indices[(iteration - 1) * cfg.batch_size:iteration * cfg.batch_size]
+        sel = train_indices[(iteration - 1) * batch_size:iteration * batch_size]
         labels = ds_train.labels[sel]
         t0 = time.perf_counter()
         bits = _encode_batch(ds_train, sel, time_steps, master_seed, ENCODE_TRAIN_STREAM)
@@ -288,7 +291,7 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
         model.version += 1
         elapsed += time.perf_counter() - t0
 
-        evaluating = iteration % cfg.eval_every == 0 or iteration == total_iters
+        evaluating = iteration % EVAL_EVERY == 0 or iteration == total_iters
         if evaluating:
             loss = _batch_loss(tape.output_u_pre, labels) / time_steps
             counts = tape.output_bits.sum(axis=1, dtype=np.int64)

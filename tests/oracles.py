@@ -57,12 +57,12 @@ def linear_filter_membrane(weights: np.ndarray, beta: float,
     return out
 
 
-def reference_lif_stack(weights, params, input_bits: np.ndarray):
+def reference_lif_stack(weights, lif, input_bits: np.ndarray):
     """A (B, T, n_in) batch through a stack of LIF layers the way the
     simulator did it before it shared one kernel: a fresh float64 copy of the
     inputs, one (B*T, n_in) @ W.T product per layer, and a recursion that
-    allocates new arrays at every step. With B = 1 this is also the old
-    per-sample path.
+    allocates new arrays at every step. Every layer has the LifParams lif.
+    With B = 1 this is also the old per-sample path.
 
     Returns one (spike bits (B, T, n) uint8, pre-reset potentials (B, T, n))
     pair per layer.
@@ -70,7 +70,7 @@ def reference_lif_stack(weights, params, input_bits: np.ndarray):
     n_batch, steps, _ = input_bits.shape
     s = input_bits.reshape(n_batch * steps, -1).astype(np.float64)
     out = []
-    for w, lif in zip(weights, params):
+    for w in weights:
         currents = (s @ w.T).reshape(n_batch, steps, -1)
         u = np.zeros((n_batch, currents.shape[2]))
         u_pre = np.empty_like(currents)

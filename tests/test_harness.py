@@ -16,6 +16,7 @@ from ransnn.harness import (ConfigError, ExperimentConfig, SweepSpec,
                             config_from_dict, config_from_file, emit_metrics,
                             parse_dist, record_to_dict, resolved_config_dict,
                             run_experiment, run_sweep, summarize_sweep)
+from ransnn.idx import load_dataset
 from ransnn.network import LifParams, Normal, Uniform, fan_in_uniform, init_weights
 from ransnn.readout import FeatureCache
 from ransnn.sg import init_sg_model
@@ -273,9 +274,9 @@ class TestLibraryExample:
         # The README's library example, at TINY's settings on the synthetic
         # data, builds the run's own caches: the test split is encoded from
         # the test streams, as in a run.
-        from ransnn import (ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM, LifParams,
-                            TrainConfig, evaluate, extract_features, fan_in_uniform,
-                            init_weights, load_dataset, make_batches, train_readout)
+        from ransnn import (ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM, AdamConfig, LifParams,
+                            evaluate, extract_features, fan_in_uniform, init_weights,
+                            load_dataset, make_batches, train_readout)
 
         mnist = use_data_dir / "mnist"
         train = load_dataset(mnist / "train-images-idx3-ubyte.gz",
@@ -291,8 +292,8 @@ class TestLibraryExample:
                                        dataset_id="mnist/train")
         cache_test = extract_features(net, 8, test, 123, indices=sel_test,
                                       stream_base=ENCODE_TEST_STREAM, dataset_id="mnist/test")
-        model, curve = train_readout(cache_train, cache_test, TrainConfig(batch_size=16),
-                                     num_classes=10)
+        model, curve = train_readout(cache_train, cache_test, adam=AdamConfig(),
+                                     batch_size=16, num_classes=10)
 
         record = run_experiment(tiny_config(), cache_dir=tmp_path)
         for cache in (cache_train, cache_test):
@@ -483,6 +484,24 @@ class TestRunSweep:
             run_sweep(tiny_config(), SweepSpec(parameter=parameter, values=values,
                                                repeats=2))
 
+    # A count must be an integer and no bool, as in a config file, and a
+    # string must parse; each fails before any data is read.
+    @pytest.mark.parametrize("parameter,value", [("hidden_size", 2.5), ("time_steps", 10.9),
+                                                 ("time_steps", True), ("time_steps", "abc")])
+    def test_mistyped_sweep_value_is_a_config_error_before_any_data_is_read(
+            self, use_data_dir, monkeypatch, parameter, value):
+        loads = []
+
+        def counting_load(*args, **kwargs):
+            loads.append(args)
+            return load_dataset(*args, **kwargs)
+
+        monkeypatch.setattr("ransnn.harness.load_dataset", counting_load)
+        with pytest.raises(ConfigError):
+            run_sweep(tiny_config(), SweepSpec(parameter=parameter, values=(8, value),
+                                               repeats=1))
+        assert loads == []
+
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
             SweepSpec(parameter="learning_rate", values=(1,))
@@ -497,6 +516,11 @@ class TestRunSweep:
         assert apply_sweep_value(cfg, "hidden_size", 64).hidden_sizes == (64,)
         assert apply_sweep_value(cfg, "time_steps", 5).time_steps == 5
         assert apply_sweep_value(cfg, "dist_param", "N(0,1)").dist == Normal(0, 1)
+        # The CLI's strings, and integral floats as a config file takes them.
+        assert apply_sweep_value(cfg, "beta", "0.5").beta == 0.5
+        assert apply_sweep_value(cfg, "hidden_size", "64").hidden_sizes == (64,)
+        assert apply_sweep_value(cfg, "time_steps", "5").time_steps == 5
+        assert type(apply_sweep_value(cfg, "time_steps", 5.0).time_steps) is int
 
 
 class TestEmitMetrics:
@@ -608,6 +632,9 @@ class TestCli:
         cfg = self._write_config(tmp_path)
         assert main(["sweep", "--config", cfg, "--param", "hidden_size",
                      "--values", "10,wide", "--repeats", "1"]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert main(["sweep", "--config", cfg, "--param", "time_steps",
+                     "--values", "25,abc", "--repeats", "1"]) == 1
         assert "config error:" in capsys.readouterr().err
 
     # More batches than the 192-sample train split holds; more steps than a

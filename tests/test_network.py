@@ -73,7 +73,7 @@ class TestInitWeights:
         net = init_weights([8, 6, 4], Uniform(-1, 1), seed=1)
         assert net.weights[0].shape == (6, 8)
         assert net.weights[1].shape == (4, 6)
-        assert len(net.params) == 2
+        assert net.lif == LifParams()
 
 
 class TestLifStep:
@@ -159,7 +159,7 @@ class TestSimulateForward:
     def test_strong_identity_drive_fires_every_step(self):
         lif = LifParams(beta=0.95, u_thr=1.0)
         w = (2.0 * lif.u_thr * np.eye(4))
-        net = NetworkTopology(layer_sizes=(4, 4), weights=(w,), params=(lif,),
+        net = NetworkTopology(layer_sizes=(4, 4), weights=(w,), lif=lif,
                               dist=Uniform(-1, 1), seed=0)
         out = simulate_forward(net, np.ones((1, 10, 4), dtype=np.uint8))
         assert np.all(out == 1)
@@ -173,7 +173,7 @@ class TestSimulateForward:
 
     def test_matches_stepwise_lif_composition_bitwise(self):
         net = self._net([9, 14], 0.6, seed=8)
-        lif = net.params[0]
+        lif = net.lif
         train = poisson_encode(Rng(3, 0).uniform(0, 1, 9), 15, Rng(4, 0))
         out = simulate_forward(net, train[None])[0]
         u = np.zeros(14)
@@ -191,7 +191,7 @@ class TestSimulateForward:
         net = self._net([6, 8], 0.05, seed=13, lif=lif)
         train = poisson_encode(Rng(5, 0).uniform(0, 1, 6), 12, Rng(6, 0))
         expected = linear_filter_membrane(net.weights[0], lif.beta, train)
-        [(spikes, u_pre)] = simulate(train[None], net.weights, net.params, record=True)
+        [(spikes, u_pre)] = simulate(train[None], net.weights, net.lif, record=True)
         assert not spikes.any()
         assert np.max(np.abs(u_pre[0] - expected)) <= 1e-12
 
@@ -222,10 +222,10 @@ class TestSimulatePrefix:
         net = init_weights(sizes, dist, seed=3)
         bits = (Rng(4, 0).random((9, 25, sizes[0])) < 0.2).astype(np.uint8)
         full = [(s.copy(), u.copy())
-                for s, u in simulate(bits, net.weights, net.params, record=True)]
+                for s, u in simulate(bits, net.weights, net.lif, record=True)]
         assert all(s.any() and not s.all() for s, _ in full)
         for t in (1, 7, 24):
-            prefix = simulate(bits[:, :t], net.weights, net.params, record=True)
+            prefix = simulate(bits[:, :t], net.weights, net.lif, record=True)
             for (s, u), (s_full, u_full) in zip(prefix, full):
                 assert np.array_equal(s, s_full[:, :t])
                 np.testing.assert_allclose(u, u_full[:, :t], rtol=0, atol=1e-12)
@@ -245,7 +245,7 @@ class TestAccumulateSpikes:
     def _identity_net(n, gain):
         lif = LifParams(beta=0.95, u_thr=1.0)
         return NetworkTopology(layer_sizes=(n, n), weights=(gain * np.eye(n),),
-                               params=(lif,), dist=Uniform(-1, 1), seed=0)
+                               lif=lif, dist=Uniform(-1, 1), seed=0)
 
     def test_all_zero(self):
         # A zero pixel never fires, so nothing downstream does.

@@ -8,8 +8,8 @@ from ransnn.encoding import encode_sample
 from ransnn.idx import LabeledDataset
 from ransnn.network import (LifParams, Normal, Uniform, fan_in_uniform, init_weights,
                             simulate_forward)
-from ransnn.numerics import ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM, Rng, softmax
-from ransnn.readout import (FeatureCache, ReadoutModel, TrainConfig, evaluate,
+from ransnn.numerics import ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM, AdamConfig, Rng, softmax
+from ransnn.readout import (FeatureCache, ReadoutModel, evaluate,
                             extract_features, extract_features_at, feature_digest,
                             readout_loss_grad, train_readout)
 
@@ -123,7 +123,7 @@ class TestExtractionBatchInvariance:
                 train = encode_sample(ds.images[idx], 25, Rng(21, ENCODE_TRAIN_STREAM + int(idx)))
                 counts = simulate_forward(net, train[None])[0].sum(axis=0)
                 assert np.array_equal(cache.features[k], counts)
-                old_bits = reference_lif_stack(net.weights, net.params, train[None])[-1][0]
+                old_bits = reference_lif_stack(net.weights, net.lif, train[None])[-1][0]
                 assert np.array_equal(cache.features[k], old_bits[0].sum(axis=0))
 
 
@@ -172,13 +172,13 @@ class TestFeatureDigest:
     config with a normalization setting."""
 
     def test_default_train_split_digest_is_pinned(self):
-        assert feature_digest((784, 2000), fan_in_uniform(784), 1234, (LifParams(),), 25,
+        assert feature_digest((784, 2000), fan_in_uniform(784), 1234, LifParams(), 25,
                               "mnist/train", 1234, ENCODE_TRAIN_STREAM,
                               np.arange(8)) == 0x3cfd9a753413360d
 
     def test_two_layer_test_split_digest_is_pinned(self):
         assert feature_digest((784, 300, 100), Normal(0.0, 0.05), 7,
-                              (LifParams(0.9, 1.0),) * 2, 10, "fmnist/test", 7,
+                              LifParams(0.9, 1.0), 10, "fmnist/test", 7,
                               ENCODE_TEST_STREAM, [5, 3, 9]) == 0xb660f656c418190e
 
 
@@ -386,14 +386,15 @@ def separable_caches(samples_per_class=320, active=5, features=16, time_steps=25
 class TestTrainReadout:
     def test_separable_task_reaches_full_train_accuracy_quickly(self):
         train, test = separable_caches(samples_per_class=1600)
-        cfg = TrainConfig(batch_size=64)  # 50 iterations
-        _, metrics = train_readout(train, test, cfg, num_classes=2)
+        _, metrics = train_readout(train, test, adam=AdamConfig(), batch_size=64,  # 50 steps
+                                   num_classes=2)
         early = [m for m in metrics if m.iteration <= 50]
         assert max(m.train_accuracy for m in early) == 1.0
 
     def test_loss_decreases_on_separable_task(self):
         train, test = separable_caches(samples_per_class=1600)
-        _, metrics = train_readout(train, test, TrainConfig(batch_size=64), num_classes=2)
+        _, metrics = train_readout(train, test, adam=AdamConfig(), batch_size=64,
+                                   num_classes=2)
         by_iter = {m.iteration: m.loss for m in metrics}
         assert by_iter[50] < by_iter[1]
 
@@ -406,16 +407,27 @@ class TestTrainReadout:
         y_test = (rng.uniform(0, classes, n_test)).astype(np.int64)
         train = counts_cache(x_train, y_train)
         test = counts_cache(x_test, y_test)
-        _, metrics = train_readout(train, test, TrainConfig(), num_classes=classes)
+        _, metrics = train_readout(train, test, adam=AdamConfig(), batch_size=128,
+                                   num_classes=classes)
         assert all(0.06 <= m.test_accuracy <= 0.14 for m in metrics)
 
     def test_empty_cache_rejected(self):
         empty = counts_cache(np.zeros((0, 4)), np.zeros(0))
         filled = counts_cache(np.zeros((8, 4)), np.zeros(8))
         with pytest.raises(ValueError):
-            train_readout(empty, filled, TrainConfig(batch_size=2), num_classes=2)
+            train_readout(empty, filled, adam=AdamConfig(), batch_size=2, num_classes=2)
         with pytest.raises(ValueError):
-            train_readout(filled, empty, TrainConfig(batch_size=2), num_classes=2)
+            train_readout(filled, empty, adam=AdamConfig(), batch_size=2, num_classes=2)
+
+    def test_batch_size_outside_the_cache_rejected(self):
+        train, test = separable_caches(samples_per_class=4)
+        for batch_size in (0, 9):
+            with pytest.raises(ValueError, match="batch_size"):
+                train_readout(train, test, adam=AdamConfig(), batch_size=batch_size,
+                              num_classes=2)
+        _, metrics = train_readout(train, test, adam=AdamConfig(), batch_size=8,
+                                   num_classes=2)
+        assert [m.iteration for m in metrics] == [1]
 
     @pytest.mark.parametrize("split", ["train", "test"])
     def test_label_outside_num_classes_rejected(self, split):
@@ -423,15 +435,16 @@ class TestTrainReadout:
         bad = train if split == "train" else test
         bad.labels[3] = 2
         with pytest.raises(ValueError, match="outside"):
-            train_readout(train, test, TrainConfig(batch_size=8), num_classes=2)
+            train_readout(train, test, adam=AdamConfig(), batch_size=8, num_classes=2)
         bad.labels[3] = 1
-        train_readout(train, test, TrainConfig(batch_size=8), num_classes=2)
+        train_readout(train, test, adam=AdamConfig(), batch_size=8, num_classes=2)
 
     def test_deterministic_bit_for_bit(self):
         train, test = separable_caches(samples_per_class=128)
-        cfg = TrainConfig(batch_size=32)
-        model_a, metrics_a = train_readout(train, test, cfg, num_classes=2)
-        model_b, metrics_b = train_readout(train, test, cfg, num_classes=2)
+        model_a, metrics_a = train_readout(train, test, adam=AdamConfig(), batch_size=32,
+                                           num_classes=2)
+        model_b, metrics_b = train_readout(train, test, adam=AdamConfig(), batch_size=32,
+                                           num_classes=2)
         assert np.array_equal(model_a.weights, model_b.weights)
         assert np.array_equal(model_a.bias, model_b.bias)
         for ma, mb in zip(metrics_a, metrics_b):
@@ -439,18 +452,13 @@ class TestTrainReadout:
             assert ma.train_accuracy == mb.train_accuracy
             assert ma.test_accuracy == mb.test_accuracy
 
-    def test_metrics_recorded_every_iteration_by_default(self):
+    def test_metrics_recorded_every_iteration(self):
         train, test = separable_caches(samples_per_class=64)
-        _, metrics = train_readout(train, test, TrainConfig(batch_size=32), num_classes=2)
+        _, metrics = train_readout(train, test, adam=AdamConfig(), batch_size=32,
+                                   num_classes=2)
         assert [m.iteration for m in metrics] == list(range(1, 5))
         elapsed = [m.elapsed for m in metrics]
         assert all(b >= a for a, b in zip(elapsed, elapsed[1:]))
-
-    def test_eval_every_strides_and_includes_final(self):
-        train, test = separable_caches(samples_per_class=192)  # 12 iterations
-        _, metrics = train_readout(train, test, TrainConfig(batch_size=32, eval_every=5),
-                                   num_classes=2)
-        assert [m.iteration for m in metrics] == [5, 10, 12]
 
 
 class TestEvaluate:

@@ -10,7 +10,7 @@ from oracles import (cross_entropy, reference_bptt_backward, reference_lif_stack
 from ransnn.encoding import encode_sample, poisson_encode
 from ransnn.network import LifParams, Uniform, fan_in_uniform, init_weights, simulate_forward
 from ransnn.numerics import ENCODE_TEST_STREAM, AdamConfig, Rng, softmax
-from ransnn.readout import TrainConfig
+from ransnn import sg
 from ransnn.sg import (SgModel, _batch_loss, _record_tape, bptt_backward, evaluate_sg,
                        init_sg_model, surrogate_grad, train_sg)
 
@@ -93,7 +93,7 @@ class TestSgForward:
         bits = np.stack([random_train(40 + k, 12, 20) for k in range(6)])
         tape = _record_tape(model, bits)
         (hidden_bits, hidden_u_pre), (output_bits, output_u_pre) = reference_lif_stack(
-            (model.w_hidden, model.w_out), (model.lif,) * 2, bits)
+            (model.w_hidden, model.w_out), model.lif, bits)
         assert hidden_bits.any() and output_bits.any()
         assert np.array_equal(tape.hidden_u_pre, hidden_u_pre)
         assert np.array_equal(tape.hidden_bits, hidden_bits)
@@ -278,29 +278,31 @@ def _separable(samples_per_class, pixels, seed):
                           num_classes=2)
 
 
-def train_whole(model, ds, test_ds, time_steps, cfg, master_seed):
+def train_whole(model, ds, test_ds, time_steps, master_seed, *, batch_size, lr=0.001):
     """train_sg over every sample of both datasets."""
-    return train_sg(model, ds, test_ds, time_steps, cfg, master_seed,
-                    train_indices=np.arange(len(ds)), test_indices=np.arange(len(test_ds)))
+    return train_sg(model, ds, test_ds, time_steps, master_seed, adam=AdamConfig(lr=lr),
+                    batch_size=batch_size, train_indices=np.arange(len(ds)),
+                    test_indices=np.arange(len(test_ds)))
 
 
 class TestTrainSg:
-    def test_separable_task_converges(self):
+    def test_separable_task_converges(self, monkeypatch):
         ds = _separable(samples_per_class=3200, pixels=24, seed=12)  # 200 batches
         test_ds = _separable(samples_per_class=64, pixels=24, seed=13)
         model = init_sg_model(24, 40, 2, seed=0, dist=fan_in_uniform(24),
                               lif=LifParams(beta=0.95, u_thr=1.0))
-        cfg = TrainConfig(adam=AdamConfig(lr=0.01), batch_size=32, eval_every=8)
-        model, metrics = train_whole(model, ds, test_ds, 10, cfg, master_seed=99)
+        monkeypatch.setattr(sg, "EVAL_EVERY", 8)
+        model, metrics = train_whole(model, ds, test_ds, 10, master_seed=99, batch_size=32,
+                                     lr=0.01)
         early = [m for m in metrics if m.iteration <= 200]
         assert max(m.train_accuracy for m in early) >= 0.95
 
-    def test_deterministic_metric_traces(self):
+    def test_deterministic_metric_traces(self, monkeypatch):
         ds = _separable(samples_per_class=64, pixels=16, seed=3)
         test_ds = _separable(samples_per_class=16, pixels=16, seed=4)
-        cfg = TrainConfig(adam=AdamConfig(lr=0.01), batch_size=16)
+        monkeypatch.setattr(sg, "EVAL_EVERY", 1)
         run = lambda: train_whole(init_sg_model(16, 12, 2, seed=7, dist=fan_in_uniform(16)),
-                                  ds, test_ds, 8, cfg, master_seed=5)
+                                  ds, test_ds, 8, master_seed=5, batch_size=16, lr=0.01)
         model_a, metrics_a = run()
         model_b, metrics_b = run()
         assert np.array_equal(model_a.w_hidden, model_b.w_hidden)
@@ -309,19 +311,30 @@ class TestTrainSg:
                [(m.loss, m.train_accuracy, m.test_accuracy) for m in metrics_b]
 
     def test_batch_size_larger_than_selection_rejected(self):
+        # Zero is outside the selection's range too.
         ds = _separable(samples_per_class=4, pixels=16, seed=3)
-        with pytest.raises(ValueError):
-            train_whole(init_sg_model(16, 8, 2, seed=0, dist=fan_in_uniform(16)), ds, ds, 5,
-                        TrainConfig(batch_size=512), master_seed=0)
+        for batch_size in (0, 512):
+            with pytest.raises(ValueError, match="batch_size"):
+                train_whole(init_sg_model(16, 8, 2, seed=0, dist=fan_in_uniform(16)), ds, ds,
+                            5, master_seed=0, batch_size=batch_size)
 
-    def test_loss_reported_per_step(self):
+    def test_eval_every_strides_and_includes_final(self, monkeypatch):
+        ds = _separable(samples_per_class=96, pixels=16, seed=3)  # 12 iterations
+        test_ds = _separable(samples_per_class=8, pixels=16, seed=4)
+        monkeypatch.setattr(sg, "EVAL_EVERY", 5)
+        _, metrics = train_whole(init_sg_model(16, 8, 2, seed=0, dist=fan_in_uniform(16)),
+                                 ds, test_ds, 5, master_seed=0, batch_size=16)
+        assert [m.iteration for m in metrics] == [5, 10, 12]
+
+    def test_loss_reported_per_step(self, monkeypatch):
         # With an untouched zero-ish output drive the first recorded loss
         # sits near ln(num_classes), the per-step uniform value.
         ds = _separable(samples_per_class=32, pixels=16, seed=6)
         model = init_sg_model(16, 12, 2, seed=1,
                               dist=Uniform(-1e-6, 1e-6))
-        cfg = TrainConfig(adam=AdamConfig(lr=1e-4), batch_size=16)
-        _, metrics = train_whole(model, ds, ds, 6, cfg, master_seed=2)
+        monkeypatch.setattr(sg, "EVAL_EVERY", 1)
+        _, metrics = train_whole(model, ds, ds, 6, master_seed=2, batch_size=16, lr=1e-4)
+        assert metrics[0].iteration == 1
         assert metrics[0].loss == pytest.approx(math.log(2), rel=1e-6)
 
 
@@ -350,7 +363,7 @@ class TestEvaluateSg:
         bits = np.stack([encode_sample(ds.images[i], 6, Rng(9, ENCODE_TEST_STREAM + i))
                          for i in indices])
         (_, _), (out_bits, _) = reference_lif_stack((model.w_hidden, model.w_out),
-                                                    (model.lif,) * 2, bits)
+                                                    model.lif, bits)
         preds = out_bits.sum(axis=1, dtype=np.int64).argmax(axis=1)
         expected = float((preds == ds.labels[indices]).mean())
         assert preds.min() != preds.max() and 0.5 < expected < 1.0
