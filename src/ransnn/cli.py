@@ -49,7 +49,8 @@ def cmd_run(args) -> int:
 
 def _split_values(raw: str) -> list[str]:
     """Split a comma-separated value list, ignoring commas inside parens so
-    distribution literals like U(-0.05,0.05) stay intact."""
+    distribution literals like U(-0.05,0.05) stay intact. Empty entries are
+    kept, so that a malformed list can be reported."""
     parts, depth, cur = [], 0, []
     for ch in raw:
         if ch == "," and depth == 0:
@@ -60,12 +61,14 @@ def _split_values(raw: str) -> list[str]:
         depth -= ch == ")"
         cur.append(ch)
     parts.append("".join(cur).strip())
-    return [p for p in parts if p]
+    return parts
 
 
 def cmd_sweep(args) -> int:
-    sweep = SweepSpec(parameter=args.param, values=tuple(_split_values(args.values)),
-                      repeats=args.repeats)
+    values = _split_values(args.values)
+    if not all(values):
+        raise ConfigError(f"--values {args.values!r} has an empty entry")
+    sweep = SweepSpec(parameter=args.param, values=tuple(values), repeats=args.repeats)
     records = run_sweep(_load_config(args), sweep, cache_dir=args.cache_dir)
     for rec in records:
         _print_record(rec)

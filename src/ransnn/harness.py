@@ -111,6 +111,14 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be {what}, got {getattr(self, name)!r}")
         for f in dataclasses.fields(AdamConfig):
             _check_number(f"adam.{f.name}", getattr(self.adam, f.name), False)
+        for name in ("lr", "eps"):
+            if not 0 < getattr(self.adam, name) < np.inf:
+                raise ConfigError(f"adam.{name} must be finite and > 0, "
+                                  f"got {getattr(self.adam, name)!r}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self.adam, name) < 1:
+                raise ConfigError(f"adam.{name} must lie in [0, 1), "
+                                  f"got {getattr(self.adam, name)!r}")
         if self.dataset not in DATASETS:
             raise ConfigError(f"unknown dataset {self.dataset!r}, expected one of {DATASETS}")
         if self.method not in METHODS:
@@ -610,12 +618,6 @@ CSV_HEADER = ("run_id", "dataset", "method", "iteration", "train_acc",
               "test_acc", "loss", "elapsed_s")
 
 
-def record_to_dict(record: RunRecord) -> dict:
-    d = dataclasses.asdict(record)
-    d["metrics"] = [dataclasses.asdict(m) for m in record.metrics]
-    return d
-
-
 def emit_metrics(records: list[RunRecord], path, format: str = "csv") -> None:
     """Write per-iteration curves as CSV rows or mirror the records as JSON."""
     if format == "csv":
@@ -632,6 +634,6 @@ def emit_metrics(records: list[RunRecord], path, format: str = "csv") -> None:
                                      repr(m.elapsed)])
     elif format == "json":
         with open(path, "w") as fh:
-            json.dump([record_to_dict(r) for r in records], fh, indent=2)
+            json.dump([dataclasses.asdict(r) for r in records], fh, indent=2)
     else:
         raise ConfigError(f"unknown metrics format {format!r}, expected csv or json")

@@ -9,7 +9,6 @@ reproduce it bit-for-bit regardless of execution order.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ SHUFFLE_STREAM = 3 << 32  # batch-selection permutations
 # wrong prediction yields a large finite loss instead of -inf.
 PROB_FLOOR = 1e-12
 
-# Entries per block of adam_step: its one work array holds this many.
+# Entries per block of adam_step: each of its two work arrays holds this many.
 ADAM_BLOCK = 1 << 15
 
 
@@ -119,43 +118,45 @@ class AdamState:
         return cls(m=np.zeros(n), v=np.zeros(n), t=0, config=config)
 
 
-def adam_step(params: np.ndarray, grads: np.ndarray,
-              state: AdamState) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; the denominator is sqrt(v_hat) + eps.
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update, in place; the denominator is
+    sqrt(v_hat) + eps.
 
-    Returns the updated parameters and a new state with ``t`` incremented;
-    the inputs are not mutated.
+    Overwrites params, state.m and state.v with their updated values and
+    increments state.t; grads is only read. params, m and v must be
+    writable, C-contiguous float64 arrays of grads' shape, so an update can
+    never land in a copy.
 
-    The update runs over blocks of ADAM_BLOCK entries, writing straight into
-    the three new arrays with one block-sized work array, so it allocates
-    little beyond its outputs. Each entry goes through the operations of
-    the textbook expression, with the same operands in the same order:
-    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, and
+    The update runs over blocks of ADAM_BLOCK entries with two block-sized
+    work arrays, so it allocates little. Each entry goes through the
+    operations of the textbook expression, with the same operands in the
+    same order: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, and
     params - lr*(m/c1) / (sqrt(v/c2) + eps) with c = 1 - b**t.
     """
-    params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
-    if params.shape != grads.shape or params.shape != state.m.shape:
-        raise ValueError(
-            f"adam_step shape mismatch: params {params.shape}, grads "
-            f"{grads.shape}, moments {state.m.shape}")
+    for name, a in (("params", params), ("m", state.m), ("v", state.v)):
+        if np.shape(a) != grads.shape:
+            raise ValueError(f"adam_step shape mismatch: {name} {np.shape(a)}, "
+                             f"grads {grads.shape}")
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+                and a.flags.c_contiguous and a.flags.writeable):
+            raise ValueError(f"adam_step writes {name} in place: it must be a writable, "
+                             "C-contiguous float64 array")
     cfg = state.config
-    t = state.t + 1
-    c1, c2 = 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t
-    m, v, new_params = (np.empty(params.shape) for _ in range(3))
-    work = np.empty(min(params.size, ADAM_BLOCK))
-    flat = [a.reshape(-1) for a in (params, grads, state.m, state.v, m, v, new_params)]
+    state.t += 1
+    c1, c2 = 1.0 - cfg.beta1 ** state.t, 1.0 - cfg.beta2 ** state.t
+    work = np.empty((2, min(params.size, ADAM_BLOCK)))
+    flat = [a.reshape(-1) for a in (params, grads, state.m, state.v)]
     for lo in range(0, params.size, ADAM_BLOCK):
-        p0, g, m0, v0, m1, v1, p1 = (a[lo:lo + ADAM_BLOCK] for a in flat)
-        w = work[:len(g)]
-        np.multiply(cfg.beta1, m0, out=m1)
-        np.add(m1, np.multiply(1.0 - cfg.beta1, g, out=w), out=m1)
-        np.multiply(cfg.beta2, v0, out=v1)
+        p, g, m, v = (a[lo:lo + ADAM_BLOCK] for a in flat)
+        w, step = work[:, :len(g)]
+        np.multiply(cfg.beta1, m, out=m)
+        np.add(m, np.multiply(1.0 - cfg.beta1, g, out=w), out=m)
+        np.multiply(cfg.beta2, v, out=v)
         np.multiply(np.multiply(1.0 - cfg.beta2, g, out=w), g, out=w)
-        np.add(v1, w, out=v1)
-        np.divide(v1, c2, out=w)
+        np.add(v, w, out=v)
+        np.divide(v, c2, out=w)
         np.add(np.sqrt(w, out=w), cfg.eps, out=w)
-        np.divide(m1, c1, out=p1)
-        np.divide(np.multiply(cfg.lr, p1, out=p1), w, out=p1)
-        np.subtract(p0, p1, out=p1)
-    return new_params, dataclasses.replace(state, m=m, v=v, t=t)
+        np.divide(m, c1, out=step)
+        np.divide(np.multiply(cfg.lr, step, out=step), w, out=step)
+        np.subtract(p, step, out=p)

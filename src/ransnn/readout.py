@@ -27,8 +27,6 @@ from .numerics import AdamConfig, AdamState, PROB_FLOOR, Rng, adam_step, softmax
 CACHE_MAGIC = b"RSNNFC01"
 # Samples per simulate_forward call in extract_features (README: why 8).
 EXTRACT_CHUNK = 8
-# Cache rows per readout product in evaluate.
-EVAL_CHUNK = 4096
 
 
 def feature_digest(layer_sizes, dist: WeightDistribution, seed: int, lif: LifParams,
@@ -239,13 +237,6 @@ def readout_loss_grad(model: ReadoutModel, x: np.ndarray,
     return loss, probs, grad
 
 
-def _readout_view(theta: np.ndarray, num_classes: int, n_feat: int) -> ReadoutModel:
-    """The readout whose weights (row-major), then bias, are views of the
-    flat parameter vector theta."""
-    n_w = num_classes * n_feat
-    return ReadoutModel(weights=theta[:n_w].reshape(num_classes, n_feat), bias=theta[n_w:])
-
-
 def train_readout(cache_train: FeatureCache, cache_test: FeatureCache, *,
                   adam: AdamConfig, batch_size: int,
                   num_classes: int) -> tuple[ReadoutModel, list[IterationMetrics]]:
@@ -273,7 +264,11 @@ def train_readout(cache_train: FeatureCache, cache_test: FeatureCache, *,
     n_feat = cache_train.num_features
     total_iters = len(cache_train) // batch_size
 
+    # Adam updates theta in place; the weights (row-major), then the bias,
+    # are views of it.
     theta = np.zeros((n_feat + 1) * num_classes)
+    n_w = num_classes * n_feat
+    model = ReadoutModel(weights=theta[:n_w].reshape(num_classes, n_feat), bias=theta[n_w:])
     state = AdamState.zeros(theta.size, adam)
     x_test = cache_test.features.astype(np.float64)
     y_test = cache_test.labels
@@ -285,18 +280,17 @@ def train_readout(cache_train: FeatureCache, cache_test: FeatureCache, *,
         t0 = time.perf_counter()
         xb = cache_train.features[rows].astype(np.float64)
         yb = cache_train.labels[rows]
-        model = _readout_view(theta, num_classes, n_feat)
         loss, probs, grad = readout_loss_grad(model, xb, yb)
-        theta, state = adam_step(theta, grad, state)
+        adam_step(theta, grad, state)
         elapsed += time.perf_counter() - t0
 
         batch_acc = float((probs.argmax(axis=1) == yb).mean())
-        test_acc = _accuracy(_readout_view(theta, num_classes, n_feat), x_test, y_test)
+        test_acc = _accuracy(model, x_test, y_test)
         metrics.append(IterationMetrics(
             iteration=iteration, train_accuracy=batch_acc,
             test_accuracy=test_acc, loss=loss, elapsed=elapsed))
 
-    return _readout_view(theta, num_classes, n_feat), metrics
+    return model, metrics
 
 
 def _accuracy(model: ReadoutModel, x, labels) -> float:
@@ -315,9 +309,4 @@ def evaluate(model: ReadoutModel, cache: FeatureCache) -> float:
         raise ValueError(
             f"cache width {cache.num_features} does not match model width "
             f"{model.num_features}")
-    hits = 0
-    for start in range(0, len(cache), EVAL_CHUNK):
-        x = cache.features[start:start + EVAL_CHUNK].astype(np.float64)
-        preds = (x @ model.weights.T + model.bias).argmax(axis=1)
-        hits += int((preds == cache.labels[start:start + EVAL_CHUNK]).sum())
-    return hits / len(cache)
+    return _accuracy(model, cache.features.astype(np.float64), cache.labels)

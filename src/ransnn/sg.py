@@ -263,14 +263,12 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
                          f"got {batch_size}")
     total_iters = len(train_indices) // batch_size
 
+    # Adam updates theta in place, and the weights are views of it.
     theta = np.concatenate([model.w_hidden.ravel(), model.w_out.ravel()])
     state = AdamState.zeros(theta.size, adam)
     n_wh = model.w_hidden.size
-    hidden_shape, out_shape = model.w_hidden.shape, model.w_out.shape
-    # The weights are views of theta from here on, so the initial arrays
-    # are not held through the first step.
-    model.w_hidden = theta[:n_wh].reshape(hidden_shape)
-    model.w_out = theta[n_wh:].reshape(out_shape)
+    model.w_hidden = theta[:n_wh].reshape(model.w_hidden.shape)
+    model.w_out = theta[n_wh:].reshape(model.w_out.shape)
     scratch: dict = {}
     grad = np.empty(theta.size)
 
@@ -285,9 +283,7 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
         y = np.zeros((len(sel), model.num_classes))
         y[np.arange(len(sel)), labels] = 1.0
         bptt_backward(model, tape, y, out=grad)
-        theta, state = adam_step(theta, grad, state)
-        model.w_hidden = theta[:n_wh].reshape(hidden_shape)
-        model.w_out = theta[n_wh:].reshape(out_shape)
+        adam_step(theta, grad, state)
         model.version += 1
         elapsed += time.perf_counter() - t0
 

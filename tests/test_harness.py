@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 import tempfile
@@ -14,10 +15,11 @@ from ransnn.cli import _split_values, main
 from ransnn.harness import (ConfigError, ExperimentConfig, SweepSpec,
                             apply_sweep_value, compare_methods, config_digest,
                             config_from_dict, config_from_file, emit_metrics,
-                            parse_dist, record_to_dict, resolved_config_dict,
+                            parse_dist, resolved_config_dict,
                             run_experiment, run_sweep, summarize_sweep)
 from ransnn.idx import load_dataset
 from ransnn.network import LifParams, Normal, Uniform, fan_in_uniform, init_weights
+from ransnn.numerics import AdamConfig
 from ransnn.readout import FeatureCache
 from ransnn.sg import init_sg_model
 
@@ -113,6 +115,14 @@ class TestConfig:
     def test_mistyped_field_of_a_python_config_is_a_config_error(self, field, value):
         cfg = replace(ExperimentConfig(seed=1), **{field: value})
         with pytest.raises(ConfigError, match=field):
+            cfg.validate()
+
+    @pytest.mark.parametrize("field,value", [("lr", -1.0), ("lr", float("nan")),
+                                             ("beta1", 1.0), ("beta2", 1.5),
+                                             ("eps", 0.0)])
+    def test_adam_value_out_of_range_is_a_config_error(self, field, value):
+        cfg = ExperimentConfig(seed=1, adam=AdamConfig(**{field: value}))
+        with pytest.raises(ConfigError, match=f"adam.{field}"):
             cfg.validate()
 
     def test_numbers_are_coerced_to_their_field_types(self):
@@ -545,7 +555,7 @@ class TestEmitMetrics:
         emit_metrics(records, out, format="json")
         with open(out) as fh:
             parsed = json.load(fh)
-        assert parsed == [record_to_dict(r) for r in records]
+        assert parsed == [dataclasses.asdict(r) for r in records]
 
     def test_unknown_format_rejected(self, use_data_dir, tmp_path):
         with pytest.raises(ConfigError):
@@ -577,6 +587,8 @@ class TestCli:
 
     def test_config_error_exit_code(self, use_data_dir, tmp_path):
         cfg = self._write_config(tmp_path, dataset="imagenet")
+        assert main(["run", "--config", cfg]) == 1
+        cfg = self._write_config(tmp_path, adam={"eps": 0})
         assert main(["run", "--config", cfg]) == 1
 
     def test_unknown_field_exit_code(self, use_data_dir, tmp_path):
@@ -636,6 +648,10 @@ class TestCli:
         assert main(["sweep", "--config", cfg, "--param", "time_steps",
                      "--values", "25,abc", "--repeats", "1"]) == 1
         assert "config error:" in capsys.readouterr().err
+        for values in ("10,,20", ",", "10,"):
+            assert main(["sweep", "--config", cfg, "--param", "hidden_size",
+                         "--values", values, "--repeats", "1"]) == 1
+            assert "config error:" in capsys.readouterr().err
 
     # More batches than the 192-sample train split holds; more steps than a
     # u16 spike count holds.
@@ -705,3 +721,4 @@ class TestCli:
         assert _split_values("U(-0.05,0.05),N(0,0.05)") == ["U(-0.05,0.05)",
                                                             "N(0,0.05)"]
         assert _split_values("200,500,1000") == ["200", "500", "1000"]
+        assert _split_values("10,,20") == ["10", "", "20"]

@@ -138,37 +138,35 @@ class TestAdam:
         # With fresh moments, m_hat = g and v_hat = g^2, so the update is
         # -lr * g / (|g| + eps).
         params = np.array([1.0, -2.0])
-        grads = np.array([0.5, 0.5])
-        state = AdamState.zeros(2, AdamConfig(lr=1e-3))
-        new_params, new_state = adam_step(params, grads, state)
         expected = params - 1e-3 * 0.5 / (0.5 + 1e-8)
-        assert np.allclose(new_params, expected, rtol=1e-12)
-        assert new_state.t == 1
+        state = AdamState.zeros(2, AdamConfig(lr=1e-3))
+        assert adam_step(params, np.array([0.5, 0.5]), state) is None
+        assert np.allclose(params, expected, rtol=1e-12)
+        assert state.t == 1
 
     def test_first_step_magnitude_close_to_lr(self):
         params = np.zeros(1)
-        new_params, _ = adam_step(params, np.array([0.5]),
-                                  AdamState.zeros(1, AdamConfig(lr=1e-3)))
-        assert new_params[0] == pytest.approx(-1e-3, rel=1e-6)
+        adam_step(params, np.array([0.5]), AdamState.zeros(1, AdamConfig(lr=1e-3)))
+        assert params[0] == pytest.approx(-1e-3, rel=1e-6)
 
     def test_sign_following_negative_gradient(self):
         params = np.zeros(1)
-        new_params, _ = adam_step(params, np.array([-0.01]),
-                                  AdamState.zeros(1, AdamConfig(lr=1e-3)))
-        assert new_params[0] == pytest.approx(1e-3, rel=1e-6)
+        adam_step(params, np.array([-0.01]), AdamState.zeros(1, AdamConfig(lr=1e-3)))
+        assert params[0] == pytest.approx(1e-3, rel=1e-6)
 
     def test_zero_gradient_fresh_state_is_noop(self):
         params = np.array([0.3, -1.5, 7.0])
-        new_params, new_state = adam_step(params, np.zeros(3), AdamState.zeros(3))
-        assert np.array_equal(new_params, params)
-        assert new_state.t == 1
+        state = AdamState.zeros(3)
+        adam_step(params, np.zeros(3), state)
+        assert np.array_equal(params, [0.3, -1.5, 7.0])
+        assert state.t == 1
 
     def test_second_moment_nonnegative_and_t_increments(self):
         params = np.zeros(4)
         state = AdamState.zeros(4)
         rng = Rng(8, 0)
         for step in range(1, 20):
-            params, state = adam_step(params, rng.normal(0, 1, 4), state)
+            adam_step(params, rng.normal(0, 1, 4), state)
             assert state.t == step
             assert np.all(state.v >= 0)
 
@@ -176,13 +174,35 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(np.zeros(3), np.zeros(4), AdamState.zeros(3))
 
-    def test_inputs_not_mutated(self):
-        params = np.ones(2)
-        state = AdamState.zeros(2)
-        adam_step(params, np.array([1.0, -1.0]), state)
-        assert np.array_equal(params, np.ones(2))
+    def test_updates_in_place(self):
+        params, grads = np.array([1.0, -0.5, 2.0]), np.array([1.0, -1.0, 0.25])
+        state = AdamState.zeros(3, AdamConfig(lr=0.1))
+        ref_params, ref_state = reference_adam_step(params.copy(), grads,
+                                                    AdamState.zeros(3, AdamConfig(lr=0.1)))
+        m, v = state.m, state.v
+        adam_step(params, grads, state)
+        assert state.m is m and state.v is v
+        assert _bits(params) == _bits(ref_params)
+        assert _bits(state.m) == _bits(ref_state.m)
+        assert _bits(state.v) == _bits(ref_state.v)
+        assert np.array_equal(grads, [1.0, -1.0, 0.25])
+        assert state.t == 1
+
+    @pytest.mark.parametrize("case", ["non-contiguous params", "float32 params",
+                                      "read-only params", "m of the wrong shape"])
+    def test_targets_that_cannot_be_written_in_place_rejected(self, case):
+        params, state = np.zeros(4), AdamState.zeros(4)
+        if case == "non-contiguous params":
+            params = np.zeros(8)[::2]
+        elif case == "float32 params":
+            params = np.zeros(4, dtype=np.float32)
+        elif case == "read-only params":
+            params.flags.writeable = False
+        else:
+            state.m = np.zeros(5)
+        with pytest.raises(ValueError):
+            adam_step(params, np.ones(4), state)
         assert state.t == 0
-        assert np.array_equal(state.m, np.zeros(2))
 
 
 def _bits(a: np.ndarray) -> bytes:
@@ -199,7 +219,7 @@ class TestAdamBlocks:
         rng = Rng(21, n)
         params = rng.normal(0.0, 0.5, n)
         state = AdamState.zeros(n, AdamConfig(lr=3e-3))
-        ref_params, ref_state = params.copy(), state
+        ref_params, ref_state = params.copy(), AdamState.zeros(n, AdamConfig(lr=3e-3))
         for _ in range(30):
             if grads == "random":
                 g = rng.normal(0.0, 2.0, n)
@@ -207,14 +227,14 @@ class TestAdamBlocks:
                 g = np.zeros(n)
             else:
                 g = -np.abs(rng.normal(0.0, 1e-3, n))
-            params, state = adam_step(params, g, state)
+            adam_step(params, g, state)
             ref_params, ref_state = reference_adam_step(ref_params, g, ref_state)
             assert _bits(params) == _bits(ref_params)
             assert _bits(state.m) == _bits(ref_state.m)
             assert _bits(state.v) == _bits(ref_state.v)
         assert state.t == ref_state.t == 30
 
-    def test_peak_is_outputs_plus_one_block(self):
+    def test_peak_is_two_blocks(self):
         n = 200_000
         rng = Rng(22, 0)
         params, grads = rng.normal(0.0, 1.0, n), rng.normal(0.0, 1.0, n)
@@ -223,9 +243,8 @@ class TestAdamBlocks:
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            result = adam_step(params, grads, state)
+            adam_step(params, grads, state)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        del result
-        assert peak - entry <= 1.05 * 8 * (3 * n + ADAM_BLOCK)
+        assert peak - entry <= 1.05 * 8 * 2 * ADAM_BLOCK

@@ -484,17 +484,6 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(model, counts_cache(np.zeros((0, 4)), np.zeros(0)))
 
-    def test_chunking_does_not_change_result(self, monkeypatch):
-        rng = Rng(31, 0)
-        cache = counts_cache(rng.uniform(0, 25, 1000 * 8).reshape(1000, 8),
-                             rng.uniform(0, 5, 1000).astype(np.int64))
-        model = random_model(5, 8, seed=3)
-        accuracies = set()
-        for chunk in (64, 100000):
-            monkeypatch.setattr("ransnn.readout.EVAL_CHUNK", chunk)
-            accuracies.add(evaluate(model, cache))
-        assert len(accuracies) == 1
-
     @pytest.mark.parametrize("scale", [2, 4, 8])
     def test_argmax_invariant_under_reciprocal_scaling(self, scale):
         # Integer counts and power-of-two scales keep (W / s) * (s * f)
