@@ -25,7 +25,7 @@ import numpy as np
 
 from .idx import LabeledDataset, load_dataset, make_batches
 from .network import (LifParams, Normal, Uniform, WeightDistribution,
-                      fan_in_uniform, init_weights)
+                      fan_in_uniform, init_weights, openblas, worker_count)
 from .numerics import AdamConfig, ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM
 from .readout import (FeatureCache, IterationMetrics, evaluate, extract_features,
                       extract_features_at, feature_digest, train_readout)
@@ -317,9 +317,40 @@ def resolve_dataset_paths(cfg: ExperimentConfig) -> dict[str, Path]:
     return out
 
 
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore its
+    thread count, so that no float result depends on OPENBLAS_NUM_THREADS.
+    Where OpenBLAS's symbols are missing it does nothing, and run records
+    say "unpinned"."""
+    lib = openblas()
+    if lib is None:
+        yield
+        return
+    old = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(old)
+
+
+def _environment() -> dict:
+    """The RunRecord fields that name what the bits of a run depend on
+    besides its config: numpy, the OpenBLAS build and kernel, its thread
+    count ("unpinned" where it cannot be set) and the worker count."""
+    lib = openblas()
+    return {"numpy_version": np.__version__,
+            "blas_config": lib.scipy_openblas_get_config64_().decode() if lib else None,
+            "blas_core": lib.scipy_openblas_get_corename64_().decode() if lib else None,
+            "blas_threads": lib.scipy_openblas_get_num_threads64_() if lib else "unpinned",
+            "workers": worker_count()}
+
+
 @dataclass
 class RunRecord:
-    """Everything one run produced: identity, timings, and the curve.
+    """Everything one run produced: identity, timings, the curve, and what
+    its bits depend on besides the config (see _environment).
 
     training_seconds excludes feature extraction (reported separately) and
     metric evaluation; total_seconds is the whole run including data loading.
@@ -334,6 +365,11 @@ class RunRecord:
     total_seconds: float
     metrics: list[IterationMetrics]
     config: dict
+    numpy_version: str
+    blas_config: str | None
+    blas_core: str | None
+    blas_threads: int | str
+    workers: int
 
 
 def _load_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
@@ -445,8 +481,10 @@ def _fill_time_steps(cfg: ExperimentConfig, steps, cache_dir) -> dict[int, list[
     return files
 
 
+@one_blas_thread()
 def run_experiment(cfg: ExperimentConfig, cache_dir=None) -> RunRecord:
-    """Execute the full pipeline for cfg and collect its RunRecord.
+    """Execute the full pipeline for cfg and collect its RunRecord, with
+    OpenBLAS on one thread.
 
     Deterministic given cfg: identical configs reproduce every metric and
     the final accuracy bit-for-bit; only the wall-clock fields vary.
@@ -481,7 +519,7 @@ def run_experiment(cfg: ExperimentConfig, cache_dir=None) -> RunRecord:
                      feature_extraction_seconds=feature_seconds,
                      training_seconds=training_seconds,
                      total_seconds=total_seconds, metrics=metrics,
-                     config=resolved)
+                     config=resolved, **_environment())
 
 
 @dataclass(frozen=True)
@@ -529,9 +567,11 @@ def apply_sweep_value(cfg: ExperimentConfig, parameter: str, value) -> Experimen
     return replace(cfg, time_steps=value)
 
 
+@one_blas_thread()
 def run_sweep(base: ExperimentConfig, sweep: SweepSpec, cache_dir=None) -> list[RunRecord]:
     """One run per (value, repeat), varying only the swept parameter and the
-    repeat's seed offset. Records are ordered value-major, repeat-minor.
+    repeat's seed offset, with OpenBLAS on one thread. Records are ordered
+    value-major, repeat-minor.
 
     Every run's config is validated before the first run starts. A
     time_steps sweep of the readout method runs repeat by repeat: it

@@ -10,15 +10,30 @@ of its spike counts ever changes. Each simulation step updates a layer as
     u_post = u_pre - u_thr * s       (subtractive reset)
 
 with layers consuming the spikes their predecessor emitted at the same step.
+simulate runs a batch in parts of samples fixed by the shapes, spread over
+one thread per CPU, so the number of threads changes no bit.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .numerics import Rng, WEIGHT_STREAM
+
+# simulate splits a batch into parts of at least PART samples and
+# PART_ELEMENTS potentials per step, and into at most PARTS parts (README:
+# "Simulation kernel and extraction chunks").
+PART = 4
+PARTS = 16
+PART_ELEMENTS = 2048
 
 
 @dataclass(frozen=True)
@@ -123,45 +138,137 @@ def _buffer(scratch: dict, key, shape, dtype) -> np.ndarray:
     return flat[:size].reshape(shape)
 
 
+@functools.cache
+def openblas():
+    """numpy's bundled OpenBLAS, loaded by ctypes, or None where its
+    thread-count and config symbols cannot be found."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            for name, argtypes, restype in (("set_num_threads", [ctypes.c_int], None),
+                                            ("get_num_threads", [], ctypes.c_int),
+                                            ("get_config", [], ctypes.c_char_p),
+                                            ("get_corename", [], ctypes.c_char_p)):
+                fn = getattr(lib, f"scipy_openblas_{name}64_")
+                fn.argtypes, fn.restype = argtypes, restype
+        except (OSError, AttributeError):
+            continue
+        return lib
+    return None
+
+
+def worker_count() -> int:
+    """The threads that run the parts of simulate and of the BPTT backward:
+    one per CPU this process may run on while numpy's OpenBLAS runs one
+    thread (as harness.one_blas_thread pins it), else 1, so that the parts
+    and OpenBLAS's own threads never compete for the cores."""
+    lib = openblas()
+    if lib is None or lib.scipy_openblas_get_num_threads64_() != 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def part_size(n_batch: int, width: int) -> int:
+    """Samples per part of a batch of n_batch samples whose widest layer
+    has width neurons; it depends on these shapes alone. Numpy calls on
+    fewer than PART_ELEMENTS potentials are too short for a second thread
+    to gain, and each part adds calls."""
+    return max(PART, -(-n_batch // PARTS), -(-PART_ELEMENTS // width))
+
+
+_pool: tuple[int, int, ThreadPoolExecutor] | None = None  # (pid, threads, pool)
+_pool_lock = threading.Lock()
+
+
+def run_parts(fn, n: int, size: int) -> None:
+    """fn(rows) for the slices rows = [0, size), [size, 2 size), ... that
+    cover range(n), on up to worker_count() threads: the calling thread and
+    a pool created on first use. Each part must write only its own outputs,
+    so no bit depends on which thread runs it or when. Returns once every
+    part is done, raising the first error of any."""
+    global _pool
+    parts = [slice(start, start + size) for start in range(0, n, size)]
+    threads = min(worker_count(), len(parts))
+    if threads <= 1:
+        for rows in parts:
+            fn(rows)
+        return
+    with _pool_lock:
+        # A replaced pool's threads end once it is garbage collected.
+        if _pool is None or _pool[0] != os.getpid() or _pool[1] < threads - 1:
+            _pool = (os.getpid(), threads - 1,
+                     ThreadPoolExecutor(threads - 1, thread_name_prefix="ransnn-part"))
+        pool = _pool[2]
+    pending, lock = iter(parts), threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                rows = next(pending, None)
+            if rows is None:
+                return
+            fn(rows)
+
+    futures = [pool.submit(drain) for _ in range(threads - 1)]
+    try:
+        drain()
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+
+
 def simulate(bits: np.ndarray, weights, lif: LifParams, *, record: bool = False,
              scratch: dict | None = None) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """The one LIF kernel: a (B, T, n_in) batch of 0/1 inputs through a
     stack of layers sharing the neuron constants lif, every potential
     starting at 0.
 
-    Per layer, one (B*T, n_in) @ W.T GEMM gives all input currents, then the
-    recursion runs in place over the steps for the whole batch. Returns one
+    The batch splits into parts of part_size(B, n) samples, n the widest
+    layer's width, which run_parts
+    spreads over the workers. A part runs the whole stack over its samples:
+    per layer one GEMM of its (part*T, n_in) rows by W.T for their input
+    currents, then the recursion in place over the steps. Returns one
     (spikes, u_pre) pair per layer: the (B, T, n) uint8 raster and, with
     record=True, the pre-reset potentials written over the currents (else
-    None). A scratch dict passed to successive calls keeps their work arrays,
-    which the returned arrays then share; the (B*T, n) float64 copy of layer
-    i's input stays readable at _buffer(scratch, ("in", i), ...) until the
-    next call. No row depends on the rest of the batch, so any grouping
-    gives bit-identical spikes.
+    None). A scratch dict passed to successive calls keeps their work
+    arrays, which the returned arrays then share; the (B*T, n) float64 copy
+    of layer i's input stays readable at _buffer(scratch, ("in", i), ...)
+    until the next call. No row depends on the rest of the batch, so any
+    grouping gives bit-identical spikes; the split depends only on the
+    shapes, so any worker count gives the same bits.
     """
     n_batch, steps, n_in = bits.shape
     if n_in != weights[0].shape[1]:
         raise ValueError(f"input has {n_in} neurons, layer 1 expects {weights[0].shape[1]}")
     scratch = {} if scratch is None else scratch
-    s = bits.reshape(n_batch * steps, -1)
-    out = []
+    layers = []
     for i, w in enumerate(weights):
-        x = _buffer(scratch, ("in", i), s.shape, np.float64)
-        x[...] = s
-        cur = _buffer(scratch, ("cur", i), (n_batch, steps, w.shape[0]), np.float64)
-        np.matmul(x, w.T, out=cur.reshape(x.shape[0], -1))
-        spikes = _buffer(scratch, ("spikes", i), cur.shape, np.uint8)
-        u = np.zeros((n_batch, cur.shape[2]))
-        for t in range(steps):
-            u *= lif.beta
-            u += cur[:, t]
-            fired = np.greater(u, lif.u_thr, out=spikes[:, t])
-            if record:
-                cur[:, t] = u
-            u -= lif.u_thr * fired
-        out.append((spikes, cur if record else None))
-        s = spikes.reshape(n_batch * steps, -1)
-    return out
+        n_out, n_prev = w.shape
+        layers.append((w, _buffer(scratch, ("in", i), (n_batch, steps, n_prev), np.float64),
+                       _buffer(scratch, ("cur", i), (n_batch, steps, n_out), np.float64),
+                       _buffer(scratch, ("spikes", i), (n_batch, steps, n_out), np.uint8)))
+
+    def run_part(rows):
+        s = bits[rows]
+        for w, x, cur, spikes in layers:
+            x, cur, spikes = x[rows], cur[rows], spikes[rows]
+            x[...] = s
+            np.matmul(x.reshape(-1, w.shape[1]), w.T, out=cur.reshape(-1, w.shape[0]))
+            u = np.zeros((cur.shape[0], w.shape[0]))
+            for t in range(steps):
+                u *= lif.beta
+                u += cur[:, t]
+                fired = np.greater(u, lif.u_thr, out=spikes[:, t])
+                if record:
+                    cur[:, t] = u
+                u -= lif.u_thr * fired
+            s = spikes
+
+    run_parts(run_part, n_batch, part_size(n_batch, max(w.shape[0] for w in weights)))
+    return [(spikes, cur if record else None) for _, _, cur, spikes in layers]
 
 
 def simulate_forward(net: NetworkTopology, bits: np.ndarray, *,

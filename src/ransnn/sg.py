@@ -20,7 +20,7 @@ import numpy as np
 from .encoding import encode_sample
 from .idx import LabeledDataset
 from .network import (LifParams, WeightDistribution, _buffer, fan_in_uniform,
-                      sample_weights, simulate)
+                      part_size, run_parts, sample_weights, simulate)
 from .numerics import (AdamConfig, AdamState, ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM,
                        PROB_FLOOR, Rng, WEIGHT_STREAM, adam_step, softmax)
 from .readout import IterationMetrics
@@ -32,6 +32,8 @@ EVAL_CHUNK = 128
 # test selection, so train_sg samples its curve every EVAL_EVERY iterations
 # (and at the last) rather than at every one.
 EVAL_EVERY = 50
+# Rows of the hidden weight gradient per part of its GEMM in bptt_backward.
+GRAD_ROWS = 256
 
 
 def surrogate_grad(x, out: np.ndarray | None = None):
@@ -96,7 +98,8 @@ class BpttTape:
     flat float64 copies of the two layers' input bits are the forward's own
     GEMM operands, which the weight-gradient GEMMs reuse. A tape recorded
     into a shared scratch dict holds views of its work arrays, valid until
-    the next simulate call with that dict.
+    the next simulate call with that dict. bptt_backward spends a tape: it
+    writes the hidden adjoint over flat_hidden.
     """
 
     input_bits: np.ndarray  # (B, T, n_in) uint8
@@ -107,6 +110,7 @@ class BpttTape:
     flat_input: np.ndarray  # (B*T, n_in) float64
     flat_hidden: np.ndarray  # (B*T, n_hidden) float64
     model_version: int
+    spent: bool = False
 
 
 def _record_tape(model: SgModel, input_bits: np.ndarray,
@@ -160,12 +164,21 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true, *,
     Wherever a spike enters the recursion -- as the next layer's input and in
     the subtractive reset term -- its local derivative is the arctan
     surrogate evaluated at that step's pre-reset potential; the beta*u
-    recurrence carries gradient across steps. The tape is left as it was.
+    recurrence carries gradient across steps.
+
+    The tape is spent: once the w_out gradient has read tape.flat_hidden,
+    the hidden adjoint is computed in place over it, and a second backward
+    on the tape raises ValueError. The hidden adjoint runs in parts of
+    part_size(B, n_hidden) samples and the hidden gradient's GEMM in blocks
+    of GRAD_ROWS rows, both through run_parts; the split depends only on
+    the shapes, so the bits do not depend on the worker count.
 
     Both gradients are written into one flat float64 vector, the hidden
     matrix's entries first, and returned as views of it; out supplies that
     vector (a fresh one is allocated without it).
     """
+    if tape.spent:
+        raise ValueError("spent tape: a backward already overwrote its flat_hidden")
     if tape.model_version != model.version:
         raise ValueError(
             f"stale tape: recorded under model version {tape.model_version}, "
@@ -187,14 +200,24 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true, *,
     d_direct /= n_batch
     lam_out = _adjoint(d_direct, tape.output_u_pre, beta, thr)
     lam_out = lam_out.reshape(n_batch * steps, n_cls)
-    d_spikes = (lam_out @ model.w_out).reshape(n_batch, steps, model.n_hidden)
-    lam_hid = _adjoint(d_spikes, tape.hidden_u_pre, beta, thr, gate=True)
 
     out = np.empty(n_weights) if out is None else out
     d_w_out = np.matmul(lam_out.T, tape.flat_hidden,
                         out=out[n_wh:].reshape(model.w_out.shape))
-    d_w_hidden = np.matmul(lam_hid.reshape(n_batch * steps, -1).T, tape.flat_input,
-                           out=out[:n_wh].reshape(model.w_hidden.shape))
+    tape.spent = True
+    lam_flat = np.matmul(lam_out, model.w_out, out=tape.flat_hidden)
+    lam_hid = lam_flat.reshape(n_batch, steps, model.n_hidden)
+
+    def adjoint_part(rows):
+        _adjoint(lam_hid[rows], tape.hidden_u_pre[rows], beta, thr, gate=True)
+
+    run_parts(adjoint_part, n_batch, part_size(n_batch, model.n_hidden))
+    d_w_hidden = out[:n_wh].reshape(model.w_hidden.shape)
+
+    def gradient_part(rows):
+        np.matmul(lam_flat[:, rows].T, tape.flat_input, out=d_w_hidden[rows])
+
+    run_parts(gradient_part, model.n_hidden, GRAD_ROWS)
     return d_w_hidden, d_w_out
 
 

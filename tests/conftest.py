@@ -32,6 +32,15 @@ def blob_dataset(num_classes: int, samples_per_class: int, side: int = 12,
     return LabeledDataset(images=images, labels=labels, num_classes=num_classes)
 
 
+def mnist_shaped(n, pixels=784, density=0.19, seed=0) -> LabeledDataset:
+    """u8 images with about MNIST's fraction of nonzero pixels."""
+    rng = Rng(seed, 3)
+    on = rng.random((n, pixels)) < density
+    images = (on * rng.uniform(1, 256, n * pixels).reshape(n, pixels)).astype(np.uint8)
+    return LabeledDataset(images=images, labels=np.arange(n, dtype=np.int64) % 10,
+                          num_classes=10)
+
+
 def idx_bytes(dims, payload: bytes, dtype_code: int = 0x08) -> bytes:
     """The IDX header for dims and dtype_code, followed by payload."""
     header = struct.pack(">BBBB", 0, 0, dtype_code, len(dims))

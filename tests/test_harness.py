@@ -1,7 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import replace
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import blob_dataset, write_dataset_idx
+from ransnn import harness
 from ransnn.cli import _split_values, main
 from ransnn.harness import (ConfigError, ExperimentConfig, SweepSpec,
                             apply_sweep_value, compare_methods, config_digest,
@@ -18,7 +22,8 @@ from ransnn.harness import (ConfigError, ExperimentConfig, SweepSpec,
                             parse_dist, resolved_config_dict,
                             run_experiment, run_sweep, summarize_sweep)
 from ransnn.idx import load_dataset
-from ransnn.network import LifParams, Normal, Uniform, fan_in_uniform, init_weights
+from ransnn.network import (LifParams, Normal, Uniform, fan_in_uniform, init_weights,
+                            openblas)
 from ransnn.numerics import AdamConfig
 from ransnn.readout import FeatureCache
 from ransnn.sg import init_sg_model
@@ -277,6 +282,67 @@ class TestRunExperiment:
 def _curve(record):
     return record.final_accuracy, [(m.iteration, m.train_accuracy, m.test_accuracy, m.loss)
                                    for m in record.metrics]
+
+
+# One short SG training (every iteration on the curve) and one extraction
+# into a cache_dir, printing the curves as hex floats and the cache bytes.
+_THREADS_SCRIPT = """
+import hashlib, sys
+from pathlib import Path
+from ransnn import sg
+from ransnn.harness import config_from_dict, run_experiment
+sg.EVAL_EVERY = 1
+cfg = {"hidden_sizes": [2000], "time_steps": 10, "train_batches": 3, "test_batches": 1,
+       "batch_size": 32, "seed": 5}
+for method in ("sg", "ransnn"):
+    rec = run_experiment(config_from_dict({**cfg, "method": method}), cache_dir=sys.argv[1])
+    print([(m.loss.hex(), m.train_accuracy.hex(), m.test_accuracy.hex()) for m in rec.metrics])
+for path in sorted(Path(sys.argv[1]).iterdir()):
+    print(path.name, hashlib.sha256(path.read_bytes()).hexdigest())
+"""
+
+
+class TestBlasThreads:
+    def test_record_names_numpy_blas_and_workers(self, use_data_dir):
+        lib = openblas()
+        threads_before = lib.scipy_openblas_get_num_threads64_() if lib else None
+        rec = run_experiment(tiny_config())
+        assert rec.numpy_version == np.__version__
+        if lib is None:
+            assert (rec.blas_threads, rec.workers) == ("unpinned", 1)
+        else:
+            assert (rec.blas_threads, rec.workers) == (1, len(os.sched_getaffinity(0)))
+            assert rec.blas_config.startswith("OpenBLAS") and rec.blas_core
+            assert lib.scipy_openblas_get_num_threads64_() == threads_before
+
+    def test_missing_symbols_recorded_as_unpinned(self, use_data_dir, monkeypatch):
+        # Without OpenBLAS's thread count, the parts keep to the calling
+        # thread rather than compete with BLAS threads for the cores.
+        monkeypatch.setattr(harness, "openblas", lambda: None)
+        monkeypatch.setattr("ransnn.network.openblas", lambda: None)
+        rec = run_experiment(tiny_config())
+        assert (rec.blas_threads, rec.blas_config, rec.blas_core) == ("unpinned", None, None)
+        assert rec.workers == 1
+
+    def test_blas_thread_count_changes_no_bit(self, tmp_path):
+        # Unpinned, two OpenBLAS threads give this training other last bits
+        # on a host with two or more CPUs.
+        mnist = tmp_path / "data" / "mnist"
+        mnist.mkdir(parents=True)
+        write_dataset_idx(blob_dataset(10, 40, side=28, seed=1), 28, mnist, "train")
+        write_dataset_idx(blob_dataset(10, 4, side=28, seed=2), 28, mnist, "t10k")
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "RANSNN_DATA_DIR": str(tmp_path / "data"),
+                   "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+            done = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT,
+                                   str(tmp_path / f"caches-{threads}")],
+                                  env=env, capture_output=True, text=True, check=True,
+                                  timeout=300)
+            outputs.append(done.stdout)
+        assert outputs[0].count(".rsnnfc") == 2
+        assert outputs[0] == outputs[1]
 
 
 class TestLibraryExample:

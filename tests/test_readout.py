@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import extract
+from conftest import extract, mnist_shaped
 from oracles import (central_difference_grad, cross_entropy, reference_cache_bytes,
                      reference_lif_stack, relative_error)
 from ransnn.encoding import encode_sample
@@ -92,15 +92,6 @@ class TestExtractFeatures:
         assert a.source_config_digest == again.source_config_digest
         assert a.source_config_digest != shifted.source_config_digest
         assert a.source_config_digest != longer.source_config_digest
-
-
-def mnist_shaped(n, pixels=784, density=0.19, seed=0) -> LabeledDataset:
-    """u8 images with about MNIST's fraction of nonzero pixels."""
-    rng = Rng(seed, 3)
-    on = rng.random((n, pixels)) < density
-    images = (on * rng.uniform(1, 256, n * pixels).reshape(n, pixels)).astype(np.uint8)
-    return LabeledDataset(images=images, labels=np.arange(n, dtype=np.int64) % 10,
-                          num_classes=10)
 
 
 class TestExtractionBatchInvariance:
