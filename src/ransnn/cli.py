@@ -16,6 +16,7 @@ from .harness import (SWEEP_PARAMETERS, ConfigError, ExperimentConfig, SweepSpec
                       compare_methods, config_from_file, emit_metrics,
                       run_experiment, run_sweep, summarize_sweep)
 from .idx import DatasetError, IdxError, read_idx
+from .readout import CacheFormatError
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -151,7 +152,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (IdxError, DatasetError, json.JSONDecodeError) as exc:
+    except (IdxError, DatasetError, CacheFormatError, json.JSONDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

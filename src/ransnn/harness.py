@@ -91,54 +91,41 @@ class ExperimentConfig:
     adam: AdamConfig = AdamConfig()
     paths: DataPaths = DataPaths()
 
-    def validate(self) -> None:
-        """Raise ConfigError unless the config describes a runnable
-        experiment. Field types are checked first, so a config built in
-        Python with a mistyped value fails here like a JSON one."""
-        for name in _INT_FIELDS + _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if name != "seed" or value is not None:
-                _check_number(name, value, name in _INT_FIELDS)
-        if not isinstance(self.hidden_sizes, (tuple, list)):
-            raise ConfigError(
-                f"hidden_sizes must be a list of integers, got {self.hidden_sizes!r}")
-        for h in self.hidden_sizes:
-            _check_number("hidden_sizes", h, True)
-        for name, kinds, what in (
-                ("dist", (Uniform, Normal, type(None)), "Uniform, Normal or None"),
-                ("adam", AdamConfig, "an AdamConfig"), ("paths", DataPaths, "a DataPaths")):
-            if not isinstance(getattr(self, name), kinds):
-                raise ConfigError(f"{name} must be {what}, got {getattr(self, name)!r}")
-        for f in dataclasses.fields(AdamConfig):
-            _check_number(f"adam.{f.name}", getattr(self.adam, f.name), False)
+    def validate(self) -> ExperimentConfig:
+        """Return this config with each number in its field's type (see
+        _typed), so it runs and digests as its JSON twin does; raise
+        ConfigError unless it describes a runnable experiment."""
+        cfg = _typed(self)
         for name in ("lr", "eps"):
-            if not 0 < getattr(self.adam, name) < np.inf:
+            if not 0 < getattr(cfg.adam, name) < np.inf:
                 raise ConfigError(f"adam.{name} must be finite and > 0, "
-                                  f"got {getattr(self.adam, name)!r}")
+                                  f"got {getattr(cfg.adam, name)!r}")
         for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self.adam, name) < 1:
+            if not 0 <= getattr(cfg.adam, name) < 1:
                 raise ConfigError(f"adam.{name} must lie in [0, 1), "
-                                  f"got {getattr(self.adam, name)!r}")
-        if self.dataset not in DATASETS:
-            raise ConfigError(f"unknown dataset {self.dataset!r}, expected one of {DATASETS}")
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
-            raise ConfigError(f"hidden_sizes must be nonempty positive ints, got {self.hidden_sizes}")
-        if self.method == "sg" and len(self.hidden_sizes) != 1:
+                                  f"got {getattr(cfg.adam, name)!r}")
+        if cfg.dataset not in DATASETS:
+            raise ConfigError(f"unknown dataset {cfg.dataset!r}, expected one of {DATASETS}")
+        if cfg.method not in METHODS:
+            raise ConfigError(f"unknown method {cfg.method!r}, expected one of {METHODS}")
+        if not cfg.hidden_sizes or any(h < 1 for h in cfg.hidden_sizes):
+            raise ConfigError(
+                f"hidden_sizes must be nonempty positive ints, got {cfg.hidden_sizes}")
+        if cfg.method == "sg" and len(cfg.hidden_sizes) != 1:
             raise ConfigError("the sg baseline supports exactly one hidden layer")
         try:
-            LifParams(beta=self.beta, u_thr=self.u_thr)
+            LifParams(beta=cfg.beta, u_thr=cfg.u_thr)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if not 1 <= self.time_steps <= 0xFFFF:  # spike counts are stored as u16
-            raise ConfigError(f"time_steps must lie in [1, 65535], got {self.time_steps}")
-        if self.train_batches < 1 or self.test_batches < 1:
+        if not 1 <= cfg.time_steps <= 0xFFFF:  # spike counts are stored as u16
+            raise ConfigError(f"time_steps must lie in [1, 65535], got {cfg.time_steps}")
+        if cfg.train_batches < 1 or cfg.test_batches < 1:
             raise ConfigError("train_batches and test_batches must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.seed is None:
+        if cfg.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {cfg.batch_size}")
+        if cfg.seed is None:
             raise ConfigError("seed must be set (config file field or --seed)")
+        return cfg
 
 
 _DIST_LITERAL = re.compile(
@@ -189,63 +176,65 @@ _INT_FIELDS = ("time_steps", "train_batches", "test_batches", "batch_size", "see
 _FLOAT_FIELDS = ("beta", "u_thr")
 
 
-def _check_number(name: str, value, integral: bool) -> None:
-    """A ConfigError unless value is an integer (if integral) or a real
-    number; booleans are neither."""
-    if isinstance(value, bool) or not isinstance(
-            value, numbers.Integral if integral else numbers.Real):
+def _number(name: str, value, integral: bool):
+    """value as an int (which it must equal, if integral) or as a float;
+    anything but a real number, booleans included, is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
+            integral and not isinstance(value, numbers.Integral)
+            and not float(value).is_integer()):
         raise ConfigError(f"{name} must be {'an integer' if integral else 'a number'}, "
                           f"got {value!r}")
-
-
-def _number(name: str, value, integral: bool):
-    """A JSON number as an int (which it must be equal to, if integral) or
-    as a float; anything else, booleans included, is a ConfigError."""
-    _check_number(name, value, False)
-    if integral and not float(value).is_integer():
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value) if integral else float(value)
+
+
+def _floats(name: str, obj):
+    """A dataclass of numbers, rebuilt with each field as a float."""
+    return type(obj)(*(_number(f"{name}.{f.name}", getattr(obj, f.name), False)
+                       for f in dataclasses.fields(obj)))
+
+
+def _typed(cfg: ExperimentConfig) -> ExperimentConfig:
+    """The one type rule of every config, however it was built: cfg with
+    the counts and the seed as int (an integral float or a numpy integer is
+    taken), beta, u_thr and the dist and adam values as float, and
+    hidden_sizes as a tuple of ints. Any other value, booleans included, a
+    dist, adam or paths of another class, and a path that is no string or
+    None, is a ConfigError."""
+    if not isinstance(cfg.hidden_sizes, (tuple, list)):
+        raise ConfigError(f"hidden_sizes must be a list of integers, got {cfg.hidden_sizes!r}")
+    for name, kinds, what in (
+            ("dist", (Uniform, Normal, type(None)), "Uniform, Normal or None"),
+            ("adam", AdamConfig, "an AdamConfig"), ("paths", DataPaths, "a DataPaths")):
+        if not isinstance(getattr(cfg, name), kinds):
+            raise ConfigError(f"{name} must be {what}, got {getattr(cfg, name)!r}")
+    if not all(v is None or isinstance(v, str) for v in dataclasses.astuple(cfg.paths)):
+        raise ConfigError(f"paths must be strings or None, got {cfg.paths!r}")
+    typed = {name: _number(name, getattr(cfg, name), name in _INT_FIELDS)
+             for name in _INT_FIELDS + _FLOAT_FIELDS if name != "seed" or cfg.seed is not None}
+    return replace(cfg, **typed,
+                   hidden_sizes=tuple(_number("hidden_sizes", h, True) for h in cfg.hidden_sizes),
+                   dist=None if cfg.dist is None else _floats("dist", cfg.dist),
+                   adam=_floats("adam", cfg.adam))
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from a flat mapping whose keys are exactly the
-    ExperimentConfig field names; unknown keys and mistyped values are
-    rejected. A null seed leaves it unset."""
+    ExperimentConfig field names, with adam and paths as mappings of their
+    fields; unknown keys and mistyped values are rejected, and numbers take
+    their field's type (see _typed). A null seed leaves it unset."""
     unknown = set(data) - _CONFIG_FIELDS
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     kwargs = dict(data)
-    try:
-        if "hidden_sizes" in kwargs:
-            sizes = kwargs["hidden_sizes"]
-            if not isinstance(sizes, (list, tuple)):
-                raise ConfigError(f"hidden_sizes must be a list of integers, got {sizes!r}")
-            kwargs["hidden_sizes"] = tuple(_number("hidden_sizes", h, True) for h in sizes)
-        for name in _INT_FIELDS + _FLOAT_FIELDS:
-            if name in kwargs and (name != "seed" or kwargs[name] is not None):
-                kwargs[name] = _number(name, kwargs[name], name in _INT_FIELDS)
-        if "dist" in kwargs:
-            kwargs["dist"] = parse_dist(kwargs["dist"])
-        if "adam" in kwargs and kwargs["adam"] is not None:
-            adam = kwargs["adam"]
-            bad = set(adam) - {f.name for f in dataclasses.fields(AdamConfig)}
+    if "dist" in kwargs:
+        kwargs["dist"] = parse_dist(kwargs["dist"])
+    for name, kind in (("adam", AdamConfig), ("paths", DataPaths)):
+        if isinstance(kwargs.get(name), dict):
+            bad = set(kwargs[name]) - {f.name for f in dataclasses.fields(kind)}
             if bad:
-                raise ConfigError(f"unknown adam fields: {sorted(bad)}")
-            kwargs["adam"] = AdamConfig(**{k: _number(f"adam.{k}", v, False)
-                                           for k, v in adam.items()})
-        if "paths" in kwargs and kwargs["paths"] is not None:
-            paths = kwargs["paths"]
-            bad = set(paths) - {f.name for f in dataclasses.fields(DataPaths)}
-            if bad:
-                raise ConfigError(f"unknown paths fields: {sorted(bad)}")
-            if not all(v is None or isinstance(v, str) for v in paths.values()):
-                raise ConfigError(f"paths must be strings or null, got {paths!r}")
-            kwargs["paths"] = DataPaths(**paths)
-        return ExperimentConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid config: {exc}") from exc
+                raise ConfigError(f"unknown {name} fields: {sorted(bad)}")
+            kwargs[name] = kind(**kwargs[name])
+    return _typed(ExperimentConfig(**kwargs))
 
 
 def config_from_file(path) -> ExperimentConfig:
@@ -257,23 +246,12 @@ def config_from_file(path) -> ExperimentConfig:
 
 
 def resolved_config_dict(cfg: ExperimentConfig, dist: WeightDistribution) -> dict:
-    """The semantically meaningful fields with the weight distribution made
-    explicit; file locations are deliberately excluded so the same experiment
-    digests identically on different machines."""
-    return {
-        "dataset": cfg.dataset,
-        "method": cfg.method,
-        "hidden_sizes": list(cfg.hidden_sizes),
-        "beta": cfg.beta,
-        "u_thr": cfg.u_thr,
-        "time_steps": cfg.time_steps,
-        "dist": dist_to_json(dist),
-        "train_batches": cfg.train_batches,
-        "test_batches": cfg.test_batches,
-        "batch_size": cfg.batch_size,
-        "seed": cfg.seed,
-        "adam": dataclasses.asdict(cfg.adam),
-    }
+    """The semantically meaningful fields, in field order, with the weight
+    distribution made explicit; file locations are deliberately excluded so
+    the same experiment digests identically on different machines."""
+    resolved = dataclasses.asdict(cfg)
+    del resolved["paths"]
+    return {**resolved, "hidden_sizes": list(cfg.hidden_sizes), "dist": dist_to_json(dist)}
 
 
 def config_digest(resolved: dict) -> str:
@@ -489,7 +467,7 @@ def run_experiment(cfg: ExperimentConfig, cache_dir=None) -> RunRecord:
     Deterministic given cfg: identical configs reproduce every metric and
     the final accuracy bit-for-bit; only the wall-clock fields vary.
     """
-    cfg.validate()
+    cfg = cfg.validate()
     t_start = time.perf_counter()
     run = _set_up(cfg)
     resolved = resolved_config_dict(cfg, run.dist)
@@ -537,34 +515,28 @@ class SweepSpec:
                 f"unknown sweep parameter {self.parameter!r}, expected one of {SWEEP_PARAMETERS}")
         if not self.values:
             raise ConfigError("sweep values must be nonempty")
+        object.__setattr__(self, "repeats", _number("repeats", self.repeats, True))
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
 
 
-_SWEEP_TYPES = {"beta": float, "hidden_size": int, "time_steps": int}
-
-
 def apply_sweep_value(cfg: ExperimentConfig, parameter: str, value) -> ExperimentConfig:
     """cfg with the swept parameter set to value. A string, as the CLI
-    passes it, is parsed first (a distribution literal for dist_param); a
-    number must then pass the config file's rule for its field, so 2.5 is
-    no hidden size. Every failure is a ConfigError."""
+    passes it, is parsed first (a distribution literal for dist_param, else
+    a number); the value must then pass its field's type rule (see _typed),
+    so 2.5 is no hidden size. Every failure is a ConfigError."""
+    if parameter not in SWEEP_PARAMETERS:
+        raise ConfigError(f"unknown sweep parameter {parameter!r}")
     if parameter == "dist_param":
         return replace(cfg, dist=parse_dist(value))
-    if parameter not in _SWEEP_TYPES:
-        raise ConfigError(f"unknown sweep parameter {parameter!r}")
-    kind = _SWEEP_TYPES[parameter]
     if isinstance(value, str):
         try:
-            value = kind(value)
+            value = float(value)
         except ValueError as exc:
             raise ConfigError(f"sweep value for {parameter}: {exc}") from exc
-    value = _number(parameter, value, kind is int)
-    if parameter == "beta":
-        return replace(cfg, beta=value)
     if parameter == "hidden_size":
-        return replace(cfg, hidden_sizes=(value,))
-    return replace(cfg, time_steps=value)
+        return _typed(replace(cfg, hidden_sizes=(value,)))
+    return _typed(replace(cfg, **{parameter: value}))
 
 
 @one_blas_thread()
@@ -581,11 +553,9 @@ def run_sweep(base: ExperimentConfig, sweep: SweepSpec, cache_dir=None) -> list[
     temporary directory a run's two cache files are deleted as soon as no
     later run reads them. The fill's seconds count towards the feature
     extraction and total seconds of the first record of its repeat."""
-    base.validate()
-    cfgs = [replace(apply_sweep_value(base, sweep.parameter, value), seed=base.seed + r)
+    base = base.validate()
+    cfgs = [replace(apply_sweep_value(base, sweep.parameter, value), seed=base.seed + r).validate()
             for value in sweep.values for r in range(sweep.repeats)]
-    for cfg in cfgs:
-        cfg.validate()
     if sweep.parameter != "time_steps" or base.method != "ransnn":
         return [run_experiment(cfg, cache_dir=cache_dir) for cfg in cfgs]
     steps = sorted({cfg.time_steps for cfg in cfgs})

@@ -57,6 +57,12 @@ def feature_digest(layer_sizes, dist: WeightDistribution, seed: int, lif: LifPar
     return struct.unpack("<Q", h.digest())[0]
 
 
+class CacheFormatError(ValueError):
+    """A feature cache file that is not one save wrote for the expected
+    configuration: bad magic, short header, digest mismatch or a payload of
+    the wrong length."""
+
+
 @dataclass
 class FeatureCache:
     """Per-sample spike counts for one dataset split under one fixed network.
@@ -107,19 +113,19 @@ class FeatureCache:
         with open(path, "rb") as fh:
             head = fh.read(40)
             if head[:8] != CACHE_MAGIC:
-                raise ValueError(f"{path}: not a feature cache (bad magic)")
+                raise CacheFormatError(f"{path}: not a feature cache (bad magic)")
             if len(head) != 40:
-                raise ValueError(f"{path}: truncated cache header")
+                raise CacheFormatError(f"{path}: truncated cache header")
             n, f, t, digest = struct.unpack("<QQQQ", head[8:])
             if expected_digest is not None and digest != expected_digest:
-                raise ValueError(
+                raise CacheFormatError(
                     f"{path}: cache digest {digest:#x} does not match expected "
                     f"{expected_digest:#x}; it was built from a different configuration")
             have = os.fstat(fh.fileno()).st_size - 40
             need = 2 * n * f + 2 * n
             if have != need:
-                raise ValueError(f"{path}: truncated cache or trailing bytes (have "
-                                 f"{have} payload bytes, need {need})")
+                raise CacheFormatError(f"{path}: truncated cache or trailing bytes "
+                                       f"(have {have} payload bytes, need {need})")
             feats = np.empty((n, f), dtype="<u2")
             labels = np.empty(n, dtype="<u2")
             fh.readinto(feats)

@@ -16,7 +16,7 @@ import pytest
 from conftest import blob_dataset, write_dataset_idx
 from ransnn import harness
 from ransnn.cli import _split_values, main
-from ransnn.harness import (ConfigError, ExperimentConfig, SweepSpec,
+from ransnn.harness import (ConfigError, DataPaths, ExperimentConfig, SweepSpec,
                             apply_sweep_value, compare_methods, config_digest,
                             config_from_dict, config_from_file, emit_metrics,
                             parse_dist, resolved_config_dict,
@@ -116,7 +116,8 @@ class TestConfig:
                                              ("hidden_sizes", ("a",)),
                                              ("batch_size", None), ("dist", "U(-1,1)"),
                                              ("adam", {"lr": 0.1}),
-                                             ("paths", {"train_images": "x"})])
+                                             ("paths", {"train_images": "x"}),
+                                             ("paths", DataPaths(train_images=5))])
     def test_mistyped_field_of_a_python_config_is_a_config_error(self, field, value):
         cfg = replace(ExperimentConfig(seed=1), **{field: value})
         with pytest.raises(ConfigError, match=field):
@@ -135,6 +136,21 @@ class TestConfig:
         assert cfg == tiny_config(beta=1.0, adam={"lr": 1.0})
         assert type(cfg.time_steps) is int and type(cfg.hidden_sizes[0]) is int
         assert type(cfg.beta) is float and type(cfg.adam.lr) is float
+        # A config built in Python takes the same rule: it validates to its
+        # JSON twin, so both name one experiment with one run_id.
+        twin = ExperimentConfig(hidden_sizes=(np.int64(30),), u_thr=1, time_steps=25.0,
+                                train_batches=6, test_batches=2, batch_size=16,
+                                seed=np.int64(123), adam=AdamConfig(lr=1),
+                                dist=Uniform(-1, 1))
+        typed = twin.validate()
+        json_twin = tiny_config(u_thr=1, time_steps=25, adam={"lr": 1}, dist="U(-1,1)")
+        assert typed == json_twin
+        assert type(typed.seed) is int and type(typed.hidden_sizes[0]) is int
+        assert type(typed.time_steps) is int
+        assert type(typed.u_thr) is float and type(typed.adam.lr) is float
+        assert type(typed.dist.low) is float
+        run_id = config_digest(resolved_config_dict(typed, typed.dist))
+        assert run_id == config_digest(resolved_config_dict(json_twin, json_twin.dist))
 
     def test_bad_enum_values(self):
         with pytest.raises(ConfigError):
@@ -585,6 +601,9 @@ class TestRunSweep:
             SweepSpec(parameter="beta", values=())
         with pytest.raises(ConfigError):
             SweepSpec(parameter="beta", values=(0.5,), repeats=0)
+        for repeats in (2.5, True):
+            with pytest.raises(ConfigError, match="repeats"):
+                SweepSpec(parameter="beta", values=(0.5,), repeats=repeats)
 
     def test_apply_sweep_value(self):
         cfg = tiny_config()
@@ -771,6 +790,16 @@ class TestCli:
         assert accuracies == [line.split()[2] for line in warm.splitlines()
                               if "accuracy=" in line]
         assert main(["compare", "--config", cfg, "--cache-dir", str(caches)]) == 0
+
+    def test_damaged_cache_exits_2(self, use_data_dir, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        caches = tmp_path / "caches"
+        assert main(["run", "--config", cfg, "--cache-dir", str(caches)]) == 0
+        damaged = sorted(caches.glob("*.rsnnfc"))[0]
+        damaged.write_bytes(damaged.read_bytes()[:-10])
+        capsys.readouterr()
+        assert main(["run", "--config", cfg, "--cache-dir", str(caches)]) == 2
+        assert capsys.readouterr().err.startswith("parse error:")
 
     def test_inspect_idx(self, use_data_dir, capsys):
         path = use_data_dir / "mnist" / "train-images-idx3-ubyte.gz"

@@ -9,7 +9,7 @@ from ransnn.idx import LabeledDataset
 from ransnn.network import (LifParams, Normal, Uniform, fan_in_uniform, init_weights,
                             simulate_forward)
 from ransnn.numerics import ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM, AdamConfig, Rng, softmax
-from ransnn.readout import (FeatureCache, ReadoutModel, evaluate,
+from ransnn.readout import (CacheFormatError, FeatureCache, ReadoutModel, evaluate,
                             extract_features, extract_features_at, feature_digest,
                             readout_loss_grad, train_readout)
 
@@ -227,13 +227,13 @@ class TestFeatureCacheFile:
         path = tmp_path / "cache.rsnnfc"
         cache.save(path)
         FeatureCache.load(path, expected_digest=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(CacheFormatError):
             FeatureCache.load(path, expected_digest=1234)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk"
         path.write_bytes(b"NOTACACHE" + b"\x00" * 64)
-        with pytest.raises(ValueError):
+        with pytest.raises(CacheFormatError):
             FeatureCache.load(path)
 
     def test_failed_save_leaves_the_old_file_and_no_temporary(self, tmp_path, monkeypatch):
@@ -255,7 +255,7 @@ class TestFeatureCacheFile:
         path = tmp_path / "cache.rsnnfc"
         cache.save(path)
         path.write_bytes(path.read_bytes()[:-2])
-        with pytest.raises(ValueError):
+        with pytest.raises(CacheFormatError):
             FeatureCache.load(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -263,13 +263,13 @@ class TestFeatureCacheFile:
         path = tmp_path / "cache.rsnnfc"
         cache.save(path)
         path.write_bytes(path.read_bytes() + b"\x00\x00")
-        with pytest.raises(ValueError):
+        with pytest.raises(CacheFormatError):
             FeatureCache.load(path)
 
     def test_truncated_header_rejected(self, tmp_path):
         path = tmp_path / "cache.rsnnfc"
         path.write_bytes(b"RSNNFC01" + b"\x00" * 20)
-        with pytest.raises(ValueError):
+        with pytest.raises(CacheFormatError):
             FeatureCache.load(path)
 
 
