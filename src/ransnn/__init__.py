@@ -2,7 +2,7 @@
 trained spike-count readout, plus a surrogate-gradient BPTT baseline and a
 benchmark harness."""
 
-from .encoding import encode_sample, normalize_input, poisson_encode
+from .encoding import encode_batch, encode_sample
 from .harness import (ConfigError, ExperimentConfig, MethodComparison, RunRecord,
                       SweepSpec, compare_methods, emit_metrics, run_experiment,
                       run_sweep, summarize_sweep)

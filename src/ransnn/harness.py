@@ -184,7 +184,10 @@ def _number(name: str, value, integral: bool):
             and not float(value).is_integer()):
         raise ConfigError(f"{name} must be {'an integer' if integral else 'a number'}, "
                           f"got {value!r}")
-    return int(value) if integral else float(value)
+    try:
+        return int(value) if integral else float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is too large for a float") from None
 
 
 def _floats(name: str, obj):

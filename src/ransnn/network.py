@@ -220,52 +220,63 @@ def run_parts(fn, n: int, size: int) -> None:
         f.result()
 
 
+def work_arrays(scratch: dict, weights, n_batch: int, steps: int) -> list[tuple]:
+    """Per layer i, (w, x, cur, spikes) for a batch of n_batch samples: its
+    float64 input copy, float64 currents and uint8 spikes, the work arrays
+    scratch keeps under ("in", i), ("cur", i) and ("spikes", i)."""
+    return [(w, _buffer(scratch, ("in", i), (n_batch, steps, w.shape[1]), np.float64),
+             _buffer(scratch, ("cur", i), (n_batch, steps, w.shape[0]), np.float64),
+             _buffer(scratch, ("spikes", i), (n_batch, steps, w.shape[0]), np.uint8))
+            for i, w in enumerate(weights)]
+
+
+def lif_stack(bits: np.ndarray, layers, lif: LifParams, record: bool = False) -> np.ndarray:
+    """The one LIF recursion: a (m, T, n_in) part of 0/1 inputs through the
+    layers of work_arrays for m samples, every potential starting at 0, to
+    the last layer's spikes. Per layer one GEMM of the (m*T, n_in) rows by
+    w.T writes the currents, then the steps write spikes (and, with record,
+    the pre-reset potentials over the currents). It starts no thread."""
+    s = bits
+    for w, x, cur, spikes in layers:
+        x[...] = s
+        np.matmul(x.reshape(-1, w.shape[1]), w.T, out=cur.reshape(-1, w.shape[0]))
+        u = np.zeros((cur.shape[0], w.shape[0]))
+        for t in range(cur.shape[1]):
+            u *= lif.beta
+            u += cur[:, t]
+            fired = np.greater(u, lif.u_thr, out=spikes[:, t])
+            if record:
+                cur[:, t] = u
+            u -= lif.u_thr * fired
+        s = spikes
+    return s
+
+
 def simulate(bits: np.ndarray, weights, lif: LifParams, *, record: bool = False,
              scratch: dict | None = None) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """The one LIF kernel: a (B, T, n_in) batch of 0/1 inputs through a
-    stack of layers sharing the neuron constants lif, every potential
-    starting at 0.
+    """A (B, T, n_in) batch of 0/1 inputs through a stack of layers
+    sharing the neuron constants lif, every potential starting at 0.
 
     The batch splits into parts of part_size(B, n) samples, n the widest
-    layer's width, which run_parts
-    spreads over the workers. A part runs the whole stack over its samples:
-    per layer one GEMM of its (part*T, n_in) rows by W.T for their input
-    currents, then the recursion in place over the steps. Returns one
-    (spikes, u_pre) pair per layer: the (B, T, n) uint8 raster and, with
-    record=True, the pre-reset potentials written over the currents (else
-    None). A scratch dict passed to successive calls keeps their work
-    arrays, which the returned arrays then share; the (B*T, n) float64 copy
-    of layer i's input stays readable at _buffer(scratch, ("in", i), ...)
-    until the next call. No row depends on the rest of the batch, so any
-    grouping gives bit-identical spikes; the split depends only on the
-    shapes, so any worker count gives the same bits.
+    layer's width, which run_parts spreads over the workers; each part runs
+    lif_stack over its rows of the work arrays. Returns one (spikes, u_pre)
+    pair per layer: the (B, T, n) uint8 raster and, with record=True, the
+    pre-reset potentials written over the currents (else None). A scratch
+    dict passed to successive calls keeps their work arrays, which the
+    returned arrays then share; the (B*T, n) float64 copy of layer i's
+    input stays readable at _buffer(scratch, ("in", i), ...) until the next
+    call. No row depends on the rest of the batch, so any grouping gives
+    bit-identical spikes; the split depends only on the shapes, so any
+    worker count gives the same bits.
     """
     n_batch, steps, n_in = bits.shape
     if n_in != weights[0].shape[1]:
         raise ValueError(f"input has {n_in} neurons, layer 1 expects {weights[0].shape[1]}")
-    scratch = {} if scratch is None else scratch
-    layers = []
-    for i, w in enumerate(weights):
-        n_out, n_prev = w.shape
-        layers.append((w, _buffer(scratch, ("in", i), (n_batch, steps, n_prev), np.float64),
-                       _buffer(scratch, ("cur", i), (n_batch, steps, n_out), np.float64),
-                       _buffer(scratch, ("spikes", i), (n_batch, steps, n_out), np.uint8)))
+    layers = work_arrays({} if scratch is None else scratch, weights, n_batch, steps)
 
     def run_part(rows):
-        s = bits[rows]
-        for w, x, cur, spikes in layers:
-            x, cur, spikes = x[rows], cur[rows], spikes[rows]
-            x[...] = s
-            np.matmul(x.reshape(-1, w.shape[1]), w.T, out=cur.reshape(-1, w.shape[0]))
-            u = np.zeros((cur.shape[0], w.shape[0]))
-            for t in range(steps):
-                u *= lif.beta
-                u += cur[:, t]
-                fired = np.greater(u, lif.u_thr, out=spikes[:, t])
-                if record:
-                    cur[:, t] = u
-                u -= lif.u_thr * fired
-            s = spikes
+        lif_stack(bits[rows], [(w, x[rows], cur[rows], spikes[rows])
+                               for w, x, cur, spikes in layers], lif, record)
 
     run_parts(run_part, n_batch, part_size(n_batch, max(w.shape[0] for w in weights)))
     return [(spikes, cur if record else None) for _, _, cur, spikes in layers]

@@ -31,6 +31,13 @@ PROB_FLOOR = 1e-12
 ADAM_BLOCK = 1 << 15
 
 
+def philox(seed: int, stream_id: int) -> np.random.Philox:
+    """Stream (seed, stream_id)'s Philox4x64 bit generator, which Rng draws
+    from; the ids mod 2**64 are its 128-bit key."""
+    key = np.array([int(seed) & _U64, int(stream_id) & _U64], dtype=np.uint64)
+    return np.random.Philox(key=key)
+
+
 class Rng:
     """Deterministic random stream addressed by ``(seed, stream_id)``.
 
@@ -47,8 +54,7 @@ class Rng:
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed) & _U64
         self.stream_id = int(stream_id) & _U64
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._gen = np.random.Generator(philox(seed, stream_id))
 
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed}, stream_id={self.stream_id})"

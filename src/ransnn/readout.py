@@ -13,19 +13,23 @@ import hashlib
 import os
 import struct
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .encoding import encode_sample
+# Uncalled: encode_sample, simulate_forward stay for bench sites encoding.encode, network.simulate
+from .encoding import encode_batch, encode_sample  # noqa: F401
 from .idx import LabeledDataset
-from .network import LifParams, NetworkTopology, WeightDistribution, simulate_forward
-from .numerics import AdamConfig, AdamState, PROB_FLOOR, Rng, adam_step, softmax
+from .network import (LifParams, NetworkTopology, WeightDistribution, _buffer,  # noqa: F401
+                      lif_stack, part_size, run_parts, simulate_forward, work_arrays)
+from .numerics import AdamConfig, AdamState, PROB_FLOOR, adam_step, softmax
 
 CACHE_MAGIC = b"RSNNFC01"
-# Samples per simulate_forward call in extract_features (README: why 8).
+# Samples per chunk of a selection in extract_features_at, which runs each
+# chunk as parts of part_size(chunk, width) samples (README: why 8).
 EXTRACT_CHUNK = 8
 
 
@@ -147,9 +151,11 @@ def extract_features_at(net: NetworkTopology, dataset: LabeledDataset,
 
     Row k of a cache comes from dataset sample indices[k], encoded from
     stream stream_base + indices[k] of master_seed; dataset_id names the
-    split in the digest. Any grouping of the same indices yields
-    bit-identical rows, since the kernel's rows do not depend on their
-    batch; EXTRACT_CHUNK samples share one simulate_forward call.
+    split in the digest. One run_parts call runs the units, the parts of
+    part_size(len(chunk), width) samples of each chunk of EXTRACT_CHUNK
+    (width the widest layer's), which fix every GEMM's rows. A unit encodes
+    its samples, runs lif_stack in its thread's work arrays and sums its
+    counts into its own rows of every cache.
     """
     steps = sorted({int(t) for t in steps})
     if not steps:
@@ -163,16 +169,24 @@ def extract_features_at(net: NetworkTopology, dataset: LabeledDataset,
     indices = np.asarray(indices, dtype=np.int64)
     feats = {t: np.zeros((len(indices), net.layer_sizes[-1]), dtype=np.uint16)
              for t in steps}
-    bits = np.empty((EXTRACT_CHUNK, steps[-1], net.layer_sizes[0]), dtype=np.uint8)
-    scratch: dict = {}
-    for start in range(0, len(indices), EXTRACT_CHUNK):
-        chunk = indices[start:start + EXTRACT_CHUNK]
-        for k, idx in enumerate(chunk):
-            rng = Rng(master_seed, stream_base + int(idx))
-            bits[k] = encode_sample(dataset.images[idx], steps[-1], rng)
-        spikes = simulate_forward(net, bits[:len(chunk)], scratch=scratch)
+    units = []
+    for chunk in range(0, len(indices), EXTRACT_CHUNK):
+        end = min(chunk + EXTRACT_CHUNK, len(indices))
+        size = part_size(end - chunk, max(net.layer_sizes[1:]))
+        units += [slice(start, min(start + size, end)) for start in range(chunk, end, size)]
+    local = threading.local()  # vars(local) is the running thread's own dict
+
+    def run_unit(part):
+        rows = units[part.start]
+        shape = (rows.stop - rows.start, steps[-1], net.layer_sizes[0])
+        bits = encode_batch(dataset.images, indices[rows], steps[-1], master_seed,
+                            stream_base, out=_buffer(vars(local), "bits", shape, np.uint8))
+        layers = work_arrays(vars(local), net.weights, len(bits), steps[-1])
+        spikes = lif_stack(bits, layers, net.lif)
         for t in steps:
-            spikes[:, :t].sum(axis=1, dtype=np.uint16, out=feats[t][start:start + len(chunk)])
+            spikes[:, :t].sum(axis=1, dtype=np.uint16, out=feats[t][rows])
+
+    run_parts(run_unit, len(units), 1)
     labels = dataset.labels[indices]
     return {t: FeatureCache(
                 features=feats[t], labels=labels, time_steps=t,

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import encode_sample
+# Uncalled: encode_sample stays for the bench site sg.encode.
+from .encoding import encode_batch, encode_sample  # noqa: F401
 from .idx import LabeledDataset
 from .network import (LifParams, WeightDistribution, _buffer, fan_in_uniform,
                       part_size, run_parts, sample_weights, simulate)
@@ -221,17 +222,6 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true, *,
     return d_w_hidden, d_w_out
 
 
-def _encode_batch(ds: LabeledDataset, idxs, time_steps: int,
-                  master_seed: int, stream_base: int) -> np.ndarray:
-    """Stack per-sample encodings; streams are keyed by dataset index, so
-    the realization of each sample never depends on its batch."""
-    bits = np.empty((len(idxs), time_steps, ds.images.shape[1]), dtype=np.uint8)
-    for k, i in enumerate(idxs):
-        rng = Rng(master_seed, stream_base + int(i))
-        bits[k] = encode_sample(ds.images[i], time_steps, rng)
-    return bits
-
-
 def _batch_loss(output_u_pre: np.ndarray, labels: np.ndarray) -> float:
     """Batch mean of the per-sample summed cross-entropy."""
     n_batch, steps, _ = output_u_pre.shape
@@ -254,7 +244,7 @@ def evaluate_sg(model: SgModel, ds: LabeledDataset, time_steps: int,
     hits = 0
     for start in range(0, len(indices), EVAL_CHUNK):
         sel = indices[start:start + EVAL_CHUNK]
-        bits = _encode_batch(ds, sel, time_steps, master_seed, stream_base)
+        bits = encode_batch(ds.images, sel, time_steps, master_seed, stream_base)
         spikes, _ = simulate(bits, (model.w_hidden, model.w_out), model.lif,
                              scratch=scratch)[-1]
         preds = spikes.sum(axis=1, dtype=np.int64).argmax(axis=1)
@@ -301,7 +291,8 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
         sel = train_indices[(iteration - 1) * batch_size:iteration * batch_size]
         labels = ds_train.labels[sel]
         t0 = time.perf_counter()
-        bits = _encode_batch(ds_train, sel, time_steps, master_seed, ENCODE_TRAIN_STREAM)
+        bits = encode_batch(ds_train.images, sel, time_steps, master_seed,
+                            ENCODE_TRAIN_STREAM)
         tape = _record_tape(model, bits, scratch)
         y = np.zeros((len(sel), model.num_classes))
         y[np.arange(len(sel)), labels] = 1.0

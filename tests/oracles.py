@@ -8,6 +8,36 @@ from __future__ import annotations
 import numpy as np
 
 
+def normalize_input(x) -> np.ndarray:
+    """Map a nonnegative raw input vector into [0, 1] as x / max(x); an
+    all-zero vector stays all-zero."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("normalize_input requires finite input")
+    if x.size and x.min() < 0:
+        raise ValueError("divide_by_max normalization requires nonnegative input")
+    m = x.max() if x.size else 0.0
+    return x / m if m > 0 else np.zeros_like(x)
+
+
+def poisson_encode(p, time_steps: int, rng) -> np.ndarray:
+    """Draw a (T, N) uint8 spike train with s[t, j] ~ Bernoulli(p[j]),
+    independent across steps and neurons, from rng's float draws.
+
+    p = 0 never fires and p = 1 fires every step, exactly. Draws come from
+    the caller's Rng, so the realization is fixed by (seed, stream_id).
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1:
+        raise ValueError(f"intensities must be a 1-D vector, got shape {p.shape}")
+    if not np.all(np.isfinite(p)) or (p.size and (p.min() < 0 or p.max() > 1)):
+        raise ValueError("intensities must lie in [0, 1]")
+    if time_steps < 1:
+        raise ValueError(f"time_steps must be >= 1, got {time_steps}")
+    u = rng.random((time_steps, p.size))
+    return (u < p).astype(np.uint8)
+
+
 def cross_entropy(y_true, output) -> float:
     """-sum(y_true * log(output)) for a one-hot y_true and a probability
     vector of the same length, with probabilities clamped to >= 1e-12."""
@@ -232,3 +262,21 @@ def reference_cache_bytes(cache) -> bytes:
             + struct.pack("<QQQQ", n, f, cache.time_steps, cache.source_config_digest)
             + cache.features.astype("<u2").tobytes()
             + cache.labels.astype("<u2").tobytes())
+
+
+def reference_chunked_counts(net, dataset, master_seed, time_steps, indices, stream_base):
+    """Spike counts of the selected samples by the extraction loop that
+    came before the extraction units: each sample encoded on its own
+    stream, then one simulate_forward call per chunk of 8 samples."""
+    from ransnn.encoding import encode_sample
+    from ransnn.network import simulate_forward
+    from ransnn.numerics import Rng
+
+    counts = []
+    for start in range(0, len(indices), 8):
+        chunk = indices[start:start + 8]
+        bits = np.stack([encode_sample(dataset.images[i], time_steps,
+                                       Rng(master_seed, stream_base + int(i)))
+                         for i in chunk])
+        counts.append(simulate_forward(net, bits).sum(axis=1, dtype=np.uint16))
+    return np.concatenate(counts)

@@ -18,10 +18,9 @@ import pytest
 
 from conftest import blob_dataset, drive_layer, extract, idx_tensor_bytes, write_dataset_idx
 from oracles import (central_difference_grad, cross_entropy, leak_decay_sequence,
-                     linear_filter_membrane, relative_error,
+                     linear_filter_membrane, poisson_encode, relative_error,
                      sg_forward_mode_grads)
 from ransnn.cli import main as cli_main
-from ransnn.encoding import poisson_encode
 from ransnn.harness import (ExperimentConfig, SweepSpec, compare_methods,
                             config_from_dict, resolve_dataset_paths,
                             run_experiment, run_sweep, summarize_sweep)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ransnn.encoding import encode_sample, normalize_input, poisson_encode
-from ransnn.numerics import Rng
+from conftest import mnist_shaped
+from oracles import normalize_input, poisson_encode
+from ransnn.encoding import encode_batch, encode_sample
+from ransnn.numerics import ENCODE_TEST_STREAM, Rng
 
 
 class TestNormalizeInput:
@@ -101,3 +103,53 @@ class TestEncodeSample:
         x = Rng(4, 0).uniform(0, 255, 64)
         direct = poisson_encode(normalize_input(x), 10, Rng(5, 77))
         assert np.array_equal(direct, encode_sample(x, 10, Rng(5, 77)))
+
+
+class TestEncodeBatch:
+    """encode_batch equals encode_sample on each sample's own stream."""
+
+    @staticmethod
+    def images(n):
+        # Row 0 is all zero; row 1's one nonzero pixel gets p = 1.
+        images = mnist_shaped(n + 2, seed=9).images
+        images[0] = 0
+        images[1] = 0
+        images[1, 300] = 17
+        return images
+
+    @staticmethod
+    def per_sample(images, indices, steps, seed, base):
+        return np.stack([encode_sample(images[i], steps, Rng(seed, base + int(i)))
+                         for i in indices])
+
+    @pytest.mark.parametrize("n", [1, 7, 128])
+    @pytest.mark.parametrize("steps", [1, 25])
+    def test_equals_per_sample_encoding(self, n, steps):
+        images = self.images(n)
+        indices = [0, 1, *Rng(2, 0).uniform(2, n + 2, n).astype(np.int64)][:n][::-1]
+        bits = encode_batch(images, indices, steps, 5, ENCODE_TEST_STREAM)
+        assert bits.dtype == np.uint8 and bits.shape == (n, steps, 784)
+        assert np.array_equal(bits, self.per_sample(images, indices, steps, 5,
+                                                    ENCODE_TEST_STREAM))
+
+    def test_all_zero_image_never_fires_and_unit_pixel_always_fires(self):
+        bits = encode_batch(self.images(0), [0, 1], 25, 3, 0)
+        assert not bits[0].any()
+        assert bits[1, :, 300].all() and bits[1].sum() == 25
+
+    def test_out_is_filled_in_place_as_a_prefix_of_a_larger_buffer(self):
+        images = self.images(9)
+        buffer = np.full(4 * 10 * 11 * 784, 7, dtype=np.uint8)
+        out = buffer[:9 * 10 * 784].reshape(9, 10, 784)
+        assert encode_batch(images, range(2, 11), 10, 1, 40, out=out) is out
+        assert np.array_equal(out, self.per_sample(images, range(2, 11), 10, 1, 40))
+        assert (buffer[out.size:] == 7).all()
+
+    def test_wrong_out_shape_and_bad_input_rejected(self):
+        images = self.images(3)
+        with pytest.raises(ValueError, match="out must be"):
+            encode_batch(images, [0, 1], 5, 1, 0, out=np.empty((2, 4, 784), np.uint8))
+        with pytest.raises(ValueError):
+            encode_batch(images, [0], 0, 1, 0)
+        with pytest.raises(ValueError):
+            encode_batch(np.array([[-1.0, 2.0]]), [0], 5, 1, 0)

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -360,6 +361,43 @@ class TestBlasThreads:
         assert outputs[0].count(".rsnnfc") == 2
         assert outputs[0] == outputs[1]
 
+    def test_bench_sites_run_only_on_the_calling_thread(self, use_data_dir, monkeypatch):
+        # The bench traces these names with one span stack, which a call
+        # from a pool thread would corrupt. Extraction, the time_steps fill
+        # and train_sg run with two workers, and the first simulations wait
+        # so that the pool thread takes a part.
+        import ransnn.network
+        import ransnn.readout
+        import ransnn.sg
+
+        monkeypatch.setattr(ransnn.network, "worker_count", lambda: 2)
+        callers, kernel_threads = set(), set()
+        sites = [(ransnn.readout, "encode_sample"), (ransnn.readout, "simulate_forward"),
+                 (ransnn.readout, "adam_step"), (ransnn.sg, "encode_sample"),
+                 (ransnn.sg, "bptt_backward"), (ransnn.sg, "adam_step"),
+                 (ransnn.sg, "evaluate_sg")]
+        for module, name in sites:
+            def recorder(*args, real=getattr(module, name), **kwargs):
+                callers.add(threading.get_ident())
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recorder)
+        real_stack = ransnn.network.lif_stack
+
+        def slow_stack(*args, **kwargs):
+            kernel_threads.add(threading.get_ident())
+            if len(kernel_threads) < 2:
+                time.sleep(0.02)
+            return real_stack(*args, **kwargs)
+
+        monkeypatch.setattr(ransnn.readout, "lif_stack", slow_stack)
+        monkeypatch.setattr(ransnn.network, "lif_stack", slow_stack)
+        run_experiment(tiny_config())
+        run_sweep(tiny_config(), SweepSpec(parameter="time_steps", values=(4, 6), repeats=1))
+        run_experiment(tiny_config(method="sg"))
+        assert len(kernel_threads) >= 2
+        assert callers == {threading.get_ident()}
+
 
 class TestLibraryExample:
     def test_readme_composition_reproduces_the_run(self, use_data_dir, tmp_path):
@@ -464,14 +502,15 @@ class TestRunSweep:
     def _count_simulations(monkeypatch):
         import ransnn.readout
 
+        # The window of every extraction unit's simulation, on any thread.
         steps = []
-        real = ransnn.readout.simulate_forward
+        real = ransnn.readout.lif_stack
 
-        def counting(net, bits, **kwargs):
+        def counting(bits, *args, **kwargs):
             steps.append(bits.shape[1])
-            return real(net, bits, **kwargs)
+            return real(bits, *args, **kwargs)
 
-        monkeypatch.setattr(ransnn.readout, "simulate_forward", counting)
+        monkeypatch.setattr(ransnn.readout, "lif_stack", counting)
         return steps
 
     def test_time_steps_sweep_simulates_once_per_seed(self, use_data_dir, monkeypatch):
@@ -676,6 +715,14 @@ class TestCli:
         cfg = self._write_config(tmp_path, adam={"eps": 0})
         assert main(["run", "--config", cfg]) == 1
 
+    def test_integer_too_large_for_a_float_field_is_a_config_error(self, use_data_dir,
+                                                                      tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(TINY)[:-1] + ', "beta": 1' + "0" * 400 + "}")
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: beta") and "Traceback" not in err
+
     def test_unknown_field_exit_code(self, use_data_dir, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**TINY, "nonsense": 1}))
@@ -783,7 +830,7 @@ class TestCli:
         def no_simulation(*_args, **_kwargs):
             raise AssertionError("simulated although the caches were on disk")
 
-        monkeypatch.setattr("ransnn.readout.simulate_forward", no_simulation)
+        monkeypatch.setattr("ransnn.readout.lif_stack", no_simulation)
         assert main(sweep) == 0
         warm = capsys.readouterr().out
         accuracies = [line.split()[2] for line in cold.splitlines() if "accuracy=" in line]

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import drive_layer, extract
-from oracles import leak_decay_sequence, linear_filter_membrane
-from ransnn.encoding import encode_sample, poisson_encode
+from oracles import leak_decay_sequence, linear_filter_membrane, poisson_encode
+from ransnn.encoding import encode_sample
 from ransnn.idx import LabeledDataset
 from ransnn.network import (LifParams, NetworkTopology, Normal, Uniform,
                             fan_in_uniform, init_weights, simulate, simulate_forward)

@@ -1,8 +1,9 @@
 """No bit depends on the worker count or on the order of the parts.
 
-simulate and the BPTT backward split their work by shape alone (parts of
-part_size(B, width) samples, blocks of GRAD_ROWS hidden rows); run_parts
-only decides which thread runs a part. On the OpenBLAS in use, splitting a
+simulate, extraction and the BPTT backward split their work by shape alone
+(parts of part_size(B, width) samples, per chunk of EXTRACT_CHUNK samples
+in extraction, and blocks of GRAD_ROWS hidden rows); run_parts only decides
+which thread runs a part. On the OpenBLAS in use, splitting a
 GEMM by rows or columns changes last bits at widths 30 and 300, so a split
 that followed the worker count would fail here.
 """
@@ -14,9 +15,11 @@ import numpy as np
 import pytest
 
 from conftest import extract, mnist_shaped
-from ransnn import network, sg
+from oracles import reference_chunked_counts
+from ransnn import network, readout, sg
 from ransnn.network import Uniform, fan_in_uniform, init_weights
-from ransnn.numerics import AdamConfig
+from ransnn.numerics import ENCODE_TEST_STREAM, AdamConfig
+from ransnn.readout import extract_features_at
 from ransnn.sg import init_sg_model, train_sg
 
 
@@ -27,14 +30,14 @@ def run_reversed(fn, n, size):
 
 
 def under_each_schedule(compute) -> list:
-    """compute() with 1, 2 and 3 workers, then with the parts run one by one
-    in reverse order."""
+    """compute() with 1, 2, 3 and 8 workers, then with the parts run one by
+    one in reverse order."""
     results = []
-    for schedule in (1, 2, 3, "reversed"):
+    for schedule in (1, 2, 3, 8, "reversed"):
         with pytest.MonkeyPatch.context() as mp:
             if schedule == "reversed":
-                mp.setattr(network, "run_parts", run_reversed)
-                mp.setattr(sg, "run_parts", run_reversed)
+                for module in (network, readout, sg):
+                    mp.setattr(module, "run_parts", run_reversed)
             else:
                 mp.setattr(network, "worker_count", lambda n=schedule: n)
             results.append(compute())
@@ -42,7 +45,8 @@ def under_each_schedule(compute) -> list:
 
 
 # Every layer of each net fires. 13 samples make chunks of 8 and 5: parts of
-# 4, 4, 4 and 1 at 2,000 and 300 neurons, one part per chunk at 30.
+# 4, 4, 4 and 1 at 2,000 neurons, of 7, 1 and 5 at 300, one part per chunk
+# at 30.
 @pytest.mark.parametrize("sizes,dist", [((784, 2000), fan_in_uniform(784)),
                                         ((64, 30, 12), Uniform(-0.3, 0.5)),
                                         ((784, 300), fan_in_uniform(784))])
@@ -61,6 +65,52 @@ def test_extraction_counts_and_cache_bytes(sizes, dist, tmp_path):
     for other_features, other_blob in others:
         assert np.array_equal(other_features, features)
         assert other_blob == blob
+
+
+# Chunks of 8 run as parts of 4 at 2,000 neurons and of 7 and 1 at 300; at
+# 30 a chunk is one part. 9 and 131 samples end in a chunk of 1 or 3, one
+# part at each width.
+@pytest.mark.parametrize("n", [1, 9, 131])
+@pytest.mark.parametrize("sizes,dist,chunk_parts", [
+    ((784, 2000), fan_in_uniform(784), [4, 4]),
+    ((64, 30, 12), Uniform(-0.3, 0.5), [8]),
+    ((784, 300), fan_in_uniform(784), [7, 1])])
+def test_multi_window_extraction_under_each_schedule(sizes, dist, chunk_parts, n, tmp_path,
+                                                     monkeypatch):
+    ds = mnist_shaped(n + 5, pixels=sizes[0], seed=n)
+    net = init_weights(sizes, dist, seed=3)
+    indices = np.arange(n + 5)[::-1][:n]
+    unit_rows = []
+    real_stack = readout.lif_stack
+
+    def recording_stack(bits, *args):
+        unit_rows.append(len(bits))
+        return real_stack(bits, *args)
+
+    monkeypatch.setattr(readout, "lif_stack", recording_stack)
+
+    def compute():
+        unit_rows.clear()
+        caches = extract_features_at(net, ds, 6, (10, 4), indices=indices,
+                                     stream_base=ENCODE_TEST_STREAM, dataset_id="mnist/test")
+        # The GEMM row groups, whatever the schedule.
+        assert sorted(unit_rows) == sorted(chunk_parts * (n // 8) + [n % 8])
+        out = {}
+        for t, cache in caches.items():
+            cache.save(tmp_path / "cache.rsnnfc")
+            out[t] = (cache.features, cache.source_config_digest,
+                      (tmp_path / "cache.rsnnfc").read_bytes())
+        return out
+
+    first, *others = under_each_schedule(compute)
+    assert sorted(first) == [4, 10]
+    reference = reference_chunked_counts(net, ds, 6, 10, indices, ENCODE_TEST_STREAM)
+    assert np.array_equal(first[10][0], reference)
+    assert first[10][0].any() and (first[4][0] <= first[10][0]).all()
+    for other in others:
+        for t, (features, digest, blob) in first.items():
+            assert np.array_equal(other[t][0], features)
+            assert other[t][1:] == (digest, blob)
 
 
 # At 2,000 and 300 hidden neurons, batches of 6 samples are parts of 4 and 2,

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 
-from oracles import (cross_entropy, reference_bptt_backward, reference_lif_stack,
-                     relative_error, sg_forward_mode_grads)
-from ransnn.encoding import encode_sample, poisson_encode
+from oracles import (cross_entropy, poisson_encode, reference_bptt_backward,
+                     reference_lif_stack, relative_error, sg_forward_mode_grads)
+from ransnn.encoding import encode_sample
 from ransnn.network import LifParams, Uniform, fan_in_uniform, init_weights, simulate_forward
 from ransnn.numerics import ENCODE_TEST_STREAM, AdamConfig, Rng, softmax
 from ransnn import sg
