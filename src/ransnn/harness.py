@@ -27,8 +27,9 @@ from .idx import LabeledDataset, load_dataset, make_batches
 from .network import (LifParams, Normal, Uniform, WeightDistribution,
                       fan_in_uniform, init_weights, openblas, worker_count)
 from .numerics import AdamConfig, ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM
-from .readout import (FeatureCache, IterationMetrics, evaluate, extract_features,
-                      extract_features_at, feature_digest, train_readout)
+# Uncalled: evaluate stays for the bench site readout.evaluate
+from .readout import (FeatureCache, IterationMetrics, evaluate,  # noqa: F401
+                      extract_features, extract_features_at, feature_digest, train_readout)
 from .sg import init_sg_model, train_sg
 
 METHODS = ("ransnn", "sg")
@@ -481,7 +482,6 @@ def run_experiment(cfg: ExperimentConfig, cache_dir=None) -> RunRecord:
         feature_seconds = time.perf_counter() - t0
         model, metrics = train_readout(cache_train, cache_test, adam=cfg.adam,
                                        batch_size=cfg.batch_size, num_classes=num_classes)
-        final_accuracy = evaluate(model, cache_test)
     else:
         sgm = init_sg_model(run.sizes[0], cfg.hidden_sizes[0], num_classes, cfg.seed,
                             run.dist, lif=run.lif)
@@ -491,14 +491,13 @@ def run_experiment(cfg: ExperimentConfig, cache_dir=None) -> RunRecord:
                                   batch_size=cfg.batch_size,
                                   train_indices=run.train.indices,
                                   test_indices=run.test.indices)
-        final_accuracy = metrics[-1].test_accuracy
 
-    training_seconds = metrics[-1].elapsed if metrics else 0.0
+    # Both trainers end with a point scored on the whole test selection.
     total_seconds = time.perf_counter() - t_start
     return RunRecord(run_id=config_digest(resolved), dataset=cfg.dataset, method=cfg.method,
-                     final_accuracy=final_accuracy,
+                     final_accuracy=metrics[-1].test_accuracy,
                      feature_extraction_seconds=feature_seconds,
-                     training_seconds=training_seconds,
+                     training_seconds=metrics[-1].elapsed,
                      total_seconds=total_seconds, metrics=metrics,
                      config=resolved, **_environment())
 
@@ -527,7 +526,8 @@ def apply_sweep_value(cfg: ExperimentConfig, parameter: str, value) -> Experimen
     """cfg with the swept parameter set to value. A string, as the CLI
     passes it, is parsed first (a distribution literal for dist_param, else
     a number); the value must then pass its field's type rule (see _typed),
-    so 2.5 is no hidden size. Every failure is a ConfigError."""
+    so 2.5 is no hidden size. A hidden_size replaces the width of cfg's one
+    hidden layer, so cfg may have no other. Every failure is a ConfigError."""
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"unknown sweep parameter {parameter!r}")
     if parameter == "dist_param":
@@ -538,6 +538,9 @@ def apply_sweep_value(cfg: ExperimentConfig, parameter: str, value) -> Experimen
         except ValueError as exc:
             raise ConfigError(f"sweep value for {parameter}: {exc}") from exc
     if parameter == "hidden_size":
+        if len(cfg.hidden_sizes) != 1:
+            raise ConfigError(f"a hidden_size sweep needs one hidden layer, "
+                              f"got hidden_sizes {list(cfg.hidden_sizes)}")
         return _typed(replace(cfg, hidden_sizes=(value,)))
     return _typed(replace(cfg, **{parameter: value}))
 

@@ -178,44 +178,33 @@ def part_size(n_batch: int, width: int) -> int:
     return max(PART, -(-n_batch // PARTS), -(-PART_ELEMENTS // width))
 
 
-_pool: tuple[int, int, ThreadPoolExecutor] | None = None  # (pid, threads, pool)
+_pool: tuple[int, int, ThreadPoolExecutor] | None = None  # (pid, workers, pool)
 _pool_lock = threading.Lock()
 
 
 def run_parts(fn, n: int, size: int) -> None:
     """fn(rows) for the slices rows = [0, size), [size, 2 size), ... that
-    cover range(n), on up to worker_count() threads: the calling thread and
-    a pool created on first use. Each part must write only its own outputs,
-    so no bit depends on which thread runs it or when. Returns once every
-    part is done, raising the first error of any."""
+    cover range(n), so that min(worker_count(), parts) run at once: one by
+    one on the calling thread where that is 1, else each submitted to a pool
+    of worker_count() threads created on first use. Each part must write
+    only its own outputs and must not call run_parts, so no bit depends on
+    which thread runs it or when. Returns once every part is done, raising
+    the first part's error of any."""
     global _pool
     parts = [slice(start, start + size) for start in range(0, n, size)]
-    threads = min(worker_count(), len(parts))
-    if threads <= 1:
+    workers = worker_count()
+    if min(workers, len(parts)) <= 1:
         for rows in parts:
             fn(rows)
         return
     with _pool_lock:
         # A replaced pool's threads end once it is garbage collected.
-        if _pool is None or _pool[0] != os.getpid() or _pool[1] < threads - 1:
-            _pool = (os.getpid(), threads - 1,
-                     ThreadPoolExecutor(threads - 1, thread_name_prefix="ransnn-part"))
+        if _pool is None or _pool[:2] != (os.getpid(), workers):
+            _pool = (os.getpid(), workers,
+                     ThreadPoolExecutor(workers, thread_name_prefix="ransnn-part"))
         pool = _pool[2]
-    pending, lock = iter(parts), threading.Lock()
-
-    def drain():
-        while True:
-            with lock:
-                rows = next(pending, None)
-            if rows is None:
-                return
-            fn(rows)
-
-    futures = [pool.submit(drain) for _ in range(threads - 1)]
-    try:
-        drain()
-    finally:
-        wait(futures)
+    futures = [pool.submit(fn, rows) for rows in parts]
+    wait(futures)
     for f in futures:
         f.result()
 
@@ -282,9 +271,8 @@ def simulate(bits: np.ndarray, weights, lif: LifParams, *, record: bool = False,
     return [(spikes, cur if record else None) for _, _, cur, spikes in layers]
 
 
-def simulate_forward(net: NetworkTopology, bits: np.ndarray, *,
-                     scratch: dict | None = None) -> np.ndarray:
+def simulate_forward(net: NetworkTopology, bits: np.ndarray) -> np.ndarray:
     """The last hidden layer's (B, T, n_L) uint8 spikes for a (B, T, n_in)
-    bit array of B samples; scratch as in simulate."""
-    spikes, _ = simulate(bits, net.weights, net.lif, scratch=scratch)[-1]
+    bit array of B samples."""
+    spikes, _ = simulate(bits, net.weights, net.lif)[-1]
     return spikes

@@ -28,8 +28,8 @@ from .network import (LifParams, NetworkTopology, WeightDistribution, _buffer,  
 from .numerics import AdamConfig, AdamState, PROB_FLOOR, adam_step, softmax
 
 CACHE_MAGIC = b"RSNNFC01"
-# Samples per chunk of a selection in extract_features_at, which runs each
-# chunk as parts of part_size(chunk, width) samples (README: why 8).
+# Samples per chunk of a selection in count_spikes, which runs each chunk as
+# parts of part_size(chunk, width) samples (README: why 8).
 EXTRACT_CHUNK = 8
 
 
@@ -138,62 +138,68 @@ class FeatureCache:
                    source_config_digest=int(digest))
 
 
-def extract_features_at(net: NetworkTopology, dataset: LabeledDataset,
-                        master_seed: int, steps, *, indices, stream_base: int,
-                        dataset_id: str) -> dict[int, FeatureCache]:
-    """Encode, simulate, and count spikes for each selected sample, once,
-    for several window lengths: one FeatureCache per t in steps.
+def count_spikes(weights, lif: LifParams, images, indices, steps, master_seed: int,
+                 stream_base: int) -> dict[int, np.ndarray]:
+    """The last layer's spike counts of the samples images[indices] through
+    the layers of weights, each sample encoded from stream stream_base + its
+    index of master_seed: one (n, n_L) uint16 array per window length t in
+    steps, row k summing the first t steps of sample indices[k].
 
-    The samples run once at T = max(steps), and the cache for t sums their
-    first t steps. A sample's encoding at t is the first t rows of its
-    encoding at T, and no step's spikes depend on a later one, so each cache
-    equals a direct extraction at t and carries the same digest.
-
-    Row k of a cache comes from dataset sample indices[k], encoded from
-    stream stream_base + indices[k] of master_seed; dataset_id names the
-    split in the digest. One run_parts call runs the units, the parts of
-    part_size(len(chunk), width) samples of each chunk of EXTRACT_CHUNK
-    (width the widest layer's), which fix every GEMM's rows. A unit encodes
-    its samples, runs lif_stack in its thread's work arrays and sums its
-    counts into its own rows of every cache.
+    The samples run once at T = max(steps). A sample's encoding at t is the
+    first t rows of its encoding at T, and no step's spikes depend on a
+    later one, so each array equals a direct count at t. One run_parts call
+    runs the units, the parts of part_size(len(chunk), width) samples of
+    each chunk of EXTRACT_CHUNK (width the widest layer's), which fix every
+    GEMM's rows. A unit encodes its samples, runs lif_stack in its thread's
+    work arrays and sums its counts into its own rows of every array.
     """
     steps = sorted({int(t) for t in steps})
     if not steps:
         raise ValueError("steps must name at least one window length")
-    if dataset.images.shape[1] != net.layer_sizes[0]:
-        raise ValueError(
-            f"dataset samples have {dataset.images.shape[1]} pixels, network "
-            f"expects {net.layer_sizes[0]} inputs")
+    if images.shape[1] != weights[0].shape[1]:
+        raise ValueError(f"dataset samples have {images.shape[1]} pixels, the first "
+                         f"layer expects {weights[0].shape[1]} inputs")
     if steps[0] < 1 or steps[-1] > 0xFFFF:
         raise ValueError(f"window lengths must lie in [1, 65535] (u16 counts), got {steps}")
     indices = np.asarray(indices, dtype=np.int64)
-    feats = {t: np.zeros((len(indices), net.layer_sizes[-1]), dtype=np.uint16)
-             for t in steps}
+    counts = {t: np.zeros((len(indices), weights[-1].shape[0]), dtype=np.uint16)
+              for t in steps}
     units = []
     for chunk in range(0, len(indices), EXTRACT_CHUNK):
         end = min(chunk + EXTRACT_CHUNK, len(indices))
-        size = part_size(end - chunk, max(net.layer_sizes[1:]))
+        size = part_size(end - chunk, max(w.shape[0] for w in weights))
         units += [slice(start, min(start + size, end)) for start in range(chunk, end, size)]
     local = threading.local()  # vars(local) is the running thread's own dict
 
     def run_unit(part):
         rows = units[part.start]
-        shape = (rows.stop - rows.start, steps[-1], net.layer_sizes[0])
-        bits = encode_batch(dataset.images, indices[rows], steps[-1], master_seed,
-                            stream_base, out=_buffer(vars(local), "bits", shape, np.uint8))
-        layers = work_arrays(vars(local), net.weights, len(bits), steps[-1])
-        spikes = lif_stack(bits, layers, net.lif)
+        shape = (rows.stop - rows.start, steps[-1], images.shape[1])
+        bits = encode_batch(images, indices[rows], steps[-1], master_seed, stream_base,
+                            out=_buffer(vars(local), "bits", shape, np.uint8))
+        spikes = lif_stack(bits, work_arrays(vars(local), weights, len(bits), steps[-1]), lif)
         for t in steps:
-            spikes[:, :t].sum(axis=1, dtype=np.uint16, out=feats[t][rows])
+            spikes[:, :t].sum(axis=1, dtype=np.uint16, out=counts[t][rows])
 
     run_parts(run_unit, len(units), 1)
+    return counts
+
+
+def extract_features_at(net: NetworkTopology, dataset: LabeledDataset,
+                        master_seed: int, steps, *, indices, stream_base: int,
+                        dataset_id: str) -> dict[int, FeatureCache]:
+    """One FeatureCache per window length t in steps, holding count_spikes
+    of the selected samples through net; dataset_id names the split in the
+    digest, which equals that of a direct extraction at t."""
+    indices = np.asarray(indices, dtype=np.int64)
+    counts = count_spikes(net.weights, net.lif, dataset.images, indices, steps,
+                          master_seed, stream_base)
     labels = dataset.labels[indices]
     return {t: FeatureCache(
-                features=feats[t], labels=labels, time_steps=t,
+                features=features, labels=labels, time_steps=t,
                 source_config_digest=feature_digest(
                     net.layer_sizes, net.dist, net.seed, net.lif, t,
                     dataset_id, master_seed, stream_base, indices))
-            for t in steps}
+            for t, features in counts.items()}
 
 
 def extract_features(net: NetworkTopology, time_steps: int, dataset: LabeledDataset,

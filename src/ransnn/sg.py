@@ -24,11 +24,8 @@ from .network import (LifParams, WeightDistribution, _buffer, fan_in_uniform,
                       part_size, run_parts, sample_weights, simulate)
 from .numerics import (AdamConfig, AdamState, ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM,
                        PROB_FLOOR, Rng, WEIGHT_STREAM, adam_step, softmax)
-from .readout import IterationMetrics
+from .readout import IterationMetrics, count_spikes
 
-
-# Held-out samples per simulate call in evaluate_sg.
-EVAL_CHUNK = 128
 # Full held-out evaluation for the baseline means re-simulating the whole
 # test selection, so train_sg samples its curve every EVAL_EVERY iterations
 # (and at the last) rather than at every one.
@@ -232,24 +229,16 @@ def _batch_loss(output_u_pre: np.ndarray, labels: np.ndarray) -> float:
 
 
 def evaluate_sg(model: SgModel, ds: LabeledDataset, time_steps: int,
-                master_seed: int, indices, stream_base: int, *,
-                scratch: dict | None = None) -> float:
+                master_seed: int, indices, stream_base: int) -> float:
     """Accuracy on the selected samples, each encoded from stream
     stream_base + its index, with predictions by largest output spike count
-    (ties to the lowest class index). scratch is as in simulate."""
+    of readout.count_spikes (ties to the lowest class index)."""
     indices = np.asarray(indices, dtype=np.int64)
     if len(indices) == 0:
         raise ValueError("cannot evaluate on an empty selection")
-    scratch = {} if scratch is None else scratch
-    hits = 0
-    for start in range(0, len(indices), EVAL_CHUNK):
-        sel = indices[start:start + EVAL_CHUNK]
-        bits = encode_batch(ds.images, sel, time_steps, master_seed, stream_base)
-        spikes, _ = simulate(bits, (model.w_hidden, model.w_out), model.lif,
-                             scratch=scratch)[-1]
-        preds = spikes.sum(axis=1, dtype=np.int64).argmax(axis=1)
-        hits += int((preds == ds.labels[sel]).sum())
-    return hits / len(indices)
+    counts = count_spikes((model.w_hidden, model.w_out), model.lif, ds.images, indices,
+                          (time_steps,), master_seed, stream_base)[time_steps]
+    return float((counts.argmax(axis=1) == ds.labels[indices]).mean())
 
 
 def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
@@ -264,7 +253,7 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
     EVAL_EVERY iterations and at the end, with held-out accuracy measured
     on the whole test selection. elapsed covers encoding, forward, backward,
     and the update, but not metrics.
-    Every forward and evaluation shares one set of work arrays.
+    Every forward shares one set of work arrays.
     """
     if ds_train.images.shape[1] != model.n_in:
         raise ValueError(
@@ -306,12 +295,11 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
             loss = _batch_loss(tape.output_u_pre, labels) / time_steps
             counts = tape.output_bits.sum(axis=1, dtype=np.int64)
             batch_acc = float((counts.argmax(axis=1) == labels).mean())
-        # The tape is views of scratch, which the next forward and the
-        # held-out evaluation overwrite.
+        # The tape holds the batch's bits, freed before the held-out pass.
         del tape, bits
         if evaluating:
             test_acc = evaluate_sg(model, ds_test, time_steps, master_seed, test_indices,
-                                   ENCODE_TEST_STREAM, scratch=scratch)
+                                   ENCODE_TEST_STREAM)
             metrics.append(IterationMetrics(
                 iteration=iteration, train_accuracy=batch_acc,
                 test_accuracy=test_acc, loss=loss, elapsed=elapsed))

@@ -644,6 +644,12 @@ class TestRunSweep:
             with pytest.raises(ConfigError, match="repeats"):
                 SweepSpec(parameter="beta", values=(0.5,), repeats=repeats)
 
+    def test_hidden_size_sweep_needs_one_hidden_layer(self):
+        cfg = tiny_config(hidden_sizes=[30, 20])
+        with pytest.raises(ConfigError, match="one hidden layer"):
+            apply_sweep_value(cfg, "hidden_size", 64)
+        assert apply_sweep_value(cfg, "beta", 0.5).hidden_sizes == (30, 20)
+
     def test_apply_sweep_value(self):
         cfg = tiny_config()
         assert apply_sweep_value(cfg, "beta", 0.5).beta == 0.5
@@ -761,6 +767,17 @@ class TestCli:
         assert "sweep over hidden_size" in capsys.readouterr().out
         assert len(json.loads(out.read_text())) == 2
 
+    def test_hidden_size_sweep_of_a_deeper_net_exits_1_before_loading(
+            self, use_data_dir, tmp_path, capsys, monkeypatch):
+        def no_load(*_args, **_kwargs):
+            raise AssertionError("data loaded for a sweep that cannot run")
+
+        monkeypatch.setattr("ransnn.harness.load_dataset", no_load)
+        cfg = self._write_config(tmp_path, hidden_sizes=[30, 20])
+        assert main(["sweep", "--config", cfg, "--param", "hidden_size",
+                     "--values", "10,20", "--repeats", "1"]) == 1
+        assert "one hidden layer" in capsys.readouterr().err
+
     def test_compare_cli(self, use_data_dir, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
         assert main(["compare", "--config", cfg]) == 0
@@ -830,12 +847,14 @@ class TestCli:
         def no_simulation(*_args, **_kwargs):
             raise AssertionError("simulated although the caches were on disk")
 
-        monkeypatch.setattr("ransnn.readout.lif_stack", no_simulation)
-        assert main(sweep) == 0
+        with monkeypatch.context() as mp:
+            mp.setattr("ransnn.readout.lif_stack", no_simulation)
+            assert main(sweep) == 0
         warm = capsys.readouterr().out
         accuracies = [line.split()[2] for line in cold.splitlines() if "accuracy=" in line]
         assert accuracies == [line.split()[2] for line in warm.splitlines()
                               if "accuracy=" in line]
+        # The SG half of compare counts its held-out spikes through readout.
         assert main(["compare", "--config", cfg, "--cache-dir", str(caches)]) == 0
 
     def test_damaged_cache_exits_2(self, use_data_dir, tmp_path, capsys):

@@ -1,8 +1,8 @@
 """No bit depends on the worker count or on the order of the parts.
 
-simulate, extraction and the BPTT backward split their work by shape alone
+simulate, count_spikes and the BPTT backward split their work by shape alone
 (parts of part_size(B, width) samples, per chunk of EXTRACT_CHUNK samples
-in extraction, and blocks of GRAD_ROWS hidden rows); run_parts only decides
+in count_spikes, and blocks of GRAD_ROWS hidden rows); run_parts only decides
 which thread runs a part. On the OpenBLAS in use, splitting a
 GEMM by rows or columns changes last bits at widths 30 and 300, so a split
 that followed the worker count would fail here.
@@ -141,8 +141,8 @@ def test_sg_curve_and_trained_weights(n_in, n_hidden, n_cls, batch_size, monkeyp
 
 def test_every_part_runs_once_with_more_workers_than_cores(monkeypatch):
     # Eight workers on however few cores, switching threads every
-    # microsecond: a part lost or run twice by the shared queue shows in
-    # the counts.
+    # microsecond: a part lost or run twice by the pool shows in the
+    # counts.
     monkeypatch.setattr(network, "worker_count", lambda: 8)
     hits = np.zeros(1000, dtype=np.int64)
 

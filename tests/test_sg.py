@@ -8,6 +8,7 @@ import pytest
 
 from oracles import (cross_entropy, poisson_encode, reference_bptt_backward,
                      reference_lif_stack, relative_error, sg_forward_mode_grads)
+from test_parts import under_each_schedule
 from ransnn.encoding import encode_sample
 from ransnn.network import LifParams, Uniform, fan_in_uniform, init_weights, simulate_forward
 from ransnn.numerics import ENCODE_TEST_STREAM, AdamConfig, Rng, softmax
@@ -365,27 +366,23 @@ class TestEvaluateSg:
         acc = evaluate_sg(model, ds, 5, 0, np.arange(len(ds)), ENCODE_TEST_STREAM)
         assert acc == float((ds.labels == 0).mean())
 
-    def test_accuracy_independent_of_chunk_and_scratch(self, monkeypatch):
-        ds = _separable(samples_per_class=20, pixels=16, seed=8)
+    @pytest.mark.parametrize("n", [1, 7, 9, 128])
+    def test_equals_the_per_sample_oracle_under_each_schedule(self, n):
+        ds = _separable(samples_per_class=70, pixels=16, seed=8)
         model = init_sg_model(16, 12, 2, seed=4, lif=LifParams(beta=0.9, u_thr=1.0),
                               dist=Uniform(-1.0, 1.0))
-        indices = np.arange(3, 38)
-        # Reference: per-sample encodings through the pre-kernel forward.
-        bits = np.stack([encode_sample(ds.images[i], 6, Rng(9, ENCODE_TEST_STREAM + i))
-                         for i in indices])
-        (_, _), (out_bits, _) = reference_lif_stack((model.w_hidden, model.w_out),
-                                                    model.lif, bits)
-        preds = out_bits.sum(axis=1, dtype=np.int64).argmax(axis=1)
-        expected = float((preds == ds.labels[indices]).mean())
-        assert preds.min() != preds.max() and 0.5 < expected < 1.0
-        for chunk in (1, 7, 128):
-            monkeypatch.setattr("ransnn.sg.EVAL_CHUNK", chunk)
-            assert evaluate_sg(model, ds, 6, 9, indices, ENCODE_TEST_STREAM) == expected
-        # A scratch already holding a larger tape's buffers is used through
-        # prefix views.
-        scratch = {}
-        _record_tape(model, np.ones((len(indices) + 5, 6, 16), dtype=np.uint8), scratch)
-        for chunk in (1, 7, 128):
-            monkeypatch.setattr("ransnn.sg.EVAL_CHUNK", chunk)
-            assert evaluate_sg(model, ds, 6, 9, indices, ENCODE_TEST_STREAM,
-                               scratch=scratch) == expected
+        indices = Rng(n, 0).permutation(len(ds))[:n]
+        # Reference: each sample encoded and run alone through the
+        # pre-kernel forward.
+        preds = []
+        for i in indices:
+            bits = encode_sample(ds.images[i], 6, Rng(9, ENCODE_TEST_STREAM + i))
+            (_, _), (out_bits, _) = reference_lif_stack((model.w_hidden, model.w_out),
+                                                        model.lif, bits[None])
+            preds.append(out_bits[0].sum(axis=0, dtype=np.int64).argmax())
+        expected = float((np.array(preds) == ds.labels[indices]).mean())
+        if n == 128:
+            assert min(preds) != max(preds) and 0.5 < expected < 1.0
+        for acc in under_each_schedule(
+                lambda: evaluate_sg(model, ds, 6, 9, indices, ENCODE_TEST_STREAM)):
+            assert acc == expected
