@@ -144,9 +144,9 @@ def parse_dist(value) -> WeightDistribution | None:
             raise ConfigError(
                 f"cannot parse distribution literal {value!r}; expected "
                 "U(low,high) or N(mean,std)")
-        kind, a, b = m.group(1).lower()[0], float(m.group(2)), float(m.group(3))
         try:
-            return Uniform(a, b) if kind == "u" else Normal(a, b)
+            a, b = float(m.group(2)), float(m.group(3))
+            return Uniform(a, b) if m.group(1).lower()[0] == "u" else Normal(a, b)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     if isinstance(value, dict):
@@ -436,19 +436,15 @@ def _extract_splits(cfg: ExperimentConfig, run: _RunSetup, cache_dir) -> list[Fe
     return caches
 
 
-def _fill_time_steps(cfg: ExperimentConfig, steps, cache_dir) -> dict[int, list[Path]]:
+def _fill_time_steps(cfg: ExperimentConfig, steps, cache_dir) -> None:
     """Write to cache_dir the feature caches of cfg's runs at every window
     length in steps, whatever cfg.time_steps is, from one simulation per
     split at max(steps). Caches already on disk are skipped, the weights are
     sampled only if one is missing, and each split's caches are saved and
-    dropped before the next split is simulated. Returns the train and test
-    cache files of each window length."""
+    dropped before the next split is simulated."""
     run, net = _set_up(cfg), None
-    files: dict[int, list[Path]] = {t: [] for t in steps}
     for split in (run.train, run.test):
         paths = {t: _cache_file(cache_dir, _split_digest(cfg, run, split, t)) for t in steps}
-        for t, path in paths.items():
-            files[t].append(path)
         missing = [t for t, path in paths.items() if not path.exists()]
         if not missing:
             continue
@@ -460,7 +456,6 @@ def _fill_time_steps(cfg: ExperimentConfig, steps, cache_dir) -> dict[int, list[
         for t in missing:
             caches[t].save(paths[t])
         del caches
-    return files
 
 
 @one_blas_thread()
@@ -554,11 +549,11 @@ def run_sweep(base: ExperimentConfig, sweep: SweepSpec, cache_dir=None) -> list[
     Every run's config is validated before the first run starts. A
     time_steps sweep of the readout method runs repeat by repeat: it
     simulates each repeat's samples once, at the largest value, and fills
-    the feature cache (cache_dir, or a temporary directory for the sweep)
-    with the counts at every value; the repeat's runs then read it. In a
-    temporary directory a run's two cache files are deleted as soon as no
-    later run reads them. The fill's seconds count towards the feature
-    extraction and total seconds of the first record of its repeat."""
+    the feature cache (cache_dir, or a temporary directory of the repeat's
+    own, deleted when the repeat ends) with the counts at every value; the
+    repeat's runs then read it. The fill's seconds count towards the
+    feature extraction and total seconds of the first record of its
+    repeat."""
     base = base.validate()
     cfgs = [replace(apply_sweep_value(base, sweep.parameter, value), seed=base.seed + r).validate()
             for value in sweep.values for r in range(sweep.repeats)]
@@ -566,21 +561,16 @@ def run_sweep(base: ExperimentConfig, sweep: SweepSpec, cache_dir=None) -> list[
         return [run_experiment(cfg, cache_dir=cache_dir) for cfg in cfgs]
     steps = sorted({cfg.time_steps for cfg in cfgs})
     records: list[RunRecord] = [None] * len(cfgs)
-    with (tempfile.TemporaryDirectory(prefix="ransnn-sweep-") if cache_dir is None
-          else contextlib.nullcontext(cache_dir)) as fill_dir:
-        for r in range(sweep.repeats):
+    for r in range(sweep.repeats):
+        with (tempfile.TemporaryDirectory(prefix="ransnn-sweep-") if cache_dir is None
+              else contextlib.nullcontext(cache_dir)) as fill_dir:
             t0 = time.perf_counter()
-            files = _fill_time_steps(cfgs[r], steps, fill_dir)
+            _fill_time_steps(cfgs[r], steps, fill_dir)
             fill_seconds = time.perf_counter() - t0
-            mine = [cfgs[i].time_steps for i in range(r, len(cfgs), sweep.repeats)]
-            for k, t in enumerate(mine):
-                i = r + k * sweep.repeats
+            for i in range(r, len(cfgs), sweep.repeats):
                 records[i] = run_experiment(cfgs[i], cache_dir=fill_dir)
-                if cache_dir is None and t not in mine[k + 1:]:
-                    for path in files[t]:
-                        path.unlink()
-            records[r].feature_extraction_seconds += fill_seconds
-            records[r].total_seconds += fill_seconds
+        records[r].feature_extraction_seconds += fill_seconds
+        records[r].total_seconds += fill_seconds
     return records
 
 

@@ -57,8 +57,9 @@ class Uniform:
     high: float
 
     def __post_init__(self):
-        if not self.low < self.high:
-            raise ValueError(f"uniform bounds must satisfy low < high, got [{self.low}, {self.high})")
+        if not -np.inf < self.low < self.high < np.inf:
+            raise ValueError(f"uniform bounds must be finite with low < high, "
+                             f"got [{self.low}, {self.high})")
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,9 @@ class Normal:
     std: float
 
     def __post_init__(self):
-        if self.std < 0:
-            raise ValueError(f"normal std must be >= 0, got {self.std}")
+        if not (np.isfinite(self.mean) and 0 <= self.std < np.inf):
+            raise ValueError(f"normal needs a finite mean and a finite std >= 0, "
+                             f"got N({self.mean}, {self.std})")
 
 
 WeightDistribution = Uniform | Normal
@@ -241,22 +243,20 @@ def lif_stack(bits: np.ndarray, layers, lif: LifParams, record: bool = False) ->
     return s
 
 
-def simulate(bits: np.ndarray, weights, lif: LifParams, *, record: bool = False,
-             scratch: dict | None = None) -> list[tuple[np.ndarray, np.ndarray | None]]:
+def simulate(bits: np.ndarray, weights, lif: LifParams,
+             scratch: dict | None = None) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """A (B, T, n_in) batch of 0/1 inputs through a stack of layers
     sharing the neuron constants lif, every potential starting at 0.
 
     The batch splits into parts of part_size(B, n) samples, n the widest
     layer's width, which run_parts spreads over the workers; each part runs
-    lif_stack over its rows of the work arrays. Returns one (spikes, u_pre)
-    pair per layer: the (B, T, n) uint8 raster and, with record=True, the
-    pre-reset potentials written over the currents (else None). A scratch
+    lif_stack over its rows of the work arrays, recording. Returns per layer
+    the arrays it ran in: the (B*T, n_in) float64 copy of its input, the
+    (B, T, n) pre-reset potentials and the (B, T, n) uint8 spikes. A scratch
     dict passed to successive calls keeps their work arrays, which the
-    returned arrays then share; the (B*T, n) float64 copy of layer i's
-    input stays readable at _buffer(scratch, ("in", i), ...) until the next
-    call. No row depends on the rest of the batch, so any grouping gives
-    bit-identical spikes; the split depends only on the shapes, so any
-    worker count gives the same bits.
+    returned arrays then share until the next call. No row depends on the
+    rest of the batch, so any grouping gives bit-identical spikes; the split
+    depends only on the shapes, so any worker count gives the same bits.
     """
     n_batch, steps, n_in = bits.shape
     if n_in != weights[0].shape[1]:
@@ -265,14 +265,13 @@ def simulate(bits: np.ndarray, weights, lif: LifParams, *, record: bool = False,
 
     def run_part(rows):
         lif_stack(bits[rows], [(w, x[rows], cur[rows], spikes[rows])
-                               for w, x, cur, spikes in layers], lif, record)
+                               for w, x, cur, spikes in layers], lif, record=True)
 
     run_parts(run_part, n_batch, part_size(n_batch, max(w.shape[0] for w in weights)))
-    return [(spikes, cur if record else None) for _, _, cur, spikes in layers]
+    return [(x.reshape(-1, w.shape[1]), cur, spikes) for w, x, cur, spikes in layers]
 
 
 def simulate_forward(net: NetworkTopology, bits: np.ndarray) -> np.ndarray:
     """The last hidden layer's (B, T, n_L) uint8 spikes for a (B, T, n_in)
     bit array of B samples."""
-    spikes, _ = simulate(bits, net.weights, net.lif)[-1]
-    return spikes
+    return simulate(bits, net.weights, net.lif)[-1][2]

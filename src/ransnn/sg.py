@@ -20,8 +20,8 @@ import numpy as np
 # Uncalled: encode_sample stays for the bench site sg.encode.
 from .encoding import encode_batch, encode_sample  # noqa: F401
 from .idx import LabeledDataset
-from .network import (LifParams, WeightDistribution, _buffer, fan_in_uniform,
-                      part_size, run_parts, sample_weights, simulate)
+from .network import (LifParams, WeightDistribution, fan_in_uniform, part_size,
+                      run_parts, sample_weights, simulate)
 from .numerics import (AdamConfig, AdamState, ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM,
                        PROB_FLOOR, Rng, WEIGHT_STREAM, adam_step, softmax)
 from .readout import IterationMetrics, count_spikes
@@ -101,12 +101,12 @@ class BpttTape:
     """
 
     input_bits: np.ndarray  # (B, T, n_in) uint8
+    flat_input: np.ndarray  # (B*T, n_in) float64
     hidden_u_pre: np.ndarray  # (B, T, n_hidden) float64
     hidden_bits: np.ndarray  # (B, T, n_hidden) uint8
+    flat_hidden: np.ndarray  # (B*T, n_hidden) float64
     output_u_pre: np.ndarray  # (B, T, C) float64
     output_bits: np.ndarray  # (B, T, C) uint8
-    flat_input: np.ndarray  # (B*T, n_in) float64
-    flat_hidden: np.ndarray  # (B*T, n_hidden) float64
     model_version: int
     spent: bool = False
 
@@ -115,17 +115,10 @@ def _record_tape(model: SgModel, input_bits: np.ndarray,
                  scratch: dict | None = None) -> BpttTape:
     """Forward a (B, T, n_in) batch through both layers, keeping the tape;
     scratch as in simulate, and without one the tape owns its arrays."""
-    scratch = {} if scratch is None else scratch
-    (hidden_bits, hidden_u_pre), (output_bits, output_u_pre) = simulate(
-        input_bits, (model.w_hidden, model.w_out), model.lif, record=True, scratch=scratch)
-    rows = input_bits.shape[0] * input_bits.shape[1]
-    return BpttTape(input_bits=input_bits, hidden_u_pre=hidden_u_pre,
-                    hidden_bits=hidden_bits, output_u_pre=output_u_pre,
-                    output_bits=output_bits,
-                    flat_input=_buffer(scratch, ("in", 0), (rows, model.n_in), np.float64),
-                    flat_hidden=_buffer(scratch, ("in", 1), (rows, model.n_hidden),
-                                        np.float64),
-                    model_version=model.version)
+    hidden, output = simulate(input_bits, (model.w_hidden, model.w_out), model.lif, scratch)
+    # Each layer's (flat input, u_pre, spikes) as simulate returns them,
+    # in the tape's field order.
+    return BpttTape(input_bits, *hidden, *output, model_version=model.version)
 
 
 def _adjoint(drive: np.ndarray, u_pre: np.ndarray, beta: float, thr: float,

@@ -182,7 +182,10 @@ class TestParseDist:
         assert parse_dist(d) is d
 
     def test_rejects_garbage(self):
-        for bad in ("U(1)", "poisson(2,3)", "U(5,5)", {"kind": "beta"}, 42):
+        for bad in ("U(1)", "poisson(2,3)", "U(5,5)", {"kind": "beta"}, 42,
+                    "U(a,0.1)", "N(0,x)", "N(nan,1)", "U(0,inf)", "N(0,-inf)",
+                    {"kind": "normal", "mean": float("nan"), "std": 1},
+                    {"kind": "uniform", "low": 0, "high": float("inf")}):
             with pytest.raises(ConfigError):
                 parse_dist(bad)
 
@@ -552,14 +555,15 @@ class TestRunSweep:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("values", [(4, 8), (8, 4, 8)])
-    def test_temporary_fill_holds_only_the_caches_later_runs_read(
+    def test_each_repeat_fills_a_temporary_directory_of_its_own(
             self, use_data_dir, monkeypatch, values):
         import ransnn.harness
 
         real_run, real_load = ransnn.harness.run_experiment, FeatureCache.load
-        held, read = [], []
+        dirs, held, read = [], [], []
 
         def listing_run(cfg, cache_dir=None):
+            dirs.append(cache_dir)
             held.append({path.name for path in Path(cache_dir).iterdir()})
             read.append(set())
             return real_run(cfg, cache_dir=cache_dir)
@@ -569,16 +573,23 @@ class TestRunSweep:
             return real_load(path, **kwargs)
 
         def no_extract(*_args, **_kwargs):
-            raise AssertionError("a run found its cache deleted")
+            raise AssertionError("a run found no cache of its own")
 
         monkeypatch.setattr(ransnn.harness, "run_experiment", listing_run)
         monkeypatch.setattr(FeatureCache, "load", recording_load)
         monkeypatch.setattr(ransnn.harness, "extract_features", no_extract)
         run_sweep(tiny_config(), SweepSpec(parameter="time_steps", values=values, repeats=2))
-        assert len(read) == 2 * len(values)
-        for i, now in enumerate(read):
-            assert len(now) == 2
-            assert now <= held[i] <= set().union(*read[i:])
+        # The runs go repeat by repeat, each reading its train and test cache.
+        n = len(values)
+        assert len(read) == 2 * n and all(len(now) == 2 for now in read)
+        for r in range(2):
+            runs = range(r * n, (r + 1) * n)
+            repeat_reads = set().union(*(read[i] for i in runs))
+            assert len({dirs[i] for i in runs}) == 1
+            for i in runs:
+                assert read[i] <= held[i] <= repeat_reads
+                assert len(held[i]) <= 2 * len(set(values))
+        assert dirs[0] != dirs[n]
 
     def test_fill_seconds_count_towards_the_first_record_of_each_seed(self, use_data_dir,
                                                                       monkeypatch):
@@ -820,6 +831,20 @@ class TestCli:
         with pytest.raises(ValueError):
             main(["run", "--config", cfg])
         assert "config error:" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,dist", [
+        (["sweep", "--param", "dist_param", "--values", "U(a,0.1)", "--repeats", "1"], None),
+        (["run"], "N(0,x)"), (["run"], "N(nan,1)"), (["run"], "U(0,inf)")])
+    def test_bad_distribution_exits_1_before_loading(self, use_data_dir, tmp_path, capsys,
+                                                     monkeypatch, argv, dist):
+        def no_load(*_args, **_kwargs):
+            raise AssertionError("data loaded for a distribution that cannot be sampled")
+
+        monkeypatch.setattr("ransnn.harness.load_dataset", no_load)
+        cfg = self._write_config(tmp_path, **({} if dist is None else {"dist": dist}))
+        assert main([*argv, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
 
     def test_invalid_sweep_value_exits_1_before_any_run(self, use_data_dir, tmp_path,
                                                         capsys, monkeypatch):

@@ -27,12 +27,15 @@ class TestLifParams:
 
 class TestDistributions:
     def test_uniform_bounds_validated(self):
-        with pytest.raises(ValueError):
-            Uniform(5.0, 5.0)
+        for low, high in ((5.0, 5.0), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+            with pytest.raises(ValueError):
+                Uniform(low, high)
 
     def test_normal_std_validated(self):
-        with pytest.raises(ValueError):
-            Normal(0.0, -1.0)
+        for mean, std in ((0.0, -1.0), (0.0, math.inf), (math.nan, 1.0), (math.inf, 1.0),
+                          (0.0, math.nan)):
+            with pytest.raises(ValueError):
+                Normal(mean, std)
 
     def test_fan_in_uniform_matches_rule(self):
         dist = fan_in_uniform(784)
@@ -191,7 +194,7 @@ class TestSimulateForward:
         net = self._net([6, 8], 0.05, seed=13, lif=lif)
         train = poisson_encode(Rng(5, 0).uniform(0, 1, 6), 12, Rng(6, 0))
         expected = linear_filter_membrane(net.weights[0], lif.beta, train)
-        [(spikes, u_pre)] = simulate(train[None], net.weights, net.lif, record=True)
+        [(_, u_pre, spikes)] = simulate(train[None], net.weights, net.lif)
         assert not spikes.any()
         assert np.max(np.abs(u_pre[0] - expected)) <= 1e-12
 
@@ -207,6 +210,14 @@ class TestSimulateForward:
         assert out.shape == (1, 25, 6)
         assert np.isin(out, (0, 1)).all()
 
+    def test_each_layer_returns_its_input_as_float64_rows(self):
+        net = self._net([10, 16, 6], 0.8, seed=2)
+        bits = (Rng(9, 0).random((3, 7, 10)) < 0.4).astype(np.uint8)
+        (x0, _, s0), (x1, _, _) = simulate(bits, net.weights, net.lif)
+        assert x0.dtype == x1.dtype == np.float64
+        assert np.array_equal(x0, bits.reshape(21, 10))
+        assert s0.any() and np.array_equal(x1, s0.reshape(21, 16))
+
 
 class TestSimulatePrefix:
     """A run over the first t steps of an input has the spikes of the first
@@ -221,12 +232,11 @@ class TestSimulatePrefix:
     def test_prefix_equals_first_steps_of_the_full_run(self, sizes, dist):
         net = init_weights(sizes, dist, seed=3)
         bits = (Rng(4, 0).random((9, 25, sizes[0])) < 0.2).astype(np.uint8)
-        full = [(s.copy(), u.copy())
-                for s, u in simulate(bits, net.weights, net.lif, record=True)]
+        full = [(s.copy(), u.copy()) for _, u, s in simulate(bits, net.weights, net.lif)]
         assert all(s.any() and not s.all() for s, _ in full)
         for t in (1, 7, 24):
-            prefix = simulate(bits[:, :t], net.weights, net.lif, record=True)
-            for (s, u), (s_full, u_full) in zip(prefix, full):
+            prefix = simulate(bits[:, :t], net.weights, net.lif)
+            for (_, u, s), (s_full, u_full) in zip(prefix, full):
                 assert np.array_equal(s, s_full[:, :t])
                 np.testing.assert_allclose(u, u_full[:, :t], rtol=0, atol=1e-12)
 
