@@ -387,9 +387,11 @@ class _RunSetup:
 
 def _set_up(cfg: ExperimentConfig) -> _RunSetup:
     """Load the data, resolve dist and LIF settings, and select each
-    split's batches, for a validated cfg."""
+    split's batches, for a validated cfg. The pixel width comes from the
+    image header, and each split's dataset_id ends in the fingerprint of
+    its files, so a run whose caches all hit decodes no image."""
     ds_train, ds_test = _load_datasets(cfg)
-    n_in = ds_train.images.shape[1]
+    n_in = ds_train.pixels
     try:
         train_sel = make_batches(ds_train, cfg.batch_size, cfg.train_batches, cfg.seed)
         test_sel = make_batches(ds_test, cfg.batch_size, cfg.test_batches, cfg.seed)
@@ -399,8 +401,10 @@ def _set_up(cfg: ExperimentConfig) -> _RunSetup:
         sizes=(n_in, *cfg.hidden_sizes),
         dist=cfg.dist if cfg.dist is not None else fan_in_uniform(n_in),
         lif=LifParams(beta=cfg.beta, u_thr=cfg.u_thr),
-        train=_Split(ds_train, train_sel, ENCODE_TRAIN_STREAM, f"{cfg.dataset}/train"),
-        test=_Split(ds_test, test_sel, ENCODE_TEST_STREAM, f"{cfg.dataset}/test"))
+        train=_Split(ds_train, train_sel, ENCODE_TRAIN_STREAM,
+                     f"{cfg.dataset}/train:{ds_train.fingerprint}"),
+        test=_Split(ds_test, test_sel, ENCODE_TEST_STREAM,
+                    f"{cfg.dataset}/test:{ds_test.fingerprint}"))
 
 
 def _split_digest(cfg: ExperimentConfig, run: _RunSetup, split: _Split,

@@ -9,8 +9,13 @@ transparently.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
+import hashlib
+import io
+import math
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,6 +49,9 @@ IDX_U8 = 0x08
 _IDX_DTYPE_CODES = {0x08: "u8", 0x09: "i8", 0x0B: "i16", 0x0C: "i32",
                     0x0D: "f32", 0x0E: "f64"}
 _GZIP_MAGIC = b"\x1f\x8b"
+# The largest ratio of inflated to deflated bytes: a match of at most 258
+# bytes costs at least two bits (RFC 1951).
+_DEFLATE_RATIO = 1032
 
 
 @dataclass
@@ -55,17 +63,27 @@ class IdxTensor:
     data: np.ndarray  # shaped to dims, uint8
 
 
-def parse_idx(data: bytes) -> IdxTensor:
-    """Decode IDX bytes, gzipped or not (told apart by the gzip prefix),
-    into a tensor."""
-    if data[:2] == _GZIP_MAGIC:
-        try:
-            data = gzip.decompress(data)
-        except (OSError, EOFError) as exc:
-            raise IdxFormatError(f"bad gzip container: {exc}") from exc
-    if len(data) < 4:
-        raise IdxFormatError(f"IDX header needs 4 bytes, got {len(data)}")
-    zero0, zero1, dtype_code, ndim = struct.unpack(">BBBB", data[:4])
+@contextlib.contextmanager
+def _opened(data):
+    """A file over data's IDX bytes, inflated if data has the gzip prefix;
+    errors of the gzip container are IdxFormatError."""
+    if data[:2] != _GZIP_MAGIC:
+        yield io.BytesIO(data)
+        return
+    try:
+        with gzip.GzipFile(fileobj=io.BytesIO(data)) as fh:
+            yield fh
+    except (OSError, EOFError, zlib.error) as exc:
+        raise IdxFormatError(f"bad gzip container: {exc}") from exc
+
+
+def _read_header(fh) -> tuple[int, ...]:
+    """The extents of the u8 IDX header read from fh, which is left at the
+    payload."""
+    head = fh.read(4)
+    if len(head) < 4:
+        raise IdxFormatError(f"IDX header needs 4 bytes, got {len(head)}")
+    zero0, zero1, dtype_code, ndim = head
     if zero0 != 0 or zero1 != 0:
         raise IdxFormatError(
             f"bad IDX magic: first two bytes must be zero, got {zero0:#04x} {zero1:#04x}")
@@ -77,21 +95,35 @@ def parse_idx(data: bytes) -> IdxTensor:
             "only unsigned byte (0x08) payloads are handled")
     if ndim < 1:
         raise IdxFormatError("IDX dimension count must be >= 1")
-    header_len = 4 + 4 * ndim
-    if len(data) < header_len:
-        raise IdxFormatError(
-            f"IDX header truncated: need {header_len} bytes for {ndim} extents, got {len(data)}")
-    dims = struct.unpack(f">{ndim}I", data[4:header_len])
-    expected = 1
-    for d in dims:
-        expected *= d
-    payload = data[header_len:]
-    if len(payload) != expected:
+    extents = fh.read(4 * ndim)
+    if len(extents) < 4 * ndim:
+        raise IdxFormatError(f"IDX header truncated: need {4 + 4 * ndim} bytes for {ndim} "
+                             f"extents, got {4 + len(extents)}")
+    return struct.unpack(f">{ndim}I", extents)
+
+
+def parse_idx(data: bytes) -> IdxTensor:
+    """Decode IDX bytes, gzipped or not (told apart by the gzip prefix),
+    into a tensor. A raw payload is viewed in place; a gzipped one is
+    inflated straight into the array, so neither is copied."""
+    with _opened(data) as fh:
+        dims = _read_header(fh)
+        expected = math.prod(dims)
+        if isinstance(fh, io.BytesIO):
+            arr = np.frombuffer(memoryview(data)[fh.tell():], dtype=np.uint8)
+            size = arr.size
+        else:
+            # No deflate stream inflates more than _DEFLATE_RATIO-fold, so a
+            # damaged header's extents cannot size the array past the data.
+            arr = np.empty(min(expected, _DEFLATE_RATIO * len(data)), dtype=np.uint8)
+            size = fh.readinto(arr)
+            size += sum(map(len, iter(lambda: fh.read(1 << 16), b"")))
+    if size != expected:
         raise IdxLengthError(
-            f"IDX payload length {len(payload)} does not match extents {dims} "
+            f"IDX payload length {size} does not match extents {dims} "
             f"(expected {expected} bytes)")
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(dims)
-    return IdxTensor(dtype_code=dtype_code, dims=tuple(dims), data=arr)
+    arr.flags.writeable = False
+    return IdxTensor(dtype_code=IDX_U8, dims=dims, data=arr.reshape(dims))
 
 
 def read_idx(path) -> IdxTensor:
@@ -104,15 +136,47 @@ class LabeledDataset:
     """Flattened u8 images with integer labels.
 
     images is (n, pixels) uint8; labels is (n,) int64 with every label in
-    [0, num_classes). Immutable by convention once loaded.
+    [0, num_classes). Immutable by convention once loaded. fingerprint names
+    the bytes the dataset was read from (None for one built from arrays).
     """
 
     images: np.ndarray
     labels: np.ndarray
     num_classes: int
+    fingerprint: str | None = None
 
     def __len__(self) -> int:
         return self.images.shape[0]
+
+    @property
+    def pixels(self) -> int:
+        return self.images.shape[1]
+
+
+class _IdxDataset(LabeledDataset):
+    """A LabeledDataset read by load_dataset. Its size and pixel width come
+    from the image file's header; its pixels are decoded from the file's
+    bytes by parse_idx, with all of its checks, on the first access to
+    .images, which then drops the bytes."""
+
+    def __init__(self, image_bytes: bytes, dims: tuple[int, ...], labels: np.ndarray,
+                 num_classes: int, fingerprint: str):
+        self._image_bytes, self._dims, self._images = image_bytes, dims, None
+        self.labels, self.num_classes, self.fingerprint = labels, num_classes, fingerprint
+
+    @property
+    def images(self) -> np.ndarray:
+        if self._images is None:
+            self._images = parse_idx(self._image_bytes).data.reshape(len(self), self.pixels)
+            self._image_bytes = None
+        return self._images
+
+    def __len__(self) -> int:
+        return self._dims[0]
+
+    @property
+    def pixels(self) -> int:
+        return self._dims[1] * self._dims[2]
 
 
 def load_dataset(image_path, label_path, num_classes: int) -> LabeledDataset:
@@ -120,15 +184,22 @@ def load_dataset(image_path, label_path, num_classes: int) -> LabeledDataset:
 
     Images must be rank 3 ([n, rows, cols]) and are flattened row-major;
     labels must be rank 1 with the same n and values inside [0, num_classes).
+    Each file is read once. The image header and the labels are checked
+    here; the pixels are decoded on the first access to .images. The
+    dataset's fingerprint is a blake2b digest of both files' bytes as
+    stored, gzipped or raw.
     """
-    images = read_idx(image_path)
-    labels = read_idx(label_path)
-    if len(images.dims) != 3:
+    image_bytes = Path(image_path).read_bytes()
+    label_bytes = Path(label_path).read_bytes()
+    with _opened(image_bytes) as fh:
+        dims = _read_header(fh)
+    labels = parse_idx(label_bytes)
+    if len(dims) != 3:
         raise DatasetError(
-            f"image tensor must be rank 3 [n, rows, cols], got dims {images.dims}")
+            f"image tensor must be rank 3 [n, rows, cols], got dims {dims}")
     if len(labels.dims) != 1:
         raise DatasetError(f"label tensor must be rank 1, got dims {labels.dims}")
-    n = images.dims[0]
+    n = dims[0]
     if labels.dims[0] != n:
         raise DatasetError(
             f"image/label count mismatch: {n} images vs {labels.dims[0]} labels")
@@ -137,8 +208,10 @@ def load_dataset(image_path, label_path, num_classes: int) -> LabeledDataset:
         raise DatasetError(
             f"labels must lie in [0, {num_classes}), found range "
             f"[{lab.min()}, {lab.max()}]")
-    flat = images.data.reshape(n, -1)
-    return LabeledDataset(images=flat, labels=lab, num_classes=int(num_classes))
+    h = hashlib.blake2b(len(image_bytes).to_bytes(8, "little"), digest_size=16)
+    h.update(image_bytes)
+    h.update(label_bytes)
+    return _IdxDataset(image_bytes, dims, lab, int(num_classes), h.hexdigest())
 
 
 def make_batches(ds: LabeledDataset, batch_size: int, num_batches: int,

@@ -246,11 +246,13 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
     EVAL_EVERY iterations and at the end, with held-out accuracy measured
     on the whole test selection. elapsed covers encoding, forward, backward,
     and the update, but not metrics.
-    Every forward shares one set of work arrays.
+    Every step encodes its batch into one bits array, in the forward's
+    parts, and every forward shares one set of work arrays.
     """
-    if ds_train.images.shape[1] != model.n_in:
+    images = ds_train.images
+    if images.shape[1] != model.n_in:
         raise ValueError(
-            f"dataset samples have {ds_train.images.shape[1]} pixels, model "
+            f"dataset samples have {images.shape[1]} pixels, model "
             f"expects {model.n_in}")
     train_indices = np.asarray(train_indices, dtype=np.int64)
     if not 1 <= batch_size <= len(train_indices):
@@ -266,6 +268,8 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
     model.w_out = theta[n_wh:].reshape(model.w_out.shape)
     scratch: dict = {}
     grad = np.empty(theta.size)
+    bits = np.empty((batch_size, time_steps, model.n_in), np.uint8)
+    part = part_size(batch_size, max(model.n_hidden, model.num_classes))
 
     metrics: list[IterationMetrics] = []
     elapsed = 0.0
@@ -273,8 +277,9 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
         sel = train_indices[(iteration - 1) * batch_size:iteration * batch_size]
         labels = ds_train.labels[sel]
         t0 = time.perf_counter()
-        bits = encode_batch(ds_train.images, sel, time_steps, master_seed,
-                            ENCODE_TRAIN_STREAM)
+        run_parts(lambda rows: encode_batch(images, sel[rows], time_steps, master_seed,
+                                            ENCODE_TRAIN_STREAM, out=bits[rows]),
+                  batch_size, part)
         tape = _record_tape(model, bits, scratch)
         y = np.zeros((len(sel), model.num_classes))
         y[np.arange(len(sel)), labels] = 1.0
@@ -288,8 +293,8 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
             loss = _batch_loss(tape.output_u_pre, labels) / time_steps
             counts = tape.output_bits.sum(axis=1, dtype=np.int64)
             batch_acc = float((counts.argmax(axis=1) == labels).mean())
-        # The tape holds the batch's bits, freed before the held-out pass.
-        del tape, bits
+        # The tape is made of bits and views of scratch, which the next step
+        # overwrites; the held-out pass runs in work arrays of its own.
         if evaluating:
             test_acc = evaluate_sg(model, ds_test, time_steps, master_seed, test_indices,
                                    ENCODE_TEST_STREAM)

@@ -304,6 +304,94 @@ def _curve(record):
                                    for m in record.metrics]
 
 
+def _write_mnist(root, train_seed, test_seed):
+    """Files shaped like the data_dir fixture's under root/mnist, drawn from
+    the two seeds; other seeds give other bytes of the same shape."""
+    mnist = root / "mnist"
+    mnist.mkdir(parents=True, exist_ok=True)
+    write_dataset_idx(blob_dataset(3, 64, side=12, seed=train_seed), 12, mnist, "train",
+                      gz=True)
+    write_dataset_idx(blob_dataset(3, 32, side=12, seed=test_seed), 12, mnist, "t10k")
+    return mnist
+
+
+def _count_image_decodes(monkeypatch) -> list:
+    """Patch idx.parse_idx to record the thread of every rank-3 (image)
+    tensor it decodes; returns that list."""
+    import ransnn.idx
+
+    decodes, real = [], ransnn.idx.parse_idx
+
+    def counting(data):
+        tensor = real(data)
+        if len(tensor.dims) == 3:
+            decodes.append(threading.get_ident())
+        return tensor
+
+    monkeypatch.setattr(ransnn.idx, "parse_idx", counting)
+    return decodes
+
+
+class TestDatasetFingerprint:
+    def test_replaced_files_are_not_served_from_stale_caches(self, tmp_path, monkeypatch):
+        # The same paths and cache_dir, new bytes of the same shape: the
+        # second run re-extracts and equals a fresh run on the new files.
+        monkeypatch.setenv("RANSNN_DATA_DIR", str(tmp_path / "data"))
+        cache_dir = tmp_path / "caches"
+        _write_mnist(tmp_path / "data", 1, 2)
+        before = run_experiment(tiny_config(), cache_dir=cache_dir)
+        _write_mnist(tmp_path / "data", 5, 6)
+        after = run_experiment(tiny_config(), cache_dir=cache_dir)
+        assert _curve(after) == _curve(run_experiment(tiny_config()))
+        assert _curve(after) != _curve(before)
+        assert len(list(cache_dir.glob("*.rsnnfc"))) == 4
+
+    def test_warm_run_decodes_no_image(self, use_data_dir, tmp_path, monkeypatch):
+        monkeypatch.setattr("ransnn.network.worker_count", lambda: 2)
+        decodes = _count_image_decodes(monkeypatch)
+        cold = run_experiment(tiny_config(), cache_dir=tmp_path)
+        # One decode per split, on the calling thread.
+        assert decodes == [threading.get_ident()] * 2
+        warm = run_experiment(tiny_config(), cache_dir=tmp_path)
+        assert len(decodes) == 2
+        assert _curve(warm) == _curve(cold)
+        run_experiment(tiny_config(method="sg"))
+        assert decodes == [threading.get_ident()] * 4
+
+    def test_fingerprint_covers_the_bytes_as_stored(self, tmp_path):
+        ds = blob_dataset(3, 10, side=12, seed=1)
+        raw = write_dataset_idx(ds, 12, tmp_path, "raw")
+        zipped = write_dataset_idx(ds, 12, tmp_path, "zipped", gz=True)
+        other = write_dataset_idx(blob_dataset(3, 10, side=12, seed=2), 12, tmp_path, "other")
+        fingerprints = [load_dataset(*paths, num_classes=3).fingerprint
+                        for paths in (raw, raw, zipped, other)]
+        assert fingerprints[0] == fingerprints[1]
+        assert len(set(fingerprints)) == 3
+        # Labels count too.
+        images, labels = raw
+        relabelled = ds.labels.copy()
+        relabelled[0] = (relabelled[0] + 1) % 3
+        write_dataset_idx(replace(ds, labels=relabelled), 12, tmp_path, "relabelled")
+        assert load_dataset(images, tmp_path / "relabelled-labels-idx1-ubyte",
+                            num_classes=3).fingerprint != fingerprints[0]
+
+    def test_corrupt_image_file_exits_2_with_and_without_a_warm_cache(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RANSNN_DATA_DIR", str(tmp_path / "data"))
+        images = _write_mnist(tmp_path / "data", 1, 2) / "train-images-idx3-ubyte.gz"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(TINY))
+        warm = ["run", "--config", str(cfg), "--cache-dir", str(tmp_path / "caches")]
+        assert main(warm) == 0
+        damaged = bytearray(images.read_bytes())
+        damaged[len(damaged) // 2] ^= 0xFF
+        images.write_bytes(bytes(damaged))
+        capsys.readouterr()
+        for argv in (warm, warm[:3]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("parse error:")
+
+
 # One short SG training (every iteration on the curve) and one extraction
 # into a cache_dir, printing the curves as hex floats and the cache bytes.
 _THREADS_SCRIPT = """
@@ -406,7 +494,8 @@ class TestLibraryExample:
     def test_readme_composition_reproduces_the_run(self, use_data_dir, tmp_path):
         # The README's library example, at TINY's settings on the synthetic
         # data, builds the run's own caches: the test split is encoded from
-        # the test streams, as in a run.
+        # the test streams, and each split is named by its files'
+        # fingerprint, as in a run.
         from ransnn import (ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM, AdamConfig, LifParams,
                             evaluate, extract_features, fan_in_uniform, init_weights,
                             load_dataset, make_batches, train_readout)
@@ -422,9 +511,10 @@ class TestLibraryExample:
         sel_test = make_batches(test, 16, 2, seed=123)
         cache_train = extract_features(net, 8, train, 123, indices=sel_train,
                                        stream_base=ENCODE_TRAIN_STREAM,
-                                       dataset_id="mnist/train")
+                                       dataset_id=f"mnist/train:{train.fingerprint}")
         cache_test = extract_features(net, 8, test, 123, indices=sel_test,
-                                      stream_base=ENCODE_TEST_STREAM, dataset_id="mnist/test")
+                                      stream_base=ENCODE_TEST_STREAM,
+                                      dataset_id=f"mnist/test:{test.fingerprint}")
         model, curve = train_readout(cache_train, cache_test, adam=AdamConfig(),
                                      batch_size=16, num_classes=10)
 

@@ -1,4 +1,5 @@
 import gzip
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +69,24 @@ class TestParseIdx:
         with pytest.raises(IdxFormatError, match="gzip"):
             parse_idx(zipped[:-6])
 
+    def test_invalid_deflate_block_is_a_format_error(self):
+        # zlib's own error, not only gzip's CRC and EOF checks, is a
+        # format error: BTYPE 11 in the first deflate block is reserved.
+        zipped = bytearray(gzip.compress(idx_bytes((3,), b"abc")))
+        zipped[10] |= 0b110
+        with pytest.raises(IdxFormatError, match="gzip"):
+            parse_idx(bytes(zipped))
+
+    def test_huge_extents_of_a_gzipped_file_are_a_length_error(self):
+        # The array is sized by what the stream can hold, not by the header.
+        zipped = gzip.compress(idx_bytes((2**32 - 1,) * 3, b"abc"))
+        with pytest.raises(IdxLengthError, match="length 3 "):
+            parse_idx(zipped)
+
+    def test_payload_is_a_view_of_the_input(self):
+        raw = idx_bytes((2, 3), bytes(range(6)))
+        assert np.shares_memory(parse_idx(raw).data, np.frombuffer(raw, np.uint8))
+
     @given(st.lists(st.integers(0, 6), min_size=1, max_size=3), st.integers(0, 2**31))
     @settings(max_examples=60, deadline=None)
     def test_round_trip_bit_exact(self, dims, seed):
@@ -125,6 +144,44 @@ class TestLoadDataset:
         write_idx(labels, tmp_path / "labs")
         with pytest.raises(DatasetError):
             load_dataset(tmp_path / "imgs", tmp_path / "labs", num_classes=10)
+
+    @pytest.mark.parametrize("gz", [False, True])
+    @pytest.mark.parametrize("role", ["images", "labels"])
+    @pytest.mark.parametrize("byte,value,error", [
+        (0, 1, IdxFormatError), (1, 0xFF, IdxFormatError), (2, 0x42, IdxFormatError),
+        (2, 0x0D, IdxUnsupportedDtypeError)])
+    def test_bad_magic_or_dtype_raised_at_load(self, tmp_path, small_blobs, gz, role,
+                                                byte, value, error):
+        paths = dict(zip(("images", "labels"), write_dataset_idx(small_blobs, 12, tmp_path, "d")))
+        data = bytearray(Path(paths[role]).read_bytes())
+        data[byte] = value
+        Path(paths[role]).write_bytes(gzip.compress(data) if gz else bytes(data))
+        with pytest.raises(error):
+            load_dataset(paths["images"], paths["labels"], num_classes=3)
+
+    @pytest.mark.parametrize("gz", [False, True])
+    def test_pixels_decode_on_first_access(self, tmp_path, small_blobs, monkeypatch, gz):
+        import ransnn.idx
+
+        img, lab = write_dataset_idx(small_blobs, 12, tmp_path, "lazy", gz=gz)
+        ds = load_dataset(img, lab, num_classes=3)
+        calls = []
+        real = ransnn.idx.parse_idx
+        monkeypatch.setattr(ransnn.idx, "parse_idx", lambda data: calls.append(1) or real(data))
+        assert (len(ds), ds.pixels) == (len(small_blobs), 144)
+        assert make_batches(ds, 8, 3, seed=1).shape == (24,)
+        assert calls == []
+        assert np.array_equal(ds.images, small_blobs.images)
+        assert ds.images is ds.images and calls == [1]
+
+    @pytest.mark.parametrize("gz", [False, True])
+    def test_short_image_payload_raised_on_first_access(self, tmp_path, small_blobs, gz):
+        img, lab = write_dataset_idx(small_blobs, 12, tmp_path, "short")
+        data = Path(img).read_bytes()[:-1]
+        Path(img).write_bytes(gzip.compress(data) if gz else data)
+        ds = load_dataset(img, lab, num_classes=3)
+        with pytest.raises(IdxLengthError):
+            ds.images
 
     def test_pixel_range(self, tmp_path, small_blobs):
         img, lab = write_dataset_idx(small_blobs, 12, tmp_path, "c")
