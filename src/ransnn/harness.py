@@ -429,6 +429,10 @@ def _extract_splits(cfg: ExperimentConfig, run: _RunSetup, cache_dir) -> list[Fe
         if path is not None and path.exists():
             cache = FeatureCache.load(path, expected_digest=digest)
         else:
+            # The pixels are decoded here, before the weights are sampled for
+            # the first miss, so the inflate's transient buffers are freed
+            # before the weights are allocated.
+            split.dataset.images
             net = net or init_weights(run.sizes, run.dist, cfg.seed, lif=run.lif)
             cache = extract_features(net, cfg.time_steps, split.dataset, cfg.seed,
                                      indices=split.indices, stream_base=split.stream_base,

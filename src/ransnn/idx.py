@@ -64,15 +64,10 @@ class IdxTensor:
 
 
 @contextlib.contextmanager
-def _opened(data):
-    """A file over data's IDX bytes, inflated if data has the gzip prefix;
-    errors of the gzip container are IdxFormatError."""
-    if data[:2] != _GZIP_MAGIC:
-        yield io.BytesIO(data)
-        return
+def _gzip_errors():
+    """Errors of a gzip container, raised as IdxFormatError."""
     try:
-        with gzip.GzipFile(fileobj=io.BytesIO(data)) as fh:
-            yield fh
+        yield
     except (OSError, EOFError, zlib.error) as exc:
         raise IdxFormatError(f"bad gzip container: {exc}") from exc
 
@@ -104,26 +99,41 @@ def _read_header(fh) -> tuple[int, ...]:
 
 def parse_idx(data: bytes) -> IdxTensor:
     """Decode IDX bytes, gzipped or not (told apart by the gzip prefix),
-    into a tensor. A raw payload is viewed in place; a gzipped one is
-    inflated straight into the array, so neither is copied."""
-    with _opened(data) as fh:
-        dims = _read_header(fh)
-        expected = math.prod(dims)
-        if isinstance(fh, io.BytesIO):
-            arr = np.frombuffer(memoryview(data)[fh.tell():], dtype=np.uint8)
-            size = arr.size
-        else:
-            # No deflate stream inflates more than _DEFLATE_RATIO-fold, so a
-            # damaged header's extents cannot size the array past the data.
-            arr = np.empty(min(expected, _DEFLATE_RATIO * len(data)), dtype=np.uint8)
-            size = fh.readinto(arr)
-            size += sum(map(len, iter(lambda: fh.read(1 << 16), b"")))
-    if size != expected:
+    into a tensor whose array is a view of the payload in the (inflated)
+    bytes."""
+    if data[:2] == _GZIP_MAGIC:
+        with _gzip_errors():
+            data = gzip.decompress(data)
+    fh = io.BytesIO(data)
+    dims = _read_header(fh)
+    arr = np.frombuffer(memoryview(data)[fh.tell():], dtype=np.uint8)
+    expected = math.prod(dims)
+    if arr.size != expected:
         raise IdxLengthError(
-            f"IDX payload length {size} does not match extents {dims} "
+            f"IDX payload length {arr.size} does not match extents {dims} "
             f"(expected {expected} bytes)")
-    arr.flags.writeable = False
     return IdxTensor(dtype_code=IDX_U8, dims=dims, data=arr.reshape(dims))
+
+
+def _header_dims(data: bytes) -> tuple[int, ...]:
+    """The extents in the header of data's IDX bytes, gzipped or not,
+    inflating no more than the header."""
+    if data[:2] != _GZIP_MAGIC:
+        return _read_header(io.BytesIO(data))
+    with _gzip_errors(), gzip.GzipFile(fileobj=io.BytesIO(data)) as fh:
+        return _read_header(fh)
+
+
+def _stored_size_agrees(data: bytes, dims: tuple[int, ...]) -> bool:
+    """Whether the size data stores agrees with an IDX file of extents
+    dims: its length for raw bytes; for gzipped ones, the trailer's ISIZE
+    (the inflated length mod 2**32) and the most that data can inflate to.
+    Only a multi-member gzip file can disagree and still decode."""
+    size = 4 + 4 * len(dims) + math.prod(dims)
+    if data[:2] != _GZIP_MAGIC:
+        return len(data) == size
+    return (size <= _DEFLATE_RATIO * len(data)
+            and int.from_bytes(data[-4:], "little") == size % 2**32)
 
 
 def read_idx(path) -> IdxTensor:
@@ -155,13 +165,18 @@ class LabeledDataset:
 
 class _IdxDataset(LabeledDataset):
     """A LabeledDataset read by load_dataset. Its size and pixel width come
-    from the image file's header; its pixels are decoded from the file's
-    bytes by parse_idx, with all of its checks, on the first access to
-    .images, which then drops the bytes."""
+    from the image file's header; unless given decoded, its pixels are
+    decoded from the file's bytes by parse_idx, with all of its checks, on
+    the first access to .images, which then drops the bytes."""
 
-    def __init__(self, image_bytes: bytes, dims: tuple[int, ...], labels: np.ndarray,
-                 num_classes: int, fingerprint: str):
-        self._image_bytes, self._dims, self._images = image_bytes, dims, None
+    def __init__(self, image_bytes: bytes, dims: tuple[int, ...],
+                 images: np.ndarray | None, labels: np.ndarray, num_classes: int,
+                 fingerprint: str):
+        self._dims = dims
+        if images is None:
+            self._image_bytes, self._images = image_bytes, None
+        else:
+            self._image_bytes, self._images = None, images.reshape(len(self), self.pixels)
         self.labels, self.num_classes, self.fingerprint = labels, num_classes, fingerprint
 
     @property
@@ -184,15 +199,19 @@ def load_dataset(image_path, label_path, num_classes: int) -> LabeledDataset:
 
     Images must be rank 3 ([n, rows, cols]) and are flattened row-major;
     labels must be rank 1 with the same n and values inside [0, num_classes).
-    Each file is read once. The image header and the labels are checked
-    here; the pixels are decoded on the first access to .images. The
-    dataset's fingerprint is a blake2b digest of both files' bytes as
-    stored, gzipped or raw.
+    Each file is read once. The image header, the size the image file
+    stores and the labels are checked here; the pixels are decoded on the
+    first access to .images, or here when the stored size disagrees with
+    the header, so no caller sizes anything by extents the file cannot
+    hold. The dataset's fingerprint is a blake2b digest of both files'
+    bytes as stored, gzipped or raw.
     """
     image_bytes = Path(image_path).read_bytes()
     label_bytes = Path(label_path).read_bytes()
-    with _opened(image_bytes) as fh:
-        dims = _read_header(fh)
+    dims = _header_dims(image_bytes)
+    images = None
+    if not _stored_size_agrees(image_bytes, dims):
+        images = parse_idx(image_bytes).data
     labels = parse_idx(label_bytes)
     if len(dims) != 3:
         raise DatasetError(
@@ -211,7 +230,7 @@ def load_dataset(image_path, label_path, num_classes: int) -> LabeledDataset:
     h = hashlib.blake2b(len(image_bytes).to_bytes(8, "little"), digest_size=16)
     h.update(image_bytes)
     h.update(label_bytes)
-    return _IdxDataset(image_bytes, dims, lab, int(num_classes), h.hexdigest())
+    return _IdxDataset(image_bytes, dims, images, lab, int(num_classes), h.hexdigest())
 
 
 def make_batches(ds: LabeledDataset, batch_size: int, num_batches: int,

@@ -246,8 +246,7 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
     EVAL_EVERY iterations and at the end, with held-out accuracy measured
     on the whole test selection. elapsed covers encoding, forward, backward,
     and the update, but not metrics.
-    Every step encodes its batch into one bits array, in the forward's
-    parts, and every forward shares one set of work arrays.
+    Every forward shares one set of work arrays.
     """
     images = ds_train.images
     if images.shape[1] != model.n_in:
@@ -268,8 +267,6 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
     model.w_out = theta[n_wh:].reshape(model.w_out.shape)
     scratch: dict = {}
     grad = np.empty(theta.size)
-    bits = np.empty((batch_size, time_steps, model.n_in), np.uint8)
-    part = part_size(batch_size, max(model.n_hidden, model.num_classes))
 
     metrics: list[IterationMetrics] = []
     elapsed = 0.0
@@ -277,9 +274,7 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
         sel = train_indices[(iteration - 1) * batch_size:iteration * batch_size]
         labels = ds_train.labels[sel]
         t0 = time.perf_counter()
-        run_parts(lambda rows: encode_batch(images, sel[rows], time_steps, master_seed,
-                                            ENCODE_TRAIN_STREAM, out=bits[rows]),
-                  batch_size, part)
+        bits = encode_batch(images, sel, time_steps, master_seed, ENCODE_TRAIN_STREAM)
         tape = _record_tape(model, bits, scratch)
         y = np.zeros((len(sel), model.num_classes))
         y[np.arange(len(sel)), labels] = 1.0
@@ -293,8 +288,8 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
             loss = _batch_loss(tape.output_u_pre, labels) / time_steps
             counts = tape.output_bits.sum(axis=1, dtype=np.int64)
             batch_acc = float((counts.argmax(axis=1) == labels).mean())
-        # The tape is made of bits and views of scratch, which the next step
-        # overwrites; the held-out pass runs in work arrays of its own.
+        # The tape holds the batch's bits, freed before the held-out pass.
+        del tape, bits
         if evaluating:
             test_acc = evaluate_sg(model, ds_test, time_steps, master_seed, test_indices,
                                    ENCODE_TEST_STREAM)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gzip
 import json
 import os
 import re
@@ -22,7 +23,7 @@ from ransnn.harness import (ConfigError, DataPaths, ExperimentConfig, SweepSpec,
                             config_from_dict, config_from_file, emit_metrics,
                             parse_dist, resolved_config_dict,
                             run_experiment, run_sweep, summarize_sweep)
-from ransnn.idx import load_dataset
+from ransnn.idx import load_dataset, make_batches
 from ransnn.network import (LifParams, Normal, Uniform, fan_in_uniform, init_weights,
                             openblas)
 from ransnn.numerics import AdamConfig
@@ -375,21 +376,37 @@ class TestDatasetFingerprint:
         assert load_dataset(images, tmp_path / "relabelled-labels-idx1-ubyte",
                             num_classes=3).fingerprint != fingerprints[0]
 
+    @pytest.mark.parametrize("name,damage", [
+        ("train-images-idx3-ubyte.gz", "flip"), ("train-images-idx3-ubyte.gz", "wide"),
+        ("t10k-images-idx3-ubyte", "wide")])
     def test_corrupt_image_file_exits_2_with_and_without_a_warm_cache(
-            self, tmp_path, monkeypatch, capsys):
+            self, tmp_path, monkeypatch, capsys, name, damage):
+        # "flip" flips a byte in the middle of the gzip stream; "wide" sets
+        # the cols extent to 0x0C0C for 0x0C, which fails at load, before
+        # the batches or any weights are made.
         monkeypatch.setenv("RANSNN_DATA_DIR", str(tmp_path / "data"))
-        images = _write_mnist(tmp_path / "data", 1, 2) / "train-images-idx3-ubyte.gz"
+        images = _write_mnist(tmp_path / "data", 1, 2) / name
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(TINY))
         warm = ["run", "--config", str(cfg), "--cache-dir", str(tmp_path / "caches")]
         assert main(warm) == 0
+        gz = name.endswith(".gz")
         damaged = bytearray(images.read_bytes())
-        damaged[len(damaged) // 2] ^= 0xFF
+        if damage == "flip":
+            damaged[len(damaged) // 2] ^= 0xFF
+        else:
+            damaged = bytearray(gzip.decompress(damaged)) if gz else damaged
+            damaged[14] = 0x0C
+            damaged = gzip.compress(damaged) if gz else damaged
         images.write_bytes(bytes(damaged))
+        batches = []
+        monkeypatch.setattr(harness, "make_batches",
+                            lambda *args: batches.append(args) or make_batches(*args))
         capsys.readouterr()
         for argv in (warm, warm[:3]):
             assert main(argv) == 2
             assert capsys.readouterr().err.startswith("parse error:")
+        assert (batches == []) == (damage == "wide")
 
 
 # One short SG training (every iteration on the curve) and one extraction

@@ -175,13 +175,54 @@ class TestLoadDataset:
         assert ds.images is ds.images and calls == [1]
 
     @pytest.mark.parametrize("gz", [False, True])
-    def test_short_image_payload_raised_on_first_access(self, tmp_path, small_blobs, gz):
-        img, lab = write_dataset_idx(small_blobs, 12, tmp_path, "short")
-        data = Path(img).read_bytes()[:-1]
-        Path(img).write_bytes(gzip.compress(data) if gz else data)
-        ds = load_dataset(img, lab, num_classes=3)
+    @pytest.mark.parametrize("damage", ["short", "wide"])
+    def test_image_size_against_the_header_raised_at_load(self, tmp_path, small_blobs, gz,
+                                                           damage):
+        # A payload a byte short, or a cols extent of 0x0C0C for 0x0C, fails
+        # in load_dataset, before a caller sizes anything by the header.
+        img, lab = write_dataset_idx(small_blobs, 12, tmp_path, "bad")
+        data = bytearray(Path(img).read_bytes())
+        if damage == "short":
+            del data[-1]
+        else:
+            data[14] = 0x0C
+        Path(img).write_bytes(gzip.compress(data) if gz else bytes(data))
         with pytest.raises(IdxLengthError):
+            load_dataset(img, lab, num_classes=3)
+
+    def test_gzip_trailer_of_the_undamaged_file_still_fails_at_load(self, tmp_path,
+                                                                     small_blobs):
+        # A wide cols extent inside the deflate stream, with the trailer
+        # (CRC and ISIZE) of the file as written: the decode at load fails.
+        img, lab = write_dataset_idx(small_blobs, 12, tmp_path, "bad", gz=True)
+        good = Path(img).read_bytes()
+        data = bytearray(gzip.decompress(good))
+        data[14] = 0x0C
+        Path(img).write_bytes(gzip.compress(data)[:-8] + good[-8:])
+        with pytest.raises(IdxFormatError, match="gzip"):
+            load_dataset(img, lab, num_classes=3)
+
+    def test_damaged_deflate_stream_raised_on_first_access(self, tmp_path, small_blobs):
+        # The stored size agrees with the header, so the CRC mismatch is
+        # found by the decode on first access.
+        img, lab = write_dataset_idx(small_blobs, 12, tmp_path, "crc", gz=True)
+        data = bytearray(Path(img).read_bytes())
+        data[-8] ^= 0xFF
+        Path(img).write_bytes(bytes(data))
+        ds = load_dataset(img, lab, num_classes=3)
+        assert len(ds) == len(small_blobs)
+        with pytest.raises(IdxFormatError, match="gzip"):
             ds.images
+
+    def test_multi_member_gzip_decodes_at_load(self, tmp_path, small_blobs):
+        # The last member's ISIZE is not the file's length, so the pixels
+        # are decoded by load_dataset, and decode the same.
+        img, lab = write_dataset_idx(small_blobs, 12, tmp_path, "multi")
+        data = Path(img).read_bytes()
+        Path(img).write_bytes(gzip.compress(data[:100]) + gzip.compress(data[100:]))
+        ds = load_dataset(img, lab, num_classes=3)
+        assert ds._images is not None
+        assert np.array_equal(ds.images, small_blobs.images)
 
     def test_pixel_range(self, tmp_path, small_blobs):
         img, lab = write_dataset_idx(small_blobs, 12, tmp_path, "c")
