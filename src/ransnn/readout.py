@@ -31,6 +31,8 @@ CACHE_MAGIC = b"RSNNFC01"
 # Samples per chunk of a selection in count_spikes, which runs each chunk as
 # parts of part_size(chunk, width) samples (README: why 8).
 EXTRACT_CHUNK = 8
+# Training steps whose held-out accuracies one GEMM scores (README: why 16).
+EVAL_GROUP = 16
 
 
 def feature_digest(layer_sizes, dist: WeightDistribution, seed: int, lif: LifParams,
@@ -274,7 +276,9 @@ def train_readout(cache_train: FeatureCache, cache_test: FeatureCache, *,
     label must lie below num_classes. A metrics point, with held-out
     accuracy on the whole test cache, is recorded after every step; its
     elapsed field times only the forward/backward/update work, not metric
-    evaluation.
+    evaluation. Each step's weights and bias are copied into a buffer of
+    min(EVAL_GROUP, steps) snapshots, which _test_accuracies scores after
+    the group's last step.
     """
     if len(cache_train) == 0 or len(cache_test) == 0:
         raise ValueError("training requires non-empty train and test caches")
@@ -297,9 +301,14 @@ def train_readout(cache_train: FeatureCache, cache_test: FeatureCache, *,
     model = ReadoutModel(weights=theta[:n_w].reshape(num_classes, n_feat), bias=theta[n_w:])
     state = AdamState.zeros(theta.size, adam)
     x_test = cache_test.features.astype(np.float64)
+    x_sums = _row_sums(cache_test.features)
     y_test = cache_test.labels
+    group = min(EVAL_GROUP, total_iters)
+    w_group = np.empty((group, num_classes, n_feat))
+    b_group = np.empty((group, num_classes))
 
     metrics: list[IterationMetrics] = []
+    pending: list[tuple[int, float, float, float]] = []
     elapsed = 0.0
     for iteration in range(1, total_iters + 1):
         rows = slice((iteration - 1) * batch_size, iteration * batch_size)
@@ -310,22 +319,78 @@ def train_readout(cache_train: FeatureCache, cache_test: FeatureCache, *,
         adam_step(theta, grad, state)
         elapsed += time.perf_counter() - t0
 
-        batch_acc = float((probs.argmax(axis=1) == yb).mean())
-        test_acc = _accuracy(model, x_test, y_test)
-        metrics.append(IterationMetrics(
-            iteration=iteration, train_accuracy=batch_acc,
-            test_accuracy=test_acc, loss=loss, elapsed=elapsed))
+        w_group[len(pending)] = model.weights
+        b_group[len(pending)] = model.bias
+        pending.append((iteration, float((probs.argmax(axis=1) == yb).mean()), loss, elapsed))
+        if len(pending) == group or iteration == total_iters:
+            test_accs = _test_accuracies(x_test, x_sums, y_test, w_group[:len(pending)],
+                                         b_group[:len(pending)])
+            metrics += [IterationMetrics(iteration=i, train_accuracy=batch_acc,
+                                         test_accuracy=test_acc, loss=step_loss,
+                                         elapsed=step_elapsed)
+                        for (i, batch_acc, step_loss, step_elapsed), test_acc
+                        in zip(pending, test_accs)]
+            pending.clear()
 
     return model, metrics
 
 
-def _accuracy(model: ReadoutModel, x, labels) -> float:
-    preds = (x @ model.weights.T + model.bias).argmax(axis=1)
-    return float((preds == labels).mean())
+def _row_sums(features) -> np.ndarray:
+    """Each row's sum of spike counts, exact (integer) and as float64."""
+    return features.sum(axis=1, dtype=np.int64).astype(np.float64)
+
+
+def _certified(logits, preds, x_sums, weights, bias) -> np.ndarray:
+    """(m, n) mask over the (m, C, n) logits of n samples under m snapshots,
+    whose argmax over classes is preds: True where every logit is finite
+    and the top one leads the next by more than 4e, with e = (γ_K + 2u)
+    (x_sums · max|W| + max|b|) per snapshot and sample, K the feature count
+    (README, "Determinism"). It overwrites each top logit with -inf.
+
+    Any summation order, with or without FMA, of a row x >= 0 times a
+    snapshot's weights plus its bias is within e of the exact logit, so two
+    such products differ by at most 2e and a lead above 4e in one fixes the
+    other's argmax. The factor 5 leaves room for the rounding of e and of
+    the lead.
+    """
+    n_feat = weights.shape[2]
+    u = 2.0 ** -53
+    gamma = n_feat * u / (1.0 - n_feat * u)
+    err = (gamma + 2 * u) * (np.multiply.outer(np.abs(weights).max(axis=(1, 2)), x_sums)
+                             + np.abs(bias).max(axis=1)[:, None])
+    sure = np.isfinite(logits).all(axis=1)
+    top = np.take_along_axis(logits, preds[:, None], axis=1)[:, 0]
+    np.put_along_axis(logits, preds[:, None], -np.inf, axis=1)
+    sure &= top - logits.max(axis=1) > 5 * err
+    return sure
+
+
+def _test_accuracies(x, x_sums, labels, weights, bias) -> list[float]:
+    """Held-out accuracy of each snapshot j, weights[j] (C, K) and bias[j]
+    (C,), on the float64 rows x (n, K) of nonnegative counts, whose sums are
+    x_sums.
+
+    One GEMM, W_group @ x.T with the snapshots' weights stacked into m·C
+    rows, scores every snapshot. Its argmax is taken where _certified
+    proves it equals that of x @ weights[j].T + bias[j], the per-snapshot
+    product; a snapshot with any uncertified row is rescored with that
+    product, whose argmax takes the lowest of tied classes. So the accuracy
+    does not depend on the GEMM's last bits.
+    """
+    m, c, k = weights.shape
+    logits = weights.reshape(m * c, k) @ x.T
+    logits += bias.reshape(m * c, 1)
+    logits = logits.reshape(m, c, len(x))
+    preds = logits.argmax(axis=1)
+    sure = _certified(logits, preds, x_sums, weights, bias)
+    for j in np.flatnonzero(~sure.all(axis=1)):
+        preds[j] = (x @ weights[j].T + bias[j]).argmax(axis=1)
+    return [float(acc) for acc in (preds == labels).mean(axis=1)]
 
 
 def evaluate(model: ReadoutModel, cache: FeatureCache) -> float:
-    """Fraction of cache samples whose argmax class matches the label.
+    """Fraction of cache samples whose argmax class matches the label,
+    scored as one snapshot by the training curve's scorer.
 
     Ties resolve to the lowest class index (argmax takes the first maximum).
     """
@@ -335,4 +400,5 @@ def evaluate(model: ReadoutModel, cache: FeatureCache) -> float:
         raise ValueError(
             f"cache width {cache.num_features} does not match model width "
             f"{model.num_features}")
-    return _accuracy(model, cache.features.astype(np.float64), cache.labels)
+    return _test_accuracies(cache.features.astype(np.float64), _row_sums(cache.features),
+                            cache.labels, model.weights[None], model.bias[None])[0]

@@ -4,12 +4,14 @@ import pytest
 from conftest import extract, mnist_shaped
 from oracles import (central_difference_grad, cross_entropy, reference_cache_bytes,
                      reference_lif_stack, relative_error)
+from ransnn import readout
 from ransnn.encoding import encode_sample
 from ransnn.idx import LabeledDataset
 from ransnn.network import (LifParams, Normal, Uniform, fan_in_uniform, init_weights,
                             simulate_forward)
-from ransnn.numerics import ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM, AdamConfig, Rng, softmax
-from ransnn.readout import (CacheFormatError, FeatureCache, ReadoutModel, evaluate,
+from ransnn.numerics import (ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM, AdamConfig, Rng, adam_step,
+                             softmax)
+from ransnn.readout import (EVAL_GROUP, CacheFormatError, FeatureCache, ReadoutModel, evaluate,
                             extract_features, extract_features_at, feature_digest,
                             readout_loss_grad, train_readout)
 
@@ -497,3 +499,167 @@ class TestEvaluate:
         _, probs, _ = readout_loss_grad(model, feats, labels)
         _, scaled_probs, _ = readout_loss_grad(scaled_model, feats * 3.0, labels)
         assert np.array_equal(probs.argmax(axis=1), scaled_probs.argmax(axis=1))
+
+
+def spike_counts(rng, n, width, density=0.3, time_steps=25):
+    """(n, width) u16 counts in [0, time_steps], each nonzero with the given
+    probability."""
+    counts = rng.integers(0, time_steps + 1, size=(n, width))
+    return (counts * (rng.random((n, width)) < density)).astype(np.uint16)
+
+
+def reference_accuracy(x, labels, weights, bias):
+    """The per-snapshot product's accuracy, ties to the lowest class."""
+    return float(((x @ weights.T + bias).argmax(axis=1) == labels).mean())
+
+
+def train_with_snapshots(monkeypatch, train, test, num_classes, batch_size):
+    """train_readout's (model, metrics), plus a copy of theta after each
+    Adam step."""
+    thetas = []
+
+    def recording_step(theta, grad, state):
+        adam_step(theta, grad, state)
+        thetas.append(theta.copy())
+
+    monkeypatch.setattr(readout, "adam_step", recording_step)
+    model, metrics = train_readout(train, test, adam=AdamConfig(), batch_size=batch_size,
+                                   num_classes=num_classes)
+    n_w = num_classes * train.num_features
+    return model, metrics, [(t[:n_w].reshape(num_classes, -1), t[n_w:]) for t in thetas]
+
+
+def spy_certified(monkeypatch):
+    """Every mask _certified returns, in call order. The spy also sets every
+    prediction of a snapshot it did not certify to -1, which only the
+    rescoring can undo."""
+    masks = []
+
+    def spy(logits, preds, *args):
+        masks.append(certified(logits, preds, *args))
+        preds[~masks[-1].all(axis=1)] = -1
+        return masks[-1]
+
+    certified = readout._certified
+    monkeypatch.setattr(readout, "_certified", spy)
+    return masks
+
+
+class TestGroupedScoring:
+    G = EVAL_GROUP
+
+    @pytest.mark.parametrize("total_iters", [1, G - 1, G, G + 1, 2 * G + 3])
+    @pytest.mark.parametrize("n_test", [1, 2, 7, 33, 384])
+    @pytest.mark.parametrize("classes", [1, 2, 10, 62])
+    @pytest.mark.parametrize("width", [1, 40, 2000])
+    def test_curve_equals_the_per_step_product(self, monkeypatch, total_iters, n_test,
+                                               classes, width):
+        rng = np.random.default_rng([total_iters, n_test, classes, width])
+        batch = 4
+        train = counts_cache(spike_counts(rng, total_iters * batch, width),
+                             rng.integers(0, classes, total_iters * batch))
+        test = counts_cache(spike_counts(rng, n_test, width), rng.integers(0, classes, n_test))
+        model, metrics, snapshots = train_with_snapshots(monkeypatch, train, test, classes,
+                                                         batch)
+        x = test.features.astype(np.float64)
+        assert [m.iteration for m in metrics] == list(range(1, total_iters + 1))
+        assert [m.test_accuracy for m in metrics] == [
+            reference_accuracy(x, test.labels, w, b) for w, b in snapshots]
+        assert evaluate(model, test) == metrics[-1].test_accuracy
+
+    @pytest.mark.parametrize("n_test, classes, width, m",
+                             [(1, 2, 40, 3), (33, 10, 2000, 16), (384, 62, 784, 6),
+                              (128, 2, 2000, 16)])
+    def test_grouped_logits_lie_within_twice_the_bound(self, n_test, classes, width, m):
+        # The certificate's premise: a grouped GEMM, in either orientation,
+        # and each snapshot's own product are all within e of the exact
+        # logits.
+        rng = np.random.default_rng([n_test, classes, width, m])
+        counts = spike_counts(rng, n_test, width)
+        x = counts.astype(np.float64)
+        weights = rng.normal(0, 0.05, (m, classes, width))
+        bias = rng.normal(0, 0.05, (m, classes))
+        stacked = weights.reshape(m * classes, width)
+        u = 2.0 ** -53
+        e = ((width * u / (1 - width * u) + 2 * u)
+             * (np.multiply.outer(readout._row_sums(counts), np.abs(weights).max(axis=(1, 2)))
+                + np.abs(bias).max(axis=1)))
+        for grouped in ((x @ stacked.T).reshape(n_test, m, classes) + bias,
+                        (stacked @ x.T).T.reshape(n_test, m, classes) + bias):
+            for j in range(m):
+                alone = x @ weights[j].T + bias[j]
+                assert (np.abs(grouped[:, j] - alone) <= 2 * e[:, j, None]).all()
+
+    def test_identical_weight_rows_fall_back_to_the_lowest_class(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        counts = spike_counts(rng, 50, 40)
+        counts[:, 0] = 1  # no all-zero row, whose logits would tie in every snapshot
+        x = counts.astype(np.float64)
+        weights = rng.normal(0, 0.05, (3, 4, 40))
+        bias = np.zeros((3, 4))
+        weights[1, 1] = weights[1, 2] = 1.0  # classes 1 and 2 tie and lead every row
+        labels = np.full(50, 1)
+        masks = spy_certified(monkeypatch)
+        accs = readout._test_accuracies(x, readout._row_sums(counts), labels, weights, bias)
+        assert not masks[0][1].any() and masks[0][[0, 2]].all()
+        assert accs == [reference_accuracy(x, labels, w, b) for w, b in zip(weights, bias)]
+        assert accs[1] == 1.0
+        model = ReadoutModel(weights=weights[1].copy(), bias=bias[1].copy())
+        assert evaluate(model, counts_cache(counts, labels)) == 1.0
+
+    def test_all_zero_test_row_at_step_one_falls_back(self, monkeypatch):
+        # At step 1 the zero row's logits are the bias. Classes 1 and 2 are
+        # one row each of the first batch, so their bias gradients, and
+        # biases, are equal and the largest.
+        rng = np.random.default_rng(8)
+        train = counts_cache(spike_counts(rng, 2 * 5, 12), [1, 2] + [0, 1, 2, 0] * 2)
+        test_counts = spike_counts(rng, 9, 12)
+        test_counts[4] = 0
+        test = counts_cache(test_counts, rng.integers(0, 3, 9))
+        masks = spy_certified(monkeypatch)
+        _, metrics, snapshots = train_with_snapshots(monkeypatch, train, test, 3, 2)
+        w1, b1 = snapshots[0]
+        assert b1[1] == b1[2] > b1[0]
+        assert not masks[0][0, 4]
+        x = test.features.astype(np.float64)
+        assert (x @ w1.T + b1).argmax(axis=1)[4] == 1
+        assert [m.test_accuracy for m in metrics] == [
+            reference_accuracy(x, test.labels, w, b) for w, b in snapshots]
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_logit_is_never_certified(self, monkeypatch, bad):
+        rng = np.random.default_rng(13)
+        counts = spike_counts(rng, 20, 30, density=0.5)
+        counts[:, 0] = 3
+        x = counts.astype(np.float64)
+        weights = rng.normal(0, 0.05, (2, 5, 30))
+        bias = rng.normal(0, 0.05, (2, 5))
+        weights[1, 3, 0] = bad
+        labels = rng.integers(0, 5, 20)
+        masks = spy_certified(monkeypatch)
+        accs = readout._test_accuracies(x, readout._row_sums(counts), labels, weights, bias)
+        assert not masks[0][1].any()
+        with np.errstate(invalid="ignore"):
+            expected = [reference_accuracy(x, labels, w, b) for w, b in zip(weights, bias)]
+        assert accs == expected
+
+    def test_overflowed_logit_is_never_certified(self):
+        # A logit can overflow while the bound stays finite; the lead of an
+        # infinite top logit, or over an infinite bottom one, proves nothing.
+        weights, bias = np.zeros((1, 3, 1)), np.zeros((1, 3))
+        for column in ([np.inf, 1.0, 0.0], [5.0, 1.0, -np.inf]):
+            logits = np.array(column).reshape(1, 3, 1)
+            preds = logits.argmax(axis=1)
+            assert not readout._certified(logits, preds, np.ones(1), weights, bias).any()
+
+    def test_lead_must_exceed_four_times_the_bound(self):
+        # e for one row summing to 40 under weights of max |w| 0.25 and a
+        # bias of max |b| 0.5, at K = 8 features.
+        weights = np.full((1, 2, 8), 0.25)
+        bias = np.array([[0.5, 0.0]])
+        u = 2.0 ** -53
+        e = (8 * u / (1 - 8 * u) + 2 * u) * (40 * 0.25 + 0.5)
+        for lead, sure in ((4 * e, False), (6 * e, True)):
+            logits = np.array([lead, 0.0]).reshape(1, 2, 1)
+            preds = logits.argmax(axis=1)
+            assert readout._certified(logits, preds, np.array([40.0]), weights, bias)[0, 0] == sure
