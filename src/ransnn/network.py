@@ -212,66 +212,96 @@ def run_parts(fn, n: int, size: int) -> None:
 
 
 def work_arrays(scratch: dict, weights, n_batch: int, steps: int) -> list[tuple]:
-    """Per layer i, (w, x, cur, spikes) for a batch of n_batch samples: its
-    float64 input copy, float64 currents and uint8 spikes, the work arrays
-    scratch keeps under ("in", i), ("cur", i) and ("spikes", i)."""
-    return [(w, _buffer(scratch, ("in", i), (n_batch, steps, w.shape[1]), np.float64),
-             _buffer(scratch, ("cur", i), (n_batch, steps, w.shape[0]), np.float64),
-             _buffer(scratch, ("spikes", i), (n_batch, steps, w.shape[0]), np.uint8))
-            for i, w in enumerate(weights)]
+    """Per layer i, (w, cur, out) for a batch of n_batch samples: its
+    float64 currents, kept in scratch under ("cur", i), and the array its
+    spikes go to. That is the next layer's float64 input, kept under
+    ("in", i + 1), or for the last layer uint8 spikes, kept under "spikes".
+    The first layer's input is the caller's. They are allocated layer by
+    layer, currents first: on the sweep-steps bench, allocating the spikes
+    before the currents left the pool threads' malloc arenas about 2 MB
+    higher in peak RSS."""
+    layers = []
+    for i, w in enumerate(weights):
+        shape = (n_batch, steps, w.shape[0])
+        cur = _buffer(scratch, ("cur", i), shape, np.float64)
+        if i + 1 < len(weights):
+            layers.append((w, cur, _buffer(scratch, ("in", i + 1), shape, np.float64)))
+        else:
+            layers.append((w, cur, _buffer(scratch, "spikes", shape, np.uint8)))
+    return layers
 
 
-def lif_stack(bits: np.ndarray, layers, lif: LifParams, record: bool = False) -> np.ndarray:
+def lif_stack(bits: np.ndarray, x: np.ndarray, layers, lif: LifParams,
+              record: bool = False) -> np.ndarray:
     """The one LIF recursion: a (m, T, n_in) part of 0/1 inputs through the
     layers of work_arrays for m samples, every potential starting at 0, to
-    the last layer's spikes. Per layer one GEMM of the (m*T, n_in) rows by
-    w.T writes the currents, then the steps write spikes (and, with record,
-    the pre-reset potentials over the currents). It starts no thread."""
-    s = bits
-    for w, x, cur, spikes in layers:
-        x[...] = s
+    the last layer's spikes. x is the first layer's float64 input, which
+    receives bits. Per layer one GEMM of the (m*T, n_in) rows by w.T writes
+    the currents, then the steps write spikes into out (and, with record,
+    the pre-reset potentials over the currents): as 0.0/1.0 into the next
+    layer's input, whose GEMM reads them, or as uint8 for the last layer.
+    It starts no thread."""
+    x[...] = bits
+    for w, cur, out in layers:
         np.matmul(x.reshape(-1, w.shape[1]), w.T, out=cur.reshape(-1, w.shape[0]))
         u = np.zeros((cur.shape[0], w.shape[0]))
         for t in range(cur.shape[1]):
             u *= lif.beta
             u += cur[:, t]
-            fired = np.greater(u, lif.u_thr, out=spikes[:, t])
+            fired = np.greater(u, lif.u_thr, out=out[:, t])
             if record:
                 cur[:, t] = u
             u -= lif.u_thr * fired
-        s = spikes
-    return s
+        x = out
+    return x
 
 
 def simulate(bits: np.ndarray, weights, lif: LifParams,
-             scratch: dict | None = None) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+             scratch: dict | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
     """A (B, T, n_in) batch of 0/1 inputs through a stack of layers
     sharing the neuron constants lif, every potential starting at 0.
 
     The batch splits into parts of part_size(B, n) samples, n the widest
     layer's width, which run_parts spreads over the workers; each part runs
     lif_stack over its rows of the work arrays, recording. Returns per layer
-    the arrays it ran in: the (B*T, n_in) float64 copy of its input, the
-    (B, T, n) pre-reset potentials and the (B, T, n) uint8 spikes. A scratch
+    the arrays it ran in: the (B, T, n) pre-reset potentials and the
+    (B, T, n) spikes, as float64 0.0/1.0 for a layer that feeds another (the
+    next layer's GEMM input) and as uint8 for the last layer. A scratch
     dict passed to successive calls keeps their work arrays, which the
-    returned arrays then share until the next call. No row depends on the
-    rest of the batch, so any grouping gives bit-identical spikes; the split
-    depends only on the shapes, so any worker count gives the same bits.
+    returned arrays then share until the next call.
+
+    No (B, T, n_in) float64 copy of the input is kept: a part's copy lives
+    in its own rows of the second layer's input, which hold nothing until
+    the first layer's spikes overwrite them, or, where those rows are too
+    narrow or there is one layer, in a work array of the thread running the
+    part. The split is fixed by the shapes alone, so any worker count gives
+    the same bits; another grouping of the rows may not, since BLAS may
+    round a GEMM's rows differently in it (README, "Simulation kernel and
+    extraction chunks").
     """
     n_batch, steps, n_in = bits.shape
     if n_in != weights[0].shape[1]:
         raise ValueError(f"input has {n_in} neurons, layer 1 expects {weights[0].shape[1]}")
-    layers = work_arrays({} if scratch is None else scratch, weights, n_batch, steps)
+    scratch = {} if scratch is None else scratch
+    layers = work_arrays(scratch, weights, n_batch, steps)
+    in_next_input = len(weights) > 1 and weights[0].shape[0] >= n_in
+    if not in_next_input:
+        local = scratch.setdefault("local", threading.local())
 
     def run_part(rows):
-        lif_stack(bits[rows], [(w, x[rows], cur[rows], spikes[rows])
-                               for w, x, cur, spikes in layers], lif, record=True)
+        shape = bits[rows].shape
+        if in_next_input:
+            x = layers[0][2][rows].reshape(-1)[:np.prod(shape)].reshape(shape)
+        else:
+            x = _buffer(vars(local), "in", shape, np.float64)
+        lif_stack(bits[rows], x, [(w, cur[rows], out[rows]) for w, cur, out in layers], lif,
+                  record=True)
 
     run_parts(run_part, n_batch, part_size(n_batch, max(w.shape[0] for w in weights)))
-    return [(x.reshape(-1, w.shape[1]), cur, spikes) for w, x, cur, spikes in layers]
+    return [(cur, out) for _, cur, out in layers]
 
 
 def simulate_forward(net: NetworkTopology, bits: np.ndarray) -> np.ndarray:
     """The last hidden layer's (B, T, n_L) uint8 spikes for a (B, T, n_in)
     bit array of B samples."""
-    return simulate(bits, net.weights, net.lif)[-1][2]
+    return simulate(bits, net.weights, net.lif)[-1][1]

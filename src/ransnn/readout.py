@@ -10,6 +10,7 @@ trained with Adam on mean cross-entropy.
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 import struct
 import tempfile
@@ -33,6 +34,10 @@ CACHE_MAGIC = b"RSNNFC01"
 EXTRACT_CHUNK = 8
 # Training steps whose held-out accuracies one GEMM scores (README: why 16).
 EVAL_GROUP = 16
+# Least seconds between two progress lines of count_spikes.
+PROGRESS_SECONDS = 5.0
+
+log = logging.getLogger("ransnn")
 
 
 def feature_digest(layer_sizes, dist: WeightDistribution, seed: int, lif: LifParams,
@@ -153,7 +158,9 @@ def count_spikes(weights, lif: LifParams, images, indices, steps, master_seed: i
     runs the units, the parts of part_size(len(chunk), width) samples of
     each chunk of EXTRACT_CHUNK (width the widest layer's), which fix every
     GEMM's rows. A unit encodes its samples, runs lif_stack in its thread's
-    work arrays and sums its counts into its own rows of every array.
+    work arrays and sums its counts into its own rows of every array. The
+    thread that finishes a unit logs the samples done and the samples per
+    second at INFO, at most once per PROGRESS_SECONDS.
     """
     steps = sorted({int(t) for t in steps})
     if not steps:
@@ -172,15 +179,27 @@ def count_spikes(weights, lif: LifParams, images, indices, steps, master_seed: i
         size = part_size(end - chunk, max(w.shape[0] for w in weights))
         units += [slice(start, min(start + size, end)) for start in range(chunk, end, size)]
     local = threading.local()  # vars(local) is the running thread's own dict
+    lock = threading.Lock()
+    done, start = 0, time.perf_counter()
+    logged = start
 
     def run_unit(part):
+        nonlocal done, logged
         rows = units[part.start]
         shape = (rows.stop - rows.start, steps[-1], images.shape[1])
         bits = encode_batch(images, indices[rows], steps[-1], master_seed, stream_base,
                             out=_buffer(vars(local), "bits", shape, np.uint8))
-        spikes = lif_stack(bits, work_arrays(vars(local), weights, len(bits), steps[-1]), lif)
+        x = _buffer(vars(local), ("in", 0), shape, np.float64)
+        spikes = lif_stack(bits, x, work_arrays(vars(local), weights, len(bits), steps[-1]), lif)
         for t in steps:
             spikes[:, :t].sum(axis=1, dtype=np.uint16, out=counts[t][rows])
+        with lock:
+            done += len(bits)
+            now = time.perf_counter()
+            if now - logged >= PROGRESS_SECONDS:
+                logged = now
+                log.info("spike counts: %d of %d samples, %.0f samples/s", done,
+                         len(indices), done / (now - start))
 
     run_parts(run_unit, len(units), 1)
     return counts

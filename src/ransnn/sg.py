@@ -20,7 +20,7 @@ import numpy as np
 # Uncalled: encode_sample stays for the bench site sg.encode.
 from .encoding import encode_batch, encode_sample  # noqa: F401
 from .idx import LabeledDataset
-from .network import (LifParams, WeightDistribution, fan_in_uniform, part_size,
+from .network import (LifParams, WeightDistribution, _buffer, fan_in_uniform, part_size,
                       run_parts, sample_weights, simulate)
 from .numerics import (AdamConfig, AdamState, ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM,
                        PROB_FLOOR, Rng, WEIGHT_STREAM, adam_step, softmax)
@@ -92,22 +92,22 @@ class BpttTape:
     """Everything the reverse pass needs, recorded per step during forward.
 
     Arrays are batched (B, T, ...); pre-reset potentials are stored because
-    both the surrogate derivative and the loss are functions of them. The
-    flat float64 copies of the two layers' input bits are the forward's own
-    GEMM operands, which the weight-gradient GEMMs reuse. A tape recorded
-    into a shared scratch dict holds views of its work arrays, valid until
+    both the surrogate derivative and the loss are functions of them.
+    flat_hidden, the hidden spikes as 0.0/1.0 rows, is the output layer's
+    own GEMM operand, which the w_out gradient reuses. A tape holds views of
+    the work arrays of scratch, the dict it was recorded into, valid until
     the next simulate call with that dict. bptt_backward spends a tape: it
-    writes the hidden adjoint over flat_hidden.
+    writes the hidden adjoint over flat_hidden and the input rows over
+    hidden_u_pre.
     """
 
     input_bits: np.ndarray  # (B, T, n_in) uint8
-    flat_input: np.ndarray  # (B*T, n_in) float64
     hidden_u_pre: np.ndarray  # (B, T, n_hidden) float64
-    hidden_bits: np.ndarray  # (B, T, n_hidden) uint8
     flat_hidden: np.ndarray  # (B*T, n_hidden) float64
     output_u_pre: np.ndarray  # (B, T, C) float64
     output_bits: np.ndarray  # (B, T, C) uint8
     model_version: int
+    scratch: dict
     spent: bool = False
 
 
@@ -115,10 +115,11 @@ def _record_tape(model: SgModel, input_bits: np.ndarray,
                  scratch: dict | None = None) -> BpttTape:
     """Forward a (B, T, n_in) batch through both layers, keeping the tape;
     scratch as in simulate, and without one the tape owns its arrays."""
-    hidden, output = simulate(input_bits, (model.w_hidden, model.w_out), model.lif, scratch)
-    # Each layer's (flat input, u_pre, spikes) as simulate returns them,
-    # in the tape's field order.
-    return BpttTape(input_bits, *hidden, *output, model_version=model.version)
+    scratch = {} if scratch is None else scratch
+    (hidden_u_pre, hidden_spikes), (output_u_pre, output_bits) = simulate(
+        input_bits, (model.w_hidden, model.w_out), model.lif, scratch)
+    return BpttTape(input_bits, hidden_u_pre, hidden_spikes.reshape(-1, model.n_hidden),
+                    output_u_pre, output_bits, model.version, scratch)
 
 
 def _adjoint(drive: np.ndarray, u_pre: np.ndarray, beta: float, thr: float,
@@ -159,17 +160,22 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true, *,
 
     The tape is spent: once the w_out gradient has read tape.flat_hidden,
     the hidden adjoint is computed in place over it, and a second backward
-    on the tape raises ValueError. The hidden adjoint runs in parts of
-    part_size(B, n_hidden) samples and the hidden gradient's GEMM in blocks
-    of GRAD_ROWS rows, both through run_parts; the split depends only on
-    the shapes, so the bits do not depend on the worker count.
+    on the tape raises ValueError. Once the adjoint has read
+    tape.hidden_u_pre, the hidden gradient's GEMM operand, the input bits as
+    (B*T, n_in) float64 rows, is rebuilt in its storage, or where n_in >
+    n_hidden in a work array kept in tape.scratch. The hidden adjoint and
+    that rebuild run in parts of part_size(B, n_hidden) samples and the
+    hidden gradient's GEMM in blocks of GRAD_ROWS rows, all through
+    run_parts; the split depends only on the shapes, so the bits do not
+    depend on the worker count.
 
     Both gradients are written into one flat float64 vector, the hidden
     matrix's entries first, and returned as views of it; out supplies that
     vector (a fresh one is allocated without it).
     """
     if tape.spent:
-        raise ValueError("spent tape: a backward already overwrote its flat_hidden")
+        raise ValueError("spent tape: a backward already overwrote its flat_hidden "
+                         "and hidden_u_pre")
     if tape.model_version != model.version:
         raise ValueError(
             f"stale tape: recorded under model version {tape.model_version}, "
@@ -202,11 +208,23 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true, *,
     def adjoint_part(rows):
         _adjoint(lam_hid[rows], tape.hidden_u_pre[rows], beta, thr, gate=True)
 
-    run_parts(adjoint_part, n_batch, part_size(n_batch, model.n_hidden))
+    size = part_size(n_batch, model.n_hidden)
+    run_parts(adjoint_part, n_batch, size)
+    shape = (n_batch, steps, model.n_in)
+    if model.n_in <= model.n_hidden:
+        inputs = tape.hidden_u_pre.reshape(-1)[:np.prod(shape)].reshape(shape)
+    else:
+        inputs = _buffer(tape.scratch, "flat_input", shape, np.float64)
+
+    def input_part(rows):
+        inputs[rows] = tape.input_bits[rows]
+
+    run_parts(input_part, n_batch, size)
+    flat_input = inputs.reshape(n_batch * steps, model.n_in)
     d_w_hidden = out[:n_wh].reshape(model.w_hidden.shape)
 
     def gradient_part(rows):
-        np.matmul(lam_flat[:, rows].T, tape.flat_input, out=d_w_hidden[rows])
+        np.matmul(lam_flat[:, rows].T, flat_input, out=d_w_hidden[rows])
 
     run_parts(gradient_part, model.n_hidden, GRAD_ROWS)
     return d_w_hidden, d_w_out

@@ -85,7 +85,7 @@ def drive_layer(currents, lif) -> tuple[np.ndarray, np.ndarray]:
     beta * u_post(t) + currents[t + 1]."""
     currents = np.asarray(currents, dtype=np.float64)
     bits = np.eye(len(currents), dtype=np.uint8)[None]
-    [(_, u_pre, spikes)] = simulate(bits, (currents.T.copy(),), lif)
+    [(u_pre, spikes)] = simulate(bits, (currents.T.copy(),), lif)
     return spikes[0], u_pre[0]
 
 

@@ -202,10 +202,10 @@ def _reference_adjoint(drive: np.ndarray, g: np.ndarray, beta: float, thr: float
 def reference_bptt_backward(model, tape, y_true, *, reduction: str = "mean",
                             detach_reset: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The reverse pass as it was before the surrogate was streamed through
-    the adjoint: whole (B, T, n) surrogate arrays and fresh float64 copies of
-    the tape's input and hidden bits for the weight-gradient GEMMs. The
-    streamed pass does the same arithmetic, so the two must agree bit for
-    bit."""
+    the adjoint: whole (B, T, n) surrogate arrays, a fresh copy of the
+    tape's hidden spikes and a fresh float64 copy of its input bits for the
+    weight-gradient GEMMs. The streamed pass does the same arithmetic, so
+    the two must agree bit for bit. It leaves the tape as it was."""
     from ransnn.numerics import softmax
     from ransnn.sg import surrogate_grad
 
@@ -223,7 +223,7 @@ def reference_bptt_backward(model, tape, y_true, *, reduction: str = "mean",
     g_hid = surrogate_grad(tape.hidden_u_pre - thr)
 
     lam_out = _reference_adjoint(d_direct, g_out, beta, thr, detach_reset)
-    flat_hidden = tape.hidden_bits.reshape(n_batch * steps, -1).astype(np.float64)
+    flat_hidden = np.array(tape.flat_hidden, dtype=np.float64)
     d_w_out = lam_out.reshape(n_batch * steps, n_cls).T @ flat_hidden
 
     d_spikes = (lam_out.reshape(n_batch * steps, n_cls) @ model.w_out)

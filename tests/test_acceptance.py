@@ -260,7 +260,7 @@ class TestCriterion09DynamicsInvariants:
             net = init_weights([6, 8], Uniform(-0.05, 0.05), seed=seed, lif=lif)
             train = poisson_encode(Rng(seed, 2).uniform(0, 1, 6), 12, Rng(seed, 3))
             expected = linear_filter_membrane(net.weights[0], lif.beta, train)
-            [(_, u_pre, spikes)] = simulate(train[None], net.weights, net.lif)
+            [(u_pre, spikes)] = simulate(train[None], net.weights, net.lif)
             assert not spikes.any()
             worst = max(worst, float(np.max(np.abs(u_pre[0] - expected))))
         ok = worst <= 1e-12

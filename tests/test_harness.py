@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import gzip
 import json
+import logging
 import os
 import re
 import subprocess
@@ -827,6 +828,15 @@ class TestCli:
         assert main(["run", "--config", cfg, "--out", str(out)]) == 0
         assert out.exists()
         assert "accuracy=" in capsys.readouterr().out
+
+    def test_run_shows_extraction_progress_on_stderr(self, use_data_dir, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr("ransnn.readout.PROGRESS_SECONDS", 0.0)
+        assert main(["run", "--config", self._write_config(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert "spike counts: " in captured.err and "spike counts" not in captured.out
+        # The handler goes with the call.
+        assert not logging.getLogger("ransnn").handlers
 
     def test_seed_flag_overrides_config(self, use_data_dir, tmp_path, capsys):
         cfg = self._write_config(tmp_path, seed=None)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import drive_layer, extract
-from oracles import leak_decay_sequence, linear_filter_membrane, poisson_encode
+from oracles import (leak_decay_sequence, linear_filter_membrane, poisson_encode,
+                     reference_lif_stack)
 from ransnn.encoding import encode_sample
 from ransnn.idx import LabeledDataset
 from ransnn.network import (LifParams, NetworkTopology, Normal, Uniform,
@@ -194,7 +195,7 @@ class TestSimulateForward:
         net = self._net([6, 8], 0.05, seed=13, lif=lif)
         train = poisson_encode(Rng(5, 0).uniform(0, 1, 6), 12, Rng(6, 0))
         expected = linear_filter_membrane(net.weights[0], lif.beta, train)
-        [(_, u_pre, spikes)] = simulate(train[None], net.weights, net.lif)
+        [(u_pre, spikes)] = simulate(train[None], net.weights, net.lif)
         assert not spikes.any()
         assert np.max(np.abs(u_pre[0] - expected)) <= 1e-12
 
@@ -210,13 +211,20 @@ class TestSimulateForward:
         assert out.shape == (1, 25, 6)
         assert np.isin(out, (0, 1)).all()
 
-    def test_each_layer_returns_its_input_as_float64_rows(self):
-        net = self._net([10, 16, 6], 0.8, seed=2)
-        bits = (Rng(9, 0).random((3, 7, 10)) < 0.4).astype(np.uint8)
-        (x0, _, s0), (x1, _, _) = simulate(bits, net.weights, net.lif)
-        assert x0.dtype == x1.dtype == np.float64
-        assert np.array_equal(x0, bits.reshape(21, 10))
-        assert s0.any() and np.array_equal(x1, s0.reshape(21, 16))
+    # The first layer's float64 input copy lives in the second layer's input
+    # rows where they are as wide (10 -> 16), else in a per-thread work array
+    # (20 -> 16).
+    @pytest.mark.parametrize("sizes", [(10, 16, 6), (20, 16, 6)], ids=["in-next-input",
+                                                                       "per-thread"])
+    def test_a_layer_feeding_another_returns_its_spikes_as_float64(self, sizes):
+        net = self._net(sizes, 0.8, seed=2)
+        bits = (Rng(9, 0).random((3, 7, sizes[0])) < 0.4).astype(np.uint8)
+        (u0, s0), (u1, s1) = simulate(bits, net.weights, net.lif)
+        (ref_s0, ref_u0), (ref_s1, ref_u1) = reference_lif_stack(net.weights, net.lif, bits)
+        assert s0.dtype == np.float64 and s1.dtype == np.uint8
+        assert s0.any() and s1.any() and not s0.all()
+        for got, ref in ((u0, ref_u0), (s0, ref_s0), (u1, ref_u1), (s1, ref_s1)):
+            assert np.array_equal(got, ref)
 
 
 class TestSimulatePrefix:
@@ -232,11 +240,11 @@ class TestSimulatePrefix:
     def test_prefix_equals_first_steps_of_the_full_run(self, sizes, dist):
         net = init_weights(sizes, dist, seed=3)
         bits = (Rng(4, 0).random((9, 25, sizes[0])) < 0.2).astype(np.uint8)
-        full = [(s.copy(), u.copy()) for _, u, s in simulate(bits, net.weights, net.lif)]
+        full = [(s.copy(), u.copy()) for u, s in simulate(bits, net.weights, net.lif)]
         assert all(s.any() and not s.all() for s, _ in full)
         for t in (1, 7, 24):
             prefix = simulate(bits[:, :t], net.weights, net.lif)
-            for (_, u, s), (s_full, u_full) in zip(prefix, full):
+            for (u, s), (s_full, u_full) in zip(prefix, full):
                 assert np.array_equal(s, s_full[:, :t])
                 np.testing.assert_allclose(u, u_full[:, :t], rtol=0, atol=1e-12)
 

@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -11,9 +14,10 @@ from ransnn.network import (LifParams, Normal, Uniform, fan_in_uniform, init_wei
                             simulate_forward)
 from ransnn.numerics import (ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM, AdamConfig, Rng, adam_step,
                              softmax)
-from ransnn.readout import (EVAL_GROUP, CacheFormatError, FeatureCache, ReadoutModel, evaluate,
-                            extract_features, extract_features_at, feature_digest,
-                            readout_loss_grad, train_readout)
+from ransnn.readout import (EVAL_GROUP, CacheFormatError, FeatureCache, ReadoutModel,
+                            count_spikes, evaluate, extract_features, extract_features_at,
+                            feature_digest, readout_loss_grad, train_readout)
+from test_parts import under_each_schedule
 
 
 def random_model(num_classes, num_features, seed=0, scale=0.5):
@@ -118,6 +122,40 @@ class TestExtractionBatchInvariance:
                 assert np.array_equal(cache.features[k], counts)
                 old_bits = reference_lif_stack(net.weights, net.lif, train[None])[-1][0]
                 assert np.array_equal(cache.features[k], old_bits[0].sum(axis=0))
+
+
+class TestProgress:
+    # 21 samples at 300 neurons: chunks of 8, 8 and 5, cut into units of 7
+    # and 1, 7 and 1, and 5.
+    UNITS = 5
+
+    def _lines(self, caplog, monkeypatch, seconds):
+        ds = mnist_shaped(21, pixels=64, seed=2)
+        net = init_weights([64, 300], fan_in_uniform(64), seed=1)
+        monkeypatch.setattr(readout, "PROGRESS_SECONDS", seconds)
+        caplog.set_level(logging.INFO, logger="ransnn")
+
+        def compute():
+            caplog.clear()
+            count_spikes(net.weights, net.lif, ds.images, np.arange(len(ds)), (6,), 3,
+                         ENCODE_TRAIN_STREAM)
+            return [r.getMessage() for r in caplog.records if r.name == "ransnn"]
+
+        return under_each_schedule(compute)
+
+    def test_every_finished_unit_logs_once_the_interval_has_passed(self, caplog,
+                                                                    monkeypatch):
+        for lines in self._lines(caplog, monkeypatch, 0.0):
+            assert len(lines) == self.UNITS
+            done = []
+            for line in lines:
+                m = re.fullmatch(r"spike counts: (\d+) of 21 samples, (\d+) samples/s", line)
+                assert m, line
+                done.append(int(m.group(1)))
+            assert done == sorted(set(done)) and done[-1] == 21
+
+    def test_no_line_before_the_interval_has_passed(self, caplog, monkeypatch):
+        assert self._lines(caplog, monkeypatch, 3600.0) == [[]] * 5
 
 
 class TestExtractFeaturesAt:

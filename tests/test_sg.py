@@ -57,7 +57,7 @@ class TestSgForward:
         model = small_model()
         tape = one_sample_tape(model, np.zeros((8, 4), dtype=np.uint8))
         assert np.array_equal(tape.output_u_pre, np.zeros((1, 8, 3)))
-        assert tape.hidden_bits.sum() == 0 and tape.output_bits.sum() == 0
+        assert tape.flat_hidden.sum() == 0 and tape.output_bits.sum() == 0
 
     def test_hidden_spikes_match_fixed_network_simulator_bitwise(self):
         lif = LifParams(beta=0.95, u_thr=1.0)
@@ -67,7 +67,7 @@ class TestSgForward:
         train = random_train(9, steps=20, neurons=4, rate=0.7)
         tape = one_sample_tape(model, train)
         reference = simulate_forward(net, train[None])
-        assert np.array_equal(tape.hidden_bits, reference)
+        assert np.array_equal(tape.flat_hidden, reference.reshape(20, 6))
 
     def test_deterministic(self):
         model = small_model(seed=2)
@@ -98,7 +98,8 @@ class TestSgForward:
             (model.w_hidden, model.w_out), model.lif, bits)
         assert hidden_bits.any() and output_bits.any()
         assert np.array_equal(tape.hidden_u_pre, hidden_u_pre)
-        assert np.array_equal(tape.hidden_bits, hidden_bits)
+        assert tape.flat_hidden.dtype == np.float64
+        assert np.array_equal(tape.flat_hidden, hidden_bits.reshape(6 * 12, 30))
         assert np.array_equal(tape.output_u_pre, output_u_pre)
         assert np.array_equal(tape.output_bits, output_bits)
 
@@ -214,25 +215,72 @@ class TestBpttBackward:
             scratch = {}
             _record_tape(model, np.ones((n_batch + 3, 12, 20), dtype=np.uint8), scratch)
         tape = _record_tape(model, bits, scratch)
-        assert tape.hidden_bits.any() and tape.output_bits.any()
+        assert tape.flat_hidden.any() and tape.output_bits.any()
         y = np.eye(5)[np.arange(n_batch) % 5]
         # The backward spends the tape: it writes the hidden adjoint over
-        # flat_hidden and leaves the other six arrays as they were.
-        arrays = ("input_bits", "hidden_u_pre", "hidden_bits", "output_u_pre", "output_bits",
-                  "flat_input", "flat_hidden")
+        # flat_hidden and the input rows over hidden_u_pre, and leaves the
+        # other three arrays as they were.
+        arrays = ("input_bits", "output_u_pre", "output_bits", "hidden_u_pre", "flat_hidden")
         before = dataclasses.replace(tape, **{name: getattr(tape, name).copy() for name in arrays})
         # Training passes a reused gradient vector; it must be fully written.
         out = np.full(model.w_hidden.size + model.w_out.size, np.nan) if shared_scratch else None
         d_wh, d_wo = bptt_backward(model, tape, y, out=out)
         if out is not None:
             assert np.shares_memory(d_wh, out) and np.shares_memory(d_wo, out)
-        for name in arrays[:-1]:
+        for name in arrays[:3]:
             assert np.array_equal(getattr(tape, name), getattr(before, name)), name
+        # The hidden gradient's GEMM operand, the input bits as float64 rows,
+        # fits in hidden_u_pre at n_in <= n_hidden.
+        rows = n_batch * 12
+        operand = tape.hidden_u_pre.reshape(-1)[:rows * 20].reshape(rows, 20)
+        assert np.array_equal(operand, bits.reshape(rows, 20))
         with pytest.raises(ValueError, match="spent"):
             bptt_backward(model, tape, y)
         ref_wh, ref_wo = reference_bptt_backward(model, before, y)
         assert np.array_equal(d_wh, ref_wh)
         assert np.array_equal(d_wo, ref_wo)
+
+    # The input operand is rebuilt over hidden_u_pre at n_in <= n_hidden and
+    # in a work array kept in the tape's scratch at n_in > n_hidden. At 200
+    # hidden neurons the 66 samples run as 6 parts of 11, and the hidden
+    # gradient is one GEMM, as in the reference.
+    @pytest.mark.parametrize("n_in", [150, 784])
+    @pytest.mark.parametrize("shared_scratch", [False, True])
+    def test_equals_the_reference_wherever_the_input_operand_lives(self, n_in,
+                                                                   shared_scratch):
+        n_batch, steps, n_hidden, n_cls = 66, 12, 200, 5
+        assert n_hidden <= sg.GRAD_ROWS
+        model = init_sg_model(n_in, n_hidden, n_cls, seed=22, dist=fan_in_uniform(n_in),
+                              lif=LifParams(beta=0.9, u_thr=1.0))
+        bits = (Rng(23, 0).random((n_batch, steps, n_in)) < 0.3).astype(np.uint8)
+        y = np.eye(n_cls)[np.arange(n_batch) % n_cls]
+        arrays = ("input_bits", "hidden_u_pre", "flat_hidden", "output_u_pre", "output_bits")
+
+        def compute():
+            scratch = None
+            if shared_scratch:
+                # A larger batch's step leaves every work array, the kept
+                # input operand too, larger than this batch needs.
+                scratch = {}
+                big = np.ones((n_batch + 5, steps, n_in), dtype=np.uint8)
+                bptt_backward(model, _record_tape(model, big, scratch),
+                              np.eye(n_cls)[np.arange(n_batch + 5) % n_cls])
+            tape = _record_tape(model, bits, scratch)
+            before = dataclasses.replace(
+                tape, **{name: getattr(tape, name).copy() for name in arrays})
+            return before, [g.copy() for g in bptt_backward(model, tape, y)]
+
+        (first, grads), *others = under_each_schedule(compute)
+        assert first.flat_hidden.any() and not first.flat_hidden.all()
+        assert first.output_bits.any()
+        ref_wh, ref_wo = reference_bptt_backward(model, first, y)
+        assert np.array_equal(grads[0], ref_wh)
+        assert np.array_equal(grads[1], ref_wo)
+        for before, (d_wh, d_wo) in others:
+            for name in arrays:
+                assert np.array_equal(getattr(before, name), getattr(first, name)), name
+            assert np.array_equal(d_wh, ref_wh)
+            assert np.array_equal(d_wo, ref_wo)
 
     def test_gradient_vector_size_validated(self):
         model = small_model(seed=5)
@@ -241,33 +289,63 @@ class TestBpttBackward:
             bptt_backward(model, tape, one_hot(0, 3),
                           out=np.empty(model.w_hidden.size + model.w_out.size + 1))
 
-    def test_backward_adds_no_hidden_sized_array(self):
-        # Above the gradients it returns, the reverse pass may hold only
-        # (B, n) work arrays and small (B, T, C) ones: the hidden adjoint
-        # goes into the tape's flat_hidden. A fresh (B, T, n_hidden) float64
-        # array, whole surrogate arrays or copies of the tape's bits would
+    def test_forward_keeps_no_input_copy_and_no_hidden_bits(self):
+        # Above the tape's own arrays, recording may hold only (m, n) work
+        # arrays of the running parts: the input's float64 copy lives in the
+        # hidden spikes' rows until they overwrite it, and the hidden spikes
+        # are written straight into the output layer's float64 input. A
+        # (B, T, n_in) float64 copy or (B, T, n_hidden) uint8 spikes would
         # exceed the budget.
-        n_batch, steps, n_in, n_hidden, n_cls = 8, 10, 784, 500, 10
+        n_batch, steps, n_in, n_hidden, n_cls = 8, 100, 300, 500, 10
         model = init_sg_model(n_in, n_hidden, n_cls, seed=0, dist=fan_in_uniform(n_in))
-        bits = (Rng(3, 0).uniform(0, 1, n_batch * steps * n_in) < 0.2).astype(np.uint8)
-        bits = bits.reshape(n_batch, steps, n_in)
-        y = np.eye(n_cls)[np.arange(n_batch)]
-        # A first backward starts the worker threads outside the trace.
-        bptt_backward(model, _record_tape(model, bits), y)
-        tape = _record_tape(model, bits)
-        budget = (model.w_hidden.nbytes + model.w_out.nbytes + 4 * n_batch * n_hidden * 8
-                  + 8 * n_batch * steps * n_cls * 8)
-        assert budget < n_batch * steps * n_hidden * 8 + model.w_hidden.nbytes
+        bits = (Rng(4, 0).random((n_batch, steps, n_in)) < 0.2).astype(np.uint8)
+        # A first forward starts the worker threads outside the trace.
+        _record_tape(model, bits)
+        tape_bytes = 2 * n_batch * steps * n_hidden * 8 + n_batch * steps * n_cls * (8 + 1)
+        work = 8 * n_batch * n_hidden * 8
+        assert work < min(n_batch * steps * n_in * 8, n_batch * steps * n_hidden)
         tracemalloc.start()
         try:
             entry, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            grads = bptt_backward(model, tape, y)
+            tape = _record_tape(model, bits)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert grads[0].shape == model.w_hidden.shape
-        assert peak - entry < budget, (peak - entry, budget)
+        assert tape.flat_hidden.any()
+        assert peak - entry < tape_bytes + work, (peak - entry, tape_bytes + work)
+
+    def test_backward_adds_no_hidden_sized_array(self):
+        # Above the gradients it returns, the reverse pass may hold only
+        # (B, n) work arrays and small (B, T, C) ones: the hidden adjoint
+        # goes into the tape's flat_hidden, and the input operand into
+        # hidden_u_pre at n_in <= n_hidden, else into the work array an
+        # earlier step kept in scratch. A fresh (B, T, n_hidden) or
+        # (B, T, n_in) float64 array, whole surrogate arrays or copies of the
+        # tape's bits would exceed the budget.
+        n_batch, steps, n_hidden, n_cls = 8, 25, 500, 10
+        for n_in in (784, 300):
+            model = init_sg_model(n_in, n_hidden, n_cls, seed=0, dist=fan_in_uniform(n_in))
+            bits = (Rng(3, 0).uniform(0, 1, n_batch * steps * n_in) < 0.2).astype(np.uint8)
+            bits = bits.reshape(n_batch, steps, n_in)
+            y = np.eye(n_cls)[np.arange(n_batch)]
+            # A first step starts the worker threads outside the trace.
+            scratch = {}
+            bptt_backward(model, _record_tape(model, bits, scratch), y)
+            tape = _record_tape(model, bits, scratch)
+            work = 4 * n_batch * n_hidden * 8 + 8 * n_batch * steps * n_cls * 8
+            assert work < min(n_batch * steps * n_hidden * 8, n_batch * steps * n_in * 8)
+            budget = model.w_hidden.nbytes + model.w_out.nbytes + work
+            tracemalloc.start()
+            try:
+                entry, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                grads = bptt_backward(model, tape, y)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert grads[0].shape == model.w_hidden.shape
+            assert peak - entry < budget, (n_in, peak - entry, budget)
 
 
 def _separable(samples_per_class, pixels, seed):
