@@ -483,6 +483,9 @@ def run_experiment(cfg: ExperimentConfig, cache_dir=None) -> RunRecord:
         t0 = time.perf_counter()
         cache_train, cache_test = _extract_splits(cfg, run, cache_dir)
         feature_seconds = time.perf_counter() - t0
+        # run holds the only references to both splits' datasets; dropping
+        # it frees their decoded images (or stored bytes) before training.
+        del run
         model, metrics = train_readout(cache_train, cache_test, adam=cfg.adam,
                                        batch_size=cfg.batch_size, num_classes=num_classes)
     else:

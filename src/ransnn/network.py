@@ -82,12 +82,15 @@ def fan_in_uniform(n_in: int) -> Uniform:
     return Uniform(-a, a)
 
 
-def sample_weights(dist: WeightDistribution, rng: Rng, rows: int, cols: int) -> np.ndarray:
-    """Sample a (rows, cols) matrix i.i.d. from dist, filled row-major."""
+def sample_weights(dist: WeightDistribution, rng: Rng, rows: int, cols: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Sample a (rows, cols) matrix i.i.d. from dist, filled row-major; out,
+    if given, is a writable, C-contiguous float64 array of rows * cols
+    entries that receives the matrix, which is then a view of it."""
     if isinstance(dist, Uniform):
-        vals = rng.uniform(dist.low, dist.high, rows * cols)
+        vals = rng.uniform(dist.low, dist.high, rows * cols, out=out)
     elif isinstance(dist, Normal):
-        vals = rng.normal(dist.mean, dist.std, rows * cols)
+        vals = rng.normal(dist.mean, dist.std, rows * cols, out=out)
     else:
         raise TypeError(f"unknown weight distribution: {dist!r}")
     return vals.reshape(rows, cols)

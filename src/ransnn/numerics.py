@@ -63,32 +63,59 @@ class Rng:
         """Uniform float64 draws in [0, 1)."""
         return self._gen.random(size)
 
-    def uniform(self, low: float, high: float, n: int) -> np.ndarray:
-        """n i.i.d. draws from U[low, high)."""
+    def uniform(self, low: float, high: float, n: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """n i.i.d. draws from U[low, high), written into out if given (see
+        _draws_out) and returned."""
         if not low < high:
             raise ValueError(f"uniform bounds must satisfy low < high, got [{low}, {high})")
-        out = low + self._gen.random(n) * (high - low)
+        out = _draws_out(out, n)
+        flat = out.reshape(-1)
+        self._gen.random(out=flat)
+        np.multiply(flat, high - low, out=flat)
+        np.add(low, flat, out=flat)
         # low + u*(high-low) can round up to exactly `high`; keep the
         # interval half-open.
-        np.minimum(out, np.nextafter(high, low), out=out)
+        np.minimum(flat, np.nextafter(high, low), out=flat)
         return out
 
-    def normal(self, mean: float, std: float, n: int) -> np.ndarray:
-        """n i.i.d. Gaussian draws via the Box-Muller transform."""
+    def normal(self, mean: float, std: float, n: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """n i.i.d. Gaussian draws via the Box-Muller transform, written
+        into out if given (see _draws_out) and returned: the cosine draws
+        go to the even entries and the sine draws to the odd ones, without
+        an n-sized temporary."""
         if std < 0:
             raise ValueError(f"normal std must be >= 0, got {std}")
+        out = _draws_out(out, n)
+        flat = out.reshape(-1)
         pairs = (n + 1) // 2
         u1 = 1.0 - self._gen.random(pairs)  # (0, 1]: keeps the log finite
         u2 = self._gen.random(pairs)
         r = np.sqrt(-2.0 * np.log(u1))
         theta = (2.0 * np.pi) * u2
-        z = np.empty(2 * pairs)
-        z[0::2] = r * np.cos(theta)
-        z[1::2] = r * np.sin(theta)
-        return mean + std * z[:n]
+        np.multiply(r, np.cos(theta), out=flat[0::2])
+        np.multiply(r[:n // 2], np.sin(theta)[:n // 2], out=flat[1::2])
+        np.multiply(std, flat, out=flat)
+        np.add(mean, flat, out=flat)
+        return out
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
+
+
+def _draws_out(out: np.ndarray | None, n: int) -> np.ndarray:
+    """The array n draws are written into: out, which must be a writable,
+    C-contiguous float64 array of n entries in any shape, or a new (n,)
+    array. Each entry goes through the same operations, in the same order,
+    either way."""
+    if out is None:
+        return np.empty(n)
+    if not (isinstance(out, np.ndarray) and out.size == n and out.dtype == np.float64
+            and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError(f"out must be a writable, C-contiguous float64 array of {n} "
+                         "entries")
+    return out
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

@@ -297,7 +297,8 @@ def train_readout(cache_train: FeatureCache, cache_test: FeatureCache, *,
     elapsed field times only the forward/backward/update work, not metric
     evaluation. Each step's weights and bias are copied into a buffer of
     min(EVAL_GROUP, steps) snapshots, which _test_accuracies scores after
-    the group's last step.
+    the group's last step from the test counts and one float32 copy of
+    them.
     """
     if len(cache_train) == 0 or len(cache_test) == 0:
         raise ValueError("training requires non-empty train and test caches")
@@ -319,7 +320,7 @@ def train_readout(cache_train: FeatureCache, cache_test: FeatureCache, *,
     n_w = num_classes * n_feat
     model = ReadoutModel(weights=theta[:n_w].reshape(num_classes, n_feat), bias=theta[n_w:])
     state = AdamState.zeros(theta.size, adam)
-    x_test = cache_test.features.astype(np.float64)
+    x_test = cache_test.features.astype(np.float32)
     x_sums = _row_sums(cache_test.features)
     y_test = cache_test.labels
     group = min(EVAL_GROUP, total_iters)
@@ -342,8 +343,8 @@ def train_readout(cache_train: FeatureCache, cache_test: FeatureCache, *,
         b_group[len(pending)] = model.bias
         pending.append((iteration, float((probs.argmax(axis=1) == yb).mean()), loss, elapsed))
         if len(pending) == group or iteration == total_iters:
-            test_accs = _test_accuracies(x_test, x_sums, y_test, w_group[:len(pending)],
-                                         b_group[:len(pending)])
+            test_accs = _test_accuracies(cache_test.features, x_test, x_sums, y_test,
+                                         w_group[:len(pending)], b_group[:len(pending)])
             metrics += [IterationMetrics(iteration=i, train_accuracy=batch_acc,
                                          test_accuracy=test_acc, loss=step_loss,
                                          elapsed=step_elapsed)
@@ -359,12 +360,35 @@ def _row_sums(features) -> np.ndarray:
     return features.sum(axis=1, dtype=np.int64).astype(np.float64)
 
 
+def _gamma(n_feat: int, u: float) -> float:
+    """γ_K = Ku / (1 - Ku) at unit roundoff u for K = n_feat terms, or inf
+    where Ku >= 1/4, past which the bounds below are not proved."""
+    return n_feat * u / (1.0 - n_feat * u) if n_feat * u < 0.25 else np.inf
+
+
+def _scale(x_sums, weights, bias) -> np.ndarray:
+    """(m, n) A + B per snapshot and sample: x_sums · max|W| + max|b|."""
+    return (np.multiply.outer(np.abs(weights).max(axis=(1, 2)), x_sums)
+            + np.abs(bias).max(axis=1)[:, None])
+
+
+def _leads(logits, preds, margin) -> np.ndarray:
+    """(m, n) mask over the (m, C, n) logits whose argmax over classes is
+    preds: True where every logit is finite and the top one leads the next
+    by more than margin, an (m, n) array. It overwrites each top logit with
+    -inf."""
+    sure = np.isfinite(logits).all(axis=1)
+    top = np.take_along_axis(logits, preds[:, None], axis=1)[:, 0]
+    np.put_along_axis(logits, preds[:, None], -np.inf, axis=1)
+    with np.errstate(invalid="ignore"):
+        sure &= top.astype(np.float64, copy=False) - logits.max(axis=1) > margin
+    return sure
+
+
 def _certified(logits, preds, x_sums, weights, bias) -> np.ndarray:
-    """(m, n) mask over the (m, C, n) logits of n samples under m snapshots,
-    whose argmax over classes is preds: True where every logit is finite
-    and the top one leads the next by more than 4e, with e = (γ_K + 2u)
-    (x_sums · max|W| + max|b|) per snapshot and sample, K the feature count
-    (README, "Determinism"). It overwrites each top logit with -inf.
+    """_leads of the float64 logits of n samples under m snapshots with the
+    margin 5e, e = (γ_K + 2u)(A + B) at u = 2⁻⁵³ (_gamma, _scale; README,
+    "Determinism").
 
     Any summation order, with or without FMA, of a row x >= 0 times a
     snapshot's weights plus its bias is within e of the exact logit, so two
@@ -372,38 +396,66 @@ def _certified(logits, preds, x_sums, weights, bias) -> np.ndarray:
     other's argmax. The factor 5 leaves room for the rounding of e and of
     the lead.
     """
-    n_feat = weights.shape[2]
     u = 2.0 ** -53
-    gamma = n_feat * u / (1.0 - n_feat * u)
-    err = (gamma + 2 * u) * (np.multiply.outer(np.abs(weights).max(axis=(1, 2)), x_sums)
-                             + np.abs(bias).max(axis=1)[:, None])
-    sure = np.isfinite(logits).all(axis=1)
-    top = np.take_along_axis(logits, preds[:, None], axis=1)[:, 0]
-    np.put_along_axis(logits, preds[:, None], -np.inf, axis=1)
-    sure &= top - logits.max(axis=1) > 5 * err
-    return sure
+    return _leads(logits, preds, 5 * (_gamma(weights.shape[2], u) + 2 * u)
+                  * _scale(x_sums, weights, bias))
 
 
-def _test_accuracies(x, x_sums, labels, weights, bias) -> list[float]:
+def _certified32(logits, preds, x_sums, weights, bias) -> np.ndarray:
+    """_leads of float32 logits, computed from float32 copies of the counts,
+    weights and bias, with the margin 2.5 (e32 + e64).
+
+    e64 is _certified's e. e32 = (γ_K + 3u)(A + B) + 2⁻¹⁴⁸ (x_sums + 1) at
+    u = 2⁻²⁴ bounds the float32 logit's distance from the exact one: the
+    rounding of W and b to float32, at most 2⁻¹⁵⁰ more for an entry that
+    lands among the subnormals, the GEMM's sum in any order and the bias's
+    addition. So the float32 logits and the snapshot's float64 product
+    differ by at most e32 + e64, and a lead above twice that fixes the
+    product's argmax; the factor 2.5 leaves room for the rounding of the
+    bounds and of the lead.
+    """
+    u32, u64, k = 2.0 ** -24, 2.0 ** -53, weights.shape[2]
+    scale = _scale(x_sums, weights, bias)
+    e = (_gamma(k, u32) + 3 * u32 + _gamma(k, u64) + 2 * u64) * scale
+    e += 2.0 ** -148 * (x_sums + 1.0)
+    return _leads(logits, preds, 2.5 * e)
+
+
+def _test_accuracies(counts, x, x_sums, labels, weights, bias) -> list[float]:
     """Held-out accuracy of each snapshot j, weights[j] (C, K) and bias[j]
-    (C,), on the float64 rows x (n, K) of nonnegative counts, whose sums are
-    x_sums.
+    (C,), on the (n, K) uint16 spike counts, x their float32 copy and x_sums
+    their row sums: that of the snapshot's float64 product
+    counts @ weights[j].T + bias[j], whose argmax takes the lowest of tied
+    classes. Three levels find it, each only where the last could not:
 
-    One GEMM, W_group @ x.T with the snapshots' weights stacked into m·C
-    rows, scores every snapshot. Its argmax is taken where _certified
-    proves it equals that of x @ weights[j].T + bias[j], the per-snapshot
-    product; a snapshot with any uncertified row is rescored with that
-    product, whose argmax takes the lowest of tied classes. So the accuracy
-    does not depend on the GEMM's last bits.
+    1. One float32 GEMM, W_group @ x.T with the snapshots' weights stacked
+       into m·C rows, scores every snapshot; _certified32 accepts a
+       (snapshot, row) pair whose argmax it proves equal to the product's.
+    2. The rows of a snapshot left uncertified are scored by a float64
+       product of those rows alone, which _certified accepts likewise.
+    3. A snapshot with a row that neither accepts is rescored by its whole
+       float64 product, from a float64 copy of the counts made on demand.
+
+    So the accuracy does not depend on any GEMM's last bits.
     """
     m, c, k = weights.shape
-    logits = weights.reshape(m * c, k) @ x.T
-    logits += bias.reshape(m * c, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = weights.reshape(m * c, k).astype(np.float32) @ x.T
+        logits += bias.reshape(m * c, 1).astype(np.float32)
     logits = logits.reshape(m, c, len(x))
     preds = logits.argmax(axis=1)
-    sure = _certified(logits, preds, x_sums, weights, bias)
+    sure = _certified32(logits, preds, x_sums, weights, bias)
+    whole = None
     for j in np.flatnonzero(~sure.all(axis=1)):
-        preds[j] = (x @ weights[j].T + bias[j]).argmax(axis=1)
+        rows = np.flatnonzero(~sure[j])
+        part = (counts[rows].astype(np.float64) @ weights[j].T + bias[j]).T[None]
+        part_preds = part.argmax(axis=1)
+        part_sure = _certified(part, part_preds, x_sums[rows], weights[j:j + 1],
+                               bias[j:j + 1])
+        preds[j, rows] = part_preds[0]
+        if not part_sure.all():
+            whole = counts.astype(np.float64) if whole is None else whole
+            preds[j] = (whole @ weights[j].T + bias[j]).argmax(axis=1)
     return [float(acc) for acc in (preds == labels).mean(axis=1)]
 
 
@@ -419,5 +471,6 @@ def evaluate(model: ReadoutModel, cache: FeatureCache) -> float:
         raise ValueError(
             f"cache width {cache.num_features} does not match model width "
             f"{model.num_features}")
-    return _test_accuracies(cache.features.astype(np.float64), _row_sums(cache.features),
-                            cache.labels, model.weights[None], model.bias[None])[0]
+    return _test_accuracies(cache.features, cache.features.astype(np.float32),
+                            _row_sums(cache.features), cache.labels, model.weights[None],
+                            model.bias[None])[0]

@@ -50,6 +50,11 @@ class SgModel:
     """Trainable weights of the baseline: input->hidden and hidden->output,
     both layers sharing the same LIF constants.
 
+    Both matrices are views of params, one flat float64 vector holding
+    w_hidden's entries row-major, then w_out's, which train_sg's Adam
+    updates in place. Without params, the model copies the two matrices
+    into a new one and views it.
+
     version increments on every parameter update; tapes record the version
     they were produced under so a stale tape cannot be backpropagated.
     """
@@ -58,6 +63,14 @@ class SgModel:
     w_out: np.ndarray  # (num_classes, n_hidden)
     lif: LifParams
     version: int = 0
+    params: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.params is None:
+            n_wh = self.w_hidden.size
+            self.params = np.concatenate((self.w_hidden, self.w_out), axis=None)
+            self.w_hidden = self.params[:n_wh].reshape(self.w_hidden.shape)
+            self.w_out = self.params[n_wh:].reshape(self.w_out.shape)
 
     @property
     def n_in(self) -> int:
@@ -74,17 +87,21 @@ class SgModel:
 
 def init_sg_model(n_in: int, n_hidden: int, num_classes: int, seed: int,
                   dist: WeightDistribution, lif: LifParams = LifParams()) -> SgModel:
-    """Initial weights for the baseline.
+    """Initial weights for the baseline, sampled straight into the model's
+    params.
 
     The hidden matrix draws from dist on the same stream as a fixed random
     network built from the same seed, so both methods start from
     bit-identical hidden weights; the output matrix uses the fan-in rule
     U(-sqrt(6/n_hidden), sqrt(6/n_hidden)) on the next stream.
     """
-    w_hidden = sample_weights(dist, Rng(seed, WEIGHT_STREAM + 0), n_hidden, n_in)
+    n_wh = n_hidden * n_in
+    params = np.empty(n_wh + num_classes * n_hidden)
+    w_hidden = sample_weights(dist, Rng(seed, WEIGHT_STREAM + 0), n_hidden, n_in,
+                              out=params[:n_wh])
     w_out = sample_weights(fan_in_uniform(n_hidden), Rng(seed, WEIGHT_STREAM + 1),
-                           num_classes, n_hidden)
-    return SgModel(w_hidden=w_hidden, w_out=w_out, lif=lif)
+                           num_classes, n_hidden, out=params[n_wh:])
+    return SgModel(w_hidden=w_hidden, w_out=w_out, lif=lif, params=params)
 
 
 @dataclass
@@ -97,8 +114,8 @@ class BpttTape:
     own GEMM operand, which the w_out gradient reuses. A tape holds views of
     the work arrays of scratch, the dict it was recorded into, valid until
     the next simulate call with that dict. bptt_backward spends a tape: it
-    writes the hidden adjoint over flat_hidden and the input rows over
-    hidden_u_pre.
+    writes the hidden adjoint over flat_hidden, and the input rows and then
+    the gradient, grad, over hidden_u_pre where they fit.
     """
 
     input_bits: np.ndarray  # (B, T, n_in) uint8
@@ -109,6 +126,7 @@ class BpttTape:
     model_version: int
     scratch: dict
     spent: bool = False
+    grad: np.ndarray | None = None  # (n_weights,) float64, set by bptt_backward
 
 
 def _record_tape(model: SgModel, input_bits: np.ndarray,
@@ -147,8 +165,7 @@ def _adjoint(drive: np.ndarray, u_pre: np.ndarray, beta: float, thr: float,
     return drive
 
 
-def bptt_backward(model: SgModel, tape: BpttTape, y_true, *,
-                  out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def bptt_backward(model: SgModel, tape: BpttTape, y_true) -> tuple[np.ndarray, np.ndarray]:
     """Reverse-mode gradients of the batch mean of the summed per-step
     cross-entropy against the (B, C) one-hot targets y_true with respect to
     both weight matrices.
@@ -158,20 +175,23 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true, *,
     surrogate evaluated at that step's pre-reset potential; the beta*u
     recurrence carries gradient across steps.
 
-    The tape is spent: once the w_out gradient has read tape.flat_hidden,
-    the hidden adjoint is computed in place over it, and a second backward
-    on the tape raises ValueError. Once the adjoint has read
-    tape.hidden_u_pre, the hidden gradient's GEMM operand, the input bits as
-    (B*T, n_in) float64 rows, is rebuilt in its storage, or where n_in >
-    n_hidden in a work array kept in tape.scratch. The hidden adjoint and
-    that rebuild run in parts of part_size(B, n_hidden) samples and the
-    hidden gradient's GEMM in blocks of GRAD_ROWS rows, all through
-    run_parts; the split depends only on the shapes, so the bits do not
-    depend on the worker count.
+    The tape is spent, and a second backward on it raises ValueError. The
+    w_out gradient reads tape.flat_hidden into a small work array first;
+    then the hidden adjoint is computed in place over flat_hidden. Once the
+    adjoint has read tape.hidden_u_pre, the hidden gradient's GEMM operand,
+    the input bits as (B*T, n_in) float64 rows, is rebuilt in its storage,
+    or where n_in > n_hidden in a work array kept in tape.scratch. The
+    hidden adjoint and that rebuild run in parts of part_size(B, n_hidden)
+    samples and the hidden gradient's GEMM in blocks of GRAD_ROWS rows, all
+    through run_parts; the split depends only on the shapes, so the bits do
+    not depend on the worker count.
 
-    Both gradients are written into one flat float64 vector, the hidden
-    matrix's entries first, and returned as views of it; out supplies that
-    vector (a fresh one is allocated without it).
+    Both gradients are written into tape.grad, one flat float64 vector
+    holding the hidden matrix's entries first, and returned as views of it.
+    It lies in hidden_u_pre after the rebuilt input rows where
+    B*T*(n_hidden - n_in) >= n_weights, and in a work array kept in
+    tape.scratch otherwise, so it is valid until the next step that uses
+    that scratch.
     """
     if tape.spent:
         raise ValueError("spent tape: a backward already overwrote its flat_hidden "
@@ -185,11 +205,6 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true, *,
     if y.shape != (n_batch, n_cls):
         raise ValueError(f"target shape {y.shape} does not match tape batch "
                          f"({n_batch}, {n_cls})")
-    n_wh = model.w_hidden.size
-    n_weights = n_wh + model.w_out.size
-    if out is not None and out.shape != (n_weights,):
-        raise ValueError(f"gradient vector of shape {out.shape} does not hold "
-                         f"{n_weights} weights")
 
     beta, thr = model.lif.beta, model.lif.u_thr
     probs = softmax(tape.output_u_pre)
@@ -198,9 +213,8 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true, *,
     lam_out = _adjoint(d_direct, tape.output_u_pre, beta, thr)
     lam_out = lam_out.reshape(n_batch * steps, n_cls)
 
-    out = np.empty(n_weights) if out is None else out
     d_w_out = np.matmul(lam_out.T, tape.flat_hidden,
-                        out=out[n_wh:].reshape(model.w_out.shape))
+                        out=_buffer(tape.scratch, "d_w_out", model.w_out.shape, np.float64))
     tape.spent = True
     lam_flat = np.matmul(lam_out, model.w_out, out=tape.flat_hidden)
     lam_hid = lam_flat.reshape(n_batch, steps, model.n_hidden)
@@ -210,24 +224,32 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true, *,
 
     size = part_size(n_batch, model.n_hidden)
     run_parts(adjoint_part, n_batch, size)
-    shape = (n_batch, steps, model.n_in)
+    n_rows, n_wh = n_batch * steps, model.w_hidden.size
+    n_weights = n_wh + model.w_out.size
+    free = tape.hidden_u_pre.reshape(-1)
     if model.n_in <= model.n_hidden:
-        inputs = tape.hidden_u_pre.reshape(-1)[:np.prod(shape)].reshape(shape)
+        flat_input, free = free[:n_rows * model.n_in], free[n_rows * model.n_in:]
     else:
-        inputs = _buffer(tape.scratch, "flat_input", shape, np.float64)
+        flat_input = _buffer(tape.scratch, "flat_input", n_rows * model.n_in, np.float64)
+    inputs = flat_input.reshape(n_batch, steps, model.n_in)
 
     def input_part(rows):
         inputs[rows] = tape.input_bits[rows]
 
     run_parts(input_part, n_batch, size)
-    flat_input = inputs.reshape(n_batch * steps, model.n_in)
-    d_w_hidden = out[:n_wh].reshape(model.w_hidden.shape)
+    flat_input = flat_input.reshape(n_rows, model.n_in)
+    if model.n_in <= model.n_hidden and free.size >= n_weights:
+        tape.grad = free[:n_weights]
+    else:
+        tape.grad = _buffer(tape.scratch, "grad", n_weights, np.float64)
+    d_w_hidden = tape.grad[:n_wh].reshape(model.w_hidden.shape)
 
     def gradient_part(rows):
         np.matmul(lam_flat[:, rows].T, flat_input, out=d_w_hidden[rows])
 
     run_parts(gradient_part, model.n_hidden, GRAD_ROWS)
-    return d_w_hidden, d_w_out
+    tape.grad[n_wh:] = d_w_out.reshape(-1)
+    return d_w_hidden, tape.grad[n_wh:].reshape(model.w_out.shape)
 
 
 def _batch_loss(output_u_pre: np.ndarray, labels: np.ndarray) -> float:
@@ -277,14 +299,9 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
                          f"got {batch_size}")
     total_iters = len(train_indices) // batch_size
 
-    # Adam updates theta in place, and the weights are views of it.
-    theta = np.concatenate([model.w_hidden.ravel(), model.w_out.ravel()])
-    state = AdamState.zeros(theta.size, adam)
-    n_wh = model.w_hidden.size
-    model.w_hidden = theta[:n_wh].reshape(model.w_hidden.shape)
-    model.w_out = theta[n_wh:].reshape(model.w_out.shape)
+    # Adam updates the model's params in place, and the weights are views of it.
+    state = AdamState.zeros(model.params.size, adam)
     scratch: dict = {}
-    grad = np.empty(theta.size)
 
     metrics: list[IterationMetrics] = []
     elapsed = 0.0
@@ -296,8 +313,8 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
         tape = _record_tape(model, bits, scratch)
         y = np.zeros((len(sel), model.num_classes))
         y[np.arange(len(sel)), labels] = 1.0
-        bptt_backward(model, tape, y, out=grad)
-        adam_step(theta, grad, state)
+        bptt_backward(model, tape, y)
+        adam_step(model.params, tape.grad, state)
         model.version += 1
         elapsed += time.perf_counter() - t0
 

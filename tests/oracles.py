@@ -204,10 +204,12 @@ def reference_bptt_backward(model, tape, y_true, *, reduction: str = "mean",
     """The reverse pass as it was before the surrogate was streamed through
     the adjoint: whole (B, T, n) surrogate arrays, a fresh copy of the
     tape's hidden spikes and a fresh float64 copy of its input bits for the
-    weight-gradient GEMMs. The streamed pass does the same arithmetic, so
-    the two must agree bit for bit. It leaves the tape as it was."""
+    weight-gradient GEMMs. The hidden gradient is one product per block of
+    sg.GRAD_ROWS hidden rows, as the streamed pass groups its GEMM rows;
+    BLAS may round a row differently in another grouping. The streamed pass does the same arithmetic, so the two must
+    agree bit for bit. It leaves the tape as it was."""
     from ransnn.numerics import softmax
-    from ransnn.sg import surrogate_grad
+    from ransnn.sg import GRAD_ROWS, surrogate_grad
 
     n_batch, steps, n_cls = tape.output_u_pre.shape
     y = np.asarray(y_true, dtype=np.float64)
@@ -232,8 +234,37 @@ def reference_bptt_backward(model, tape, y_true, *, reduction: str = "mean",
     lam_hid = _reference_adjoint(d_spikes, g_hid, beta, thr, detach_reset)
 
     flat_input = tape.input_bits.reshape(n_batch * steps, -1).astype(np.float64)
-    d_w_hidden = lam_hid.reshape(n_batch * steps, -1).T @ flat_input
+    lam_flat = lam_hid.reshape(n_batch * steps, -1)
+    d_w_hidden = np.vstack([lam_flat[:, start:start + GRAD_ROWS].T @ flat_input
+                            for start in range(0, model.n_hidden, GRAD_ROWS)])
     return d_w_hidden, d_w_out
+
+
+def reference_uniform(seed, stream_id, low, high, n):
+    """Rng.uniform as a fresh array per operation, the form before draws
+    could be written into a given array."""
+    from ransnn.numerics import philox
+
+    out = low + np.random.Generator(philox(seed, stream_id)).random(n) * (high - low)
+    np.minimum(out, np.nextafter(high, low), out=out)
+    return out
+
+
+def reference_normal(seed, stream_id, mean, std, n):
+    """Rng.normal's Box-Muller transform as a fresh array per operation,
+    the form before draws could be written into a given array."""
+    from ransnn.numerics import philox
+
+    gen = np.random.Generator(philox(seed, stream_id))
+    pairs = (n + 1) // 2
+    u1 = 1.0 - gen.random(pairs)
+    u2 = gen.random(pairs)
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = (2.0 * np.pi) * u2
+    z = np.empty(2 * pairs)
+    z[0::2] = r * np.cos(theta)
+    z[1::2] = r * np.sin(theta)
+    return mean + std * z[:n]
 
 
 def reference_adam_step(params, grads, state):

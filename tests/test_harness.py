@@ -10,6 +10,7 @@ import sys
 import tempfile
 import threading
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -359,6 +360,41 @@ class TestDatasetFingerprint:
         assert _curve(warm) == _curve(cold)
         run_experiment(tiny_config(method="sg"))
         assert decodes == [threading.get_ident()] * 4
+
+    def test_readout_trains_after_the_datasets_are_freed(self, use_data_dir, tmp_path,
+                                                        monkeypatch):
+        # Once the caches are extracted or read, nothing holds either split's
+        # dataset, so its decoded images (or its stored bytes, on a warm
+        # run) are freed before train_readout starts.
+        import ransnn.idx
+
+        decoded, datasets = [], []
+        real_parse, real_load, real_train = (ransnn.idx.parse_idx, harness.load_dataset,
+                                             harness.train_readout)
+
+        def parse(data):
+            tensor = real_parse(data)
+            if len(tensor.dims) == 3:
+                decoded.append(weakref.ref(tensor.data))
+            return tensor
+
+        def load(*args):
+            dataset = real_load(*args)
+            datasets.append(weakref.ref(dataset))
+            return dataset
+
+        def train(*args, **kwargs):
+            assert datasets and all(ref() is None for ref in datasets + decoded)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(ransnn.idx, "parse_idx", parse)
+        monkeypatch.setattr(harness, "load_dataset", load)
+        monkeypatch.setattr(harness, "train_readout", train)
+        cold = run_experiment(tiny_config(), cache_dir=tmp_path)
+        assert len(decoded) == 2 and len(datasets) == 2
+        warm = run_experiment(tiny_config(), cache_dir=tmp_path)
+        assert len(decoded) == 2 and len(datasets) == 4
+        assert _curve(warm) == _curve(cold)
 
     def test_fingerprint_covers_the_bytes_as_stored(self, tmp_path):
         ds = blob_dataset(3, 10, side=12, seed=1)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import cross_entropy, reference_adam_step
-from ransnn.numerics import ADAM_BLOCK, AdamConfig, AdamState, Rng, adam_step, softmax
+from oracles import cross_entropy, reference_adam_step, reference_normal, reference_uniform
+from ransnn.numerics import ADAM_BLOCK, AdamConfig, AdamState, Rng, adam_step, philox, softmax
 
 
 class TestRng:
@@ -64,6 +64,41 @@ class TestRng:
         a = Rng(7, 11).normal(1.0, 2.0, 999)
         b = Rng(7, 11).normal(1.0, 2.0, 999)
         assert np.array_equal(a, b)
+
+
+class TestDrawsIntoOut:
+    # Sampling into a given array keeps each entry's operations and their
+    # order, so the draws equal the fresh-array expressions bit for bit.
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 1001, 4096])
+    @pytest.mark.parametrize("kind, a, b", [("uniform", -0.3, 0.7), ("normal", 0.5, 1.3),
+                                            ("uniform", 1.0, 1.0 + 2.0 ** -50)])
+    def test_equals_the_fresh_array_expressions(self, n, kind, a, b):
+        reference = {"uniform": reference_uniform, "normal": reference_normal}[kind]
+        expected = reference(11, 5, a, b, n)
+        fresh = getattr(Rng(11, 5), kind)(a, b, n)
+        # A prefix of a larger vector, shaped as a matrix where n allows.
+        vector = np.full(n + 3, np.nan)
+        out = vector[:n].reshape((n // 7, 7) if n % 7 == 0 else n)
+        given = getattr(Rng(11, 5), kind)(a, b, n, out=out)
+        assert given is out and np.isnan(vector[n:]).all()
+        assert fresh.tobytes() == expected.tobytes() == given.tobytes()
+
+    def test_the_upper_clamp_acts_on_a_given_array(self):
+        # U[1, 1 + 2^-50): 1 + u * 2^-50 rounds up to the excluded bound for
+        # u near 1, which the clamp moves to the largest value below it.
+        low, high, n = 1.0, 1.0 + 2.0 ** -50, 4096
+        unclamped = low + np.random.Generator(philox(11, 5)).random(n) * (high - low)
+        assert (unclamped == high).any()
+        out = Rng(11, 5).uniform(low, high, n, out=np.empty(n))
+        assert out.max() == np.nextafter(high, low)
+        assert out.tobytes() == reference_uniform(11, 5, low, high, n).tobytes()
+
+    @pytest.mark.parametrize("out", [np.empty(5), np.empty(6, dtype=np.float32),
+                                     np.empty(12)[::2], np.empty((3, 2)).T])
+    def test_an_out_that_cannot_take_the_draws_is_rejected(self, out):
+        for kind in ("uniform", "normal"):
+            with pytest.raises(ValueError, match="out must be"):
+                getattr(Rng(0, 0), kind)(0.0, 1.0, 6, out=out)
 
 
 class TestSoftmax:

@@ -1,5 +1,6 @@
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -568,19 +569,30 @@ def train_with_snapshots(monkeypatch, train, test, num_classes, batch_size):
 
 
 def spy_certified(monkeypatch):
-    """Every mask _certified returns, in call order. The spy also sets every
-    prediction of a snapshot it did not certify to -1, which only the
-    rescoring can undo."""
-    masks = []
+    """Every mask the two certificates return, in call order: those of
+    _certified32 over the float32 GEMM's (snapshot, row) pairs, and those of
+    _certified over the rows a snapshot left uncertified, one call per such
+    snapshot. The spies also set every prediction they did not certify to
+    -1, which only the next level can undo."""
+    masks32, masks64 = [], []
 
-    def spy(logits, preds, *args):
-        masks.append(certified(logits, preds, *args))
-        preds[~masks[-1].all(axis=1)] = -1
-        return masks[-1]
+    def spy(certify, masks):
+        def certify_and_spoil(logits, preds, *args):
+            masks.append(certify(logits, preds, *args))
+            preds[~masks[-1]] = -1
+            return masks[-1]
+        return certify_and_spoil
 
-    certified = readout._certified
-    monkeypatch.setattr(readout, "_certified", spy)
-    return masks
+    monkeypatch.setattr(readout, "_certified32", spy(readout._certified32, masks32))
+    monkeypatch.setattr(readout, "_certified", spy(readout._certified, masks64))
+    return masks32, masks64
+
+
+def accuracies(counts, labels, weights, bias):
+    """_test_accuracies of the snapshots on the u16 counts."""
+    counts = np.asarray(counts, dtype=np.uint16)
+    return readout._test_accuracies(counts, counts.astype(np.float32),
+                                    readout._row_sums(counts), labels, weights, bias)
 
 
 class TestGroupedScoring:
@@ -637,9 +649,12 @@ class TestGroupedScoring:
         bias = np.zeros((3, 4))
         weights[1, 1] = weights[1, 2] = 1.0  # classes 1 and 2 tie and lead every row
         labels = np.full(50, 1)
-        masks = spy_certified(monkeypatch)
-        accs = readout._test_accuracies(x, readout._row_sums(counts), labels, weights, bias)
-        assert not masks[0][1].any() and masks[0][[0, 2]].all()
+        masks32, masks64 = spy_certified(monkeypatch)
+        accs = accuracies(counts, labels, weights, bias)
+        # Neither certificate accepts a tie: every row of snapshot 1 reaches
+        # its whole float64 product.
+        assert not masks32[0][1].any() and masks32[0][[0, 2]].all()
+        assert len(masks64) == 1 and not masks64[0].any()
         assert accs == [reference_accuracy(x, labels, w, b) for w, b in zip(weights, bias)]
         assert accs[1] == 1.0
         model = ReadoutModel(weights=weights[1].copy(), bias=bias[1].copy())
@@ -654,11 +669,14 @@ class TestGroupedScoring:
         test_counts = spike_counts(rng, 9, 12)
         test_counts[4] = 0
         test = counts_cache(test_counts, rng.integers(0, 3, 9))
-        masks = spy_certified(monkeypatch)
+        masks32, masks64 = spy_certified(monkeypatch)
         _, metrics, snapshots = train_with_snapshots(monkeypatch, train, test, 3, 2)
         w1, b1 = snapshots[0]
         assert b1[1] == b1[2] > b1[0]
-        assert not masks[0][0, 4]
+        # The tie fails both certificates, so step 1 reaches its whole
+        # float64 product; its rows' float64 rescoring is the first.
+        assert not masks32[0][0, 4]
+        assert not masks64[0].all()
         x = test.features.astype(np.float64)
         assert (x @ w1.T + b1).argmax(axis=1)[4] == 1
         assert [m.test_accuracy for m in metrics] == [
@@ -674,9 +692,10 @@ class TestGroupedScoring:
         bias = rng.normal(0, 0.05, (2, 5))
         weights[1, 3, 0] = bad
         labels = rng.integers(0, 5, 20)
-        masks = spy_certified(monkeypatch)
-        accs = readout._test_accuracies(x, readout._row_sums(counts), labels, weights, bias)
-        assert not masks[0][1].any()
+        masks32, masks64 = spy_certified(monkeypatch)
+        accs = accuracies(counts, labels, weights, bias)
+        assert not masks32[0][1].any()
+        assert len(masks64) == 1 and not masks64[0].any()
         with np.errstate(invalid="ignore"):
             expected = [reference_accuracy(x, labels, w, b) for w, b in zip(weights, bias)]
         assert accs == expected
@@ -701,3 +720,131 @@ class TestGroupedScoring:
             logits = np.array([lead, 0.0]).reshape(1, 2, 1)
             preds = logits.argmax(axis=1)
             assert readout._certified(logits, preds, np.array([40.0]), weights, bias)[0, 0] == sure
+
+
+class TestScorerLevels:
+    """Each level of _test_accuracies, forced, against the per-snapshot
+    float64 product. The labels are that product's predictions, so an
+    accuracy of 1 means every prediction equals it."""
+
+    @staticmethod
+    def product_labels(counts, weights, bias):
+        return (counts.astype(np.float64) @ weights.T + bias).argmax(axis=1)
+
+    @pytest.mark.parametrize("n_test, classes, width, m",
+                             [(1, 2, 40, 3), (33, 10, 2000, 16), (384, 62, 784, 6)])
+    def test_float32_logits_lie_within_both_bounds(self, n_test, classes, width, m):
+        # The float32 certificate's premise: the float32 GEMM with the bias
+        # added in float32 and each snapshot's own float64 product are
+        # within e32 + e64 of each other.
+        rng = np.random.default_rng([n_test, classes, width, m, 32])
+        counts = spike_counts(rng, n_test, width)
+        weights = rng.normal(0, 0.05, (m, classes, width))
+        bias = rng.normal(0, 0.05, (m, classes))
+        sums = readout._row_sums(counts)
+        scale = readout._scale(sums, weights, bias)
+        u32, u64 = 2.0 ** -24, 2.0 ** -53
+        e = ((width * u32 / (1 - width * u32) + 3 * u32 + width * u64 / (1 - width * u64)
+              + 2 * u64) * scale + 2.0 ** -148 * (sums + 1))
+        grouped = (weights.reshape(m * classes, width).astype(np.float32)
+                   @ counts.astype(np.float32).T)
+        grouped += bias.reshape(m * classes, 1).astype(np.float32)
+        grouped = grouped.reshape(m, classes, n_test)
+        for j in range(m):
+            alone = counts.astype(np.float64) @ weights[j].T + bias[j]
+            assert (np.abs(grouped[j].T - alone) <= e[j, :, None]).all()
+
+    def test_every_row_certified_in_float32(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        counts = spike_counts(rng, 50, 40)
+        weights = rng.normal(0, 0.05, (4, 10, 40))
+        bias = rng.normal(0, 0.05, (4, 10))
+        masks32, masks64 = spy_certified(monkeypatch)
+        for j in range(4):
+            labels = self.product_labels(counts, weights[j], bias[j])
+            assert accuracies(counts, labels, weights, bias)[j] == 1.0
+        assert all(mask.all() for mask in masks32) and not masks64
+
+    @pytest.mark.parametrize("scale", [1e37, 1e39])
+    def test_float32_overflow_is_rescored_in_float64(self, monkeypatch, scale):
+        # At 1e37 the float32 sums overflow to inf; at 1e39 the weights do
+        # when cast. In float64 both are finite and the rows' own product
+        # certifies them.
+        rng = np.random.default_rng(22)
+        counts = spike_counts(rng, 30, 50, density=0.6)
+        counts[:, 0] = 25
+        weights = rng.normal(0, 1, (2, 5, 50))
+        weights[1] *= scale
+        bias = np.zeros((2, 5))
+        labels = self.product_labels(counts, weights[1], bias[1])
+        masks32, masks64 = spy_certified(monkeypatch)
+        accs = accuracies(counts, labels, weights, bias)
+        assert accs[1] == 1.0
+        assert masks32[0][0].all() and not masks32[0][1].any()
+        assert len(masks64) == 1 and masks64[0].all()
+
+    def test_subnormal_weights_are_rescored_in_float64(self, monkeypatch):
+        # With t = 2^-149, the smallest float32 subnormal, class 1's weights
+        # (1.2t, 0.45t) round to (t, 0) and class 0's 1.6t rounds to 2t. On
+        # the row (1, 1) float32 ranks class 0 first by t, but the exact
+        # logits, 1.6t and 1.65t, rank class 1 first, and float64 holds them
+        # exactly. Only the subnormal term of e32 keeps the float32 lead
+        # from certifying.
+        t = 2.0 ** -149
+        weights = np.array([[[1.6 * t, 0.0], [1.2 * t, 0.45 * t]]])
+        bias = np.zeros((1, 2))
+        counts = np.ones((1, 2), dtype=np.uint16)
+        float32_logits = (weights[0].astype(np.float32) @ counts[0].astype(np.float32))
+        assert float32_logits.argmax() == 0 and float32_logits[0] - float32_logits[1] == t
+        assert self.product_labels(counts, weights[0], bias[0])[0] == 1
+        masks32, masks64 = spy_certified(monkeypatch)
+        assert accuracies(counts, np.array([1]), weights, bias) == [1.0]
+        assert not masks32[0].any() and masks64[0].all()
+
+    def test_float32_lead_must_exceed_twice_both_bounds(self):
+        # One row summing to 40 under weights of max |w| 0.25 and a bias of
+        # max |b| 0.5, at K = 8 features.
+        weights = np.full((1, 2, 8), 0.25)
+        bias = np.array([[0.5, 0.0]])
+        u32, u64 = 2.0 ** -24, 2.0 ** -53
+        e = ((8 * u32 / (1 - 8 * u32) + 3 * u32 + 8 * u64 / (1 - 8 * u64) + 2 * u64)
+             * (40 * 0.25 + 0.5) + 2.0 ** -148 * 41)
+        for lead, sure in ((2 * e, False), (3 * e, True)):
+            logits = np.array([np.float32(lead), 0.0], dtype=np.float32).reshape(1, 2, 1)
+            preds = logits.argmax(axis=1)
+            assert readout._certified32(logits, preds, np.array([40.0]), weights,
+                                        bias)[0, 0] == sure
+
+    def test_overflowed_float32_logit_is_never_certified(self):
+        weights, bias = np.zeros((1, 3, 1)), np.zeros((1, 3))
+        for column in ([np.inf, 1.0, 0.0], [5.0, 1.0, -np.inf], [np.nan, 1.0, 0.0]):
+            logits = np.array(column, dtype=np.float32).reshape(1, 3, 1)
+            preds = logits.argmax(axis=1)
+            assert not readout._certified32(logits, preds, np.ones(1), weights, bias).any()
+
+    def test_training_holds_no_float64_copy_of_the_test_counts(self, monkeypatch):
+        # The curve is scored from the u16 test counts and one float32 copy:
+        # a (n_test, K) float64 array would exceed the budget. No row
+        # reaches the whole float64 product, which builds one on demand.
+        rng = np.random.default_rng(23)
+        n_test, width, classes = 4000, 500, 2
+        train = counts_cache(spike_counts(rng, 32 * 20, width),
+                             rng.integers(0, classes, 32 * 20))
+        test_counts = spike_counts(rng, n_test, width)
+        test_counts[:, 0] += 1
+        test = counts_cache(test_counts, rng.integers(0, classes, n_test))
+        masks32, masks64 = spy_certified(monkeypatch)
+        train_readout(train, test, adam=AdamConfig(), batch_size=32, num_classes=classes)
+        assert all(mask.all() for mask in masks64)
+        masks32.clear()
+        tracemalloc.start()
+        try:
+            entry, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            _, metrics = train_readout(train, test, adam=AdamConfig(), batch_size=32,
+                                       num_classes=classes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(metrics) == 20 and len(masks32) == 2
+        assert peak - entry < n_test * width * 8, (peak - entry, n_test * width * 8)

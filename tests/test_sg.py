@@ -10,7 +10,8 @@ from oracles import (cross_entropy, poisson_encode, reference_bptt_backward,
                      reference_lif_stack, relative_error, sg_forward_mode_grads)
 from test_parts import under_each_schedule
 from ransnn.encoding import encode_sample
-from ransnn.network import LifParams, Uniform, fan_in_uniform, init_weights, simulate_forward
+from ransnn.network import (LifParams, Normal, Uniform, fan_in_uniform, init_weights,
+                            simulate_forward)
 from ransnn.numerics import ENCODE_TEST_STREAM, AdamConfig, Rng, softmax
 from ransnn import sg
 from ransnn.sg import (SgModel, _batch_loss, _record_tape, bptt_backward, evaluate_sg,
@@ -68,6 +69,20 @@ class TestSgForward:
         tape = one_sample_tape(model, train)
         reference = simulate_forward(net, train[None])
         assert np.array_equal(tape.flat_hidden, reference.reshape(20, 6))
+
+    # 7 x 9 = 63 weights, an odd count, and 8 x 9 = 72.
+    @pytest.mark.parametrize("n_hidden", [7, 8])
+    @pytest.mark.parametrize("dist", [Uniform(-0.4, 0.3), Normal(0.1, 0.6)])
+    def test_hidden_matrix_equals_init_weights(self, n_hidden, dist):
+        # Sampled into the parameter vector, the hidden matrix keeps the
+        # bits of the fixed network's, and w_out those of its own stream.
+        net = init_weights([9, n_hidden, 4], dist, seed=6)
+        model = init_sg_model(9, n_hidden, 4, seed=6, dist=dist)
+        assert np.array_equal(model.w_hidden, net.weights[0])
+        w_out = init_weights([9, n_hidden, 4], fan_in_uniform(n_hidden), seed=6).weights[1]
+        assert np.array_equal(model.w_out, w_out)
+        assert np.array_equal(model.params, np.concatenate([net.weights[0].ravel(),
+                                                            w_out.ravel()]))
 
     def test_deterministic(self):
         model = small_model(seed=2)
@@ -222,11 +237,20 @@ class TestBpttBackward:
         # other three arrays as they were.
         arrays = ("input_bits", "output_u_pre", "output_bits", "hidden_u_pre", "flat_hidden")
         before = dataclasses.replace(tape, **{name: getattr(tape, name).copy() for name in arrays})
-        # Training passes a reused gradient vector; it must be fully written.
-        out = np.full(model.w_hidden.size + model.w_out.size, np.nan) if shared_scratch else None
-        d_wh, d_wo = bptt_backward(model, tape, y, out=out)
-        if out is not None:
-            assert np.shares_memory(d_wh, out) and np.shares_memory(d_wo, out)
+        # Training reuses the gradient's work array from step to step; it
+        # must be fully written. Here the gradient does not fit in the tape.
+        if shared_scratch:
+            stale = _record_tape(model, bits[:1], scratch)
+            bptt_backward(model, stale, y[:1])
+            stale.grad[:] = np.nan
+            tape = _record_tape(model, bits, scratch)
+            before = dataclasses.replace(
+                tape, **{name: getattr(tape, name).copy() for name in arrays})
+        d_wh, d_wo = bptt_backward(model, tape, y)
+        assert tape.grad.shape == (model.w_hidden.size + model.w_out.size,)
+        assert np.shares_memory(d_wh, tape.grad) and np.shares_memory(d_wo, tape.grad)
+        if shared_scratch:
+            assert np.shares_memory(tape.grad, stale.grad)
         for name in arrays[:3]:
             assert np.array_equal(getattr(tape, name), getattr(before, name)), name
         # The hidden gradient's GEMM operand, the input bits as float64 rows,
@@ -282,12 +306,45 @@ class TestBpttBackward:
             assert np.array_equal(d_wh, ref_wh)
             assert np.array_equal(d_wo, ref_wo)
 
-    def test_gradient_vector_size_validated(self):
-        model = small_model(seed=5)
-        tape = one_sample_tape(model, random_train(3, 5, 4))
-        with pytest.raises(ValueError):
-            bptt_backward(model, tape, one_hot(0, 3),
-                          out=np.empty(model.w_hidden.size + model.w_out.size + 1))
+    # Above 256 hidden neurons the hidden gradient's GEMM runs in blocks of
+    # GRAD_ROWS rows, as the reference does. At 200 -> 300 the gradient lies
+    # in hidden_u_pre after the input rows: B*T*(n_hidden - n_in) = 79,200
+    # entries hold its 61,500. At 784 -> 300 it lies in a work array of the
+    # scratch.
+    @pytest.mark.parametrize("n_in, in_tape", [(200, True), (784, False)])
+    @pytest.mark.parametrize("shared_scratch", [False, True])
+    def test_equals_the_blocked_reference_in_either_gradient_home(self, n_in, in_tape,
+                                                                  shared_scratch):
+        n_batch, steps, n_hidden, n_cls = 66, 12, 300, 5
+        assert n_hidden > sg.GRAD_ROWS
+        model = init_sg_model(n_in, n_hidden, n_cls, seed=24, dist=fan_in_uniform(n_in),
+                              lif=LifParams(beta=0.9, u_thr=1.0))
+        bits = (Rng(25, 0).random((n_batch, steps, n_in)) < 0.3).astype(np.uint8)
+        y = np.eye(n_cls)[np.arange(n_batch) % n_cls]
+        arrays = ("input_bits", "hidden_u_pre", "flat_hidden", "output_u_pre", "output_bits")
+
+        def compute():
+            scratch = None
+            if shared_scratch:
+                # A smaller batch's step leaves a gradient work array and
+                # input rows that this batch's tape replaces or outgrows.
+                scratch = {}
+                small = np.ones((3, steps, n_in), dtype=np.uint8)
+                bptt_backward(model, _record_tape(model, small, scratch),
+                              np.eye(n_cls)[np.arange(3) % n_cls])
+            tape = _record_tape(model, bits, scratch)
+            before = dataclasses.replace(
+                tape, **{name: getattr(tape, name).copy() for name in arrays})
+            grads = bptt_backward(model, tape, y)
+            assert np.shares_memory(tape.grad, tape.hidden_u_pre) == in_tape
+            return before, [g.copy() for g in grads]
+
+        (first, grads), *others = under_each_schedule(compute)
+        assert first.flat_hidden.any() and not first.flat_hidden.all()
+        ref_wh, ref_wo = reference_bptt_backward(model, first, y)
+        for _, (d_wh, d_wo) in [(first, grads), *others]:
+            assert np.array_equal(d_wh, ref_wh)
+            assert np.array_equal(d_wo, ref_wo)
 
     def test_forward_keeps_no_input_copy_and_no_hidden_bits(self):
         # Above the tape's own arrays, recording may hold only (m, n) work
@@ -346,6 +403,34 @@ class TestBpttBackward:
                 tracemalloc.stop()
             assert grads[0].shape == model.w_hidden.shape
             assert peak - entry < budget, (n_in, peak - entry, budget)
+
+    def test_gradient_that_fits_in_the_tape_adds_no_weight_sized_vector(self):
+        # At 100 -> 500 with B*T = 200 rows, hidden_u_pre holds the input
+        # rows and, after them, the 55,000 gradient entries. Above its entry
+        # the backward may hold only (B, n) work arrays, the small (B, T, C)
+        # ones and the w_out gradient's (C, n_hidden) work array.
+        n_batch, steps, n_in, n_hidden, n_cls = 8, 25, 100, 500, 10
+        model = init_sg_model(n_in, n_hidden, n_cls, seed=0, dist=fan_in_uniform(n_in))
+        n_weights = model.w_hidden.size + model.w_out.size
+        assert n_batch * steps * (n_hidden - n_in) >= n_weights
+        bits = (Rng(3, 0).random((n_batch, steps, n_in)) < 0.2).astype(np.uint8)
+        y = np.eye(n_cls)[np.arange(n_batch)]
+        # A first step starts the worker threads outside the trace.
+        bptt_backward(model, _record_tape(model, bits), y)
+        tape = _record_tape(model, bits)
+        budget = (4 * n_batch * n_hidden * 8 + 8 * n_batch * steps * n_cls * 8
+                  + model.w_out.nbytes)
+        assert budget < n_weights * 8
+        tracemalloc.start()
+        try:
+            entry, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            bptt_backward(model, tape, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(tape.grad, tape.hidden_u_pre)
+        assert peak - entry < budget, (peak - entry, budget)
 
 
 def _separable(samples_per_class, pixels, seed):
@@ -415,6 +500,37 @@ class TestTrainSg:
         _, metrics = train_whole(init_sg_model(16, 8, 2, seed=0, dist=fan_in_uniform(16)),
                                  ds, test_ds, 5, master_seed=0, batch_size=16)
         assert [m.iteration for m in metrics] == [5, 10, 12]
+
+    def test_init_and_training_hold_the_weights_once(self, monkeypatch):
+        # init_sg_model samples both matrices into the one parameter vector
+        # that Adam updates, and train_sg adds Adam's m and v and the
+        # gradient's work array (at 784 -> 1,000 it does not fit in the
+        # tape): no second (n_hidden, n_in) float64 array, which the
+        # budgets' half-matrix slack leaves no room for.
+        n_in, n_hidden = 784, 1000
+        ds = _separable(samples_per_class=4, pixels=n_in, seed=3)
+        monkeypatch.setattr(sg, "EVAL_EVERY", 1)
+        # A first run starts the worker threads outside the trace.
+        train_whole(init_sg_model(n_in, n_hidden, 2, seed=0, dist=fan_in_uniform(n_in)),
+                    ds, ds, 5, master_seed=0, batch_size=4)
+        tracemalloc.start()
+        try:
+            entry, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            model = init_sg_model(n_in, n_hidden, 2, seed=0, dist=fan_in_uniform(n_in))
+            _, init_peak = tracemalloc.get_traced_memory()
+            n_weights = model.params.size
+            slack = model.w_hidden.nbytes // 2
+            assert init_peak - entry < n_weights * 8 + slack, (init_peak - entry, slack)
+            entry, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            train_whole(model, ds, ds, 5, master_seed=0, batch_size=4)
+            _, train_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(model.w_hidden, model.params)
+        assert np.shares_memory(model.w_out, model.params)
+        assert train_peak - entry < 3 * n_weights * 8 + slack, (train_peak - entry, slack)
 
     def test_loss_reported_per_step(self, monkeypatch):
         # With an untouched zero-ish output drive the first recorded loss
