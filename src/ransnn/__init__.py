@@ -13,8 +13,7 @@ from .network import (LifParams, NetworkTopology, Normal, Uniform, WeightDistrib
 from .numerics import (ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM, AdamConfig, AdamState, Rng,
                        adam_step, softmax)
 from .readout import (FeatureCache, IterationMetrics, ReadoutModel, evaluate,
-                      extract_features, extract_features_at, readout_loss_grad,
-                      train_readout)
+                      extract_features, readout_loss_grad, train_readout)
 from .sg import (BpttTape, SgModel, bptt_backward, evaluate_sg, init_sg_model,
                  surrogate_grad, train_sg)
 

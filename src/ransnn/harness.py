@@ -28,8 +28,8 @@ from .network import (LifParams, Normal, Uniform, WeightDistribution,
                       fan_in_uniform, init_weights, openblas, worker_count)
 from .numerics import AdamConfig, ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM
 # Uncalled: evaluate stays for the bench site readout.evaluate
-from .readout import (FeatureCache, IterationMetrics, evaluate,  # noqa: F401
-                      extract_features, extract_features_at, feature_digest, train_readout)
+from .readout import (FeatureCache, IterationMetrics, count_spikes, evaluate,  # noqa: F401
+                      extract_features, feature_digest, train_readout)
 from .sg import init_sg_model, train_sg
 
 METHODS = ("ransnn", "sg")
@@ -452,18 +452,20 @@ def _fill_time_steps(cfg: ExperimentConfig, steps, cache_dir) -> None:
     dropped before the next split is simulated."""
     run, net = _set_up(cfg), None
     for split in (run.train, run.test):
-        paths = {t: _cache_file(cache_dir, _split_digest(cfg, run, split, t)) for t in steps}
-        missing = [t for t, path in paths.items() if not path.exists()]
+        digests = {t: _split_digest(cfg, run, split, t) for t in steps}
+        missing = [t for t in steps if not _cache_file(cache_dir, digests[t]).exists()]
         if not missing:
             continue
         net = net or init_weights(run.sizes, run.dist, cfg.seed, lif=run.lif)
-        caches = extract_features_at(net, split.dataset, cfg.seed, missing,
-                                     indices=split.indices, stream_base=split.stream_base,
-                                     dataset_id=split.dataset_id)
+        counts = count_spikes(net.weights, net.lif, split.dataset.images, split.indices,
+                              missing, cfg.seed, split.stream_base)
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
+        labels = split.dataset.labels[split.indices]
         for t in missing:
-            caches[t].save(paths[t])
-        del caches
+            cache = FeatureCache(features=counts[t], labels=labels, time_steps=t,
+                                 source_config_digest=digests[t])
+            cache.save(_cache_file(cache_dir, digests[t]))
+        del counts, cache
 
 
 @one_blas_thread()

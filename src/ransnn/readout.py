@@ -205,32 +205,18 @@ def count_spikes(weights, lif: LifParams, images, indices, steps, master_seed: i
     return counts
 
 
-def extract_features_at(net: NetworkTopology, dataset: LabeledDataset,
-                        master_seed: int, steps, *, indices, stream_base: int,
-                        dataset_id: str) -> dict[int, FeatureCache]:
-    """One FeatureCache per window length t in steps, holding count_spikes
-    of the selected samples through net; dataset_id names the split in the
-    digest, which equals that of a direct extraction at t."""
-    indices = np.asarray(indices, dtype=np.int64)
-    counts = count_spikes(net.weights, net.lif, dataset.images, indices, steps,
-                          master_seed, stream_base)
-    labels = dataset.labels[indices]
-    return {t: FeatureCache(
-                features=features, labels=labels, time_steps=t,
-                source_config_digest=feature_digest(
-                    net.layer_sizes, net.dist, net.seed, net.lif, t,
-                    dataset_id, master_seed, stream_base, indices))
-            for t, features in counts.items()}
-
-
 def extract_features(net: NetworkTopology, time_steps: int, dataset: LabeledDataset,
                      master_seed: int, *, indices, stream_base: int,
                      dataset_id: str) -> FeatureCache:
-    """The FeatureCache of extract_features_at for the single window
-    time_steps."""
-    return extract_features_at(net, dataset, master_seed, (time_steps,), indices=indices,
-                               stream_base=stream_base,
-                               dataset_id=dataset_id)[time_steps]
+    """The FeatureCache of the selected samples' count_spikes through net at
+    the window time_steps; dataset_id names the split in its digest."""
+    indices = np.asarray(indices, dtype=np.int64)
+    [(t, counts)] = count_spikes(net.weights, net.lif, dataset.images, indices, (time_steps,),
+                                 master_seed, stream_base).items()
+    return FeatureCache(features=counts, labels=dataset.labels[indices], time_steps=t,
+                        source_config_digest=feature_digest(
+                            net.layer_sizes, net.dist, net.seed, net.lif, t, dataset_id,
+                            master_seed, stream_base, indices))
 
 
 @dataclass

@@ -50,39 +50,31 @@ class SgModel:
     """Trainable weights of the baseline: input->hidden and hidden->output,
     both layers sharing the same LIF constants.
 
-    Both matrices are views of params, one flat float64 vector holding
-    w_hidden's entries row-major, then w_out's, which train_sg's Adam
-    updates in place. Without params, the model copies the two matrices
-    into a new one and views it.
+    params is one flat float64 vector holding w_hidden's entries row-major,
+    then w_out's, which train_sg's Adam updates in place; w_hidden
+    (n_hidden, n_in) and w_out (num_classes, n_hidden) are views of it. A
+    params of any other size is a ValueError.
 
     version increments on every parameter update; tapes record the version
     they were produced under so a stale tape cannot be backpropagated.
     """
 
-    w_hidden: np.ndarray  # (n_hidden, n_in)
-    w_out: np.ndarray  # (num_classes, n_hidden)
+    params: np.ndarray
+    n_in: int
+    n_hidden: int
+    num_classes: int
     lif: LifParams
     version: int = 0
-    params: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.params is None:
-            n_wh = self.w_hidden.size
-            self.params = np.concatenate((self.w_hidden, self.w_out), axis=None)
-            self.w_hidden = self.params[:n_wh].reshape(self.w_hidden.shape)
-            self.w_out = self.params[n_wh:].reshape(self.w_out.shape)
-
-    @property
-    def n_in(self) -> int:
-        return self.w_hidden.shape[1]
-
-    @property
-    def n_hidden(self) -> int:
-        return self.w_hidden.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.w_out.shape[0]
+        n_wh = self.n_hidden * self.n_in
+        n_weights = n_wh + self.num_classes * self.n_hidden
+        if self.params.shape != (n_weights,):
+            raise ValueError(f"params of shape {self.params.shape} for a {self.n_in}->"
+                             f"{self.n_hidden}->{self.num_classes} model, which has "
+                             f"{n_weights} weights")
+        self.w_hidden = self.params[:n_wh].reshape(self.n_hidden, self.n_in)
+        self.w_out = self.params[n_wh:].reshape(self.num_classes, self.n_hidden)
 
 
 def init_sg_model(n_in: int, n_hidden: int, num_classes: int, seed: int,
@@ -97,11 +89,10 @@ def init_sg_model(n_in: int, n_hidden: int, num_classes: int, seed: int,
     """
     n_wh = n_hidden * n_in
     params = np.empty(n_wh + num_classes * n_hidden)
-    w_hidden = sample_weights(dist, Rng(seed, WEIGHT_STREAM + 0), n_hidden, n_in,
-                              out=params[:n_wh])
-    w_out = sample_weights(fan_in_uniform(n_hidden), Rng(seed, WEIGHT_STREAM + 1),
-                           num_classes, n_hidden, out=params[n_wh:])
-    return SgModel(w_hidden=w_hidden, w_out=w_out, lif=lif, params=params)
+    sample_weights(dist, Rng(seed, WEIGHT_STREAM + 0), n_hidden, n_in, out=params[:n_wh])
+    sample_weights(fan_in_uniform(n_hidden), Rng(seed, WEIGHT_STREAM + 1), num_classes,
+                   n_hidden, out=params[n_wh:])
+    return SgModel(params, n_in, n_hidden, num_classes, lif)
 
 
 @dataclass
@@ -129,11 +120,9 @@ class BpttTape:
     grad: np.ndarray | None = None  # (n_weights,) float64, set by bptt_backward
 
 
-def _record_tape(model: SgModel, input_bits: np.ndarray,
-                 scratch: dict | None = None) -> BpttTape:
+def _record_tape(model: SgModel, input_bits: np.ndarray, scratch: dict) -> BpttTape:
     """Forward a (B, T, n_in) batch through both layers, keeping the tape;
-    scratch as in simulate, and without one the tape owns its arrays."""
-    scratch = {} if scratch is None else scratch
+    scratch as in simulate."""
     (hidden_u_pre, hidden_spikes), (output_u_pre, output_bits) = simulate(
         input_bits, (model.w_hidden, model.w_out), model.lif, scratch)
     return BpttTape(input_bits, hidden_u_pre, hidden_spikes.reshape(-1, model.n_hidden),
@@ -178,20 +167,19 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true) -> tuple[np.ndarray, n
     The tape is spent, and a second backward on it raises ValueError. The
     w_out gradient reads tape.flat_hidden into a small work array first;
     then the hidden adjoint is computed in place over flat_hidden. Once the
-    adjoint has read tape.hidden_u_pre, the hidden gradient's GEMM operand,
-    the input bits as (B*T, n_in) float64 rows, is rebuilt in its storage,
-    or where n_in > n_hidden in a work array kept in tape.scratch. The
-    hidden adjoint and that rebuild run in parts of part_size(B, n_hidden)
-    samples and the hidden gradient's GEMM in blocks of GRAD_ROWS rows, all
-    through run_parts; the split depends only on the shapes, so the bits do
-    not depend on the worker count.
+    adjoint has read tape.hidden_u_pre, its storage is free, and one rule
+    places two arrays in turn: each takes the next entries of that storage
+    where enough remain, and otherwise a work array kept in tape.scratch.
+    The first is the hidden gradient's GEMM operand, the input bits rebuilt
+    as (B*T, n_in) float64 rows; the second is tape.grad. The hidden
+    adjoint and that rebuild run in parts of part_size(B, n_hidden) samples
+    and the hidden gradient's GEMM in blocks of GRAD_ROWS rows, all through
+    run_parts; the split depends only on the shapes, so the bits do not
+    depend on the worker count.
 
     Both gradients are written into tape.grad, one flat float64 vector
-    holding the hidden matrix's entries first, and returned as views of it.
-    It lies in hidden_u_pre after the rebuilt input rows where
-    B*T*(n_hidden - n_in) >= n_weights, and in a work array kept in
-    tape.scratch otherwise, so it is valid until the next step that uses
-    that scratch.
+    holding the hidden matrix's entries first, and returned as views of it,
+    valid until the next step that uses the tape's scratch.
     """
     if tape.spent:
         raise ValueError("spent tape: a backward already overwrote its flat_hidden "
@@ -225,12 +213,18 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true) -> tuple[np.ndarray, n
     size = part_size(n_batch, model.n_hidden)
     run_parts(adjoint_part, n_batch, size)
     n_rows, n_wh = n_batch * steps, model.w_hidden.size
-    n_weights = n_wh + model.w_out.size
     free = tape.hidden_u_pre.reshape(-1)
-    if model.n_in <= model.n_hidden:
-        flat_input, free = free[:n_rows * model.n_in], free[n_rows * model.n_in:]
-    else:
-        flat_input = _buffer(tape.scratch, "flat_input", n_rows * model.n_in, np.float64)
+
+    def place(name, n):
+        """n entries of float64: the first n still free in hidden_u_pre, or
+        where fewer are free, the work array tape.scratch[name]."""
+        nonlocal free
+        if free.size < n:
+            return _buffer(tape.scratch, name, n, np.float64)
+        out, free = free[:n], free[n:]
+        return out
+
+    flat_input = place("flat_input", n_rows * model.n_in)
     inputs = flat_input.reshape(n_batch, steps, model.n_in)
 
     def input_part(rows):
@@ -238,10 +232,7 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true) -> tuple[np.ndarray, n
 
     run_parts(input_part, n_batch, size)
     flat_input = flat_input.reshape(n_rows, model.n_in)
-    if model.n_in <= model.n_hidden and free.size >= n_weights:
-        tape.grad = free[:n_weights]
-    else:
-        tape.grad = _buffer(tape.scratch, "grad", n_weights, np.float64)
+    tape.grad = place("grad", model.params.size)
     d_w_hidden = tape.grad[:n_wh].reshape(model.w_hidden.shape)
 
     def gradient_part(rows):

@@ -198,7 +198,7 @@ class TestCriterion08GradientCorrectness:
             train = poisson_encode(np.full(4, 0.6), 5, Rng(5000 + trial, 5))
             y = np.zeros(3)
             y[trial % 3] = 1.0
-            tape = _record_tape(model, train[None])
+            tape = _record_tape(model, train[None], {})
             d_wh, d_wo = bptt_backward(model, tape, y[None])  # B = 1: the mean is the sum
             ref_wh, ref_wo = sg_forward_mode_grads(model.w_hidden, model.w_out,
                                                    lif.beta, lif.u_thr,

@@ -29,7 +29,7 @@ from ransnn.idx import load_dataset, make_batches
 from ransnn.network import (LifParams, Normal, Uniform, fan_in_uniform, init_weights,
                             openblas)
 from ransnn.numerics import AdamConfig
-from ransnn.readout import FeatureCache
+from ransnn.readout import FeatureCache, extract_features
 from ransnn.sg import init_sg_model
 
 TINY = {
@@ -692,6 +692,31 @@ class TestRunSweep:
         assert steps and set(steps) == {4}
         assert len(list(tmp_path.iterdir())) == 4
 
+    def test_fill_writes_each_window_as_a_direct_extraction(self, use_data_dir, tmp_path):
+        # One simulation per split at the longest window writes a cache per
+        # split and window, named by the digest it carries and equal to
+        # extract_features at its window in counts, labels and digest.
+        cfg = tiny_config().validate()
+        harness._fill_time_steps(cfg, (4, 8, 6), tmp_path)
+        files = sorted(tmp_path.iterdir())
+        assert len(files) == 6
+        for path in files:
+            cache = FeatureCache.load(path)
+            assert path.name == f"{cache.source_config_digest:016x}.rsnnfc"
+        run = harness._set_up(cfg)
+        net = init_weights(run.sizes, run.dist, cfg.seed, lif=run.lif)
+        for split in (run.train, run.test):
+            for t in (4, 6, 8):
+                direct = extract_features(net, t, split.dataset, cfg.seed,
+                                          indices=split.indices, stream_base=split.stream_base,
+                                          dataset_id=split.dataset_id)
+                cache = FeatureCache.load(tmp_path / f"{direct.source_config_digest:016x}.rsnnfc",
+                                          expected_digest=direct.source_config_digest)
+                assert cache.time_steps == t
+                assert direct.features.any()
+                assert np.array_equal(cache.features, direct.features)
+                assert np.array_equal(cache.labels, direct.labels)
+
     def test_sweep_without_cache_dir_leaves_no_files(self, use_data_dir, tmp_path,
                                                      monkeypatch):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
@@ -763,8 +788,7 @@ class TestRunSweep:
         def no_run(*_args, **_kwargs):
             raise AssertionError("a run started before every config was validated")
 
-        for name in ("extract_features", "extract_features_at", "init_weights",
-                     "_load_datasets"):
+        for name in ("extract_features", "count_spikes", "init_weights", "_load_datasets"):
             monkeypatch.setattr(f"ransnn.harness.{name}", no_run)
         with pytest.raises(ConfigError):
             run_sweep(tiny_config(), SweepSpec(parameter=parameter, values=values,

@@ -13,7 +13,7 @@ from ransnn.idx import LabeledDataset
 from ransnn.network import (LifParams, NetworkTopology, Normal, Uniform,
                             fan_in_uniform, init_weights, simulate, simulate_forward)
 from ransnn.numerics import ENCODE_TRAIN_STREAM, Rng
-from ransnn.readout import extract_features_at
+from ransnn.readout import count_spikes
 
 
 class TestLifParams:
@@ -283,13 +283,13 @@ class TestAccumulateSpikes:
         # neuron emitted at step t.
         ds = self._dataset(Rng(3, 0).uniform(0, 256, 2 * 8).reshape(2, 8))
         net = init_weights([8, 6], Uniform(-1.0, 1.0), seed=4)
-        caches = extract_features_at(net, ds, 5, range(1, 11), indices=np.arange(len(ds)),
-                                     stream_base=ENCODE_TRAIN_STREAM, dataset_id="mnist/train")
+        windows = count_spikes(net.weights, net.lif, ds.images, np.arange(len(ds)),
+                               range(1, 11), 5, ENCODE_TRAIN_STREAM)
         for k in range(len(ds)):
             bits = encode_sample(ds.images[k], 10, Rng(5, ENCODE_TRAIN_STREAM + k))
             raster = simulate_forward(net, bits[None])[0]
             assert raster.any() and not raster.all()
-            counts = np.stack([caches[t].features[k] for t in range(1, 11)]).astype(int)
+            counts = np.stack([windows[t][k] for t in range(1, 11)]).astype(int)
             assert np.array_equal(np.diff(counts, axis=0, prepend=0), raster)
 
     @given(st.integers(1, 40), st.integers(1, 30), st.integers(0, 2**31))

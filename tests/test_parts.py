@@ -19,7 +19,6 @@ from oracles import reference_chunked_counts
 from ransnn import network, readout, sg
 from ransnn.network import Uniform, fan_in_uniform, init_weights
 from ransnn.numerics import ENCODE_TEST_STREAM, AdamConfig
-from ransnn.readout import extract_features_at
 from ransnn.sg import init_sg_model, train_sg
 
 
@@ -75,8 +74,7 @@ def test_extraction_counts_and_cache_bytes(sizes, dist, tmp_path):
     ((784, 2000), fan_in_uniform(784), [4, 4]),
     ((64, 30, 12), Uniform(-0.3, 0.5), [8]),
     ((784, 300), fan_in_uniform(784), [7, 1])])
-def test_multi_window_extraction_under_each_schedule(sizes, dist, chunk_parts, n, tmp_path,
-                                                     monkeypatch):
+def test_multi_window_extraction_under_each_schedule(sizes, dist, chunk_parts, n, monkeypatch):
     ds = mnist_shaped(n + 5, pixels=sizes[0], seed=n)
     net = init_weights(sizes, dist, seed=3)
     indices = np.arange(n + 5)[::-1][:n]
@@ -91,26 +89,21 @@ def test_multi_window_extraction_under_each_schedule(sizes, dist, chunk_parts, n
 
     def compute():
         unit_rows.clear()
-        caches = extract_features_at(net, ds, 6, (10, 4), indices=indices,
-                                     stream_base=ENCODE_TEST_STREAM, dataset_id="mnist/test")
+        counts = readout.count_spikes(net.weights, net.lif, ds.images, indices, (10, 4), 6,
+                                      ENCODE_TEST_STREAM)
         # The GEMM row groups, whatever the schedule.
         assert sorted(unit_rows) == sorted(chunk_parts * (n // 8) + [n % 8])
-        out = {}
-        for t, cache in caches.items():
-            cache.save(tmp_path / "cache.rsnnfc")
-            out[t] = (cache.features, cache.source_config_digest,
-                      (tmp_path / "cache.rsnnfc").read_bytes())
-        return out
+        return counts
 
     first, *others = under_each_schedule(compute)
     assert sorted(first) == [4, 10]
     reference = reference_chunked_counts(net, ds, 6, 10, indices, ENCODE_TEST_STREAM)
-    assert np.array_equal(first[10][0], reference)
-    assert first[10][0].any() and (first[4][0] <= first[10][0]).all()
+    assert np.array_equal(first[10], reference)
+    assert first[10].any() and (first[4] <= first[10]).all()
     for other in others:
-        for t, (features, digest, blob) in first.items():
-            assert np.array_equal(other[t][0], features)
-            assert other[t][1:] == (digest, blob)
+        for t, counts in first.items():
+            assert other[t].dtype == counts.dtype == np.uint16
+            assert np.array_equal(other[t], counts)
 
 
 # At 2,000 and 300 hidden neurons, batches of 6 samples are parts of 4 and 2,

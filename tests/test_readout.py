@@ -16,7 +16,7 @@ from ransnn.network import (LifParams, Normal, Uniform, fan_in_uniform, init_wei
 from ransnn.numerics import (ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM, AdamConfig, Rng, adam_step,
                              softmax)
 from ransnn.readout import (EVAL_GROUP, CacheFormatError, FeatureCache, ReadoutModel,
-                            count_spikes, evaluate, extract_features, extract_features_at,
+                            count_spikes, evaluate, extract_features,
                             feature_digest, readout_loss_grad, train_readout)
 from test_parts import under_each_schedule
 
@@ -160,27 +160,23 @@ class TestProgress:
 
 
 class TestExtractFeaturesAt:
-    """One simulation at the longest window gives every shorter window's
-    cache, equal to a direct extraction at that window, digest included."""
+    """Features extracted at several windows by one count_spikes call, which
+    simulates once at the longest: each window's counts equal extract_features
+    at that window."""
 
     @pytest.mark.parametrize("n", [1, 7, 9, 128])
     def test_equals_direct_extraction_per_window(self, n):
         ds = mnist_shaped(160)
         net = init_weights((784, 300), fan_in_uniform(784), seed=5)
         sel = Rng(9, 0).permutation(len(ds))[:n]
-        caches = extract_features_at(net, ds, 21, (25, 1, 7), indices=sel, stream_base=77,
-                                     dataset_id="mnist/train")
-        assert sorted(caches) == [1, 7, 25]
-        for t, cache in caches.items():
+        windows = count_spikes(net.weights, net.lif, ds.images, sel, (25, 1, 7), 21, 77)
+        assert sorted(windows) == [1, 7, 25]
+        for t, counts in windows.items():
             direct = extract_features(net, t, ds, 21, indices=sel, stream_base=77,
                                       dataset_id="mnist/train")
-            assert cache.features.any()
-            assert cache.features.dtype == direct.features.dtype
-            assert np.array_equal(cache.features, direct.features)
-            assert np.array_equal(cache.labels, direct.labels)
-            assert cache.time_steps == direct.time_steps == t
-            assert cache.source_config_digest == direct.source_config_digest
-        assert len({c.source_config_digest for c in caches.values()}) == 3
+            assert counts.any()
+            assert counts.dtype == direct.features.dtype
+            assert np.array_equal(counts, direct.features)
 
     def test_no_window_rejected(self):
         self._extract_at((), match="at least one")
@@ -194,8 +190,8 @@ class TestExtractFeaturesAt:
         ds = mnist_shaped(4)
         net = init_weights((784, 10), fan_in_uniform(784), seed=5)
         with pytest.raises(ValueError, match=match):
-            extract_features_at(net, ds, 0, steps, indices=np.arange(4),
-                                stream_base=ENCODE_TRAIN_STREAM, dataset_id="mnist/train")
+            count_spikes(net.weights, net.lif, ds.images, np.arange(4), steps, 0,
+                         ENCODE_TRAIN_STREAM)
 
 
 class TestFeatureDigest:

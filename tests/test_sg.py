@@ -45,7 +45,7 @@ def random_train(seed, steps, neurons, rate=0.5) -> np.ndarray:
 
 def one_sample_tape(model, bits):
     """The tape of one sample's (T, n_in) forward: _record_tape at B = 1."""
-    return _record_tape(model, bits[None])
+    return _record_tape(model, bits[None], {})
 
 
 def one_hot(label, num_classes):
@@ -84,6 +84,12 @@ class TestSgForward:
         assert np.array_equal(model.params, np.concatenate([net.weights[0].ravel(),
                                                             w_out.ravel()]))
 
+    @pytest.mark.parametrize("shape", [(8 * 16 + 2 * 8 - 1,), (8 * 16 + 2 * 8 + 1,),
+                                       (8 * 16 + 2 * 8, 1)])
+    def test_params_of_the_wrong_size_rejected(self, shape):
+        with pytest.raises(ValueError, match="16->8->2 model, which has 144 weights"):
+            SgModel(np.zeros(shape), n_in=16, n_hidden=8, num_classes=2, lif=LifParams())
+
     def test_deterministic(self):
         model = small_model(seed=2)
         train = random_train(4, 12, 4)
@@ -96,7 +102,7 @@ class TestSgForward:
         model = small_model(seed=6)
         train = random_train(8, 10, 4)
         tape = one_sample_tape(model, train)
-        again = _record_tape(model, tape.input_bits)
+        again = _record_tape(model, tape.input_bits, {})
         assert np.array_equal(again.hidden_u_pre, tape.hidden_u_pre)
         assert np.array_equal(again.output_u_pre, tape.output_u_pre)
         assert np.array_equal(again.output_bits, tape.output_bits)
@@ -108,7 +114,7 @@ class TestSgForward:
     def test_tape_matches_the_pre_kernel_forward_bitwise(self):
         model = small_model(seed=11, n_in=20, n_hidden=30, num_classes=5)
         bits = np.stack([random_train(40 + k, 12, 20) for k in range(6)])
-        tape = _record_tape(model, bits)
+        tape = _record_tape(model, bits, {})
         (hidden_bits, hidden_u_pre), (output_bits, output_u_pre) = reference_lif_stack(
             (model.w_hidden, model.w_out), model.lif, bits)
         assert hidden_bits.any() and output_bits.any()
@@ -179,7 +185,7 @@ class TestBpttBackward:
         tape_single = one_sample_tape(model, train)
         d_wh_1, d_wo_1 = bptt_backward(model, tape_single, y)
         doubled = np.repeat(train[None], 2, axis=0)
-        tape_double = _record_tape(model, doubled)
+        tape_double = _record_tape(model, doubled, {})
         summed = [2.0 * d for d in bptt_backward(model, tape_double, np.vstack([y, y]))]
         assert np.allclose(summed[0], 2.0 * d_wh_1, rtol=1e-12, atol=0)
         assert np.allclose(summed[1], 2.0 * d_wo_1, rtol=1e-12, atol=0)
@@ -189,7 +195,7 @@ class TestBpttBackward:
         train = random_train(78, steps=6, neurons=4, rate=0.7)
         y = one_hot(2, 3)
         doubled = np.repeat(train[None], 2, axis=0)
-        tape = _record_tape(model, doubled)
+        tape = _record_tape(model, doubled, {})
         targets = np.vstack([y, y])
         d_sum = reference_bptt_backward(model, tape, targets, reduction="sum")
         d_mean = bptt_backward(model, tape, targets)
@@ -225,9 +231,8 @@ class TestBpttBackward:
                             lif=LifParams(beta=0.9, u_thr=1.3))
         bits = np.stack([random_train(60 + k, 12, 20, rate=0.6)
                          for k in range(n_batch)])
-        scratch = None
+        scratch = {}
         if shared_scratch:
-            scratch = {}
             _record_tape(model, np.ones((n_batch + 3, 12, 20), dtype=np.uint8), scratch)
         tape = _record_tape(model, bits, scratch)
         assert tape.flat_hidden.any() and tape.output_bits.any()
@@ -281,11 +286,10 @@ class TestBpttBackward:
         arrays = ("input_bits", "hidden_u_pre", "flat_hidden", "output_u_pre", "output_bits")
 
         def compute():
-            scratch = None
+            scratch = {}
             if shared_scratch:
                 # A larger batch's step leaves every work array, the kept
                 # input operand too, larger than this batch needs.
-                scratch = {}
                 big = np.ones((n_batch + 5, steps, n_in), dtype=np.uint8)
                 bptt_backward(model, _record_tape(model, big, scratch),
                               np.eye(n_cls)[np.arange(n_batch + 5) % n_cls])
@@ -309,13 +313,18 @@ class TestBpttBackward:
     # Above 256 hidden neurons the hidden gradient's GEMM runs in blocks of
     # GRAD_ROWS rows, as the reference does. At 200 -> 300 the gradient lies
     # in hidden_u_pre after the input rows: B*T*(n_hidden - n_in) = 79,200
-    # entries hold its 61,500. At 784 -> 300 it lies in a work array of the
-    # scratch.
-    @pytest.mark.parametrize("n_in, in_tape", [(200, True), (784, False)])
+    # entries hold its 61,500. At 784 -> 300 the input rows take a work
+    # array, and the gradient's n_hidden * (n_in + C) entries lie in
+    # hidden_u_pre where B*T >= n_in + C = 789: at T = 12 (792 rows), not at
+    # T = 11 (726 rows), where they take a work array of the scratch.
+    @pytest.mark.parametrize("n_in, in_tape, steps", [
+        pytest.param(200, True, 12, id="200-True"),
+        pytest.param(784, False, 11, id="784-False"),
+        pytest.param(784, True, 12, id="784-True")])
     @pytest.mark.parametrize("shared_scratch", [False, True])
-    def test_equals_the_blocked_reference_in_either_gradient_home(self, n_in, in_tape,
+    def test_equals_the_blocked_reference_in_either_gradient_home(self, n_in, in_tape, steps,
                                                                   shared_scratch):
-        n_batch, steps, n_hidden, n_cls = 66, 12, 300, 5
+        n_batch, n_hidden, n_cls = 66, 300, 5
         assert n_hidden > sg.GRAD_ROWS
         model = init_sg_model(n_in, n_hidden, n_cls, seed=24, dist=fan_in_uniform(n_in),
                               lif=LifParams(beta=0.9, u_thr=1.0))
@@ -324,11 +333,10 @@ class TestBpttBackward:
         arrays = ("input_bits", "hidden_u_pre", "flat_hidden", "output_u_pre", "output_bits")
 
         def compute():
-            scratch = None
+            scratch = {}
             if shared_scratch:
                 # A smaller batch's step leaves a gradient work array and
                 # input rows that this batch's tape replaces or outgrows.
-                scratch = {}
                 small = np.ones((3, steps, n_in), dtype=np.uint8)
                 bptt_backward(model, _record_tape(model, small, scratch),
                               np.eye(n_cls)[np.arange(3) % n_cls])
@@ -337,6 +345,8 @@ class TestBpttBackward:
                 tape, **{name: getattr(tape, name).copy() for name in arrays})
             grads = bptt_backward(model, tape, y)
             assert np.shares_memory(tape.grad, tape.hidden_u_pre) == in_tape
+            if not shared_scratch:
+                assert ("grad" in scratch) != in_tape
             return before, [g.copy() for g in grads]
 
         (first, grads), *others = under_each_schedule(compute)
@@ -357,7 +367,7 @@ class TestBpttBackward:
         model = init_sg_model(n_in, n_hidden, n_cls, seed=0, dist=fan_in_uniform(n_in))
         bits = (Rng(4, 0).random((n_batch, steps, n_in)) < 0.2).astype(np.uint8)
         # A first forward starts the worker threads outside the trace.
-        _record_tape(model, bits)
+        _record_tape(model, bits, {})
         tape_bytes = 2 * n_batch * steps * n_hidden * 8 + n_batch * steps * n_cls * (8 + 1)
         work = 8 * n_batch * n_hidden * 8
         assert work < min(n_batch * steps * n_in * 8, n_batch * steps * n_hidden)
@@ -365,7 +375,7 @@ class TestBpttBackward:
         try:
             entry, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            tape = _record_tape(model, bits)
+            tape = _record_tape(model, bits, {})
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -406,31 +416,34 @@ class TestBpttBackward:
 
     def test_gradient_that_fits_in_the_tape_adds_no_weight_sized_vector(self):
         # At 100 -> 500 with B*T = 200 rows, hidden_u_pre holds the input
-        # rows and, after them, the 55,000 gradient entries. Above its entry
-        # the backward may hold only (B, n) work arrays, the small (B, T, C)
-        # ones and the w_out gradient's (C, n_hidden) work array.
-        n_batch, steps, n_in, n_hidden, n_cls = 8, 25, 100, 500, 10
-        model = init_sg_model(n_in, n_hidden, n_cls, seed=0, dist=fan_in_uniform(n_in))
-        n_weights = model.w_hidden.size + model.w_out.size
-        assert n_batch * steps * (n_hidden - n_in) >= n_weights
-        bits = (Rng(3, 0).random((n_batch, steps, n_in)) < 0.2).astype(np.uint8)
-        y = np.eye(n_cls)[np.arange(n_batch)]
-        # A first step starts the worker threads outside the trace.
-        bptt_backward(model, _record_tape(model, bits), y)
-        tape = _record_tape(model, bits)
-        budget = (4 * n_batch * n_hidden * 8 + 8 * n_batch * steps * n_cls * 8
-                  + model.w_out.nbytes)
-        assert budget < n_weights * 8
-        tracemalloc.start()
-        try:
-            entry, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            bptt_backward(model, tape, y)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert np.shares_memory(tape.grad, tape.hidden_u_pre)
-        assert peak - entry < budget, (peak - entry, budget)
+        # rows and, after them, the 55,000 gradient entries. At 784 -> 300
+        # with B*T = 792 rows the input rows take a work array of the
+        # scratch, and hidden_u_pre's 237,600 entries hold the 236,700 of
+        # the gradient. Above its entry, with the work arrays an earlier step
+        # kept in scratch, the backward may hold only (B, n) work arrays and
+        # the small (B, T, C) ones.
+        for n_batch, steps, n_in, n_hidden, n_cls in ((8, 25, 100, 500, 10),
+                                                      (66, 12, 784, 300, 5)):
+            model = init_sg_model(n_in, n_hidden, n_cls, seed=0, dist=fan_in_uniform(n_in))
+            n_weights = model.w_hidden.size + model.w_out.size
+            bits = (Rng(3, 0).random((n_batch, steps, n_in)) < 0.2).astype(np.uint8)
+            y = np.eye(n_cls)[np.arange(n_batch) % n_cls]
+            # A first step starts the worker threads outside the trace.
+            scratch = {}
+            bptt_backward(model, _record_tape(model, bits, scratch), y)
+            tape = _record_tape(model, bits, scratch)
+            budget = 4 * n_batch * n_hidden * 8 + 8 * n_batch * steps * n_cls * 8
+            assert budget < n_weights * 8
+            tracemalloc.start()
+            try:
+                entry, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                bptt_backward(model, tape, y)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert np.shares_memory(tape.grad, tape.hidden_u_pre) and "grad" not in scratch
+            assert peak - entry < budget, (n_in, peak - entry, budget)
 
 
 def _separable(samples_per_class, pixels, seed):
@@ -555,7 +568,7 @@ class TestEvaluateSg:
         # Zero weights: no output neuron ever fires, every count ties at 0,
         # so every prediction is class 0.
         ds = _separable(samples_per_class=8, pixels=16, seed=3)
-        model = SgModel(w_hidden=np.zeros((8, 16)), w_out=np.zeros((2, 8)),
+        model = SgModel(np.zeros(8 * 16 + 2 * 8), n_in=16, n_hidden=8, num_classes=2,
                         lif=LifParams())
         acc = evaluate_sg(model, ds, 5, 0, np.arange(len(ds)), ENCODE_TEST_STREAM)
         assert acc == float((ds.labels == 0).mean())
