@@ -9,7 +9,7 @@ from .harness import (ConfigError, ExperimentConfig, MethodComparison, RunRecord
 from .idx import (DatasetError, IdxError, IdxTensor, LabeledDataset, load_dataset,
                   make_batches, parse_idx, read_idx)
 from .network import (LifParams, NetworkTopology, Normal, Uniform, WeightDistribution,
-                      fan_in_uniform, init_weights, simulate_forward)
+                      fan_in_uniform, init_weights, one_blas_thread, simulate_forward)
 from .numerics import (ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM, AdamConfig, AdamState, Rng,
                        adam_step, softmax)
 from .readout import (FeatureCache, IterationMetrics, ReadoutModel, evaluate,

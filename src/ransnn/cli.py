@@ -28,9 +28,8 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _emit(records, out_path) -> None:
-    fmt = "json" if str(out_path).endswith(".json") else "csv"
-    emit_metrics(records, out_path, format=fmt)
-    print(f"wrote {fmt} metrics to {out_path}")
+    emit_metrics(records, out_path)
+    print(f"wrote metrics to {out_path}")
 
 
 def _print_record(rec) -> None:

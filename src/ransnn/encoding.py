@@ -26,7 +26,8 @@ def encode_batch(images, indices, time_steps: int, master_seed: int, stream_base
     """The (n, T, N) uint8 spike trains of the n samples images[indices],
     row k equal to encode_sample(images[indices[k]], T, Rng(master_seed,
     stream_base + indices[k])), so a sample's train never depends on its
-    batch. out supplies the array (a new one without it).
+    batch. out supplies the array (a new one without it): uint8, or float64
+    to receive the spikes as 0.0/1.0, a LIF layer's GEMM input.
 
     The rows are normalized in one pass. Each sample's Philox stream gives
     T*N raw integers r, and r >> 11 < p * 2**53 is compared in integers:
@@ -43,8 +44,8 @@ def encode_batch(images, indices, time_steps: int, master_seed: int, stream_base
         raise ValueError("divide_by_max normalization requires nonnegative input")
     shape = (len(indices), time_steps, x.shape[1])
     out = np.empty(shape, np.uint8) if out is None else out
-    if out.shape != shape or out.dtype != np.uint8:
-        raise ValueError(f"out must be a {shape} uint8 array, got {out.shape} {out.dtype}")
+    if out.shape != shape or out.dtype not in (np.uint8, np.float64):
+        raise ValueError(f"out must be {shape} uint8 or float64, got {out.shape} {out.dtype}")
     peak = x.max(axis=1, keepdims=True, initial=0.0)
     p = np.divide(x, peak, out=x, where=peak > 0)  # a row of zeros stays p = 0
     limits = np.ceil(np.multiply(p, 2.0 ** 53, out=p), out=p).astype(np.uint64)

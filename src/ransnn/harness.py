@@ -10,6 +10,7 @@ the directory named by the RANSNN_DATA_DIR environment variable.
 from __future__ import annotations
 
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import json
@@ -24,11 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from .idx import LabeledDataset, load_dataset, make_batches
-from .network import (LifParams, Normal, Uniform, WeightDistribution,
-                      fan_in_uniform, init_weights, openblas, worker_count)
+from .network import (LifParams, Normal, Uniform, WeightDistribution, count_spikes,
+                      fan_in_uniform, init_weights, one_blas_thread, openblas, worker_count)
 from .numerics import AdamConfig, ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM
 # Uncalled: evaluate stays for the bench site readout.evaluate
-from .readout import (FeatureCache, IterationMetrics, count_spikes, evaluate,  # noqa: F401
+from .readout import (FeatureCache, IterationMetrics, evaluate,  # noqa: F401
                       extract_features, feature_digest, train_readout)
 from .sg import init_sg_model, train_sg
 
@@ -297,24 +298,6 @@ def resolve_dataset_paths(cfg: ExperimentConfig) -> dict[str, Path]:
                 f"{default_name}[.gz] under {base / cfg.dataset} and {base} "
                 f"(set {DATA_DIR_ENV} or the paths config field)")
     return out
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread, then restore its
-    thread count, so that no float result depends on OPENBLAS_NUM_THREADS.
-    Where OpenBLAS's symbols are missing it does nothing, and run records
-    say "unpinned"."""
-    lib = openblas()
-    if lib is None:
-        yield
-        return
-    old = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(1)
-    try:
-        yield
-    finally:
-        lib.scipy_openblas_set_num_threads64_(old)
 
 
 def _environment() -> dict:
@@ -621,8 +604,10 @@ class MethodComparison:
 
 
 def compare_methods(cfg_base: ExperimentConfig, cache_dir=None) -> MethodComparison:
-    rec_ransnn = run_experiment(replace(cfg_base, method="ransnn"), cache_dir=cache_dir)
-    rec_sg = run_experiment(replace(cfg_base, method="sg"), cache_dir=cache_dir)
+    """Both methods on cfg_base, each config validated before either runs."""
+    cfg_ransnn, cfg_sg = (replace(cfg_base, method=m).validate() for m in ("ransnn", "sg"))
+    rec_ransnn = run_experiment(cfg_ransnn, cache_dir=cache_dir)
+    rec_sg = run_experiment(cfg_sg, cache_dir=cache_dir)
 
     def ratio(denom: float) -> float:
         return rec_sg.training_seconds / denom if denom > 0 else float("inf")
@@ -637,22 +622,19 @@ CSV_HEADER = ("run_id", "dataset", "method", "iteration", "train_acc",
               "test_acc", "loss", "elapsed_s")
 
 
-def emit_metrics(records: list[RunRecord], path, format: str = "csv") -> None:
-    """Write per-iteration curves as CSV rows or mirror the records as JSON."""
-    if format == "csv":
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for rec in records:
-                for m in rec.metrics:
-                    writer.writerow([rec.run_id, rec.dataset, rec.method,
-                                     m.iteration, repr(m.train_accuracy),
-                                     repr(m.test_accuracy), repr(m.loss),
-                                     repr(m.elapsed)])
-    elif format == "json":
+def emit_metrics(records: list[RunRecord], path) -> None:
+    """Mirror the records as JSON to a path ending in .json, else write the
+    per-iteration curves as CSV rows."""
+    if str(path).endswith(".json"):
         with open(path, "w") as fh:
             json.dump([dataclasses.asdict(r) for r in records], fh, indent=2)
-    else:
-        raise ConfigError(f"unknown metrics format {format!r}, expected csv or json")
+        return
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for rec in records:
+            for m in rec.metrics:
+                writer.writerow([rec.run_id, rec.dataset, rec.method,
+                                 m.iteration, repr(m.train_accuracy),
+                                 repr(m.test_accuracy), repr(m.loss),
+                                 repr(m.elapsed)])

@@ -11,21 +11,26 @@ of its spike counts ever changes. Each simulation step updates a layer as
 
 with layers consuming the spikes their predecessor emitted at the same step.
 simulate runs a batch in parts of samples fixed by the shapes, spread over
-one thread per CPU, so the number of threads changes no bit.
+one thread per CPU, so the number of threads changes no bit; so does
+count_spikes, the one pass that encodes samples and counts their spikes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
+import logging
 import os
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .encoding import encode_batch
 from .numerics import Rng, WEIGHT_STREAM
 
 # simulate splits a batch into parts of at least PART samples and
@@ -34,6 +39,13 @@ from .numerics import Rng, WEIGHT_STREAM
 PART = 4
 PARTS = 16
 PART_ELEMENTS = 2048
+# Samples per chunk of a selection in count_spikes, which runs each chunk as
+# parts of part_size(chunk, width) samples (README: why 8).
+EXTRACT_CHUNK = 8
+# Least seconds between two progress lines of count_spikes.
+PROGRESS_SECONDS = 5.0
+
+log = logging.getLogger("ransnn")
 
 
 @dataclass(frozen=True)
@@ -162,11 +174,29 @@ def openblas():
     return None
 
 
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore its
+    thread count, so that no float result depends on OPENBLAS_NUM_THREADS.
+    Where OpenBLAS's symbols are missing it does nothing, and run records
+    say "unpinned"."""
+    lib = openblas()
+    if lib is None:
+        yield
+        return
+    old = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(old)
+
+
 def worker_count() -> int:
-    """The threads that run the parts of simulate and of the BPTT backward:
-    one per CPU this process may run on while numpy's OpenBLAS runs one
-    thread (as harness.one_blas_thread pins it), else 1, so that the parts
-    and OpenBLAS's own threads never compete for the cores."""
+    """The threads that run the parts of simulate, of count_spikes and of
+    the BPTT backward: one per CPU this process may run on while numpy's
+    OpenBLAS runs one thread (as one_blas_thread pins it), else 1, so that
+    the parts and OpenBLAS's own threads never compete for the cores."""
     lib = openblas()
     if lib is None or lib.scipy_openblas_get_num_threads64_() != 1:
         return 1
@@ -234,17 +264,14 @@ def work_arrays(scratch: dict, weights, n_batch: int, steps: int) -> list[tuple]
     return layers
 
 
-def lif_stack(bits: np.ndarray, x: np.ndarray, layers, lif: LifParams,
-              record: bool = False) -> np.ndarray:
-    """The one LIF recursion: a (m, T, n_in) part of 0/1 inputs through the
-    layers of work_arrays for m samples, every potential starting at 0, to
-    the last layer's spikes. x is the first layer's float64 input, which
-    receives bits. Per layer one GEMM of the (m*T, n_in) rows by w.T writes
-    the currents, then the steps write spikes into out (and, with record,
-    the pre-reset potentials over the currents): as 0.0/1.0 into the next
-    layer's input, whose GEMM reads them, or as uint8 for the last layer.
-    It starts no thread."""
-    x[...] = bits
+def lif_stack(x: np.ndarray, layers, lif: LifParams, record: bool = False) -> np.ndarray:
+    """The one LIF recursion: a (m, T, n_in) part of float64 0.0/1.0
+    inputs x through the layers of work_arrays for m samples, every
+    potential starting at 0, to the last layer's spikes. Per layer one GEMM
+    of the (m*T, n_in) rows by w.T writes the currents, then the steps write
+    spikes into out (and, with record, the pre-reset potentials over the
+    currents): as 0.0/1.0 into the next layer's input, whose GEMM reads
+    them, or as uint8 for the last layer. It starts no thread."""
     for w, cur, out in layers:
         np.matmul(x.reshape(-1, w.shape[1]), w.T, out=cur.reshape(-1, w.shape[0]))
         u = np.zeros((cur.shape[0], w.shape[0]))
@@ -297,8 +324,8 @@ def simulate(bits: np.ndarray, weights, lif: LifParams,
             x = layers[0][2][rows].reshape(-1)[:np.prod(shape)].reshape(shape)
         else:
             x = _buffer(vars(local), "in", shape, np.float64)
-        lif_stack(bits[rows], x, [(w, cur[rows], out[rows]) for w, cur, out in layers], lif,
-                  record=True)
+        x[...] = bits[rows]
+        lif_stack(x, [(w, cur[rows], out[rows]) for w, cur, out in layers], lif, record=True)
 
     run_parts(run_part, n_batch, part_size(n_batch, max(w.shape[0] for w in weights)))
     return [(cur, out) for _, cur, out in layers]
@@ -308,3 +335,63 @@ def simulate_forward(net: NetworkTopology, bits: np.ndarray) -> np.ndarray:
     """The last hidden layer's (B, T, n_L) uint8 spikes for a (B, T, n_in)
     bit array of B samples."""
     return simulate(bits, net.weights, net.lif)[-1][1]
+
+
+def count_spikes(weights, lif: LifParams, images, indices, steps, master_seed: int,
+                 stream_base: int) -> dict[int, np.ndarray]:
+    """The last layer's spike counts of the samples images[indices] through
+    the layers of weights, each sample encoded from stream stream_base + its
+    index of master_seed: one (n, n_L) uint16 array per window length t in
+    steps, row k summing the first t steps of sample indices[k].
+
+    The samples run once at T = max(steps). A sample's encoding at t is the
+    first t rows of its encoding at T, and no step's spikes depend on a
+    later one, so each array equals a direct count at t. One run_parts call
+    runs the units, the parts of part_size(len(chunk), width) samples of
+    each chunk of EXTRACT_CHUNK (width the widest layer's), which fix every
+    GEMM's rows. A unit encodes its samples as 0.0/1.0 straight into the
+    first layer's float64 input, runs lif_stack in its thread's work arrays
+    and sums its counts into its own rows of every array. The thread that
+    finishes a unit logs the samples done and the samples per second at
+    INFO, at most once per PROGRESS_SECONDS.
+    """
+    steps = sorted({int(t) for t in steps})
+    if not steps:
+        raise ValueError("steps must name at least one window length")
+    if images.shape[1] != weights[0].shape[1]:
+        raise ValueError(f"dataset samples have {images.shape[1]} pixels, the first "
+                         f"layer expects {weights[0].shape[1]} inputs")
+    if steps[0] < 1 or steps[-1] > 0xFFFF:
+        raise ValueError(f"window lengths must lie in [1, 65535] (u16 counts), got {steps}")
+    indices = np.asarray(indices, dtype=np.int64)
+    counts = {t: np.zeros((len(indices), weights[-1].shape[0]), dtype=np.uint16)
+              for t in steps}
+    units = []
+    for chunk in range(0, len(indices), EXTRACT_CHUNK):
+        end = min(chunk + EXTRACT_CHUNK, len(indices))
+        size = part_size(end - chunk, max(w.shape[0] for w in weights))
+        units += [slice(start, min(start + size, end)) for start in range(chunk, end, size)]
+    local = threading.local()  # vars(local) is the running thread's own dict
+    lock = threading.Lock()
+    done, start = 0, time.perf_counter()
+    logged = start
+
+    def run_unit(part):
+        nonlocal done, logged
+        rows = units[part.start]
+        shape = (rows.stop - rows.start, steps[-1], images.shape[1])
+        x = encode_batch(images, indices[rows], steps[-1], master_seed, stream_base,
+                         out=_buffer(vars(local), ("in", 0), shape, np.float64))
+        spikes = lif_stack(x, work_arrays(vars(local), weights, len(x), steps[-1]), lif)
+        for t in steps:
+            spikes[:, :t].sum(axis=1, dtype=np.uint16, out=counts[t][rows])
+        with lock:
+            done += len(x)
+            now = time.perf_counter()
+            if now - logged >= PROGRESS_SECONDS:
+                logged = now
+                log.info("spike counts: %d of %d samples, %.0f samples/s", done,
+                         len(indices), done / (now - start))
+
+    run_parts(run_unit, len(units), 1)
+    return counts

@@ -10,11 +10,9 @@ trained with Adam on mean cross-entropy.
 from __future__ import annotations
 
 import hashlib
-import logging
 import os
 import struct
 import tempfile
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,22 +20,15 @@ from pathlib import Path
 import numpy as np
 
 # Uncalled: encode_sample, simulate_forward stay for bench sites encoding.encode, network.simulate
-from .encoding import encode_batch, encode_sample  # noqa: F401
+from .encoding import encode_sample  # noqa: F401
 from .idx import LabeledDataset
-from .network import (LifParams, NetworkTopology, WeightDistribution, _buffer,  # noqa: F401
-                      lif_stack, part_size, run_parts, simulate_forward, work_arrays)
+from .network import (LifParams, NetworkTopology, WeightDistribution,  # noqa: F401
+                      count_spikes, simulate_forward)
 from .numerics import AdamConfig, AdamState, PROB_FLOOR, adam_step, softmax
 
 CACHE_MAGIC = b"RSNNFC01"
-# Samples per chunk of a selection in count_spikes, which runs each chunk as
-# parts of part_size(chunk, width) samples (README: why 8).
-EXTRACT_CHUNK = 8
 # Training steps whose held-out accuracies one GEMM scores (README: why 16).
 EVAL_GROUP = 16
-# Least seconds between two progress lines of count_spikes.
-PROGRESS_SECONDS = 5.0
-
-log = logging.getLogger("ransnn")
 
 
 def feature_digest(layer_sizes, dist: WeightDistribution, seed: int, lif: LifParams,
@@ -143,66 +134,6 @@ class FeatureCache:
             fh.readinto(labels)
         return cls(features=feats, labels=labels.astype(np.int64), time_steps=int(t),
                    source_config_digest=int(digest))
-
-
-def count_spikes(weights, lif: LifParams, images, indices, steps, master_seed: int,
-                 stream_base: int) -> dict[int, np.ndarray]:
-    """The last layer's spike counts of the samples images[indices] through
-    the layers of weights, each sample encoded from stream stream_base + its
-    index of master_seed: one (n, n_L) uint16 array per window length t in
-    steps, row k summing the first t steps of sample indices[k].
-
-    The samples run once at T = max(steps). A sample's encoding at t is the
-    first t rows of its encoding at T, and no step's spikes depend on a
-    later one, so each array equals a direct count at t. One run_parts call
-    runs the units, the parts of part_size(len(chunk), width) samples of
-    each chunk of EXTRACT_CHUNK (width the widest layer's), which fix every
-    GEMM's rows. A unit encodes its samples, runs lif_stack in its thread's
-    work arrays and sums its counts into its own rows of every array. The
-    thread that finishes a unit logs the samples done and the samples per
-    second at INFO, at most once per PROGRESS_SECONDS.
-    """
-    steps = sorted({int(t) for t in steps})
-    if not steps:
-        raise ValueError("steps must name at least one window length")
-    if images.shape[1] != weights[0].shape[1]:
-        raise ValueError(f"dataset samples have {images.shape[1]} pixels, the first "
-                         f"layer expects {weights[0].shape[1]} inputs")
-    if steps[0] < 1 or steps[-1] > 0xFFFF:
-        raise ValueError(f"window lengths must lie in [1, 65535] (u16 counts), got {steps}")
-    indices = np.asarray(indices, dtype=np.int64)
-    counts = {t: np.zeros((len(indices), weights[-1].shape[0]), dtype=np.uint16)
-              for t in steps}
-    units = []
-    for chunk in range(0, len(indices), EXTRACT_CHUNK):
-        end = min(chunk + EXTRACT_CHUNK, len(indices))
-        size = part_size(end - chunk, max(w.shape[0] for w in weights))
-        units += [slice(start, min(start + size, end)) for start in range(chunk, end, size)]
-    local = threading.local()  # vars(local) is the running thread's own dict
-    lock = threading.Lock()
-    done, start = 0, time.perf_counter()
-    logged = start
-
-    def run_unit(part):
-        nonlocal done, logged
-        rows = units[part.start]
-        shape = (rows.stop - rows.start, steps[-1], images.shape[1])
-        bits = encode_batch(images, indices[rows], steps[-1], master_seed, stream_base,
-                            out=_buffer(vars(local), "bits", shape, np.uint8))
-        x = _buffer(vars(local), ("in", 0), shape, np.float64)
-        spikes = lif_stack(bits, x, work_arrays(vars(local), weights, len(bits), steps[-1]), lif)
-        for t in steps:
-            spikes[:, :t].sum(axis=1, dtype=np.uint16, out=counts[t][rows])
-        with lock:
-            done += len(bits)
-            now = time.perf_counter()
-            if now - logged >= PROGRESS_SECONDS:
-                logged = now
-                log.info("spike counts: %d of %d samples, %.0f samples/s", done,
-                         len(indices), done / (now - start))
-
-    run_parts(run_unit, len(units), 1)
-    return counts
 
 
 def extract_features(net: NetworkTopology, time_steps: int, dataset: LabeledDataset,

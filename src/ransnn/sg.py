@@ -20,11 +20,11 @@ import numpy as np
 # Uncalled: encode_sample stays for the bench site sg.encode.
 from .encoding import encode_batch, encode_sample  # noqa: F401
 from .idx import LabeledDataset
-from .network import (LifParams, WeightDistribution, _buffer, fan_in_uniform, part_size,
-                      run_parts, sample_weights, simulate)
+from .network import (LifParams, WeightDistribution, _buffer, count_spikes, fan_in_uniform,
+                      part_size, run_parts, sample_weights, simulate)
 from .numerics import (AdamConfig, AdamState, ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM,
                        PROB_FLOOR, Rng, WEIGHT_STREAM, adam_step, softmax)
-from .readout import IterationMetrics, count_spikes
+from .readout import IterationMetrics
 
 # Full held-out evaluation for the baseline means re-simulating the whole
 # test selection, so train_sg samples its curve every EVAL_EVERY iterations
@@ -256,7 +256,7 @@ def evaluate_sg(model: SgModel, ds: LabeledDataset, time_steps: int,
                 master_seed: int, indices, stream_base: int) -> float:
     """Accuracy on the selected samples, each encoded from stream
     stream_base + its index, with predictions by largest output spike count
-    of readout.count_spikes (ties to the lowest class index)."""
+    of network.count_spikes (ties to the lowest class index)."""
     indices = np.asarray(indices, dtype=np.int64)
     if len(indices) == 0:
         raise ValueError("cannot evaluate on an empty selection")

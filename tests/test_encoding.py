@@ -138,17 +138,24 @@ class TestEncodeBatch:
         assert bits[1, :, 300].all() and bits[1].sum() == 25
 
     def test_out_is_filled_in_place_as_a_prefix_of_a_larger_buffer(self):
+        # A float64 out, a LIF layer's GEMM input, gets the bits as 0.0/1.0.
         images = self.images(9)
-        buffer = np.full(4 * 10 * 11 * 784, 7, dtype=np.uint8)
-        out = buffer[:9 * 10 * 784].reshape(9, 10, 784)
-        assert encode_batch(images, range(2, 11), 10, 1, 40, out=out) is out
-        assert np.array_equal(out, self.per_sample(images, range(2, 11), 10, 1, 40))
-        assert (buffer[out.size:] == 7).all()
+        expected = self.per_sample(images, range(2, 11), 10, 1, 40)
+        for dtype in (np.uint8, np.float64):
+            buffer = np.full(4 * 10 * 11 * 784, 7, dtype=dtype)
+            out = buffer[:9 * 10 * 784].reshape(9, 10, 784)
+            assert encode_batch(images, range(2, 11), 10, 1, 40, out=out) is out
+            assert out.dtype == dtype and np.array_equal(out, expected)
+            assert (buffer[out.size:] == 7).all()
 
     def test_wrong_out_shape_and_bad_input_rejected(self):
         images = self.images(3)
-        with pytest.raises(ValueError, match="out must be"):
-            encode_batch(images, [0, 1], 5, 1, 0, out=np.empty((2, 4, 784), np.uint8))
+        for dtype in (np.uint8, np.float64):
+            with pytest.raises(ValueError, match="out must be"):
+                encode_batch(images, [0, 1], 5, 1, 0, out=np.empty((2, 4, 784), dtype))
+        for dtype in (np.float32, np.int64, np.bool_):
+            with pytest.raises(ValueError, match="out must be"):
+                encode_batch(images, [0, 1], 5, 1, 0, out=np.empty((2, 5, 784), dtype))
         with pytest.raises(ValueError):
             encode_batch(images, [0], 0, 1, 0)
         with pytest.raises(ValueError):

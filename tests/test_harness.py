@@ -535,7 +535,6 @@ class TestBlasThreads:
                 time.sleep(0.02)
             return real_stack(*args, **kwargs)
 
-        monkeypatch.setattr(ransnn.readout, "lif_stack", slow_stack)
         monkeypatch.setattr(ransnn.network, "lif_stack", slow_stack)
         run_experiment(tiny_config())
         run_sweep(tiny_config(), SweepSpec(parameter="time_steps", values=(4, 6), repeats=1))
@@ -545,40 +544,60 @@ class TestBlasThreads:
 
 
 class TestLibraryExample:
-    def test_readme_composition_reproduces_the_run(self, use_data_dir, tmp_path):
+    def test_readme_composition_reproduces_the_run(self, use_data_dir, tmp_path,
+                                                   monkeypatch):
         # The README's library example, at TINY's settings on the synthetic
         # data, builds the run's own caches: the test split is encoded from
         # the test streams, and each split is named by its files'
-        # fingerprint, as in a run.
+        # fingerprint, as in a run. The second case, 2,000 hidden neurons
+        # at batch 64 on more samples, is a shape where OpenBLAS's default
+        # thread count changes a bit of the curve, so without the example's
+        # one_blas_thread it fails on a host with 2 or more CPUs. On one CPU
+        # OpenBLAS runs one thread anyway, and that case cannot fail there.
+        self._compose_and_run(use_data_dir, tiny_config(), tmp_path / "tiny")
+        wide = tmp_path / "wide"
+        mnist = wide / "mnist"
+        mnist.mkdir(parents=True)
+        write_dataset_idx(blob_dataset(3, 200, side=12, seed=1), 12, mnist, "train",
+                          gz=True)
+        write_dataset_idx(blob_dataset(3, 100, side=12, seed=2), 12, mnist, "t10k")
+        monkeypatch.setenv("RANSNN_DATA_DIR", str(wide))
+        self._compose_and_run(wide, tiny_config(hidden_sizes=[2000], batch_size=64,
+                                                train_batches=8, test_batches=2),
+                              tmp_path / "wide-caches")
+
+    @staticmethod
+    def _compose_and_run(data_root, cfg, cache_dir):
         from ransnn import (ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM, AdamConfig, LifParams,
                             evaluate, extract_features, fan_in_uniform, init_weights,
-                            load_dataset, make_batches, train_readout)
+                            load_dataset, make_batches, one_blas_thread, train_readout)
 
-        mnist = use_data_dir / "mnist"
+        mnist = data_root / "mnist"
         train = load_dataset(mnist / "train-images-idx3-ubyte.gz",
                              mnist / "train-labels-idx1-ubyte.gz", num_classes=10)
         test = load_dataset(mnist / "t10k-images-idx3-ubyte",
                             mnist / "t10k-labels-idx1-ubyte", num_classes=10)
-        net = init_weights([144, 30], fan_in_uniform(144), seed=123,
-                           lif=LifParams(beta=0.95, u_thr=1.0))
-        sel_train = make_batches(train, 16, 6, seed=123)
-        sel_test = make_batches(test, 16, 2, seed=123)
-        cache_train = extract_features(net, 8, train, 123, indices=sel_train,
-                                       stream_base=ENCODE_TRAIN_STREAM,
-                                       dataset_id=f"mnist/train:{train.fingerprint}")
-        cache_test = extract_features(net, 8, test, 123, indices=sel_test,
-                                      stream_base=ENCODE_TEST_STREAM,
-                                      dataset_id=f"mnist/test:{test.fingerprint}")
-        model, curve = train_readout(cache_train, cache_test, adam=AdamConfig(),
-                                     batch_size=16, num_classes=10)
+        with one_blas_thread():
+            net = init_weights([144, *cfg.hidden_sizes], fan_in_uniform(144), seed=cfg.seed,
+                               lif=LifParams(beta=0.95, u_thr=1.0))
+            sel_train = make_batches(train, cfg.batch_size, cfg.train_batches, seed=cfg.seed)
+            sel_test = make_batches(test, cfg.batch_size, cfg.test_batches, seed=cfg.seed)
+            cache_train = extract_features(net, 8, train, cfg.seed, indices=sel_train,
+                                           stream_base=ENCODE_TRAIN_STREAM,
+                                           dataset_id=f"mnist/train:{train.fingerprint}")
+            cache_test = extract_features(net, 8, test, cfg.seed, indices=sel_test,
+                                          stream_base=ENCODE_TEST_STREAM,
+                                          dataset_id=f"mnist/test:{test.fingerprint}")
+            model, curve = train_readout(cache_train, cache_test, adam=AdamConfig(),
+                                         batch_size=cfg.batch_size, num_classes=10)
+            accuracy = evaluate(model, cache_test)
 
-        record = run_experiment(tiny_config(), cache_dir=tmp_path)
+        record = run_experiment(cfg, cache_dir=cache_dir)
         for cache in (cache_train, cache_test):
-            ran = FeatureCache.load(tmp_path / f"{cache.source_config_digest:016x}.rsnnfc")
+            ran = FeatureCache.load(cache_dir / f"{cache.source_config_digest:016x}.rsnnfc")
             assert np.array_equal(ran.features, cache.features)
-        assert (evaluate(model, cache_test), [(m.iteration, m.train_accuracy,
-                                               m.test_accuracy, m.loss) for m in curve]) \
-            == _curve(record)
+        assert (accuracy, [(m.iteration, m.train_accuracy, m.test_accuracy, m.loss)
+                           for m in curve]) == _curve(record)
 
 
 class TestCompareMethods:
@@ -601,6 +620,17 @@ class TestCompareMethods:
         assert cmp.speedup_end_to_end == pytest.approx(
             cmp.sg.training_seconds / readout_seconds)
         assert cmp.speedup_end_to_end < cmp.speedup
+
+    def test_both_configs_are_validated_before_the_first_run(self, use_data_dir,
+                                                             monkeypatch):
+        # Two hidden layers suit the readout but not the baseline.
+        def no_run(*_args, **_kwargs):
+            raise AssertionError("a run started before both configs were validated")
+
+        for name in ("_load_datasets", "extract_features", "count_spikes", "init_weights"):
+            monkeypatch.setattr(f"ransnn.harness.{name}", no_run)
+        with pytest.raises(ConfigError, match="one hidden layer"):
+            compare_methods(tiny_config(hidden_sizes=[50, 50]))
 
 
 class TestRunSweep:
@@ -647,17 +677,17 @@ class TestRunSweep:
 
     @staticmethod
     def _count_simulations(monkeypatch):
-        import ransnn.readout
+        import ransnn.network
 
         # The window of every extraction unit's simulation, on any thread.
         steps = []
-        real = ransnn.readout.lif_stack
+        real = ransnn.network.lif_stack
 
-        def counting(bits, *args, **kwargs):
-            steps.append(bits.shape[1])
-            return real(bits, *args, **kwargs)
+        def counting(x, *args, **kwargs):
+            steps.append(x.shape[1])
+            return real(x, *args, **kwargs)
 
-        monkeypatch.setattr(ransnn.readout, "lif_stack", counting)
+        monkeypatch.setattr(ransnn.network, "lif_stack", counting)
         return steps
 
     def test_time_steps_sweep_simulates_once_per_seed(self, use_data_dir, monkeypatch):
@@ -849,7 +879,7 @@ class TestEmitMetrics:
     def test_csv_shape_and_header(self, use_data_dir, tmp_path):
         records = self._records(use_data_dir)
         out = tmp_path / "metrics.csv"
-        emit_metrics(records, out, format="csv")
+        emit_metrics(records, out)
         with open(out) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["run_id", "dataset", "method", "iteration",
@@ -861,19 +891,15 @@ class TestEmitMetrics:
     def test_json_round_trip(self, use_data_dir, tmp_path):
         records = self._records(use_data_dir)
         out = tmp_path / "metrics.json"
-        emit_metrics(records, out, format="json")
+        emit_metrics(records, out)
         with open(out) as fh:
             parsed = json.load(fh)
         assert parsed == [dataclasses.asdict(r) for r in records]
 
-    def test_unknown_format_rejected(self, use_data_dir, tmp_path):
-        with pytest.raises(ConfigError):
-            emit_metrics(self._records(use_data_dir), tmp_path / "x", format="xml")
-
     def test_unwritable_path_raises_oserror(self, use_data_dir, tmp_path):
         with pytest.raises(OSError):
             emit_metrics(self._records(use_data_dir),
-                         tmp_path / "missing" / "metrics.csv", format="csv")
+                         tmp_path / "missing" / "metrics.csv")
 
 
 class TestCli:
@@ -891,7 +917,7 @@ class TestCli:
 
     def test_run_shows_extraction_progress_on_stderr(self, use_data_dir, tmp_path, capsys,
                                                      monkeypatch):
-        monkeypatch.setattr("ransnn.readout.PROGRESS_SECONDS", 0.0)
+        monkeypatch.setattr("ransnn.network.PROGRESS_SECONDS", 0.0)
         assert main(["run", "--config", self._write_config(tmp_path)]) == 0
         captured = capsys.readouterr()
         assert "spike counts: " in captured.err and "spike counts" not in captured.out
@@ -970,6 +996,14 @@ class TestCli:
         cfg = self._write_config(tmp_path)
         assert main(["compare", "--config", cfg]) == 0
         assert "speedup" in capsys.readouterr().out
+
+    def test_compare_cli_with_an_invalid_sg_half_exits_1_before_any_extraction(
+            self, use_data_dir, tmp_path, capsys):
+        cfg = self._write_config(tmp_path, hidden_sizes=[50, 50])
+        caches = tmp_path / "caches"
+        assert main(["compare", "--config", cfg, "--cache-dir", str(caches)]) == 1
+        assert "one hidden layer" in capsys.readouterr().err
+        assert not list(caches.glob("*.rsnnfc"))
 
     def test_compare_cli_prints_both_speedups(self, use_data_dir, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
@@ -1050,13 +1084,13 @@ class TestCli:
             raise AssertionError("simulated although the caches were on disk")
 
         with monkeypatch.context() as mp:
-            mp.setattr("ransnn.readout.lif_stack", no_simulation)
+            mp.setattr("ransnn.network.lif_stack", no_simulation)
             assert main(sweep) == 0
         warm = capsys.readouterr().out
         accuracies = [line.split()[2] for line in cold.splitlines() if "accuracy=" in line]
         assert accuracies == [line.split()[2] for line in warm.splitlines()
                               if "accuracy=" in line]
-        # The SG half of compare counts its held-out spikes through readout.
+        # The SG half of compare counts its held-out spikes through network.
         assert main(["compare", "--config", cfg, "--cache-dir", str(caches)]) == 0
 
     def test_damaged_cache_exits_2(self, use_data_dir, tmp_path, capsys):

@@ -10,10 +10,9 @@ from oracles import (leak_decay_sequence, linear_filter_membrane, poisson_encode
                      reference_lif_stack)
 from ransnn.encoding import encode_sample
 from ransnn.idx import LabeledDataset
-from ransnn.network import (LifParams, NetworkTopology, Normal, Uniform,
+from ransnn.network import (LifParams, NetworkTopology, Normal, Uniform, count_spikes,
                             fan_in_uniform, init_weights, simulate, simulate_forward)
 from ransnn.numerics import ENCODE_TRAIN_STREAM, Rng
-from ransnn.readout import count_spikes
 
 
 class TestLifParams:
@@ -299,3 +298,29 @@ class TestAccumulateSpikes:
         net = init_weights([neurons, 10], Uniform(-1.0, 1.0), seed=seed)
         counts = extract(net, steps, ds, seed).features
         assert np.all(counts >= 0) and np.all(counts <= steps)
+
+    def test_encoder_writes_the_first_layers_input(self, monkeypatch):
+        # Each unit's lif_stack runs on the very float64 array encode_batch
+        # filled, with no uint8 copy of the bits between them.
+        import ransnn.network
+
+        encoded, stacked = [], []
+        real_encode, real_stack = ransnn.network.encode_batch, ransnn.network.lif_stack
+
+        def spy_encode(*args, **kwargs):
+            encoded.append(real_encode(*args, **kwargs))
+            return encoded[-1]
+
+        def spy_stack(x, *args, **kwargs):
+            stacked.append(x)
+            return real_stack(x, *args, **kwargs)
+
+        monkeypatch.setattr(ransnn.network, "encode_batch", spy_encode)
+        monkeypatch.setattr(ransnn.network, "lif_stack", spy_stack)
+        ds = self._dataset(Rng(3, 0).uniform(0, 256, 11 * 8).reshape(11, 8))
+        net = init_weights([8, 6], Uniform(-1.0, 1.0), seed=4)
+        count_spikes(net.weights, net.lif, ds.images, np.arange(len(ds)), (5,), 5,
+                     ENCODE_TRAIN_STREAM)
+        assert len(stacked) == len(encoded) == 2
+        for x, bits in zip(stacked, encoded):
+            assert x is bits and x.dtype == np.float64

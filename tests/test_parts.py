@@ -16,7 +16,7 @@ import pytest
 
 from conftest import extract, mnist_shaped
 from oracles import reference_chunked_counts
-from ransnn import network, readout, sg
+from ransnn import network, sg
 from ransnn.network import Uniform, fan_in_uniform, init_weights
 from ransnn.numerics import ENCODE_TEST_STREAM, AdamConfig
 from ransnn.sg import init_sg_model, train_sg
@@ -35,7 +35,7 @@ def under_each_schedule(compute) -> list:
     for schedule in (1, 2, 3, 8, "reversed"):
         with pytest.MonkeyPatch.context() as mp:
             if schedule == "reversed":
-                for module in (network, readout, sg):
+                for module in (network, sg):
                     mp.setattr(module, "run_parts", run_reversed)
             else:
                 mp.setattr(network, "worker_count", lambda n=schedule: n)
@@ -79,17 +79,17 @@ def test_multi_window_extraction_under_each_schedule(sizes, dist, chunk_parts, n
     net = init_weights(sizes, dist, seed=3)
     indices = np.arange(n + 5)[::-1][:n]
     unit_rows = []
-    real_stack = readout.lif_stack
+    real_stack = network.lif_stack
 
-    def recording_stack(bits, *args):
-        unit_rows.append(len(bits))
-        return real_stack(bits, *args)
+    def recording_stack(x, *args, **kwargs):
+        unit_rows.append(len(x))
+        return real_stack(x, *args, **kwargs)
 
-    monkeypatch.setattr(readout, "lif_stack", recording_stack)
+    monkeypatch.setattr(network, "lif_stack", recording_stack)
 
     def compute():
         unit_rows.clear()
-        counts = readout.count_spikes(net.weights, net.lif, ds.images, indices, (10, 4), 6,
+        counts = network.count_spikes(net.weights, net.lif, ds.images, indices, (10, 4), 6,
                                       ENCODE_TEST_STREAM)
         # The GEMM row groups, whatever the schedule.
         assert sorted(unit_rows) == sorted(chunk_parts * (n // 8) + [n % 8])

@@ -8,16 +8,16 @@ import pytest
 from conftest import extract, mnist_shaped
 from oracles import (central_difference_grad, cross_entropy, reference_cache_bytes,
                      reference_lif_stack, relative_error)
-from ransnn import readout
+from ransnn import network, readout
 from ransnn.encoding import encode_sample
 from ransnn.idx import LabeledDataset
-from ransnn.network import (LifParams, Normal, Uniform, fan_in_uniform, init_weights,
-                            simulate_forward)
+from ransnn.network import (LifParams, Normal, Uniform, count_spikes, fan_in_uniform,
+                            init_weights, simulate_forward)
 from ransnn.numerics import (ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM, AdamConfig, Rng, adam_step,
                              softmax)
 from ransnn.readout import (EVAL_GROUP, CacheFormatError, FeatureCache, ReadoutModel,
-                            count_spikes, evaluate, extract_features,
-                            feature_digest, readout_loss_grad, train_readout)
+                            evaluate, extract_features, feature_digest, readout_loss_grad,
+                            train_readout)
 from test_parts import under_each_schedule
 
 
@@ -133,7 +133,7 @@ class TestProgress:
     def _lines(self, caplog, monkeypatch, seconds):
         ds = mnist_shaped(21, pixels=64, seed=2)
         net = init_weights([64, 300], fan_in_uniform(64), seed=1)
-        monkeypatch.setattr(readout, "PROGRESS_SECONDS", seconds)
+        monkeypatch.setattr(network, "PROGRESS_SECONDS", seconds)
         caplog.set_level(logging.INFO, logger="ransnn")
 
         def compute():
