@@ -24,7 +24,7 @@ import logging
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,14 +33,14 @@ import numpy as np
 from .encoding import encode_batch
 from .numerics import Rng, WEIGHT_STREAM
 
-# simulate splits a batch into parts of at least PART samples and
+# row_groups cuts rows into parts of at least PART samples and
 # PART_ELEMENTS potentials per step, and into at most PARTS parts (README:
 # "Simulation kernel and extraction chunks").
 PART = 4
 PARTS = 16
 PART_ELEMENTS = 2048
 # Samples per chunk of a selection in count_spikes, which runs each chunk as
-# parts of part_size(chunk, width) samples (README: why 8).
+# its row_groups (README: why 8).
 EXTRACT_CHUNK = 8
 # Least seconds between two progress lines of count_spikes.
 PROGRESS_SECONDS = 5.0
@@ -205,41 +205,33 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def part_size(n_batch: int, width: int) -> int:
-    """Samples per part of a batch of n_batch samples whose widest layer
-    has width neurons; it depends on these shapes alone. Numpy calls on
-    fewer than PART_ELEMENTS potentials are too short for a second thread
-    to gain, and each part adds calls."""
-    return max(PART, -(-n_batch // PARTS), -(-PART_ELEMENTS // width))
+def row_groups(start: int, stop: int, width: int) -> list[slice]:
+    """Rows [start, stop) of a batch whose widest layer has width neurons,
+    cut into parts of max(PART, ceil(n / PARTS), ceil(PART_ELEMENTS /
+    width)) rows, n = stop - start, the last one shorter. These are the
+    GEMM row groups that fix every bit, so they depend on the shapes alone.
+    Numpy calls on fewer than PART_ELEMENTS potentials are too short for a
+    second thread to gain, and each part adds calls."""
+    size = max(PART, -(-(stop - start) // PARTS), -(-PART_ELEMENTS // width))
+    return [slice(row, min(row + size, stop)) for row in range(start, stop, size)]
 
 
-_pool: tuple[int, int, ThreadPoolExecutor] | None = None  # (pid, workers, pool)
-_pool_lock = threading.Lock()
-
-
-def run_parts(fn, n: int, size: int) -> None:
-    """fn(rows) for the slices rows = [0, size), [size, 2 size), ... that
-    cover range(n), so that min(worker_count(), parts) run at once: one by
-    one on the calling thread where that is 1, else each submitted to a pool
-    of worker_count() threads created on first use. Each part must write
-    only its own outputs and must not call run_parts, so no bit depends on
-    which thread runs it or when. Returns once every part is done, raising
-    the first part's error of any."""
-    global _pool
-    parts = [slice(start, start + size) for start in range(0, n, size)]
-    workers = worker_count()
-    if min(workers, len(parts)) <= 1:
+def run_parts(fn, parts: list[slice]) -> None:
+    """fn(rows) for each slice rows of parts, so that min(worker_count(),
+    len(parts)) run at once: in order on the calling thread where that is 1,
+    else each on a pool of that many threads that lives for the call. Each
+    part must write only its own outputs and must not call run_parts, so no
+    bit depends on which thread runs it or when. Returns once every part is
+    done, raising the first part's error of any."""
+    workers = min(worker_count(), len(parts))
+    if workers <= 1:
         for rows in parts:
             fn(rows)
         return
-    with _pool_lock:
-        # A replaced pool's threads end once it is garbage collected.
-        if _pool is None or _pool[:2] != (os.getpid(), workers):
-            _pool = (os.getpid(), workers,
-                     ThreadPoolExecutor(workers, thread_name_prefix="ransnn-part"))
-        pool = _pool[2]
-    futures = [pool.submit(fn, rows) for rows in parts]
-    wait(futures)
+    # Every part is submitted and the pool drained before any result is
+    # read: Executor.map would cancel the pending parts once one raised.
+    with ThreadPoolExecutor(workers, thread_name_prefix="ransnn-part") as pool:
+        futures = [pool.submit(fn, rows) for rows in parts]
     for f in futures:
         f.result()
 
@@ -291,8 +283,8 @@ def simulate(bits: np.ndarray, weights, lif: LifParams,
     """A (B, T, n_in) batch of 0/1 inputs through a stack of layers
     sharing the neuron constants lif, every potential starting at 0.
 
-    The batch splits into parts of part_size(B, n) samples, n the widest
-    layer's width, which run_parts spreads over the workers; each part runs
+    The batch splits into row_groups(0, B, n), n the widest layer's
+    width, which run_parts spreads over the workers; each part runs
     lif_stack over its rows of the work arrays, recording. Returns per layer
     the arrays it ran in: the (B, T, n) pre-reset potentials and the
     (B, T, n) spikes, as float64 0.0/1.0 for a layer that feeds another (the
@@ -300,12 +292,12 @@ def simulate(bits: np.ndarray, weights, lif: LifParams,
     dict passed to successive calls keeps their work arrays, which the
     returned arrays then share until the next call.
 
-    No (B, T, n_in) float64 copy of the input is kept: a part's copy lives
-    in its own rows of the second layer's input, which hold nothing until
-    the first layer's spikes overwrite them, or, where those rows are too
-    narrow or there is one layer, in a work array of the thread running the
-    part. The split is fixed by the shapes alone, so any worker count gives
-    the same bits; another grouping of the rows may not, since BLAS may
+    No (B, T, n_in) float64 copy of the input is kept: a part's copy lives in
+    its own rows of the second layer's input, which hold nothing until the
+    first layer's spikes overwrite them, or, where those rows are too narrow
+    or there is one layer, in a work array of the thread running the part for
+    this call. The split is fixed by the shapes alone, so any worker count
+    gives the same bits; another grouping of the rows may not, since BLAS may
     round a GEMM's rows differently in it (README, "Simulation kernel and
     extraction chunks").
     """
@@ -315,8 +307,7 @@ def simulate(bits: np.ndarray, weights, lif: LifParams,
     scratch = {} if scratch is None else scratch
     layers = work_arrays(scratch, weights, n_batch, steps)
     in_next_input = len(weights) > 1 and weights[0].shape[0] >= n_in
-    if not in_next_input:
-        local = scratch.setdefault("local", threading.local())
+    local = threading.local()  # vars(local) is the running thread's own dict
 
     def run_part(rows):
         shape = bits[rows].shape
@@ -327,7 +318,7 @@ def simulate(bits: np.ndarray, weights, lif: LifParams,
         x[...] = bits[rows]
         lif_stack(x, [(w, cur[rows], out[rows]) for w, cur, out in layers], lif, record=True)
 
-    run_parts(run_part, n_batch, part_size(n_batch, max(w.shape[0] for w in weights)))
+    run_parts(run_part, row_groups(0, n_batch, max(w.shape[0] for w in weights)))
     return [(cur, out) for _, cur, out in layers]
 
 
@@ -345,15 +336,14 @@ def count_spikes(weights, lif: LifParams, images, indices, steps, master_seed: i
     steps, row k summing the first t steps of sample indices[k].
 
     The samples run once at T = max(steps). A sample's encoding at t is the
-    first t rows of its encoding at T, and no step's spikes depend on a
-    later one, so each array equals a direct count at t. One run_parts call
-    runs the units, the parts of part_size(len(chunk), width) samples of
-    each chunk of EXTRACT_CHUNK (width the widest layer's), which fix every
-    GEMM's rows. A unit encodes its samples as 0.0/1.0 straight into the
-    first layer's float64 input, runs lif_stack in its thread's work arrays
-    and sums its counts into its own rows of every array. The thread that
-    finishes a unit logs the samples done and the samples per second at
-    INFO, at most once per PROGRESS_SECONDS.
+    first t rows of its encoding at T, and no step's spikes depend on a later
+    one, so each array equals a direct count at t. The units, each chunk of
+    EXTRACT_CHUNK samples cut by row_groups at the widest layer's width, fix
+    every GEMM's rows and go to one run_parts call. A unit encodes its samples
+    as 0.0/1.0 straight into the first layer's float64 input, runs lif_stack in
+    its thread's work arrays and sums its counts into its own rows of every
+    array. The thread that finishes a unit logs the samples done and the
+    samples per second at INFO, at most once per PROGRESS_SECONDS.
     """
     steps = sorted({int(t) for t in steps})
     if not steps:
@@ -366,19 +356,16 @@ def count_spikes(weights, lif: LifParams, images, indices, steps, master_seed: i
     indices = np.asarray(indices, dtype=np.int64)
     counts = {t: np.zeros((len(indices), weights[-1].shape[0]), dtype=np.uint16)
               for t in steps}
-    units = []
-    for chunk in range(0, len(indices), EXTRACT_CHUNK):
-        end = min(chunk + EXTRACT_CHUNK, len(indices))
-        size = part_size(end - chunk, max(w.shape[0] for w in weights))
-        units += [slice(start, min(start + size, end)) for start in range(chunk, end, size)]
+    width = max(w.shape[0] for w in weights)
+    units = [rows for chunk in range(0, len(indices), EXTRACT_CHUNK)
+             for rows in row_groups(chunk, min(chunk + EXTRACT_CHUNK, len(indices)), width)]
     local = threading.local()  # vars(local) is the running thread's own dict
     lock = threading.Lock()
     done, start = 0, time.perf_counter()
     logged = start
 
-    def run_unit(part):
+    def run_unit(rows):
         nonlocal done, logged
-        rows = units[part.start]
         shape = (rows.stop - rows.start, steps[-1], images.shape[1])
         x = encode_batch(images, indices[rows], steps[-1], master_seed, stream_base,
                          out=_buffer(vars(local), ("in", 0), shape, np.float64))
@@ -393,5 +380,5 @@ def count_spikes(weights, lif: LifParams, images, indices, steps, master_seed: i
                 log.info("spike counts: %d of %d samples, %.0f samples/s", done,
                          len(indices), done / (now - start))
 
-    run_parts(run_unit, len(units), 1)
+    run_parts(run_unit, units)
     return counts

@@ -89,11 +89,14 @@ class FeatureCache:
     def save(self, path) -> None:
         """Write the flat binary layout: magic, four little-endian u64
         fields (num_samples, n_L, T, digest), u16 features row-major, then
-        u16 labels. The bytes go to a temporary file in the same directory
-        that then replaces path, so a crash never leaves a truncated cache."""
+        u16 labels; other values, or floats, are a ValueError. The bytes go
+        to a temporary file in the same directory that then replaces path, so
+        a crash never leaves a truncated cache."""
         n, f = self.features.shape
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() > 0xFFFF):
-            raise ValueError("labels do not fit the u16 on-disk layout")
+        for name, a in (("features", self.features), ("labels", self.labels)):
+            if not np.issubdtype(a.dtype, np.integer) or a.dtype != np.uint16 and a.size and (
+                    a.min() < 0 or a.max() > 0xFFFF):  # a uint16 array needs no scan
+                raise ValueError(f"{name} do not fit the u16 on-disk layout")
         path = Path(path)
         fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
         try:

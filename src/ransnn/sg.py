@@ -21,7 +21,7 @@ import numpy as np
 from .encoding import encode_batch, encode_sample  # noqa: F401
 from .idx import LabeledDataset
 from .network import (LifParams, WeightDistribution, _buffer, count_spikes, fan_in_uniform,
-                      part_size, run_parts, sample_weights, simulate)
+                      row_groups, run_parts, sample_weights, simulate)
 from .numerics import (AdamConfig, AdamState, ENCODE_TEST_STREAM, ENCODE_TRAIN_STREAM,
                        PROB_FLOOR, Rng, WEIGHT_STREAM, adam_step, softmax)
 from .readout import IterationMetrics
@@ -172,10 +172,10 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true) -> tuple[np.ndarray, n
     where enough remain, and otherwise a work array kept in tape.scratch.
     The first is the hidden gradient's GEMM operand, the input bits rebuilt
     as (B*T, n_in) float64 rows; the second is tape.grad. The hidden
-    adjoint and that rebuild run in parts of part_size(B, n_hidden) samples
-    and the hidden gradient's GEMM in blocks of GRAD_ROWS rows, all through
-    run_parts; the split depends only on the shapes, so the bits do not
-    depend on the worker count.
+    adjoint and that rebuild run over the batch's row_groups(0, B,
+    n_hidden), and the hidden gradient's GEMM over blocks of GRAD_ROWS
+    hidden rows; run_parts only schedules these slices, which depend on the
+    shapes alone, so the bits do not depend on the worker count.
 
     Both gradients are written into tape.grad, one flat float64 vector
     holding the hidden matrix's entries first, and returned as views of it,
@@ -210,8 +210,8 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true) -> tuple[np.ndarray, n
     def adjoint_part(rows):
         _adjoint(lam_hid[rows], tape.hidden_u_pre[rows], beta, thr, gate=True)
 
-    size = part_size(n_batch, model.n_hidden)
-    run_parts(adjoint_part, n_batch, size)
+    parts = row_groups(0, n_batch, model.n_hidden)
+    run_parts(adjoint_part, parts)
     n_rows, n_wh = n_batch * steps, model.w_hidden.size
     free = tape.hidden_u_pre.reshape(-1)
 
@@ -230,7 +230,7 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true) -> tuple[np.ndarray, n
     def input_part(rows):
         inputs[rows] = tape.input_bits[rows]
 
-    run_parts(input_part, n_batch, size)
+    run_parts(input_part, parts)
     flat_input = flat_input.reshape(n_rows, model.n_in)
     tape.grad = place("grad", model.params.size)
     d_w_hidden = tape.grad[:n_wh].reshape(model.w_hidden.shape)
@@ -238,7 +238,8 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true) -> tuple[np.ndarray, n
     def gradient_part(rows):
         np.matmul(lam_flat[:, rows].T, flat_input, out=d_w_hidden[rows])
 
-    run_parts(gradient_part, model.n_hidden, GRAD_ROWS)
+    run_parts(gradient_part,
+              [slice(row, row + GRAD_ROWS) for row in range(0, model.n_hidden, GRAD_ROWS)])
     tape.grad[n_wh:] = d_w_out.reshape(-1)
     return d_w_hidden, tape.grad[n_wh:].reshape(model.w_out.shape)
 

@@ -1,15 +1,18 @@
 """No bit depends on the worker count or on the order of the parts.
 
-simulate, count_spikes and the BPTT backward split their work by shape alone
-(parts of part_size(B, width) samples, per chunk of EXTRACT_CHUNK samples
-in count_spikes, and blocks of GRAD_ROWS hidden rows); run_parts only decides
-which thread runs a part. On the OpenBLAS in use, splitting a
-GEMM by rows or columns changes last bits at widths 30 and 300, so a split
-that followed the worker count would fail here.
+simulate, count_spikes and the BPTT backward split their work by shape alone:
+network.row_groups cuts a batch, or each chunk of EXTRACT_CHUNK samples in
+count_spikes, into parts of samples, and the backward's gradient GEMM runs in
+blocks of GRAD_ROWS hidden rows. Each caller hands its list of slices to
+run_parts, which only decides which thread runs a part, on threads that live
+for the call. On the OpenBLAS in use, splitting a GEMM by rows or columns
+changes last bits at widths 30 and 300, so a split that followed the worker
+count would fail here.
 """
 
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,15 +20,15 @@ import pytest
 from conftest import extract, mnist_shaped
 from oracles import reference_chunked_counts
 from ransnn import network, sg
-from ransnn.network import Uniform, fan_in_uniform, init_weights
-from ransnn.numerics import ENCODE_TEST_STREAM, AdamConfig
+from ransnn.network import Uniform, fan_in_uniform, init_weights, sample_weights
+from ransnn.numerics import ENCODE_TEST_STREAM, AdamConfig, Rng
 from ransnn.sg import init_sg_model, train_sg
 
 
-def run_reversed(fn, n, size):
+def run_reversed(fn, parts):
     """run_parts on the calling thread, last part first."""
-    for start in reversed(range(0, n, size)):
-        fn(slice(start, start + size))
+    for rows in reversed(parts):
+        fn(rows)
 
 
 def under_each_schedule(compute) -> list:
@@ -145,7 +148,8 @@ def test_every_part_runs_once_with_more_workers_than_cores(monkeypatch):
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        runner = threading.Thread(target=lambda: [network.run_parts(count, len(hits), 3)
+        parts = [slice(start, start + 3) for start in range(0, len(hits), 3)]
+        runner = threading.Thread(target=lambda: [network.run_parts(count, parts)
                                                   for _ in range(20)])
         runner.start()
         runner.join(timeout=60)
@@ -165,5 +169,46 @@ def test_a_failing_part_raises_after_every_other_part_ran(monkeypatch):
         done[rows] = True
 
     with pytest.raises(RuntimeError, match="part failed"):
-        network.run_parts(part, len(done), 4)
+        network.run_parts(part, [slice(start, start + 4) for start in range(0, len(done), 4)])
     assert done[:8].all() and done[12:].all() and not done[8:12].any()
+
+
+def test_no_part_thread_outlives_the_call(monkeypatch):
+    monkeypatch.setattr(network, "worker_count", lambda: 2)
+    names = []
+    network.run_parts(lambda rows: names.append(threading.current_thread().name),
+                      [slice(0, 1), slice(1, 2), slice(2, 3)])
+    assert len(names) == 3 and all(name.startswith("ransnn-part") for name in names)
+    assert [t.name for t in threading.enumerate() if t.name.startswith("ransnn-part")] == []
+
+
+def vm_rss_kb() -> int:
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("VmRSS:"):
+            return int(line.split()[1])
+    raise AssertionError("no VmRSS line")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_repeated_calls_leave_the_resident_set_flat(monkeypatch):
+    # Each call starts and joins its own threads, whose GEMMs make OpenBLAS
+    # set up its buffers for them: a thread or buffer kept per call grows
+    # the resident set.
+    monkeypatch.setattr(network, "worker_count", lambda: 2)
+    a = sample_weights(Uniform(-1, 1), Rng(1, 0), 64, 128)
+    b = sample_weights(Uniform(-1, 1), Rng(2, 0), 128, 128)
+    out = np.empty((64, 128))
+
+    def gemm(rows):
+        np.matmul(a[rows], b, out=out[rows])
+
+    parts = [slice(0, 32), slice(32, 64)]
+    with network.one_blas_thread():
+        for _ in range(100):
+            network.run_parts(gemm, parts)
+        before = vm_rss_kb()
+        for _ in range(2000):
+            network.run_parts(gemm, parts)
+        after = vm_rss_kb()
+        assert np.array_equal(out, np.vstack([a[rows] @ b for rows in parts]))
+    assert after - before < 4096, (before, after)

@@ -259,6 +259,29 @@ class TestFeatureCacheFile:
         cache.save(path)
         assert path.read_bytes() == reference_cache_bytes(cache)
 
+    @pytest.mark.parametrize("features,labels", [
+        (np.array([[70000, -1]]), [0]),
+        (np.array([[1.7, 2.2]]), [0]),
+        (np.array([[3, -1]], dtype=np.int8), [0]),
+        (np.array([[3, 1]], dtype=np.uint16), [0.0]),
+        (np.array([[3, 1]], dtype=np.uint16), [65536])])
+    def test_values_outside_u16_rejected_before_any_file(self, tmp_path, features, labels):
+        # Written as u16 they would load back wrapped or truncated: int64
+        # [[70000, -1]] as [[4464, 65535]], float [[1.7, 2.2]] as [[1, 2]].
+        cache = FeatureCache(features=features, labels=np.array(labels), time_steps=25,
+                             source_config_digest=0)
+        with pytest.raises(ValueError, match="do not fit the u16 on-disk layout"):
+            cache.save(tmp_path / "cache.rsnnfc")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_integer_features_within_u16_saved_by_value(self, tmp_path):
+        features = np.array([[0, 65535], [25, 7]], dtype=np.int64)
+        cache = FeatureCache(features=features, labels=np.array([1, 0]), time_steps=25,
+                             source_config_digest=0)
+        path = tmp_path / "cache.rsnnfc"
+        cache.save(path)
+        assert np.array_equal(FeatureCache.load(path).features, features)
+
     def test_digest_mismatch_rejected(self, tmp_path):
         cache = counts_cache(np.zeros((3, 4)), np.zeros(3))
         path = tmp_path / "cache.rsnnfc"
