@@ -22,6 +22,7 @@ import ctypes
 import functools
 import logging
 import os
+import queue
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -332,16 +333,20 @@ def count_spikes(weights, lif: LifParams, images, indices, steps, master_seed: i
                  stream_base: int) -> dict[int, np.ndarray]:
     """The last layer's spike counts of the samples images[indices] through
     the layers of weights, each sample encoded from stream stream_base + its
-    index of master_seed: one (n, n_L) uint16 array per window length t in
-    steps, row k summing the first t steps of sample indices[k].
+    index of master_seed: one (n, n_L) array per window length t in steps,
+    row k summing the first t steps of sample indices[k], as uint8 where
+    max(steps) <= 255 and as uint16 otherwise.
 
     The samples run once at T = max(steps). A sample's encoding at t is the
     first t rows of its encoding at T, and no step's spikes depend on a later
     one, so each array equals a direct count at t. The units, each chunk of
     EXTRACT_CHUNK samples cut by row_groups at the widest layer's width, fix
-    every GEMM's rows and go to one run_parts call. A unit encodes its samples
-    as 0.0/1.0 straight into the first layer's float64 input, runs lif_stack in
-    its thread's work arrays and sums its counts into its own rows of every
+    every GEMM's rows and go to one run_parts call. Before it the calling
+    thread makes one set of work arrays per worker, sized for the largest
+    unit, so none comes from a part thread's malloc arena. A unit takes a set
+    from a queue and puts it back when it ends, raising or not, encodes its
+    samples as 0.0/1.0 straight into the first layer's float64 input, runs
+    lif_stack in the set and sums its counts into its own rows of every
     array. The thread that finishes a unit logs the samples done and the
     samples per second at INFO, at most once per PROGRESS_SECONDS.
     """
@@ -354,12 +359,18 @@ def count_spikes(weights, lif: LifParams, images, indices, steps, master_seed: i
     if steps[0] < 1 or steps[-1] > 0xFFFF:
         raise ValueError(f"window lengths must lie in [1, 65535] (u16 counts), got {steps}")
     indices = np.asarray(indices, dtype=np.int64)
-    counts = {t: np.zeros((len(indices), weights[-1].shape[0]), dtype=np.uint16)
-              for t in steps}
+    counts = {t: np.zeros((len(indices), weights[-1].shape[0]),
+                          dtype=np.min_scalar_type(steps[-1])) for t in steps}
     width = max(w.shape[0] for w in weights)
     units = [rows for chunk in range(0, len(indices), EXTRACT_CHUNK)
              for rows in row_groups(chunk, min(chunk + EXTRACT_CHUNK, len(indices)), width)]
-    local = threading.local()  # vars(local) is the running thread's own dict
+    largest = max((rows.stop - rows.start for rows in units), default=0)
+    homes = queue.SimpleQueue()
+    for _ in range(min(worker_count(), len(units))):
+        home = {}
+        _buffer(home, ("in", 0), (largest, steps[-1], images.shape[1]), np.float64)
+        work_arrays(home, weights, largest, steps[-1])
+        homes.put(home)
     lock = threading.Lock()
     done, start = 0, time.perf_counter()
     logged = start
@@ -367,11 +378,15 @@ def count_spikes(weights, lif: LifParams, images, indices, steps, master_seed: i
     def run_unit(rows):
         nonlocal done, logged
         shape = (rows.stop - rows.start, steps[-1], images.shape[1])
-        x = encode_batch(images, indices[rows], steps[-1], master_seed, stream_base,
-                         out=_buffer(vars(local), ("in", 0), shape, np.float64))
-        spikes = lif_stack(x, work_arrays(vars(local), weights, len(x), steps[-1]), lif)
-        for t in steps:
-            spikes[:, :t].sum(axis=1, dtype=np.uint16, out=counts[t][rows])
+        home = homes.get()
+        try:
+            x = encode_batch(images, indices[rows], steps[-1], master_seed, stream_base,
+                             out=_buffer(home, ("in", 0), shape, np.float64))
+            spikes = lif_stack(x, work_arrays(home, weights, len(x), steps[-1]), lif)
+            for t in steps:
+                spikes[:, :t].sum(axis=1, dtype=counts[t].dtype, out=counts[t][rows])
+        finally:
+            homes.put(home)
         with lock:
             done += len(x)
             now = time.perf_counter()

@@ -27,6 +27,9 @@ from .network import (LifParams, NetworkTopology, WeightDistribution,  # noqa: F
 from .numerics import AdamConfig, AdamState, PROB_FLOOR, adam_step, softmax
 
 CACHE_MAGIC = b"RSNNFC01"
+# Feature entries a cache save widens, or a load narrows, at a time: no
+# whole-matrix copy in the other dtype is made.
+CACHE_BLOCK = 1 << 18
 # Training steps whose held-out accuracies one GEMM scores (README: why 16).
 EVAL_GROUP = 16
 
@@ -61,17 +64,19 @@ def feature_digest(layer_sizes, dist: WeightDistribution, seed: int, lif: LifPar
 
 class CacheFormatError(ValueError):
     """A feature cache file that is not one save wrote for the expected
-    configuration: bad magic, short header, digest mismatch or a payload of
-    the wrong length."""
+    configuration: bad magic, short header, digest mismatch, a payload of
+    the wrong length or a count above its window length."""
 
 
 @dataclass
 class FeatureCache:
     """Per-sample spike counts for one dataset split under one fixed network.
 
-    features is (num_samples, n_L) uint16 with entries in [0, time_steps];
-    source_config_digest fingerprints the producing configuration so a stale
-    cache cannot silently stand in for a different one.
+    features is (num_samples, n_L) with entries in [0, time_steps], as
+    count_spikes makes them and load returns them: uint8 where time_steps
+    <= 255, else uint16. source_config_digest fingerprints the producing
+    configuration so a stale cache cannot silently stand in for a different
+    one.
     """
 
     features: np.ndarray
@@ -89,14 +94,17 @@ class FeatureCache:
     def save(self, path) -> None:
         """Write the flat binary layout: magic, four little-endian u64
         fields (num_samples, n_L, T, digest), u16 features row-major, then
-        u16 labels; other values, or floats, are a ValueError. The bytes go
-        to a temporary file in the same directory that then replaces path, so
-        a crash never leaves a truncated cache."""
+        u16 labels. Floats, labels outside [0, 65535] and features outside
+        [0, min(T, 65535)], which load would refuse, are a ValueError before
+        any file is made. The bytes go to a temporary file in the same
+        directory that then replaces path, so a crash never leaves a
+        truncated cache."""
         n, f = self.features.shape
-        for name, a in (("features", self.features), ("labels", self.labels)):
-            if not np.issubdtype(a.dtype, np.integer) or a.dtype != np.uint16 and a.size and (
-                    a.min() < 0 or a.max() > 0xFFFF):  # a uint16 array needs no scan
-                raise ValueError(f"{name} do not fit the u16 on-disk layout")
+        for name, a, top in (("features", self.features, min(self.time_steps, 0xFFFF)),
+                             ("labels", self.labels, 0xFFFF)):
+            if not np.issubdtype(a.dtype, np.integer) or a.size and (
+                    a.min() < 0 or a.max() > top):
+                raise ValueError(f"{name} do not fit the u16 on-disk layout in [0, {top}]")
         path = Path(path)
         fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
         try:
@@ -104,8 +112,11 @@ class FeatureCache:
                 fh.write(CACHE_MAGIC)
                 fh.write(struct.pack("<QQQQ", n, f, self.time_steps,
                                      self.source_config_digest))
-                # Buffer-protocol writes: no copy of a contiguous u16 matrix.
-                fh.write(np.ascontiguousarray(self.features, dtype="<u2"))
+                # Buffer-protocol writes of u16 row blocks: a contiguous u16
+                # matrix is not copied, and a uint8 one is widened a block at
+                # a time.
+                for rows in _blocks(n, f):
+                    fh.write(np.ascontiguousarray(self.features[rows], dtype="<u2"))
                 fh.write(np.ascontiguousarray(self.labels, dtype="<u2"))
             os.replace(tmp, path)
         except BaseException:
@@ -114,7 +125,9 @@ class FeatureCache:
 
     @classmethod
     def load(cls, path, expected_digest: int | None = None) -> "FeatureCache":
-        """Read a cache written by save, straight into its final arrays."""
+        """Read a cache written by save, a row block at a time, into uint8
+        features where T <= 255, else uint16. A count above T is a
+        CacheFormatError."""
         with open(path, "rb") as fh:
             head = fh.read(40)
             if head[:8] != CACHE_MAGIC:
@@ -131,12 +144,26 @@ class FeatureCache:
             if have != need:
                 raise CacheFormatError(f"{path}: truncated cache or trailing bytes "
                                        f"(have {have} payload bytes, need {need})")
-            feats = np.empty((n, f), dtype="<u2")
+            feats = np.empty((n, f), dtype=np.uint8 if t <= 0xFF else np.uint16)
+            blocks = _blocks(n, f)
+            block = np.empty((blocks[0].stop if blocks else 0, f), dtype="<u2")
+            for rows in blocks:
+                part = block[:rows.stop - rows.start]
+                fh.readinto(part)
+                if part.max(initial=0) > t:
+                    raise CacheFormatError(f"{path}: a count exceeds the window length T = {t}")
+                feats[rows] = part
             labels = np.empty(n, dtype="<u2")
-            fh.readinto(feats)
             fh.readinto(labels)
         return cls(features=feats, labels=labels.astype(np.int64), time_steps=int(t),
                    source_config_digest=int(digest))
+
+
+def _blocks(n: int, f: int) -> list[slice]:
+    """Rows [0, n) of an (n, f) matrix in blocks of at most CACHE_BLOCK
+    entries, and at least one row."""
+    size = max(1, CACHE_BLOCK // max(f, 1))
+    return [slice(row, min(row + size, n)) for row in range(0, n, size)]
 
 
 def extract_features(net: NetworkTopology, time_steps: int, dataset: LabeledDataset,
@@ -343,7 +370,7 @@ def _certified32(logits, preds, x_sums, weights, bias) -> np.ndarray:
 
 def _test_accuracies(counts, x, x_sums, labels, weights, bias) -> list[float]:
     """Held-out accuracy of each snapshot j, weights[j] (C, K) and bias[j]
-    (C,), on the (n, K) uint16 spike counts, x their float32 copy and x_sums
+    (C,), on the (n, K) integer spike counts, x their float32 copy and x_sums
     their row sums: that of the snapshot's float64 product
     counts @ weights[j].T + bias[j], whose argmax takes the lowest of tied
     classes. Three levels find it, each only where the last could not:

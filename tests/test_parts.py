@@ -105,7 +105,7 @@ def test_multi_window_extraction_under_each_schedule(sizes, dist, chunk_parts, n
     assert first[10].any() and (first[4] <= first[10]).all()
     for other in others:
         for t, counts in first.items():
-            assert other[t].dtype == counts.dtype == np.uint16
+            assert other[t].dtype == counts.dtype == np.uint8
             assert np.array_equal(other[t], counts)
 
 
@@ -171,6 +171,102 @@ def test_a_failing_part_raises_after_every_other_part_ran(monkeypatch):
     with pytest.raises(RuntimeError, match="part failed"):
         network.run_parts(part, [slice(start, start + 4) for start in range(0, len(done), 4)])
     assert done[:8].all() and done[12:].all() and not done[8:12].any()
+
+
+def spy_work_arrays(monkeypatch) -> tuple[list, list]:
+    """Patch network._buffer and network.lif_stack for two workers: the
+    first list gets the thread of every work array that _buffer allocates,
+    the second that of every lif_stack call."""
+    monkeypatch.setattr(network, "worker_count", lambda: 2)
+    made, ran = [], []
+    real_buffer, real_stack = network._buffer, network.lif_stack
+
+    def buffer(scratch, key, shape, dtype):
+        if key not in scratch or scratch[key].size < np.prod(shape):
+            made.append(threading.current_thread())
+        return real_buffer(scratch, key, shape, dtype)
+
+    def stack(x, *args, **kwargs):
+        ran.append(threading.current_thread())
+        return real_stack(x, *args, **kwargs)
+
+    monkeypatch.setattr(network, "_buffer", buffer)
+    monkeypatch.setattr(network, "lif_stack", stack)
+    return made, ran
+
+
+# At 300 neurons a chunk of 8 is units of 7 and 1: the work arrays are sized
+# for the larger, and the smaller runs in their prefix.
+@pytest.mark.parametrize("sizes", [(784, 2000), (64, 300, 30)])
+def test_count_spikes_allocates_every_work_array_on_the_calling_thread(sizes, monkeypatch):
+    ds = mnist_shaped(24, pixels=sizes[0], seed=2)
+    net = init_weights(sizes, fan_in_uniform(sizes[0]), seed=5)
+    reference = reference_chunked_counts(net, ds, 3, 10, np.arange(24), ENCODE_TEST_STREAM)
+    made, ran = spy_work_arrays(monkeypatch)
+    counts = network.count_spikes(net.weights, net.lif, ds.images, np.arange(24), (10,), 3,
+                                  ENCODE_TEST_STREAM)[10]
+    assert np.array_equal(counts, reference)
+    # One set of work arrays per worker, each input, currents and spikes.
+    assert len(made) == 2 * (1 + 2 * (len(sizes) - 1))
+    assert set(made) == {threading.current_thread()}
+    assert threading.current_thread() not in ran and len(ran) == 6
+
+
+def test_a_failing_unit_leaves_every_other_unit_its_work_arrays(monkeypatch):
+    # 40 samples at 2,000 neurons are 10 units of 4 on two workers, which
+    # share two sets of work arrays. A set the failing unit kept would leave
+    # a worker waiting for it forever, so the call runs in a thread that is
+    # joined with a timeout.
+    ds = mnist_shaped(40, seed=3)
+    net = init_weights((784, 2000), fan_in_uniform(784), seed=5)
+    made, ran = spy_work_arrays(monkeypatch)
+    real_encode, encoded, raised = network.encode_batch, [], []
+
+    def encode(images, indices, *args, **kwargs):
+        if indices[0] in (8, 20):
+            raise RuntimeError(f"unit {indices[0]} failed")
+        encoded.extend(indices)
+        return real_encode(images, indices, *args, **kwargs)
+
+    def call():
+        try:
+            network.count_spikes(net.weights, net.lif, ds.images, np.arange(40), (10,), 3,
+                                 ENCODE_TEST_STREAM)
+        except RuntimeError as e:
+            raised.append(e)
+
+    monkeypatch.setattr(network, "encode_batch", encode)
+    runner = threading.Thread(target=call)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    assert [str(e) for e in raised] == ["unit 8 failed"]
+    assert sorted(encoded) == [i for i in range(40) if not 8 <= i < 12 and not 20 <= i < 24]
+    assert len(ran) == 8 and set(made) == {runner}
+
+
+def test_units_sharing_work_arrays_on_more_workers_than_cores(monkeypatch):
+    # Eight workers pass eight sets of work arrays among the 34 units of 136
+    # samples at 300 neurons, switching threads every microsecond: two units
+    # in one set at once would mix their rows, and a set never put back would
+    # leave a worker waiting.
+    monkeypatch.setattr(network, "worker_count", lambda: 8)
+    ds = mnist_shaped(136, pixels=64, seed=7)
+    net = init_weights((64, 300), fan_in_uniform(64), seed=5)
+    reference = reference_chunked_counts(net, ds, 3, 10, np.arange(136), ENCODE_TEST_STREAM)
+    results = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: results.extend(
+            network.count_spikes(net.weights, net.lif, ds.images, np.arange(136), (10,), 3,
+                                 ENCODE_TEST_STREAM)[10] for _ in range(5)))
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not runner.is_alive() and len(results) == 5
+    assert all(np.array_equal(counts, reference) for counts in results)
 
 
 def test_no_part_thread_outlives_the_call(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import extract, mnist_shaped
 from oracles import (central_difference_grad, cross_entropy, reference_cache_bytes,
-                     reference_lif_stack, relative_error)
+                     reference_chunked_counts, reference_lif_stack, relative_error)
 from ransnn import network, readout
 from ransnn.encoding import encode_sample
 from ransnn.idx import LabeledDataset
@@ -178,6 +178,30 @@ class TestExtractFeaturesAt:
             assert counts.dtype == direct.features.dtype
             assert np.array_equal(counts, direct.features)
 
+    def test_windows_past_255_count_in_uint16(self, tmp_path):
+        # Most of this net's counts at T = 300 exceed 255, where a uint8
+        # count would wrap. A call whose longest window is 25 counts in
+        # uint8, with the same values.
+        ds = mnist_shaped(13, pixels=64, seed=4)
+        net = init_weights((64, 30, 12), Uniform(-0.3, 0.5), seed=8)
+        windows = count_spikes(net.weights, net.lif, ds.images, np.arange(13), (25, 300), 3,
+                               ENCODE_TRAIN_STREAM)
+        assert windows[25].dtype == windows[300].dtype == np.uint16
+        assert (windows[300] > 255).mean() > 0.5
+        assert np.array_equal(windows[300], reference_chunked_counts(
+            net, ds, 3, 300, np.arange(13), ENCODE_TRAIN_STREAM))
+        [alone] = count_spikes(net.weights, net.lif, ds.images, np.arange(13), (25,), 3,
+                               ENCODE_TRAIN_STREAM).values()
+        assert alone.dtype == np.uint8 and np.array_equal(alone, windows[25])
+        for t, dtype in ((300, np.uint16), (25, np.uint8)):
+            cache = extract(net, t, ds, 3)
+            assert cache.features.dtype == dtype
+            assert np.array_equal(cache.features, windows[t])
+            cache.save(tmp_path / "cache.rsnnfc")
+            loaded = FeatureCache.load(tmp_path / "cache.rsnnfc")
+            assert loaded.features.dtype == dtype
+            assert np.array_equal(loaded.features, windows[t])
+
     def test_no_window_rejected(self):
         self._extract_at((), match="at least one")
 
@@ -248,7 +272,7 @@ class TestFeatureCacheFile:
         assert path.read_bytes() == reference_cache_bytes(cache)
         path.write_bytes(reference_cache_bytes(cache))
         loaded = FeatureCache.load(path, expected_digest=0xFEDCBA9876543210)
-        assert loaded.features.dtype == np.uint16 and loaded.labels.dtype == np.int64
+        assert loaded.features.dtype == np.uint8 and loaded.labels.dtype == np.int64
         assert np.array_equal(loaded.features, cache.features)
         assert np.array_equal(loaded.labels, cache.labels)
 
@@ -276,11 +300,67 @@ class TestFeatureCacheFile:
 
     def test_integer_features_within_u16_saved_by_value(self, tmp_path):
         features = np.array([[0, 65535], [25, 7]], dtype=np.int64)
-        cache = FeatureCache(features=features, labels=np.array([1, 0]), time_steps=25,
+        cache = FeatureCache(features=features, labels=np.array([1, 0]), time_steps=65535,
                              source_config_digest=0)
         path = tmp_path / "cache.rsnnfc"
         cache.save(path)
         assert np.array_equal(FeatureCache.load(path).features, features)
+
+    @pytest.mark.parametrize("time_steps,bad", [(25, 26), (255, 256), (300, 301), (0, 1)])
+    def test_count_above_the_window_rejected_on_save_and_load(self, tmp_path, monkeypatch,
+                                                              time_steps, bad):
+        # Two rows a block: the bad count lies in the last block.
+        monkeypatch.setattr(readout, "CACHE_BLOCK", 6)
+        features = np.zeros((9, 3), dtype=np.uint16)
+        features[8, 2] = bad
+        cache = FeatureCache(features=features, labels=np.zeros(9, dtype=np.int64),
+                             time_steps=time_steps, source_config_digest=0)
+        with pytest.raises(ValueError, match="do not fit the u16 on-disk layout"):
+            cache.save(tmp_path / "cache.rsnnfc")
+        assert list(tmp_path.iterdir()) == []
+        path = tmp_path / "cache.rsnnfc"
+        path.write_bytes(reference_cache_bytes(cache))
+        with pytest.raises(CacheFormatError, match="exceeds the window length"):
+            FeatureCache.load(path)
+        features[8, 2] = time_steps
+        cache.save(path)
+        assert np.array_equal(FeatureCache.load(path).features, features)
+
+    # Blocks of 4 entries: several rows, one row, or an empty matrix.
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (7, 2), (3, 9)])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+    def test_row_blocks_write_and_read_every_row(self, tmp_path, monkeypatch, shape, dtype):
+        monkeypatch.setattr(readout, "CACHE_BLOCK", 4)
+        n, f = shape
+        cache = counts_cache(Rng(6, 0).uniform(0, 26, n * f).reshape(n, f), np.arange(n))
+        cache.features = cache.features.astype(dtype)
+        path = tmp_path / "cache.rsnnfc"
+        cache.save(path)
+        assert path.read_bytes() == reference_cache_bytes(cache)
+        loaded = FeatureCache.load(path)
+        assert loaded.features.dtype == np.uint8 and loaded.features.shape == shape
+        assert np.array_equal(loaded.features, cache.features)
+
+    def test_save_and_load_make_no_whole_widened_copy(self, tmp_path):
+        # A uint16 copy of these uint8 counts takes 2 n f bytes.
+        n, f = 4096, 1000
+        cache = counts_cache(np.zeros((0, f)), [])
+        cache.features = Rng(7, 0).uniform(0, 26, n * f).reshape(n, f).astype(np.uint8)
+        cache.labels = np.zeros(n, dtype=np.int64)
+        path = tmp_path / "cache.rsnnfc"
+        tracemalloc.start()
+        try:
+            entry, _ = tracemalloc.get_traced_memory()
+            cache.save(path)
+            _, save_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            loaded = FeatureCache.load(path)
+            _, load_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.features, cache.features)
+        assert save_peak - entry < n * f, save_peak - entry
+        assert load_peak - entry < 2 * n * f, load_peak - entry
 
     def test_digest_mismatch_rejected(self, tmp_path):
         cache = counts_cache(np.zeros((3, 4)), np.zeros(3))
@@ -337,6 +417,29 @@ def loss_grad(model, features, label):
     """readout_loss_grad for the single spike-count vector features."""
     x = np.asarray(features, dtype=np.float64)[None]
     return readout_loss_grad(model, x, np.array([label]))
+
+
+def test_extraction_and_training_hold_the_train_counts_in_one_byte():
+    # 8,192 samples at 2,000 hidden neurons: the train counts take 16.4 MB
+    # as uint8, and as uint16 alone they would exceed the budget.
+    n, width = 8192, 2000
+    ds = mnist_shaped(n, pixels=16, seed=1)
+    net = init_weights((16, width), fan_in_uniform(16), seed=2)
+    with network.one_blas_thread():
+        tracemalloc.start()
+        try:
+            entry, _ = tracemalloc.get_traced_memory()
+            train = extract(net, 10, ds, 3)
+            test = extract_features(net, 10, ds, 3, indices=np.arange(64),
+                                    stream_base=ENCODE_TEST_STREAM, dataset_id="mnist/test")
+            _, metrics = train_readout(train, test, adam=AdamConfig(), batch_size=64,
+                                       num_classes=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert train.features.dtype == np.uint8 and train.features.any()
+    assert len(metrics) == n // 64
+    assert peak - entry < n * width * 2, (peak - entry, n * width * 2)
 
 
 class TestReadoutForward:
