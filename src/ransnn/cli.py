@@ -2,7 +2,8 @@
 
 Subcommands: run (single experiment), sweep (vary one parameter), compare
 (both methods on one config), inspect-idx (dump an IDX header). Exit codes:
-0 success, 1 configuration error, 2 I/O or parse error.
+0 success, 1 configuration error, 2 I/O or parse error, 3 program bug (any
+other exception, whose traceback the console script prints).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import logging
 import sys
+import traceback
 from dataclasses import replace
 
 from .harness import (SWEEP_PARAMETERS, ConfigError, ExperimentConfig, SweepSpec,
@@ -171,7 +173,15 @@ def main(argv=None) -> int:
 
 
 def main_entry() -> None:
-    raise SystemExit(main())
+    """The console script: exits with main's code, or where main raises (a
+    program bug) prints the traceback and exits 3, so that no bug ends with
+    the configuration error's code 1."""
+    try:
+        code = main()
+    except Exception:
+        traceback.print_exc()
+        code = 3
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -278,17 +278,26 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
     EVAL_EVERY iterations and at the end, with held-out accuracy measured
     on the whole test selection. elapsed covers encoding, forward, backward,
     and the update, but not metrics.
-    Every forward shares one set of work arrays.
+
+    Every step runs in one set of work arrays, the input bits among them,
+    which each step's batch encodes into over the parts of its
+    row_groups(0, B, n_hidden). They are freed before each held-out pass,
+    which counts in arrays of its own, and the next step makes them anew.
+    The sizes and the held-out selection are checked before the first step.
     """
-    images = ds_train.images
-    if images.shape[1] != model.n_in:
-        raise ValueError(
-            f"dataset samples have {images.shape[1]} pixels, model "
-            f"expects {model.n_in}")
+    for name, ds in (("train", ds_train), ("test", ds_test)):
+        if ds.pixels != model.n_in:
+            raise ValueError(f"{name} samples have {ds.pixels} pixels, model "
+                             f"expects {model.n_in}")
+    if len(test_indices) == 0:
+        raise ValueError("cannot evaluate on an empty test selection")
+    if time_steps < 1:
+        raise ValueError(f"time_steps must be >= 1, got {time_steps}")
     train_indices = np.asarray(train_indices, dtype=np.int64)
     if not 1 <= batch_size <= len(train_indices):
         raise ValueError(f"batch_size must lie in [1, {len(train_indices)}] (the selection), "
                          f"got {batch_size}")
+    images = ds_train.images
     total_iters = len(train_indices) // batch_size
 
     # Adam updates the model's params in place, and the weights are views of it.
@@ -301,7 +310,13 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
         sel = train_indices[(iteration - 1) * batch_size:iteration * batch_size]
         labels = ds_train.labels[sel]
         t0 = time.perf_counter()
-        bits = encode_batch(images, sel, time_steps, master_seed, ENCODE_TRAIN_STREAM)
+        bits = _buffer(scratch, "bits", (len(sel), time_steps, model.n_in), np.uint8)
+
+        def encode_part(rows):
+            encode_batch(images, sel[rows], time_steps, master_seed, ENCODE_TRAIN_STREAM,
+                         out=bits[rows])
+
+        run_parts(encode_part, row_groups(0, len(sel), model.n_hidden))
         tape = _record_tape(model, bits, scratch)
         y = np.zeros((len(sel), model.num_classes))
         y[np.arange(len(sel)), labels] = 1.0
@@ -315,9 +330,12 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
             loss = _batch_loss(tape.output_u_pre, labels) / time_steps
             counts = tape.output_bits.sum(axis=1, dtype=np.int64)
             batch_acc = float((counts.argmax(axis=1) == labels).mean())
-        # The tape holds the batch's bits, freed before the held-out pass.
+        # The tape and bits are views of the step's work arrays. Without
+        # them, emptying scratch frees those arrays, so the held-out pass's
+        # own never sit on top of them; the next step makes them anew.
         del tape, bits
         if evaluating:
+            scratch.clear()
             test_acc = evaluate_sg(model, ds_test, time_steps, master_seed, test_indices,
                                    ENCODE_TEST_STREAM)
             metrics.append(IterationMetrics(

@@ -1043,6 +1043,24 @@ class TestCli:
             main(["run", "--config", cfg])
         assert "config error:" not in capsys.readouterr().err
 
+    def test_program_bug_exits_3_with_its_traceback(self, tmp_path):
+        # sitecustomize runs before `-m ransnn.cli` imports read_idx from
+        # ransnn.idx, so the command calls the broken one.
+        (tmp_path / "sitecustomize.py").write_text(
+            "import ransnn.idx\n"
+            "def broken(path):\n"
+            "    raise RuntimeError('a bug, not a parse error')\n"
+            "ransnn.idx.read_idx = broken\n")
+        src = str(Path(harness.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), src])}
+        done = subprocess.run([sys.executable, "-m", "ransnn.cli", "inspect-idx",
+                               str(tmp_path / "missing.idx")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 3, done.stderr
+        assert "Traceback" in done.stderr
+        assert "RuntimeError: a bug, not a parse error" in done.stderr
+        assert "error:" not in done.stderr.replace("RuntimeError:", "")
+
     @pytest.mark.parametrize("argv,dist", [
         (["sweep", "--param", "dist_param", "--values", "U(a,0.1)", "--repeats", "1"], None),
         (["run"], "N(0,x)"), (["run"], "N(nan,1)"), (["run"], "U(0,inf)")])

@@ -506,6 +506,47 @@ class TestTrainSg:
                 train_whole(init_sg_model(16, 8, 2, seed=0, dist=fan_in_uniform(16)), ds, ds,
                             5, master_seed=0, batch_size=batch_size)
 
+    def test_held_out_selection_checked_before_the_first_step(self, monkeypatch):
+        ds = _separable(samples_per_class=4, pixels=16, seed=3)
+        wide = _separable(samples_per_class=4, pixels=20, seed=4)
+
+        def no_step(*_args):
+            raise AssertionError("a step ran before the held-out selection was checked")
+
+        monkeypatch.setattr(sg, "_record_tape", no_step)
+        model = init_sg_model(16, 8, 2, seed=0, dist=fan_in_uniform(16))
+        run = dict(adam=AdamConfig(), batch_size=4, train_indices=np.arange(len(ds)))
+        with pytest.raises(ValueError, match="empty test selection"):
+            train_sg(model, ds, ds, 5, 0, test_indices=np.array([], dtype=np.int64), **run)
+        with pytest.raises(ValueError, match="test samples have 20 pixels"):
+            train_sg(model, ds, wide, 5, 0, test_indices=np.arange(len(wide)), **run)
+        with pytest.raises(ValueError, match="time_steps must be >= 1"):
+            train_sg(model, ds, ds, -3, 0, test_indices=np.arange(len(ds)), **run)
+
+    def test_held_out_pass_starts_without_the_steps_arrays(self, monkeypatch):
+        # At 16 -> 400, one (B, T, n_hidden) float64 array of a step (the
+        # tape's potentials or its hidden spikes) outweighs all that
+        # train_sg keeps across steps: the weights, Adam's m and v.
+        ds = _separable(samples_per_class=32, pixels=16, seed=3)  # 2 steps of 32
+        model = init_sg_model(16, 400, 2, seed=0, dist=fan_in_uniform(16))
+        monkeypatch.setattr(sg, "EVAL_EVERY", 1)
+        hidden_bytes = 32 * 20 * 400 * 8
+        live = []
+        real_evaluate = sg.evaluate_sg
+
+        def recording_evaluate(*args):
+            live.append(tracemalloc.get_traced_memory()[0] - entry)
+            return real_evaluate(*args)
+
+        monkeypatch.setattr(sg, "evaluate_sg", recording_evaluate)
+        tracemalloc.start()
+        try:
+            entry, _ = tracemalloc.get_traced_memory()
+            train_whole(model, ds, ds, 20, master_seed=0, batch_size=32)
+        finally:
+            tracemalloc.stop()
+        assert len(live) == 2 and max(live) < hidden_bytes, (live, hidden_bytes)
+
     def test_eval_every_strides_and_includes_final(self, monkeypatch):
         ds = _separable(samples_per_class=96, pixels=16, seed=3)  # 12 iterations
         test_ds = _separable(samples_per_class=8, pixels=16, seed=4)
