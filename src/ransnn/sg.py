@@ -105,8 +105,9 @@ class BpttTape:
     own GEMM operand, which the w_out gradient reuses. A tape holds views of
     the work arrays of scratch, the dict it was recorded into, valid until
     the next simulate call with that dict. bptt_backward spends a tape: it
-    writes the hidden adjoint over flat_hidden, and the input rows and then
-    the gradient, grad, over hidden_u_pre where they fit.
+    writes the hidden adjoint over flat_hidden, and the hidden decay, then
+    the input rows and then the gradient, grad, over hidden_u_pre where they
+    fit. It keeps output_u_pre, which train_sg reads for the loss.
     """
 
     input_bits: np.ndarray  # (B, T, n_in) uint8
@@ -132,25 +133,22 @@ def _record_tape(model: SgModel, input_bits: np.ndarray, scratch: dict) -> BpttT
 def _adjoint(drive: np.ndarray, u_pre: np.ndarray, beta: float, thr: float,
              gate: bool = False) -> np.ndarray:
     """lam(t) = dL/du_pre(t) over (B, T, n), accumulated backward through
-    leak and reset: lam(t) = drive(t) + beta * (1 - thr * g(t)) * lam(t+1).
-    g(t) is the surrogate at u_pre(t) - thr, computed one step at a time;
-    gate=True first multiplies drive(t) by it. Overwrites drive.
-
-    g and the decay live in two (B, n) work arrays for the whole call, and
-    every operation keeps the operands and order of the expression above,
-    so the bits are those of a fresh array per operation. lam(T) is 0."""
-    g = np.empty_like(drive[:, 0])
-    decay = np.empty_like(g)
+    leak and reset: lam(t) = drive(t) + beta * (1 - thr * g(t)) * lam(t+1),
+    with g the surrogate at u_pre - thr, by which gate=True first multiplies
+    drive. Overwrites drive with lam, and u_pre with the decay, computed once
+    over the whole array, and then at each t with decay(t) * lam(t+1); every
+    element keeps the operands and order of the expression, so the bits are
+    those of a fresh array per operation. lam(T) is 0."""
+    g = surrogate_grad(np.subtract(u_pre, thr, out=u_pre), out=u_pre)
+    if gate:
+        drive *= g
+    decay = np.multiply(thr, g, out=u_pre)
+    np.subtract(1.0, decay, out=decay)
+    np.multiply(beta, decay, out=decay)
     carry = 0.0
     for t in reversed(range(drive.shape[1])):
-        surrogate_grad(np.subtract(u_pre[:, t], thr, out=g), out=g)
-        if gate:
-            drive[:, t] *= g
-        np.multiply(thr, g, out=decay)
-        np.subtract(1.0, decay, out=decay)
-        np.multiply(beta, decay, out=decay)
-        np.multiply(decay, carry, out=decay)
-        carry = np.add(drive[:, t], decay, out=drive[:, t])
+        np.multiply(decay[:, t], carry, out=decay[:, t])
+        carry = np.add(drive[:, t], decay[:, t], out=drive[:, t])
     return drive
 
 
@@ -165,9 +163,10 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true) -> tuple[np.ndarray, n
     recurrence carries gradient across steps.
 
     The tape is spent, and a second backward on it raises ValueError. The
-    w_out gradient reads tape.flat_hidden into a small work array first;
-    then the hidden adjoint is computed in place over flat_hidden. Once the
-    adjoint has read tape.hidden_u_pre, its storage is free, and one rule
+    output adjoint spends the softmax's array and a copy of output_u_pre.
+    The w_out gradient reads tape.flat_hidden into a small work array first;
+    then the hidden adjoint is computed in place over flat_hidden, and its
+    decay over tape.hidden_u_pre, whose storage is then free. One rule
     places two arrays in turn: each takes the next entries of that storage
     where enough remain, and otherwise a work array kept in tape.scratch.
     The first is the hidden gradient's GEMM operand, the input bits rebuilt
@@ -195,11 +194,10 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true) -> tuple[np.ndarray, n
                          f"({n_batch}, {n_cls})")
 
     beta, thr = model.lif.beta, model.lif.u_thr
-    probs = softmax(tape.output_u_pre)
-    d_direct = probs - y[:, None, :]
+    d_direct = softmax(tape.output_u_pre)
+    d_direct -= y[:, None, :]
     d_direct /= n_batch
-    lam_out = _adjoint(d_direct, tape.output_u_pre, beta, thr)
-    lam_out = lam_out.reshape(n_batch * steps, n_cls)
+    lam_out = _adjoint(d_direct, tape.output_u_pre.copy(), beta, thr).reshape(-1, n_cls)
 
     d_w_out = np.matmul(lam_out.T, tape.flat_hidden,
                         out=_buffer(tape.scratch, "d_w_out", model.w_out.shape, np.float64))

@@ -201,13 +201,14 @@ def _reference_adjoint(drive: np.ndarray, g: np.ndarray, beta: float, thr: float
 
 def reference_bptt_backward(model, tape, y_true, *, reduction: str = "mean",
                             detach_reset: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The reverse pass as it was before the surrogate was streamed through
-    the adjoint: whole (B, T, n) surrogate arrays, a fresh copy of the
-    tape's hidden spikes and a fresh float64 copy of its input bits for the
-    weight-gradient GEMMs. The hidden gradient is one product per block of
-    sg.GRAD_ROWS hidden rows, as the streamed pass groups its GEMM rows;
-    BLAS may round a row differently in another grouping. The streamed pass does the same arithmetic, so the two must
-    agree bit for bit. It leaves the tape as it was."""
+    """The reverse pass as whole-array expressions, a fresh array per
+    operation: each layer's surrogate as a (B, T, n) array, the adjoint's
+    decay made anew at every step, and float64 copies of the tape's hidden
+    spikes and input bits for the weight-gradient GEMMs. The hidden gradient
+    is one product per block of sg.GRAD_ROWS hidden rows, as bptt_backward
+    groups its GEMM rows; BLAS may round a row differently in another
+    grouping. Every element goes through the arithmetic of bptt_backward, so
+    the two must agree bit for bit. It leaves the tape as it was."""
     from ransnn.numerics import softmax
     from ransnn.sg import GRAD_ROWS, surrogate_grad
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 
-from oracles import (cross_entropy, poisson_encode, reference_bptt_backward,
-                     reference_lif_stack, relative_error, sg_forward_mode_grads)
+from oracles import (_reference_adjoint, cross_entropy, poisson_encode,
+                     reference_bptt_backward, reference_lif_stack, relative_error,
+                     sg_forward_mode_grads)
 from test_parts import under_each_schedule
 from ransnn.encoding import encode_sample
 from ransnn.network import (LifParams, Normal, Uniform, fan_in_uniform, init_weights,
@@ -151,6 +152,55 @@ class TestSgLoss:
             _batch_loss(np.zeros((1, 4, 3)), np.array([0, 1]))
 
 
+class TestAdjoint:
+    # The adjoint is elementwise, so unlike the whole backward, whose
+    # GRAD_ROWS GEMM keeps the bitwise tests at 200 hidden neurons, it is
+    # exact at any width. It runs on a part's [rows] view, as bptt_backward
+    # hands it, and must leave the other rows as they were.
+    @pytest.mark.parametrize("n", [10, 2000])
+    @pytest.mark.parametrize("gate", [False, True])
+    def test_equals_the_reference_bitwise(self, n, gate):
+        n_batch, steps, beta, thr = 12, 25, 0.9, 1.3
+        rng = Rng(40 + n, 0)
+        u_pre = rng.normal(thr, 0.8, n_batch * steps * n).reshape(n_batch, steps, n)
+        drive = rng.normal(0.0, 1.0, n_batch * steps * n).reshape(n_batch, steps, n)
+        rows = slice(3, 9)
+        g = surrogate_grad(u_pre[rows] - thr)
+        lam = _reference_adjoint(drive[rows] * g if gate else drive[rows].copy(), g, beta,
+                                 thr, detach_reset=False)
+        decay = beta * (1.0 - thr * g)
+        spent = decay * np.concatenate([lam[:, 1:], np.zeros_like(lam[:, :1])], axis=1)
+        outside = np.r_[0:rows.start, rows.stop:n_batch]
+        kept = u_pre[outside], drive[outside]
+
+        out = sg._adjoint(drive[rows], u_pre[rows], beta, thr, gate=gate)
+        assert np.shares_memory(out, drive)
+        assert np.array_equal(drive[rows], lam)
+        # u_pre held the decay before each step multiplied it by lam(t+1).
+        assert np.array_equal(u_pre[rows], spent)
+        assert np.array_equal(u_pre[outside], kept[0])
+        assert np.array_equal(drive[outside], kept[1])
+
+    @pytest.mark.parametrize("gate", [False, True])
+    def test_makes_no_work_array(self, gate):
+        # It runs in drive and u_pre alone. numpy's ufuncs still buffer a
+        # step's strided operands, np.getbufsize() entries each, so the rows
+        # are wide enough that one step's (B, n) array exceeds three buffers.
+        n_batch, steps, n = 8, 4, 20_000
+        assert n_batch * n > 3 * np.getbufsize()
+        drive = Rng(5, 0).normal(0.0, 1.0, n_batch * steps * n).reshape(n_batch, steps, n)
+        u_pre = drive + 1.0
+        tracemalloc.start()
+        try:
+            entry, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            sg._adjoint(drive, u_pre, 0.9, 1.0, gate=gate)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - entry < n_batch * n * 8, peak - entry
+
+
 class TestBpttBackward:
     def test_matches_forward_mode_oracle(self):
         # The decisive check: reverse-mode BPTT and an independent
@@ -223,7 +273,7 @@ class TestBpttBackward:
     @pytest.mark.parametrize("shared_scratch", [pytest.param(False, id="False-mean-False"),
                                                 pytest.param(True, id="True-mean-False")])
     def test_equals_the_whole_array_backward_bitwise(self, n_batch, shared_scratch):
-        # The streamed surrogate and the reused GEMM operands keep every
+        # The in-place surrogate and decay and the reused GEMM operands keep every
         # operation of the whole-array pass, so the bits must not move. A
         # shared scratch that first held a larger batch gives the tape
         # prefix views of its work arrays.
