@@ -242,10 +242,7 @@ def work_arrays(scratch: dict, weights, n_batch: int, steps: int) -> list[tuple]
     float64 currents, kept in scratch under ("cur", i), and the array its
     spikes go to. That is the next layer's float64 input, kept under
     ("in", i + 1), or for the last layer uint8 spikes, kept under "spikes".
-    The first layer's input is the caller's. They are allocated layer by
-    layer, currents first: on the sweep-steps bench, allocating the spikes
-    before the currents left the pool threads' malloc arenas about 2 MB
-    higher in peak RSS."""
+    The first layer's input is the caller's."""
     layers = []
     for i, w in enumerate(weights):
         shape = (n_batch, steps, w.shape[0])
@@ -293,29 +290,26 @@ def simulate(bits: np.ndarray, weights, lif: LifParams,
     dict passed to successive calls keeps their work arrays, which the
     returned arrays then share until the next call.
 
-    No (B, T, n_in) float64 copy of the input is kept: a part's copy lives in
-    its own rows of the second layer's input, which hold nothing until the
-    first layer's spikes overwrite them, or, where those rows are too narrow
-    or there is one layer, in a work array of the thread running the part for
-    this call. The split is fixed by the shapes alone, so any worker count
-    gives the same bits; another grouping of the rows may not, since BLAS may
-    round a GEMM's rows differently in it (README, "Simulation kernel and
-    extraction chunks").
+    Every work array is made on the calling thread before the parts run.
+    Each part copies its bits as float64 into its own rows of the second
+    layer's input, which hold nothing until the first layer's spikes
+    overwrite them, or, where those are narrower or there is one layer, of a
+    (B, T, n_in) work array kept under ("in", 0). The split is fixed by the
+    shapes alone, so any worker count gives the same bits; another grouping
+    of the rows may not, since BLAS may round a GEMM's rows differently in
+    it (README, "Simulation kernel and extraction chunks").
     """
     n_batch, steps, n_in = bits.shape
     if n_in != weights[0].shape[1]:
         raise ValueError(f"input has {n_in} neurons, layer 1 expects {weights[0].shape[1]}")
     scratch = {} if scratch is None else scratch
     layers = work_arrays(scratch, weights, n_batch, steps)
-    in_next_input = len(weights) > 1 and weights[0].shape[0] >= n_in
-    local = threading.local()  # vars(local) is the running thread's own dict
+    wide = len(weights) > 1 and weights[0].shape[0] >= n_in
+    inputs = layers[0][2] if wide else _buffer(scratch, ("in", 0), bits.shape, np.float64)
 
     def run_part(rows):
         shape = bits[rows].shape
-        if in_next_input:
-            x = layers[0][2][rows].reshape(-1)[:np.prod(shape)].reshape(shape)
-        else:
-            x = _buffer(vars(local), "in", shape, np.float64)
+        x = inputs[rows].reshape(-1)[:np.prod(shape)].reshape(shape)
         x[...] = bits[rows]
         lif_stack(x, [(w, cur[rows], out[rows]) for w, cur, out in layers], lif, record=True)
 

@@ -107,7 +107,9 @@ class BpttTape:
     the next simulate call with that dict. bptt_backward spends a tape: it
     writes the hidden adjoint over flat_hidden, and the hidden decay, then
     the input rows and then the gradient, grad, over hidden_u_pre where they
-    fit. It keeps output_u_pre, which train_sg reads for the loss.
+    fit; input rows that do not fit go into the forward's float64 input,
+    scratch[("in", 0)]. It keeps output_u_pre, which train_sg reads for the
+    loss.
     """
 
     input_bits: np.ndarray  # (B, T, n_in) uint8
@@ -170,11 +172,12 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true) -> tuple[np.ndarray, n
     places two arrays in turn: each takes the next entries of that storage
     where enough remain, and otherwise a work array kept in tape.scratch.
     The first is the hidden gradient's GEMM operand, the input bits rebuilt
-    as (B*T, n_in) float64 rows; the second is tape.grad. The hidden
-    adjoint and that rebuild run over the batch's row_groups(0, B,
-    n_hidden), and the hidden gradient's GEMM over blocks of GRAD_ROWS
-    hidden rows; run_parts only schedules these slices, which depend on the
-    shapes alone, so the bits do not depend on the worker count.
+    as (B*T, n_in) float64 rows, whose work array is the forward's input
+    ("in", 0); the second is tape.grad. The hidden adjoint and that rebuild
+    run over the batch's row_groups(0, B, n_hidden), and the hidden
+    gradient's GEMM over blocks of GRAD_ROWS hidden rows; run_parts only
+    schedules these slices, which depend on the shapes alone, so the bits do
+    not depend on the worker count.
 
     Both gradients are written into tape.grad, one flat float64 vector
     holding the hidden matrix's entries first, and returned as views of it,
@@ -222,7 +225,7 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true) -> tuple[np.ndarray, n
         out, free = free[:n], free[n:]
         return out
 
-    flat_input = place("flat_input", n_rows * model.n_in)
+    flat_input = place(("in", 0), n_rows * model.n_in)
     inputs = flat_input.reshape(n_batch, steps, model.n_in)
 
     def input_part(rows):

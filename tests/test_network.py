@@ -211,10 +211,10 @@ class TestSimulateForward:
         assert np.isin(out, (0, 1)).all()
 
     # The first layer's float64 input copy lives in the second layer's input
-    # rows where they are as wide (10 -> 16), else in a per-thread work array
-    # (20 -> 16).
+    # rows where they are as wide (10 -> 16), else in a (B, T, n_in) work
+    # array whose rows the parts share (20 -> 16).
     @pytest.mark.parametrize("sizes", [(10, 16, 6), (20, 16, 6)], ids=["in-next-input",
-                                                                       "per-thread"])
+                                                                       "parts-share-input"])
     def test_a_layer_feeding_another_returns_its_spikes_as_float64(self, sizes):
         net = self._net(sizes, 0.8, seed=2)
         bits = (Rng(9, 0).random((3, 7, sizes[0])) < 0.4).astype(np.uint8)

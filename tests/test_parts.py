@@ -212,6 +212,26 @@ def test_count_spikes_allocates_every_work_array_on_the_calling_thread(sizes, mo
     assert threading.current_thread() not in ran and len(ran) == 6
 
 
+# 15 samples are parts of 7, 7 and 1 at 300 neurons and three parts of 5 at
+# 500. Each layer has currents and spikes; the first layer's float64 input
+# lies in the second layer's input rows at 100 -> 300, and takes one work
+# array of its own at 784 -> 300 and in a one-layer net.
+@pytest.mark.parametrize("sizes,arrays", [((100, 300, 10), 4), ((784, 300, 10), 5),
+                                          ((100, 500), 3)], ids=["wide", "narrow", "one-layer"])
+def test_simulate_allocates_every_work_array_on_the_calling_thread(sizes, arrays, monkeypatch):
+    net = init_weights(sizes, fan_in_uniform(sizes[0]), seed=5)
+    bits = (Rng(6, 0).random((15, 10, sizes[0])) < 0.3).astype(np.uint8)
+    monkeypatch.setattr(network, "worker_count", lambda: 1)
+    reference = [(u.copy(), s.copy()) for u, s in network.simulate(bits, net.weights, net.lif)]
+    made, ran = spy_work_arrays(monkeypatch)
+    layers = network.simulate(bits, net.weights, net.lif)
+    for (u, s), (ref_u, ref_s) in zip(layers, reference, strict=True):
+        assert s.any() and not s.all()
+        assert np.array_equal(u, ref_u) and np.array_equal(s, ref_s)
+    assert len(made) == arrays and set(made) == {threading.current_thread()}
+    assert threading.current_thread() not in ran and len(ran) == 3
+
+
 def test_a_failing_unit_leaves_every_other_unit_its_work_arrays(monkeypatch):
     # 40 samples at 2,000 neurons are 10 units of 4 on two workers, which
     # share two sets of work arrays. A set the failing unit kept would leave
