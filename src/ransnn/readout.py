@@ -27,9 +27,10 @@ from .network import (LifParams, NetworkTopology, WeightDistribution,  # noqa: F
 from .numerics import AdamConfig, AdamState, PROB_FLOOR, adam_step, softmax
 
 CACHE_MAGIC = b"RSNNFC01"
-# Feature entries a cache save widens, or a load narrows, at a time: no
-# whole-matrix copy in the other dtype is made.
-CACHE_BLOCK = 1 << 18
+# Feature entries a cache save widens, a load narrows, or held-out scoring
+# widens to float32, at a time: no whole-matrix copy in the other dtype is
+# made.
+CACHE_BLOCK = 1 << 20
 # Training steps whose held-out accuracies one GEMM scores (README: why 16).
 EVAL_GROUP = 16
 
@@ -239,13 +240,12 @@ def train_readout(cache_train: FeatureCache, cache_test: FeatureCache, *,
     Batches are consecutive blocks of batch_size rows of the training cache,
     visited in order (one Adam step per batch, any trailing partial block
     dropped); the whole procedure is a pure function of its arguments. Every
-    label must lie below num_classes. A metrics point, with held-out
+    label must lie in [0, num_classes). A metrics point, with held-out
     accuracy on the whole test cache, is recorded after every step; its
     elapsed field times only the forward/backward/update work, not metric
     evaluation. Each step's weights and bias are copied into a buffer of
-    min(EVAL_GROUP, steps) snapshots, which _test_accuracies scores after
-    the group's last step from the test counts and one float32 copy of
-    them.
+    min(EVAL_GROUP, steps) snapshots, which _test_accuracies scores from
+    the test counts after the group's last step.
     """
     if len(cache_train) == 0 or len(cache_test) == 0:
         raise ValueError("training requires non-empty train and test caches")
@@ -253,7 +253,8 @@ def train_readout(cache_train: FeatureCache, cache_test: FeatureCache, *,
         raise ValueError(
             f"feature width mismatch: train {cache_train.num_features} vs "
             f"test {cache_test.num_features}")
-    if max(cache_train.labels.max(), cache_test.labels.max()) >= num_classes:
+    if not all(0 <= c.labels.min() <= c.labels.max() < num_classes
+               for c in (cache_train, cache_test)):
         raise ValueError(f"a cache holds a label outside [0, {num_classes})")
     if not 1 <= batch_size <= len(cache_train):
         raise ValueError(
@@ -267,9 +268,6 @@ def train_readout(cache_train: FeatureCache, cache_test: FeatureCache, *,
     n_w = num_classes * n_feat
     model = ReadoutModel(weights=theta[:n_w].reshape(num_classes, n_feat), bias=theta[n_w:])
     state = AdamState.zeros(theta.size, adam)
-    x_test = cache_test.features.astype(np.float32)
-    x_sums = _row_sums(cache_test.features)
-    y_test = cache_test.labels
     group = min(EVAL_GROUP, total_iters)
     w_group = np.empty((group, num_classes, n_feat))
     b_group = np.empty((group, num_classes))
@@ -290,7 +288,7 @@ def train_readout(cache_train: FeatureCache, cache_test: FeatureCache, *,
         b_group[len(pending)] = model.bias
         pending.append((iteration, float((probs.argmax(axis=1) == yb).mean()), loss, elapsed))
         if len(pending) == group or iteration == total_iters:
-            test_accs = _test_accuracies(cache_test.features, x_test, x_sums, y_test,
+            test_accs = _test_accuracies(cache_test.features, cache_test.labels,
                                          w_group[:len(pending)], b_group[:len(pending)])
             metrics += [IterationMetrics(iteration=i, train_accuracy=batch_acc,
                                          test_accuracy=test_acc, loss=step_loss,
@@ -302,21 +300,10 @@ def train_readout(cache_train: FeatureCache, cache_test: FeatureCache, *,
     return model, metrics
 
 
-def _row_sums(features) -> np.ndarray:
-    """Each row's sum of spike counts, exact (integer) and as float64."""
-    return features.sum(axis=1, dtype=np.int64).astype(np.float64)
-
-
 def _gamma(n_feat: int, u: float) -> float:
     """γ_K = Ku / (1 - Ku) at unit roundoff u for K = n_feat terms, or inf
     where Ku >= 1/4, past which the bounds below are not proved."""
     return n_feat * u / (1.0 - n_feat * u) if n_feat * u < 0.25 else np.inf
-
-
-def _scale(x_sums, weights, bias) -> np.ndarray:
-    """(m, n) A + B per snapshot and sample: x_sums · max|W| + max|b|."""
-    return (np.multiply.outer(np.abs(weights).max(axis=(1, 2)), x_sums)
-            + np.abs(bias).max(axis=1)[:, None])
 
 
 def _leads(logits, preds, margin) -> np.ndarray:
@@ -332,75 +319,84 @@ def _leads(logits, preds, margin) -> np.ndarray:
     return sure
 
 
-def _certified(logits, preds, x_sums, weights, bias) -> np.ndarray:
-    """_leads of the float64 logits of n samples under m snapshots with the
-    margin 5e, e = (γ_K + 2u)(A + B) at u = 2⁻⁵³ (_gamma, _scale; README,
-    "Determinism").
+def _certified(logits, preds, x_sums, w_max, b_max, k: int) -> np.ndarray:
+    """_leads of the (m, C, n) logits of n rows with row sums x_sums, scored
+    under m snapshots of K = k weights, max|W| w_max and max|b| b_max, in
+    the logits' dtype from operands cast to it, with the margin
+    2.5 (e + e64) (README, "Determinism").
 
-    Any summation order, with or without FMA, of a row x >= 0 times a
-    snapshot's weights plus its bias is within e of the exact logit, so two
-    such products differ by at most 2e and a lead above 4e in one fixes the
-    other's argmax. The factor 5 leaves room for the rounding of e and of
-    the lead.
+    e = (γ_K + 3u)(A + B) + 2σ (x_sums + 1), with u the dtype's unit
+    roundoff and σ its smallest subnormal, A = x_sums · max|W| and
+    B = max|b|, bounds the logit's distance from the exact one: the casts
+    of W and b, at most σ/2 more for an entry that lands among the
+    subnormals, the sum in any order, with or without FMA, and the bias's
+    addition. e64 = (γ_K + 2u)(A + B) at u = 2⁻⁵³ bounds the snapshot's
+    float64 product likewise. So the two differ by at most e + e64, and a
+    lead above twice that fixes the product's argmax; the factor 2.5
+    leaves room for the rounding of the bounds and of the lead.
     """
-    u = 2.0 ** -53
-    return _leads(logits, preds, 5 * (_gamma(weights.shape[2], u) + 2 * u)
-                  * _scale(x_sums, weights, bias))
-
-
-def _certified32(logits, preds, x_sums, weights, bias) -> np.ndarray:
-    """_leads of float32 logits, computed from float32 copies of the counts,
-    weights and bias, with the margin 2.5 (e32 + e64).
-
-    e64 is _certified's e. e32 = (γ_K + 3u)(A + B) + 2⁻¹⁴⁸ (x_sums + 1) at
-    u = 2⁻²⁴ bounds the float32 logit's distance from the exact one: the
-    rounding of W and b to float32, at most 2⁻¹⁵⁰ more for an entry that
-    lands among the subnormals, the GEMM's sum in any order and the bias's
-    addition. So the float32 logits and the snapshot's float64 product
-    differ by at most e32 + e64, and a lead above twice that fixes the
-    product's argmax; the factor 2.5 leaves room for the rounding of the
-    bounds and of the lead.
-    """
-    u32, u64, k = 2.0 ** -24, 2.0 ** -53, weights.shape[2]
-    scale = _scale(x_sums, weights, bias)
-    e = (_gamma(k, u32) + 3 * u32 + _gamma(k, u64) + 2 * u64) * scale
-    e += 2.0 ** -148 * (x_sums + 1.0)
+    info = np.finfo(logits.dtype)
+    u, u64 = float(info.eps) / 2, 2.0 ** -53
+    scale = np.multiply.outer(w_max, x_sums) + b_max[:, None]
+    e = (_gamma(k, u) + 3 * u + _gamma(k, u64) + 2 * u64) * scale
+    e += 2 * float(info.smallest_subnormal) * (x_sums + 1.0)
     return _leads(logits, preds, 2.5 * e)
 
 
-def _test_accuracies(counts, x, x_sums, labels, weights, bias) -> list[float]:
+def _test_accuracies(counts, labels, weights, bias) -> list[float]:
     """Held-out accuracy of each snapshot j, weights[j] (C, K) and bias[j]
-    (C,), on the (n, K) integer spike counts, x their float32 copy and x_sums
-    their row sums: that of the snapshot's float64 product
-    counts @ weights[j].T + bias[j], whose argmax takes the lowest of tied
-    classes. Three levels find it, each only where the last could not:
+    (C,), on the (n, K) integer spike counts: that of the snapshot's
+    float64 product counts @ weights[j].T + bias[j], whose argmax takes the
+    lowest of tied classes. Three levels find it, each only where the last
+    could not:
 
-    1. One float32 GEMM, W_group @ x.T with the snapshots' weights stacked
-       into m·C rows, scores every snapshot; _certified32 accepts a
-       (snapshot, row) pair whose argmax it proves equal to the product's.
+    1. A float32 GEMM, with the snapshots' weights stacked into m·C rows
+       and a row of ones, scores every snapshot over the _blocks of the
+       counts, each widened into one float32 work array. The ones row's
+       sums are exact below 2²⁴ (in any order, a sum of nonnegative
+       integers first rounds at a partial sum past 2²⁴, and no later sum
+       falls back below it); a block with a larger one is summed in
+       float64. _certified accepts a (snapshot, row) pair whose argmax it
+       proves equal to the product's.
     2. The rows of a snapshot left uncertified are scored by a float64
-       product of those rows alone, which _certified accepts likewise.
+       product of those rows alone, over _blocks of them, which _certified
+       accepts likewise.
     3. A snapshot with a row that neither accepts is rescored by its whole
        float64 product, from a float64 copy of the counts made on demand.
 
-    So the accuracy does not depend on any GEMM's last bits.
+    So the accuracy does not depend on any GEMM's last bits, nor on the
+    blocks.
     """
-    m, c, k = weights.shape
-    with np.errstate(over="ignore", invalid="ignore"):
-        logits = weights.reshape(m * c, k).astype(np.float32) @ x.T
-        logits += bias.reshape(m * c, 1).astype(np.float32)
-    logits = logits.reshape(m, c, len(x))
-    preds = logits.argmax(axis=1)
-    sure = _certified32(logits, preds, x_sums, weights, bias)
+    (m, c, k), n = weights.shape, len(counts)
+    with np.errstate(over="ignore"):
+        w32 = np.vstack([weights.reshape(m * c, k), np.ones(k)]).astype(np.float32)
+        b32 = np.append(bias, 0.0).astype(np.float32)[:, None]
+    w_max, b_max = np.abs(weights).max(axis=(1, 2)), np.abs(bias).max(axis=1)
+    preds, sure, x_sums = np.empty((m, n), np.intp), np.empty((m, n), bool), np.empty(n)
+    blocks = _blocks(n, k)
+    work = np.empty((blocks[0].stop, k), dtype=np.float32)
+    for rows in blocks:
+        x = work[:rows.stop - rows.start]
+        np.copyto(x, counts[rows])
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = w32 @ x.T
+            logits += b32
+        sums = logits[-1]
+        x_sums[rows] = sums if sums.max() < 2 ** 24 else x.sum(axis=1, dtype=np.float64)
+        logits = logits[:-1].reshape(m, c, len(x))
+        preds[:, rows] = logits.argmax(axis=1)
+        sure[:, rows] = _certified(logits, preds[:, rows], x_sums[rows], w_max, b_max, k)
+    del work, x  # level 2's float64 blocks do not sit on top of the work array
     whole = None
     for j in np.flatnonzero(~sure.all(axis=1)):
-        rows = np.flatnonzero(~sure[j])
-        part = (counts[rows].astype(np.float64) @ weights[j].T + bias[j]).T[None]
-        part_preds = part.argmax(axis=1)
-        part_sure = _certified(part, part_preds, x_sums[rows], weights[j:j + 1],
-                               bias[j:j + 1])
-        preds[j, rows] = part_preds[0]
-        if not part_sure.all():
+        left = np.flatnonzero(~sure[j])
+        for rows in (left[block] for block in _blocks(len(left), k)):
+            part = (counts[rows].astype(np.float64) @ weights[j].T + bias[j]).T[None]
+            part_preds = part.argmax(axis=1)
+            sure[j, rows] = _certified(part, part_preds, x_sums[rows], w_max[j:j + 1],
+                                       b_max[j:j + 1], k)[0]
+            preds[j, rows] = part_preds[0]
+        if not sure[j].all():
             whole = counts.astype(np.float64) if whole is None else whole
             preds[j] = (whole @ weights[j].T + bias[j]).argmax(axis=1)
     return [float(acc) for acc in (preds == labels).mean(axis=1)]
@@ -418,6 +414,5 @@ def evaluate(model: ReadoutModel, cache: FeatureCache) -> float:
         raise ValueError(
             f"cache width {cache.num_features} does not match model width "
             f"{model.num_features}")
-    return _test_accuracies(cache.features, cache.features.astype(np.float32),
-                            _row_sums(cache.features), cache.labels, model.weights[None],
+    return _test_accuracies(cache.features, cache.labels, model.weights[None],
                             model.bias[None])[0]

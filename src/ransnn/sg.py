@@ -284,7 +284,8 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
     which each step's batch encodes into over the parts of its
     row_groups(0, B, n_hidden). They are freed before each held-out pass,
     which counts in arrays of its own, and the next step makes them anew.
-    The sizes and the held-out selection are checked before the first step.
+    The sizes, the labels and the held-out selection are checked before
+    the first step.
     """
     for name, ds in (("train", ds_train), ("test", ds_test)):
         if ds.pixels != model.n_in:
@@ -298,6 +299,9 @@ def train_sg(model: SgModel, ds_train: LabeledDataset, ds_test: LabeledDataset,
     if not 1 <= batch_size <= len(train_indices):
         raise ValueError(f"batch_size must lie in [1, {len(train_indices)}] (the selection), "
                          f"got {batch_size}")
+    for ds, sel in ((ds_train, train_indices), (ds_test, test_indices)):
+        if not 0 <= ds.labels[sel].min() <= ds.labels[sel].max() < model.num_classes:
+            raise ValueError(f"a selection holds a label outside [0, {model.num_classes})")
     images = ds_train.images
     total_iters = len(train_indices) // batch_size
 

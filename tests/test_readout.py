@@ -593,6 +593,13 @@ class TestTrainReadout:
         bad.labels[3] = 1
         train_readout(train, test, adam=AdamConfig(), batch_size=8, num_classes=2)
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_negative_label_rejected(self, split):
+        train, test = separable_caches(samples_per_class=16)
+        (train if split == "train" else test).labels[3] = -1
+        with pytest.raises(ValueError, match="outside"):
+            train_readout(train, test, adam=AdamConfig(), batch_size=8, num_classes=2)
+
     def test_deterministic_bit_for_bit(self):
         train, test = separable_caches(samples_per_class=128)
         model_a, metrics_a = train_readout(train, test, adam=AdamConfig(), batch_size=32,
@@ -691,30 +698,44 @@ def train_with_snapshots(monkeypatch, train, test, num_classes, batch_size):
 
 
 def spy_certified(monkeypatch):
-    """Every mask the two certificates return, in call order: those of
-    _certified32 over the float32 GEMM's (snapshot, row) pairs, and those of
-    _certified over the rows a snapshot left uncertified, one call per such
-    snapshot. The spies also set every prediction they did not certify to
-    -1, which only the next level can undo."""
+    """Every mask _certified returns, in call order, split by the logits'
+    dtype: float32 masks over the level-1 GEMM's (snapshot, row) pairs, one
+    call per row block, and float64 masks over the rows a snapshot left
+    uncertified, one call per block of them. The spy also sets every
+    prediction it did not certify to -1, which only the next level can
+    undo."""
     masks32, masks64 = [], []
+    certify = readout._certified
 
-    def spy(certify, masks):
-        def certify_and_spoil(logits, preds, *args):
-            masks.append(certify(logits, preds, *args))
-            preds[~masks[-1]] = -1
-            return masks[-1]
-        return certify_and_spoil
+    def certify_and_spoil(logits, preds, *args):
+        masks = masks32 if logits.dtype == np.float32 else masks64
+        masks.append(certify(logits, preds, *args))
+        preds[~masks[-1]] = -1
+        return masks[-1]
 
-    monkeypatch.setattr(readout, "_certified32", spy(readout._certified32, masks32))
-    monkeypatch.setattr(readout, "_certified", spy(readout._certified, masks64))
+    monkeypatch.setattr(readout, "_certified", certify_and_spoil)
     return masks32, masks64
 
 
 def accuracies(counts, labels, weights, bias):
     """_test_accuracies of the snapshots on the u16 counts."""
-    counts = np.asarray(counts, dtype=np.uint16)
-    return readout._test_accuracies(counts, counts.astype(np.float32),
-                                    readout._row_sums(counts), labels, weights, bias)
+    return readout._test_accuracies(np.asarray(counts, dtype=np.uint16), labels, weights, bias)
+
+
+def row_sums(counts):
+    """Each row's sum of the integer counts, exact, as float64."""
+    return counts.sum(axis=1, dtype=np.int64).astype(np.float64)
+
+
+def margin(dtype, k, x_sums, w_max, b_max):
+    """_certified's margin 2.5 (e + e64) for logits of the given dtype,
+    written out from the README's bounds."""
+    u, u64 = {np.float32: 2.0 ** -24, np.float64: 2.0 ** -53}[dtype], 2.0 ** -53
+    sub = {np.float32: 2.0 ** -149, np.float64: 2.0 ** -1074}[dtype]
+    scale = np.multiply.outer(w_max, x_sums) + b_max[:, None]
+    e = (k * u / (1 - k * u) + 3 * u) * scale + 2 * sub * (x_sums + 1)
+    e64 = (k * u64 / (1 - k * u64) + 2 * u64) * scale
+    return 2.5 * (e + e64)
 
 
 class TestGroupedScoring:
@@ -739,6 +760,42 @@ class TestGroupedScoring:
             reference_accuracy(x, test.labels, w, b) for w, b in snapshots]
         assert evaluate(model, test) == metrics[-1].test_accuracy
 
+    @pytest.mark.parametrize("block_rows", [1, 3, 7, 50])
+    def test_accuracies_do_not_depend_on_the_blocks(self, monkeypatch, block_rows):
+        # Levels 1 and 2 run over blocks of block_rows rows (50: the whole
+        # split). Snapshot 0 is random and certifies in float32. In the others
+        # classes 1 and 2 share weights that lead every row: in snapshot 1
+        # they tie, which no certificate accepts, and in snapshots 2 and 3
+        # a bias of 1e-9 breaks the tie, far below float32's bound and far
+        # above float64's. Each snapshot is scored against labels that are
+        # its own product's predictions.
+        rng = np.random.default_rng(31)
+        n, width = 50, 40
+        counts = spike_counts(rng, n, width)
+        counts[:, 0] = 1
+        weights = rng.normal(0, 0.05, (4, 4, width))
+        bias = np.zeros((4, 4))
+        weights[1:, 1:3] = 1.0
+        bias[2, 2] = bias[3, 1] = 1e-9
+        x = counts.astype(np.float64)
+        monkeypatch.setattr(readout, "CACHE_BLOCK", block_rows * width)
+        masks32, masks64 = spy_certified(monkeypatch)
+        for j in range(4):
+            labels = (x @ weights[j].T + bias[j]).argmax(axis=1)
+            assert j == 0 or (labels == (2 if j == 2 else 1)).all()
+            accs = accuracies(counts, labels, weights, bias)
+            assert accs[j] == 1.0
+            assert accs == [reference_accuracy(x, labels, w, b) for w, b in zip(weights, bias)]
+            # Both levels run over the same blocks: level 1 over the split,
+            # level 2 over each of snapshots 1-3's uncertified rows.
+            level1 = np.concatenate(masks32, axis=1)
+            level2 = np.concatenate(masks64, axis=1).reshape(3, n)
+            assert len(masks32) == -(-n // block_rows) and len(masks64) == 3 * len(masks32)
+            assert level1[0].all() and not level1[1:].any()
+            assert not level2[0].any() and level2[1:].all()
+            masks32.clear()
+            masks64.clear()
+
     @pytest.mark.parametrize("n_test, classes, width, m",
                              [(1, 2, 40, 3), (33, 10, 2000, 16), (384, 62, 784, 6),
                               (128, 2, 2000, 16)])
@@ -754,7 +811,7 @@ class TestGroupedScoring:
         stacked = weights.reshape(m * classes, width)
         u = 2.0 ** -53
         e = ((width * u / (1 - width * u) + 2 * u)
-             * (np.multiply.outer(readout._row_sums(counts), np.abs(weights).max(axis=(1, 2)))
+             * (np.multiply.outer(row_sums(counts), np.abs(weights).max(axis=(1, 2)))
                 + np.abs(bias).max(axis=1)))
         for grouped in ((x @ stacked.T).reshape(n_test, m, classes) + bias,
                         (stacked @ x.T).T.reshape(n_test, m, classes) + bias):
@@ -825,23 +882,26 @@ class TestGroupedScoring:
     def test_overflowed_logit_is_never_certified(self):
         # A logit can overflow while the bound stays finite; the lead of an
         # infinite top logit, or over an infinite bottom one, proves nothing.
-        weights, bias = np.zeros((1, 3, 1)), np.zeros((1, 3))
         for column in ([np.inf, 1.0, 0.0], [5.0, 1.0, -np.inf]):
             logits = np.array(column).reshape(1, 3, 1)
             preds = logits.argmax(axis=1)
-            assert not readout._certified(logits, preds, np.ones(1), weights, bias).any()
+            assert not readout._certified(logits, preds, np.ones(1), np.zeros(1), np.zeros(1),
+                                          1).any()
 
     def test_lead_must_exceed_four_times_the_bound(self):
-        # e for one row summing to 40 under weights of max |w| 0.25 and a
-        # bias of max |b| 0.5, at K = 8 features.
-        weights = np.full((1, 2, 8), 0.25)
-        bias = np.array([[0.5, 0.0]])
+        # e64 for one row summing to 40 under weights of max |w| 0.25 and a
+        # bias of max |b| 0.5, at K = 8 features. On float64 logits the
+        # margin 2.5 (e + e64) is at least the 4 e64 that two float64
+        # products need, and at most 6 e64.
         u = 2.0 ** -53
         e = (8 * u / (1 - 8 * u) + 2 * u) * (40 * 0.25 + 0.5)
-        for lead, sure in ((4 * e, False), (6 * e, True)):
+        bound = margin(np.float64, 8, np.array([40.0]), np.array([0.25]), np.array([0.5]))[0, 0]
+        assert 4 * e < bound < 6 * e
+        for lead, sure in ((4 * e, False), (bound, False), (6 * e, True)):
             logits = np.array([lead, 0.0]).reshape(1, 2, 1)
             preds = logits.argmax(axis=1)
-            assert readout._certified(logits, preds, np.array([40.0]), weights, bias)[0, 0] == sure
+            assert readout._certified(logits, preds, np.array([40.0]), np.array([0.25]),
+                                      np.array([0.5]), 8)[0, 0] == sure
 
 
 class TestScorerLevels:
@@ -863,11 +923,8 @@ class TestScorerLevels:
         counts = spike_counts(rng, n_test, width)
         weights = rng.normal(0, 0.05, (m, classes, width))
         bias = rng.normal(0, 0.05, (m, classes))
-        sums = readout._row_sums(counts)
-        scale = readout._scale(sums, weights, bias)
-        u32, u64 = 2.0 ** -24, 2.0 ** -53
-        e = ((width * u32 / (1 - width * u32) + 3 * u32 + width * u64 / (1 - width * u64)
-              + 2 * u64) * scale + 2.0 ** -148 * (sums + 1))
+        e = margin(np.float32, width, row_sums(counts), np.abs(weights).max(axis=(1, 2)),
+                   np.abs(bias).max(axis=1)) / 2.5
         grouped = (weights.reshape(m * classes, width).astype(np.float32)
                    @ counts.astype(np.float32).T)
         grouped += bias.reshape(m * classes, 1).astype(np.float32)
@@ -925,29 +982,27 @@ class TestScorerLevels:
 
     def test_float32_lead_must_exceed_twice_both_bounds(self):
         # One row summing to 40 under weights of max |w| 0.25 and a bias of
-        # max |b| 0.5, at K = 8 features.
-        weights = np.full((1, 2, 8), 0.25)
-        bias = np.array([[0.5, 0.0]])
+        # max |b| 0.5, at K = 8 features: e32 + e64, written out.
         u32, u64 = 2.0 ** -24, 2.0 ** -53
         e = ((8 * u32 / (1 - 8 * u32) + 3 * u32 + 8 * u64 / (1 - 8 * u64) + 2 * u64)
              * (40 * 0.25 + 0.5) + 2.0 ** -148 * 41)
         for lead, sure in ((2 * e, False), (3 * e, True)):
             logits = np.array([np.float32(lead), 0.0], dtype=np.float32).reshape(1, 2, 1)
             preds = logits.argmax(axis=1)
-            assert readout._certified32(logits, preds, np.array([40.0]), weights,
-                                        bias)[0, 0] == sure
+            assert readout._certified(logits, preds, np.array([40.0]), np.array([0.25]),
+                                      np.array([0.5]), 8)[0, 0] == sure
 
     def test_overflowed_float32_logit_is_never_certified(self):
-        weights, bias = np.zeros((1, 3, 1)), np.zeros((1, 3))
         for column in ([np.inf, 1.0, 0.0], [5.0, 1.0, -np.inf], [np.nan, 1.0, 0.0]):
             logits = np.array(column, dtype=np.float32).reshape(1, 3, 1)
             preds = logits.argmax(axis=1)
-            assert not readout._certified32(logits, preds, np.ones(1), weights, bias).any()
+            assert not readout._certified(logits, preds, np.ones(1), np.zeros(1), np.zeros(1),
+                                          1).any()
 
     def test_training_holds_no_float64_copy_of_the_test_counts(self, monkeypatch):
-        # The curve is scored from the u16 test counts and one float32 copy:
-        # a (n_test, K) float64 array would exceed the budget. No row
-        # reaches the whole float64 product, which builds one on demand.
+        # The curve is scored from the u16 test counts: a (n_test, K)
+        # float64 array would exceed the budget. No row reaches the whole
+        # float64 product, which builds one on demand.
         rng = np.random.default_rng(23)
         n_test, width, classes = 4000, 500, 2
         train = counts_cache(spike_counts(rng, 32 * 20, width),
@@ -968,5 +1023,61 @@ class TestScorerLevels:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(metrics) == 20 and len(masks32) == 2
+        # Two groups, each certifying every row once over its blocks.
+        assert len(metrics) == 20 and sum(mask.shape[1] for mask in masks32) == 2 * n_test
         assert peak - entry < n_test * width * 8, (peak - entry, n_test * width * 8)
+
+    def test_row_sums_are_exact_past_float32s_integers(self, monkeypatch):
+        # Row 0 sums to 300 * 65,535 and row 1 to 2^24 + 1, which float32
+        # cannot hold, so their block's sums are taken in float64; row 2's
+        # block, on its own, keeps its float32 sums.
+        counts = np.zeros((3, 300), dtype=np.uint16)
+        counts[0] = 65535
+        counts[1, :256], counts[1, 256] = 65535, 257
+        counts[2, :4] = 7
+        seen = []
+        certify = readout._certified
+
+        def recording(logits, preds, x_sums, *args):
+            seen.append(x_sums.copy())
+            return certify(logits, preds, x_sums, *args)
+
+        monkeypatch.setattr(readout, "_certified", recording)
+        monkeypatch.setattr(readout, "CACHE_BLOCK", 2 * 300)
+        rng = np.random.default_rng(25)
+        weights, bias = rng.normal(0, 0.05, (2, 3, 300)), rng.normal(0, 0.05, (2, 3))
+        labels = rng.integers(0, 3, 3)
+        accs = readout._test_accuracies(counts, labels, weights, bias)
+        exact = counts.sum(axis=1, dtype=np.int64)
+        assert exact[1] == 2 ** 24 + 1 and np.float32(exact[1]) != exact[1]
+        assert np.array_equal(np.concatenate(seen[:2]), exact)
+        x = counts.astype(np.float64)
+        assert accs == [reference_accuracy(x, labels, w, b) for w, b in zip(weights, bias)]
+
+    def test_scoring_holds_no_float32_copy_of_the_test_counts(self):
+        # Level 1 widens one row block at a time, so neither evaluate nor
+        # the curve's scoring in train_readout holds a whole float32 copy
+        # of the u16 test counts. The training split is small beside it.
+        rng = np.random.default_rng(24)
+        n_test, width, classes = 2048, 1000, 2
+        train = counts_cache(spike_counts(rng, 32 * 20, width),
+                             rng.integers(0, classes, 32 * 20))
+        test_counts = spike_counts(rng, n_test, width)
+        test_counts[:, 0] += 1
+        test = counts_cache(test_counts, rng.integers(0, classes, n_test))
+
+        def traced(run):
+            entry, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            result = run()
+            return result, tracemalloc.get_traced_memory()[1] - entry
+
+        tracemalloc.start()
+        try:
+            (model, _), train_peak = traced(lambda: train_readout(
+                train, test, adam=AdamConfig(), batch_size=32, num_classes=classes))
+            _, eval_peak = traced(lambda: evaluate(model, test))
+        finally:
+            tracemalloc.stop()
+        copy32 = n_test * width * 4
+        assert train_peak < copy32 and eval_peak < copy32, (train_peak, eval_peak, copy32)

@@ -599,6 +599,22 @@ class TestTrainSg:
         with pytest.raises(ValueError, match="time_steps must be >= 1"):
             train_sg(model, ds, ds, -3, 0, test_indices=np.arange(len(ds)), **run)
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_label_outside_num_classes_rejected_before_the_first_step(self, monkeypatch,
+                                                                       split, label):
+        ds = _separable(samples_per_class=4, pixels=16, seed=3)
+        test_ds = _separable(samples_per_class=4, pixels=16, seed=4)
+        (ds if split == "train" else test_ds).labels[3] = label
+
+        def no_step(*_args):
+            raise AssertionError("a step ran before the labels were checked")
+
+        monkeypatch.setattr(sg, "_record_tape", no_step)
+        with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
+            train_whole(init_sg_model(16, 8, 2, seed=0, dist=fan_in_uniform(16)), ds, test_ds,
+                        5, master_seed=0, batch_size=4)
+
     def test_held_out_pass_starts_without_the_steps_arrays(self, monkeypatch):
         # At 16 -> 400, one (B, T, n_hidden) float64 array of a step (the
         # tape's potentials or its hidden spikes) outweighs all that
