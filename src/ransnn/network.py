@@ -25,7 +25,7 @@ import os
 import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -218,21 +218,21 @@ def row_groups(start: int, stop: int, width: int) -> list[slice]:
 
 
 def run_parts(fn, parts: list[slice]) -> None:
-    """fn(rows) for each slice rows of parts, so that min(worker_count(),
-    len(parts)) run at once: in order on the calling thread where that is 1,
-    else each on a pool of that many threads that lives for the call. Each
+    """fn(rows) for each slice rows of parts on a pool of min(worker_count(),
+    len(parts)) threads that lives for the call (none for no parts). Each
     part must write only its own outputs and must not call run_parts, so no
     bit depends on which thread runs it or when. Returns once every part is
-    done, raising the first part's error of any."""
-    workers = min(worker_count(), len(parts))
-    if workers <= 1:
-        for rows in parts:
-            fn(rows)
-        return
-    # Every part is submitted and the pool drained before any result is
-    # read: Executor.map would cancel the pending parts once one raised.
+    done, raising the first part's error of any. An interrupt of the wait
+    starts no queued part and raises once the running ones are done."""
+    workers = min(worker_count(), len(parts) or 1)
+    # Not Thread.join: on Python 3.11 an interrupted join can mark a running thread stopped.
     with ThreadPoolExecutor(workers, thread_name_prefix="ransnn-part") as pool:
-        futures = [pool.submit(fn, rows) for rows in parts]
+        try:
+            futures = [pool.submit(fn, rows) for rows in parts]
+            wait(futures)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     for f in futures:
         f.result()
 

@@ -2,8 +2,9 @@
 
 Criteria 1-7 measure accuracy bands and the training-time ratio on the real
 MNIST-family benchmark files and skip with instructions when those IDX files
-are not present (set RANSNN_DATA_DIR; see README for the expected layout).
-Criteria 8-11 are property-based and always run.
+are not present (set RANSNN_DATA_DIR; see README for the expected layout);
+criterion 7's spike-count mechanism also runs on synthetic images. Criteria
+8-11 are property-based and always run.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. The full data-backed suite is compute-heavy (the baseline trains a
@@ -16,7 +17,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import blob_dataset, drive_layer, extract, idx_tensor_bytes, write_dataset_idx
+from conftest import (blob_dataset, drive_layer, extract, idx_tensor_bytes, mnist_shaped,
+                      write_dataset_idx)
 from oracles import (central_difference_grad, cross_entropy, leak_decay_sequence,
                      linear_filter_membrane, poisson_encode, relative_error,
                      sg_forward_mode_grads)
@@ -25,7 +27,8 @@ from ransnn.harness import (ExperimentConfig, SweepSpec, compare_methods,
                             config_from_dict, resolve_dataset_paths,
                             run_experiment, run_sweep, summarize_sweep)
 from ransnn.idx import load_dataset, parse_idx
-from ransnn.network import LifParams, Uniform, init_weights, simulate, simulate_forward
+from ransnn.network import (LifParams, Uniform, fan_in_uniform, init_weights, simulate,
+                            simulate_forward)
 from ransnn.numerics import Rng, softmax
 from ransnn.readout import ReadoutModel, readout_loss_grad
 from ransnn.sg import _record_tape, bptt_backward, init_sg_model
@@ -158,6 +161,27 @@ class TestCriterion07DistributionSensitivity:
         ok = centered - off_center >= 0.10
         report("7b", "centered normal beats off-center by >= 10pt", ok,
                f"centered={centered:.4f}, off-center={off_center:.4f}")
+        assert ok
+
+    @pytest.mark.parametrize("name,dist,saturated,rank", [
+        ("U(0.05,0.15)", Uniform(0.05, 0.15), 1.0, 1),
+        ("fan-in U(-a,a)", fan_in_uniform(784), 0.0, 64)], ids=["biased", "fan-in"])
+    def test_biased_uniform_saturates_the_hidden_layer(self, name, dist, saturated, rank):
+        # The collapse's mechanism on synthetic images: all-positive weights
+        # drive every neuron to fire at every step, so the readout sees one
+        # count row for every sample. The statistics are those of
+        # bench/layers.cache_summary.
+        cache = extract(init_weights((784, 500), dist, seed=ACCEPT_SEED), 25,
+                        mnist_shaped(64), ACCEPT_SEED)
+        f = cache.features
+        mean_rate = float(f.mean()) / cache.time_steps
+        silent = float((f.max(axis=0) == 0).mean())
+        saturated_frac = float((f.min(axis=0) == cache.time_steps).mean())
+        f_rank = int(np.linalg.matrix_rank(f.astype(np.float64)))
+        ok = (saturated_frac, f_rank, silent) == (saturated, rank, 0.0)
+        report("7c", f"{name}: saturated fraction {saturated} and count rank {rank}", ok,
+               f"rate={mean_rate:.3f}, silent={silent:.3f}, saturated={saturated_frac:.3f}, "
+               f"rank={f_rank}")
         assert ok
 
 

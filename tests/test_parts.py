@@ -10,8 +10,13 @@ changes last bits at widths 30 and 300, so a split that followed the worker
 count would fail here.
 """
 
+import json
+import os
+import signal
+import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -160,17 +165,18 @@ def test_every_part_runs_once_with_more_workers_than_cores(monkeypatch):
 
 
 def test_a_failing_part_raises_after_every_other_part_ran(monkeypatch):
-    monkeypatch.setattr(network, "worker_count", lambda: 3)
-    done = np.zeros(40, dtype=bool)
+    for workers in (1, 3):
+        monkeypatch.setattr(network, "worker_count", lambda n=workers: n)
+        done = np.zeros(40, dtype=bool)
 
-    def part(rows):
-        if rows.start == 8:
-            raise RuntimeError("part failed")
-        done[rows] = True
+        def part(rows):
+            if rows.start == 8:
+                raise RuntimeError("part failed")
+            done[rows] = True
 
-    with pytest.raises(RuntimeError, match="part failed"):
-        network.run_parts(part, [slice(start, start + 4) for start in range(0, len(done), 4)])
-    assert done[:8].all() and done[12:].all() and not done[8:12].any()
+        with pytest.raises(RuntimeError, match="part failed"):
+            network.run_parts(part, [slice(start, start + 4) for start in range(0, len(done), 4)])
+        assert done[:8].all() and done[12:].all() and not done[8:12].any(), workers
 
 
 def spy_work_arrays(monkeypatch) -> tuple[list, list]:
@@ -290,12 +296,63 @@ def test_units_sharing_work_arrays_on_more_workers_than_cores(monkeypatch):
 
 
 def test_no_part_thread_outlives_the_call(monkeypatch):
-    monkeypatch.setattr(network, "worker_count", lambda: 2)
-    names = []
-    network.run_parts(lambda rows: names.append(threading.current_thread().name),
-                      [slice(0, 1), slice(1, 2), slice(2, 3)])
-    assert len(names) == 3 and all(name.startswith("ransnn-part") for name in names)
-    assert [t.name for t in threading.enumerate() if t.name.startswith("ransnn-part")] == []
+    # One worker runs its parts on a pool thread too, never on the caller's.
+    for workers in (1, 2):
+        monkeypatch.setattr(network, "worker_count", lambda n=workers: n)
+        names = []
+        network.run_parts(lambda rows: names.append(threading.current_thread().name),
+                          [slice(0, 1), slice(1, 2), slice(2, 3)])
+        assert len(names) == 3 and all(name.startswith("ransnn-part") for name in names)
+        assert [t.name for t in threading.enumerate() if t.name.startswith("ransnn-part")] == []
+    network.run_parts(names.append, [])
+    assert len(names) == 3
+
+
+_INTERRUPT_SCRIPT = """
+import json, sys, threading, time
+from ransnn import network
+network.worker_count = lambda: int(sys.argv[1])
+started = []
+
+def part(rows):
+    started.append(rows.start)
+    if len(started) == 1:
+        print("started", flush=True)
+    time.sleep(0.05)
+
+try:
+    network.run_parts(part, [slice(i, i + 1) for i in range(200)])
+except KeyboardInterrupt:
+    at_raise = len(started)
+    alive = [t.name for t in threading.enumerate() if t.name.startswith("ransnn-part")]
+    time.sleep(0.2)
+    print(json.dumps({"at_raise": at_raise, "later": len(started), "alive": alive}), flush=True)
+"""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="sends SIGINT")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_interrupt_starts_no_queued_part(workers):
+    # SIGINT reaches the calling thread while it waits for the parts: the
+    # queued ones never start, the running ones end, and the process exits
+    # instead of running the 200 parts of 50 ms to the end. It is sent
+    # 0.3 s after the first part started, once all 200 are queued.
+    env = {**os.environ, "PYTHONPATH": str(Path(network.__file__).parents[1])}
+    with subprocess.Popen([sys.executable, "-c", _INTERRUPT_SCRIPT, str(workers)], env=env,
+                          stdout=subprocess.PIPE, text=True) as child:
+        try:
+            assert child.stdout.readline() == "started\n"
+            time.sleep(0.3)
+            child.send_signal(signal.SIGINT)
+            sent = time.monotonic()
+            out, _ = child.communicate(timeout=30)
+            waited = time.monotonic() - sent
+        finally:
+            child.kill()
+    assert child.returncode == 0
+    report = json.loads(out)
+    assert report["alive"] == [] and report["later"] == report["at_raise"] < 200, report
+    assert waited < 2.0, waited
 
 
 def vm_rss_kb() -> int:
@@ -307,10 +364,9 @@ def vm_rss_kb() -> int:
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
 def test_repeated_calls_leave_the_resident_set_flat(monkeypatch):
-    # Each call starts and joins its own threads, whose GEMMs make OpenBLAS
-    # set up its buffers for them: a thread or buffer kept per call grows
-    # the resident set.
-    monkeypatch.setattr(network, "worker_count", lambda: 2)
+    # Each call starts and joins its own threads, one of them at one worker,
+    # whose GEMMs make OpenBLAS set up its buffers for them: a thread or
+    # buffer kept per call grows the resident set.
     a = sample_weights(Uniform(-1, 1), Rng(1, 0), 64, 128)
     b = sample_weights(Uniform(-1, 1), Rng(2, 0), 128, 128)
     out = np.empty((64, 128))
@@ -319,12 +375,15 @@ def test_repeated_calls_leave_the_resident_set_flat(monkeypatch):
         np.matmul(a[rows], b, out=out[rows])
 
     parts = [slice(0, 32), slice(32, 64)]
-    with network.one_blas_thread():
-        for _ in range(100):
-            network.run_parts(gemm, parts)
-        before = vm_rss_kb()
-        for _ in range(2000):
-            network.run_parts(gemm, parts)
-        after = vm_rss_kb()
-        assert np.array_equal(out, np.vstack([a[rows] @ b for rows in parts]))
-    assert after - before < 4096, (before, after)
+    for workers in (1, 2):
+        monkeypatch.setattr(network, "worker_count", lambda n=workers: n)
+        out.fill(0.0)
+        with network.one_blas_thread():
+            for _ in range(100):
+                network.run_parts(gemm, parts)
+            before = vm_rss_kb()
+            for _ in range(2000):
+                network.run_parts(gemm, parts)
+            after = vm_rss_kb()
+            assert np.array_equal(out, np.vstack([a[rows] @ b for rows in parts]))
+        assert after - before < 4096, (workers, before, after)
