@@ -337,14 +337,6 @@ class RunRecord:
     workers: int
 
 
-def _load_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
-    paths = resolve_dataset_paths(cfg)
-    num_classes = _DATASETS[cfg.dataset][0]
-    ds_train = load_dataset(paths["train_images"], paths["train_labels"], num_classes)
-    ds_test = load_dataset(paths["test_images"], paths["test_labels"], num_classes)
-    return ds_train, ds_test
-
-
 @dataclass
 class _Split:
     """One dataset split as a run reads it: the selected indices and the
@@ -373,7 +365,10 @@ def _set_up(cfg: ExperimentConfig) -> _RunSetup:
     split's batches, for a validated cfg. The pixel width comes from the
     image header, and each split's dataset_id ends in the fingerprint of
     its files, so a run whose caches all hit decodes no image."""
-    ds_train, ds_test = _load_datasets(cfg)
+    paths = resolve_dataset_paths(cfg)
+    num_classes = _DATASETS[cfg.dataset][0]
+    ds_train = load_dataset(paths["train_images"], paths["train_labels"], num_classes)
+    ds_test = load_dataset(paths["test_images"], paths["test_labels"], num_classes)
     n_in = ds_train.pixels
     try:
         train_sel = make_batches(ds_train, cfg.batch_size, cfg.train_batches, cfg.seed)

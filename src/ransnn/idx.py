@@ -165,18 +165,13 @@ class LabeledDataset:
 
 class _IdxDataset(LabeledDataset):
     """A LabeledDataset read by load_dataset. Its size and pixel width come
-    from the image file's header; unless given decoded, its pixels are
-    decoded from the file's bytes by parse_idx, with all of its checks, on
-    the first access to .images, which then drops the bytes."""
+    from the image file's header; it holds the file's bytes until the first
+    access to .images, which decodes the pixels by parse_idx, with all of
+    its checks, and then drops the bytes."""
 
-    def __init__(self, image_bytes: bytes, dims: tuple[int, ...],
-                 images: np.ndarray | None, labels: np.ndarray, num_classes: int,
-                 fingerprint: str):
-        self._dims = dims
-        if images is None:
-            self._image_bytes, self._images = image_bytes, None
-        else:
-            self._image_bytes, self._images = None, images.reshape(len(self), self.pixels)
+    def __init__(self, image_bytes: bytes, dims: tuple[int, ...], labels: np.ndarray,
+                 num_classes: int, fingerprint: str):
+        self._dims, self._image_bytes, self._images = dims, image_bytes, None
         self.labels, self.num_classes, self.fingerprint = labels, num_classes, fingerprint
 
     @property
@@ -200,18 +195,17 @@ def load_dataset(image_path, label_path, num_classes: int) -> LabeledDataset:
     Images must be rank 3 ([n, rows, cols]) and are flattened row-major;
     labels must be rank 1 with the same n and values inside [0, num_classes).
     Each file is read once. The image header, the size the image file
-    stores and the labels are checked here; the pixels are decoded on the
-    first access to .images, or here when the stored size disagrees with
-    the header, so no caller sizes anything by extents the file cannot
+    stores and the labels are checked here. Where the stored size agrees
+    with the header, the pixels are decoded on the first access to .images;
+    where it disagrees, they are decoded here and the dataset is a plain
+    LabeledDataset, so no caller sizes anything by extents the file cannot
     hold. The dataset's fingerprint is a blake2b digest of both files'
     bytes as stored, gzipped or raw.
     """
     image_bytes = Path(image_path).read_bytes()
     label_bytes = Path(label_path).read_bytes()
     dims = _header_dims(image_bytes)
-    images = None
-    if not _stored_size_agrees(image_bytes, dims):
-        images = parse_idx(image_bytes).data
+    images = None if _stored_size_agrees(image_bytes, dims) else parse_idx(image_bytes).data
     labels = parse_idx(label_bytes)
     if len(dims) != 3:
         raise DatasetError(
@@ -230,7 +224,10 @@ def load_dataset(image_path, label_path, num_classes: int) -> LabeledDataset:
     h = hashlib.blake2b(len(image_bytes).to_bytes(8, "little"), digest_size=16)
     h.update(image_bytes)
     h.update(label_bytes)
-    return _IdxDataset(image_bytes, dims, images, lab, int(num_classes), h.hexdigest())
+    if images is None:
+        return _IdxDataset(image_bytes, dims, lab, int(num_classes), h.hexdigest())
+    return LabeledDataset(images.reshape(n, dims[1] * dims[2]), lab, int(num_classes),
+                          h.hexdigest())
 
 
 def make_batches(ds: LabeledDataset, batch_size: int, num_batches: int,

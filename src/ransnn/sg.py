@@ -106,10 +106,10 @@ class BpttTape:
     the work arrays of scratch, the dict it was recorded into, valid until
     the next simulate call with that dict. bptt_backward spends a tape: it
     writes the hidden adjoint over flat_hidden, and the hidden decay, then
-    the input rows and then the gradient, grad, over hidden_u_pre where they
-    fit; input rows that do not fit go into the forward's float64 input,
-    scratch[("in", 0)]. It keeps output_u_pre, which train_sg reads for the
-    loss.
+    the input rows where they fit and then the gradient, grad, where it
+    fits, over hidden_u_pre. Input rows that do not fit are read from the
+    forward's own float64 input, scratch[("in", 0)], which it leaves as it
+    was. It keeps output_u_pre, which train_sg reads for the loss.
     """
 
     input_bits: np.ndarray  # (B, T, n_in) uint8
@@ -166,18 +166,19 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true) -> tuple[np.ndarray, n
 
     The tape is spent, and a second backward on it raises ValueError. The
     output adjoint spends the softmax's array and a copy of output_u_pre.
-    The w_out gradient reads tape.flat_hidden into a small work array first;
-    then the hidden adjoint is computed in place over flat_hidden, and its
-    decay over tape.hidden_u_pre, whose storage is then free. One rule
-    places two arrays in turn: each takes the next entries of that storage
-    where enough remain, and otherwise a work array kept in tape.scratch.
-    The first is the hidden gradient's GEMM operand, the input bits rebuilt
-    as (B*T, n_in) float64 rows, whose work array is the forward's input
-    ("in", 0); the second is tape.grad. The hidden adjoint and that rebuild
-    run over the batch's row_groups(0, B, n_hidden), and the hidden
-    gradient's GEMM over blocks of GRAD_ROWS hidden rows; run_parts only
-    schedules these slices, which depend on the shapes alone, so the bits do
-    not depend on the worker count.
+    The w_out gradient is a product read from tape.flat_hidden first; then
+    the hidden adjoint is computed in place over flat_hidden, and its decay
+    over tape.hidden_u_pre, whose storage is then free. The hidden
+    gradient's GEMM operand is the input bits as (B*T, n_in) float64 rows:
+    where n_in <= n_hidden they are rebuilt from tape.input_bits in the
+    first entries of that storage, and otherwise they are the forward's own
+    input, tape.scratch[("in", 0)], read as it is. tape.grad takes the next
+    entries of that storage where enough remain, and otherwise the work
+    array tape.scratch["grad"]. The hidden adjoint and that rebuild run over
+    the batch's row_groups(0, B, n_hidden), and the hidden gradient's GEMM
+    over blocks of GRAD_ROWS hidden rows; run_parts only schedules these
+    slices, which depend on the shapes alone, so the bits do not depend on
+    the worker count.
 
     Both gradients are written into tape.grad, one flat float64 vector
     holding the hidden matrix's entries first, and returned as views of it,
@@ -202,8 +203,7 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true) -> tuple[np.ndarray, n
     d_direct /= n_batch
     lam_out = _adjoint(d_direct, tape.output_u_pre.copy(), beta, thr).reshape(-1, n_cls)
 
-    d_w_out = np.matmul(lam_out.T, tape.flat_hidden,
-                        out=_buffer(tape.scratch, "d_w_out", model.w_out.shape, np.float64))
+    d_w_out = lam_out.T @ tape.flat_hidden
     tape.spent = True
     lam_flat = np.matmul(lam_out, model.w_out, out=tape.flat_hidden)
     lam_hid = lam_flat.reshape(n_batch, steps, model.n_hidden)
@@ -215,25 +215,19 @@ def bptt_backward(model: SgModel, tape: BpttTape, y_true) -> tuple[np.ndarray, n
     run_parts(adjoint_part, parts)
     n_rows, n_wh = n_batch * steps, model.w_hidden.size
     free = tape.hidden_u_pre.reshape(-1)
+    if model.n_in <= model.n_hidden:
+        inputs = free[:n_rows * model.n_in].reshape(n_batch, steps, model.n_in)
+        free = free[inputs.size:]
 
-    def place(name, n):
-        """n entries of float64: the first n still free in hidden_u_pre, or
-        where fewer are free, the work array tape.scratch[name]."""
-        nonlocal free
-        if free.size < n:
-            return _buffer(tape.scratch, name, n, np.float64)
-        out, free = free[:n], free[n:]
-        return out
+        def input_part(rows):
+            inputs[rows] = tape.input_bits[rows]
 
-    flat_input = place(("in", 0), n_rows * model.n_in)
-    inputs = flat_input.reshape(n_batch, steps, model.n_in)
-
-    def input_part(rows):
-        inputs[rows] = tape.input_bits[rows]
-
-    run_parts(input_part, parts)
-    flat_input = flat_input.reshape(n_rows, model.n_in)
-    tape.grad = place("grad", model.params.size)
+        run_parts(input_part, parts)
+    else:
+        inputs = tape.scratch[("in", 0)][:n_rows * model.n_in]
+    flat_input = inputs.reshape(n_rows, model.n_in)
+    tape.grad = (free[:model.params.size] if free.size >= model.params.size
+                 else _buffer(tape.scratch, "grad", model.params.size, np.float64))
     d_w_hidden = tape.grad[:n_wh].reshape(model.w_hidden.shape)
 
     def gradient_part(rows):

@@ -627,7 +627,7 @@ class TestCompareMethods:
         def no_run(*_args, **_kwargs):
             raise AssertionError("a run started before both configs were validated")
 
-        for name in ("_load_datasets", "extract_features", "count_spikes", "init_weights"):
+        for name in ("load_dataset", "extract_features", "count_spikes", "init_weights"):
             monkeypatch.setattr(f"ransnn.harness.{name}", no_run)
         with pytest.raises(ConfigError, match="one hidden layer"):
             compare_methods(tiny_config(hidden_sizes=[50, 50]))
@@ -818,7 +818,7 @@ class TestRunSweep:
         def no_run(*_args, **_kwargs):
             raise AssertionError("a run started before every config was validated")
 
-        for name in ("extract_features", "count_spikes", "init_weights", "_load_datasets"):
+        for name in ("extract_features", "count_spikes", "init_weights", "load_dataset"):
             monkeypatch.setattr(f"ransnn.harness.{name}", no_run)
         with pytest.raises(ConfigError):
             run_sweep(tiny_config(), SweepSpec(parameter=parameter, values=values,
@@ -1080,7 +1080,7 @@ class TestCli:
         def no_run(*_args, **_kwargs):
             raise AssertionError("a run started before every config was validated")
 
-        monkeypatch.setattr("ransnn.harness._load_datasets", no_run)
+        monkeypatch.setattr("ransnn.harness.load_dataset", no_run)
         cfg = self._write_config(tmp_path)
         assert main(["sweep", "--config", cfg, "--param", "time_steps",
                      "--values", "25,0", "--repeats", "1"]) == 1

@@ -320,7 +320,7 @@ class TestBpttBackward:
         assert np.array_equal(d_wo, ref_wo)
 
     # The input operand is rebuilt over hidden_u_pre at n_in <= n_hidden and
-    # in the forward's float64 input, the tape's scratch[("in", 0)], at
+    # is the forward's float64 input, the tape's scratch[("in", 0)], at
     # n_in > n_hidden. At 200
     # hidden neurons the 66 samples run as 6 parts of 11, and the hidden
     # gradient is one GEMM, as in the reference.
@@ -438,7 +438,7 @@ class TestBpttBackward:
         # Above the gradients it returns, the reverse pass may hold only
         # (B, n) work arrays and small (B, T, C) ones: the hidden adjoint
         # goes into the tape's flat_hidden, and the input operand into
-        # hidden_u_pre at n_in <= n_hidden, else into the forward's float64
+        # hidden_u_pre at n_in <= n_hidden, else it is the forward's float64
         # input, scratch[("in", 0)]. A fresh (B, T, n_hidden) or
         # (B, T, n_in) float64 array, whole surrogate arrays or copies of the
         # tape's bits would exceed the budget.
@@ -469,7 +469,7 @@ class TestBpttBackward:
     def test_gradient_that_fits_in_the_tape_adds_no_weight_sized_vector(self):
         # At 100 -> 500 with B*T = 200 rows, hidden_u_pre holds the input
         # rows and, after them, the 55,000 gradient entries. At 784 -> 300
-        # with B*T = 792 rows the input rows go into the forward's float64
+        # with B*T = 792 rows the input rows are the forward's float64
         # input, scratch[("in", 0)], and hidden_u_pre's 237,600 entries hold
         # the 236,700 of the gradient. Above its entry, with the tape and the
         # forward's work arrays, the backward may hold only (B, n) work
@@ -497,29 +497,37 @@ class TestBpttBackward:
             assert np.shares_memory(tape.grad, tape.hidden_u_pre) and "grad" not in scratch
             assert peak - entry < budget, (n_in, peak - entry, budget)
 
-    def test_narrow_step_holds_one_float64_input_array(self, monkeypatch):
+    def test_narrow_step_holds_one_float64_input_array(self):
         # At n_in > n_hidden the input rows never fit in hidden_u_pre, so the
-        # backward rebuilds its GEMM operand in the forward's float64 input,
-        # scratch[("in", 0)], from the first step on a fresh scratch.
+        # backward's GEMM reads the forward's float64 input, scratch[("in", 0)],
+        # from the first step on a fresh scratch.
         n_batch, steps, n_in, n_hidden, n_cls = 9, 6, 784, 300, 10
         model = init_sg_model(n_in, n_hidden, n_cls, seed=0, dist=fan_in_uniform(n_in))
         bits = (Rng(5, 0).random((n_batch, steps, n_in)) < 0.2).astype(np.uint8)
-        placed, real_buffer = {}, sg._buffer
-
-        def buffer(scratch, key, shape, dtype):
-            placed[key] = real_buffer(scratch, key, shape, dtype)
-            return placed[key]
-
-        monkeypatch.setattr(sg, "_buffer", buffer)
         scratch = {}
         tape = _record_tape(model, bits, scratch)
         forward_input = scratch[("in", 0)]
         bptt_backward(model, tape, np.eye(n_cls)[np.arange(n_batch)])
-        assert np.shares_memory(placed[("in", 0)], forward_input)
         assert scratch[("in", 0)] is forward_input
         assert np.array_equal(forward_input.reshape(bits.shape), bits)
         assert [key for key, a in scratch.items()
                 if a.dtype == np.float64 and a.size == bits.size] == [("in", 0)]
+
+    def test_narrow_backward_writes_nothing_into_the_forward_input(self):
+        # The forward's float64 input is the narrow backward's GEMM operand
+        # as it stands: made read-only, it still gives the same gradients.
+        n_batch, steps, n_in, n_hidden, n_cls = 9, 6, 784, 300, 10
+        model = init_sg_model(n_in, n_hidden, n_cls, seed=0, dist=fan_in_uniform(n_in))
+        bits = (Rng(5, 0).random((n_batch, steps, n_in)) < 0.2).astype(np.uint8)
+        y = np.eye(n_cls)[np.arange(n_batch)]
+        grads = []
+        for read_only in (False, True):
+            scratch = {}
+            tape = _record_tape(model, bits, scratch)
+            scratch[("in", 0)].setflags(write=not read_only)
+            bptt_backward(model, tape, y)
+            grads.append(tape.grad.copy())
+        assert np.array_equal(grads[0], grads[1])
 
 
 def _separable(samples_per_class, pixels, seed):
